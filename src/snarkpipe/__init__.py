@@ -2,9 +2,10 @@
 
 Compiles straight-line polynomial programs into arithmetic circuits and
 quadratic programs, runs a trusted-setup/prove/verify protocol over a
-pluggable group backend with a bilinear pairing, and ships an interactive
+transparent group with a bilinear pairing, and ships an interactive
 commit-and-reveal proof baseline for comparison. Educational by design:
-the pairing backend that makes everything runnable also makes it insecure.
+the transparent group that makes everything runnable stores discrete logs
+in the clear, which also makes it insecure.
 """
 
 from .circuit import Circuit, Gate, IncompleteAssignment, Wire, check_solution, flatten, solve
@@ -17,14 +18,7 @@ from .frontend import (
     format_program,
     parse_program,
 )
-from .groups import (
-    GroupElement,
-    ModularGroup,
-    PairingUnsupported,
-    TargetGroupElement,
-    TransparentGroup,
-    make_group,
-)
+from .groups import GroupElement, TargetGroupElement, TransparentGroup
 from .interactive import (
     Challenge,
     HamiltonianCycleProblem,
@@ -71,8 +65,6 @@ __all__ = [
     "IncompleteAssignment",
     "InvalidWitness",
     "MalformedKey",
-    "ModularGroup",
-    "PairingUnsupported",
     "ParseError",
     "Polynomial",
     "Program",
@@ -97,7 +89,6 @@ __all__ = [
     "forge_round",
     "format_program",
     "lagrange_basis",
-    "make_group",
     "parse_program",
     "prove",
     "run_session",

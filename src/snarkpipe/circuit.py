@@ -16,10 +16,9 @@ alike, condition gates included.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field as dc_field
 
-from .field import FieldContext, FieldElement
+from .field import FieldContext, FieldElement, json_bytes
 from .frontend import (
     Add,
     Constant,
@@ -167,10 +166,7 @@ class Circuit:
         )
 
     def to_json_bytes(self) -> bytes:
-        return (
-            json.dumps(self.to_json_dict(), separators=(",", ":"), sort_keys=False)
-            + "\n"
-        ).encode()
+        return json_bytes(self.to_json_dict())
 
 
 class _Builder:

@@ -20,9 +20,9 @@ import sys
 
 from . import bundled, interactive, pinocchio
 from .circuit import Circuit, flatten, solve
-from .field import DEFAULT_MODULUS, FieldContext
+from .field import DEFAULT_MODULUS, FieldContext, json_bytes
 from .frontend import ParseError, parse_program
-from .groups import PairingUnsupported, make_group
+from .groups import TransparentGroup
 from .pinocchio import InvalidWitness, MalformedKey
 from .qap import build_qap
 from .rng import Sha256Rng, derive_seed, parse_seed
@@ -61,12 +61,6 @@ def _add_global_flags(parser, top_level: bool) -> None:
         metavar="DECIMAL",
         default=default(None),
         help="generator of the multiplicative group (default: derived)",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=["modular", "transparent"],
-        default=default("transparent"),
-        help="group backend; setup/prove/verify need 'transparent'",
     )
     parser.add_argument(
         "--seed",
@@ -165,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_json(path: str, data: dict) -> None:
-    payload = (json.dumps(data, separators=(",", ":"), sort_keys=False) + "\n").encode()
+    payload = json_bytes(data)
     with open(path, "wb") as fh:
         fh.write(payload)
 
@@ -193,8 +187,22 @@ def _load_circuit(path: str) -> Circuit:
     return Circuit.from_json_dict(_read_json(path))
 
 
-def _parse_input_map(data: dict) -> dict:
-    return {name: int(value) for name, value in data.items()}
+def _parse_input_map(data) -> dict:
+    """Map input names to ints from a JSON object whose values are JSON
+    integers or decimal strings; anything else is refused by name."""
+    if not isinstance(data, dict):
+        raise ValueError(f"an inputs file holds a JSON object, not {type(data).__name__}")
+    out = {}
+    for name, value in data.items():
+        if isinstance(value, int) and not isinstance(value, bool):
+            out[name] = value
+        elif isinstance(value, str) and value.isascii() and value.removeprefix("-").isdigit():
+            out[name] = int(value)
+        else:
+            raise ValueError(
+                f"input {name!r} must be an integer or a decimal string, not {value!r}"
+            )
+    return out
 
 
 def cmd_compile(args) -> int:
@@ -216,7 +224,7 @@ def cmd_compile(args) -> int:
 def cmd_setup(args) -> int:
     circuit = _load_circuit(args.circuit)
     qap = build_qap(circuit)
-    group = make_group(args.backend, circuit.ctx)
+    group = TransparentGroup(circuit.ctx)
     public = tuple(name for name in args.public.split(",") if name)
     ek, vk = pinocchio.setup(qap, group, _seed_bytes(args), public)
     _write_json(args.evaluation_key, pinocchio.evaluation_key_to_dict(ek))
@@ -243,8 +251,6 @@ def cmd_prove(args) -> int:
 def cmd_verify(args) -> int:
     vk = pinocchio.load_verification_key(_read_json(args.verification_key))
     wk = pinocchio.load_witness_key(_read_json(args.witness_key))
-    if not vk.group.describes_same(wk.v.group):
-        raise MalformedKey("witness key and verification key backends differ")
     public_inputs = {}
     if args.public_inputs:
         public_inputs = _parse_input_map(_read_json(args.public_inputs))
@@ -334,7 +340,7 @@ def cmd_selftest(args) -> int:
         ok = ok and quotient * den + remainder == num
     report("polynomial division reconstructs (100 samples)", ok)
 
-    group = make_group("transparent", ctx)
+    group = TransparentGroup(ctx)
     g = group.generator()
     ok = True
     for _ in range(200):
@@ -368,11 +374,7 @@ def cmd_selftest(args) -> int:
 
     tampered = pinocchio.WitnessKey(
         **{
-            name: (
-                group.element_from_int(12345)
-                if name == "h"
-                else getattr(wk, name)
-            )
+            name: g**12345 if name == "h" else getattr(wk, name)
             for name in pinocchio.WitnessKey.FIELDS
         }
     )
@@ -435,9 +437,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except MalformedKey as exc:
         print(f"malformed key: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except PairingUnsupported as exc:
-        print(f"backend error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except FileNotFoundError as exc:
         print(f"missing file: {exc}", file=sys.stderr)

@@ -1,6 +1,8 @@
-"""Exact arithmetic over a prime field."""
+"""Exact arithmetic over a prime field, and the artifact encoding."""
 
 from __future__ import annotations
+
+import json
 
 __all__ = [
     "DEFAULT_GENERATOR",
@@ -9,6 +11,7 @@ __all__ = [
     "FieldContext",
     "FieldElement",
     "is_probable_prime",
+    "json_bytes",
 ]
 
 # 2^64 - 2^32 + 1: reduction stays within machine words and
@@ -24,6 +27,16 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # Give up factoring p - 1 past this many trial divisors; callers must then
 # supply the generator themselves.
 _FACTOR_BUDGET = 1_000_000
+
+
+def json_bytes(data) -> bytes:
+    """Encode an artifact: compact JSON in insertion order plus a newline.
+
+    Every file the pipeline writes goes through here, so equal artifacts are
+    equal bytes. Field and group values inside are decimal strings (see
+    FieldContext.to_json_dict).
+    """
+    return (json.dumps(data, separators=(",", ":")) + "\n").encode()
 
 
 class DivisionByZero(ZeroDivisionError):

@@ -1,106 +1,28 @@
-"""Multiplicative-group abstraction with a pluggable bilinear pairing.
+"""The transparent pairing group the Pinocchio protocol runs on.
 
-Two backends share one element interface:
+``TransparentGroup`` models an idealized cyclic group whose order equals the
+field modulus p. Elements simply store their discrete log, the group law
+adds logs, and the pairing multiplies them into a target group. Exponent
+algebra therefore matches field algebra exactly, which is what lets every
+key equation be executed and tested bit for bit at desk scale.
 
-* ``modular`` exponentiates honestly inside the field's own multiplicative
-  group (order p - 1). It offers no pairing, so it can only power the parts
-  of the pipeline that never call one.
-* ``transparent`` models an idealized cyclic group whose order equals the
-  field modulus p. Elements simply store their discrete log, the group law
-  adds logs, and the pairing multiplies them into a target group. Exponent
-  algebra therefore matches field algebra exactly, which is what lets every
-  key equation be executed and tested bit for bit at desk scale.
-
-The transparent backend is deliberately insecure: anyone can read the
-exponents straight out of the elements. It exists for demonstrations and
-tests, never for protecting secrets.
+The group is deliberately insecure: anyone can read the exponents straight
+out of the elements. It exists for demonstrations and tests, never for
+protecting secrets.
 """
 
 from __future__ import annotations
 
 from .field import FieldContext, FieldElement
 
-__all__ = [
-    "BACKENDS",
-    "Group",
-    "GroupElement",
-    "ModularGroup",
-    "PairingUnsupported",
-    "TargetGroupElement",
-    "TransparentGroup",
-    "make_group",
-]
+__all__ = ["GroupElement", "TargetGroupElement", "TransparentGroup"]
 
 
-class PairingUnsupported(RuntimeError):
-    """The selected backend has no bilinear map."""
-
-
-class GroupElement:
-    """An element g^a; the representation of a is backend-dependent."""
-
-    __slots__ = ("group", "value")
-
-    def __init__(self, group: "Group", value: int):
-        self.group = group
-        self.value = value
-
-    def __mul__(self, other):
-        if not isinstance(other, GroupElement):
-            return NotImplemented
-        self.group.require_same(other.group)
-        return self.group.combine(self, other)
-
-    def __pow__(self, exponent):
-        return self.group.exp(self, exponent)
-
-    def inverse(self) -> "GroupElement":
-        return self.group.invert(self)
-
-    def pair(self, other: "GroupElement") -> "TargetGroupElement":
-        return self.group.pairing(self, other)
-
-    def __eq__(self, other):
-        if isinstance(other, GroupElement):
-            return self.group.describes_same(other.group) and self.value == other.value
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.group.name, self.group.ctx.p, self.value))
-
-    def __repr__(self):
-        return f"GroupElement({self.group.name}, {self.value})"
-
-
-class TargetGroupElement:
-    """Output of the pairing; a multiplicative group in its own right."""
-
-    __slots__ = ("group", "value")
-
-    def __init__(self, group: "Group", value: int):
-        self.group = group
-        self.value = value
-
-    def __mul__(self, other):
-        if not isinstance(other, TargetGroupElement):
-            return NotImplemented
-        self.group.require_same(other.group)
-        return TargetGroupElement(self.group, (self.value + other.value) % self.group.order)
-
-    def __pow__(self, exponent):
-        e = _exponent_int(exponent) % self.group.order
-        return TargetGroupElement(self.group, self.value * e % self.group.order)
-
-    def __eq__(self, other):
-        if isinstance(other, TargetGroupElement):
-            return self.group.describes_same(other.group) and self.value == other.value
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(("target", self.group.ctx.p, self.value))
-
-    def __repr__(self):
-        return f"TargetGroupElement({self.group.name}, {self.value})"
+def _common_modulus(a, b) -> int:
+    p = a.group.ctx.p
+    if b.group.ctx.p != p:
+        raise ValueError(f"elements from different fields: {p} vs {b.group.ctx.p}")
+    return p
 
 
 def _exponent_int(exponent) -> int:
@@ -111,139 +33,104 @@ def _exponent_int(exponent) -> int:
     raise TypeError(f"exponent must be int or FieldElement, not {type(exponent)!r}")
 
 
-class Group:
-    """Common interface of both backends."""
+class GroupElement:
+    """An element g^a, stored as its discrete log a in [0, p)."""
 
-    name = "abstract"
-    pairs = False
+    __slots__ = ("group", "value")
 
-    def __init__(self, ctx: FieldContext):
-        self.ctx = ctx
+    def __init__(self, group: "TransparentGroup", value: int):
+        self.group = group
+        self.value = value
 
-    @property
-    def order(self) -> int:
-        raise NotImplementedError
+    def __mul__(self, other):
+        if not isinstance(other, GroupElement):
+            return NotImplemented
+        p = _common_modulus(self, other)
+        return GroupElement(self.group, (self.value + other.value) % p)
 
-    def generator(self) -> GroupElement:
-        raise NotImplementedError
+    def __pow__(self, exponent):
+        p = self.group.ctx.p
+        return GroupElement(self.group, self.value * _exponent_int(exponent) % p)
 
-    def identity(self) -> GroupElement:
-        raise NotImplementedError
+    def pair(self, other: "GroupElement") -> "TargetGroupElement":
+        return self.group.pairing(self, other)
 
-    def combine(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        raise NotImplementedError
+    def __eq__(self, other):
+        if isinstance(other, GroupElement):
+            return self.group.ctx.p == other.group.ctx.p and self.value == other.value
+        return NotImplemented
 
-    def exp(self, base: GroupElement, exponent) -> GroupElement:
-        raise NotImplementedError
+    def __hash__(self):
+        return hash((self.group.ctx.p, self.value))
 
-    def invert(self, a: GroupElement) -> GroupElement:
-        raise NotImplementedError
-
-    def pairing(self, a: GroupElement, b: GroupElement) -> TargetGroupElement:
-        raise PairingUnsupported(f"backend '{self.name}' has no bilinear map")
-
-    def target_identity(self) -> TargetGroupElement:
-        raise PairingUnsupported(f"backend '{self.name}' has no bilinear map")
-
-    def element_from_int(self, value: int) -> GroupElement:
-        return GroupElement(self, value % self._carrier_modulus())
-
-    def _carrier_modulus(self) -> int:
-        raise NotImplementedError
-
-    def require_same(self, other: "Group") -> None:
-        if not self.describes_same(other):
-            raise ValueError(
-                f"elements from different group contexts: {self.name}/{self.ctx.p}"
-                f" vs {other.name}/{other.ctx.p}"
-            )
-
-    def describes_same(self, other: "Group") -> bool:
-        return self.name == other.name and self.ctx == other.ctx
+    def __repr__(self):
+        return f"GroupElement({self.value} mod {self.group.ctx.p})"
 
 
-class ModularGroup(Group):
-    """Honest exponentiation in the field's multiplicative group F_p^*."""
+class TargetGroupElement:
+    """Output of the pairing; a multiplicative group in its own right."""
 
-    name = "modular"
-    pairs = False
+    __slots__ = ("group", "value")
 
-    @property
-    def order(self) -> int:
-        return self.ctx.p - 1
+    def __init__(self, group: "TransparentGroup", value: int):
+        self.group = group
+        self.value = value
 
-    def generator(self) -> GroupElement:
-        return GroupElement(self, self.ctx.generator_value)
+    def __mul__(self, other):
+        if not isinstance(other, TargetGroupElement):
+            return NotImplemented
+        p = _common_modulus(self, other)
+        return TargetGroupElement(self.group, (self.value + other.value) % p)
 
-    def identity(self) -> GroupElement:
-        return GroupElement(self, 1)
+    def __pow__(self, exponent):
+        p = self.group.ctx.p
+        return TargetGroupElement(self.group, self.value * _exponent_int(exponent) % p)
 
-    def combine(self, a, b):
-        return GroupElement(self, a.value * b.value % self.ctx.p)
+    def __eq__(self, other):
+        if isinstance(other, TargetGroupElement):
+            return self.group.ctx.p == other.group.ctx.p and self.value == other.value
+        return NotImplemented
 
-    def exp(self, base, exponent):
-        e = _exponent_int(exponent) % self.order
-        return GroupElement(self, pow(base.value, e, self.ctx.p))
+    def __hash__(self):
+        return hash(("target", self.group.ctx.p, self.value))
 
-    def invert(self, a):
-        return GroupElement(self, pow(a.value, self.ctx.p - 2, self.ctx.p))
-
-    def _carrier_modulus(self) -> int:
-        return self.ctx.p
+    def __repr__(self):
+        return f"TargetGroupElement({self.value} mod {self.group.ctx.p})"
 
 
-class TransparentGroup(Group):
+class TransparentGroup:
     """Idealized order-p cyclic group whose elements expose their discrete log.
 
     Insecure by design: GroupElement.value IS the exponent of the generator.
     """
 
-    name = "transparent"
-    pairs = True
+    name = "transparent"  # recorded in every key header
 
-    @property
-    def order(self) -> int:
-        return self.ctx.p
+    def __init__(self, ctx: FieldContext):
+        self.ctx = ctx
 
     def generator(self) -> GroupElement:
         return GroupElement(self, 1)
 
-    def identity(self) -> GroupElement:
-        return GroupElement(self, 0)
+    def msm(self, bases, scalars) -> GroupElement:
+        """Product of bases[i] ** scalars[i], up to the shorter sequence.
 
-    def combine(self, a, b):
-        return GroupElement(self, (a.value + b.value) % self.ctx.p)
+        With the discrete logs in the clear this is one dot product mod p; a
+        real pairing group would use a bucket method such as Pippenger's.
+        """
+        total = sum(base.value * scalar for base, scalar in zip(bases, scalars))
+        return GroupElement(self, total % self.ctx.p)
 
-    def exp(self, base, exponent):
-        e = _exponent_int(exponent) % self.ctx.p
-        return GroupElement(self, base.value * e % self.ctx.p)
+    def pairing(self, a: GroupElement, b: GroupElement) -> TargetGroupElement:
+        p = _common_modulus(a, b)
+        return TargetGroupElement(a.group, a.value * b.value % p)
 
-    def invert(self, a):
-        return GroupElement(self, (-a.value) % self.ctx.p)
-
-    def pairing(self, a, b):
-        self.require_same(a.group)
-        self.require_same(b.group)
-        return TargetGroupElement(self, a.value * b.value % self.ctx.p)
-
-    def target_identity(self) -> TargetGroupElement:
-        return TargetGroupElement(self, 0)
-
-    def _carrier_modulus(self) -> int:
-        return self.ctx.p
-
-
-BACKENDS = {
-    ModularGroup.name: ModularGroup,
-    TransparentGroup.name: TransparentGroup,
-}
-
-
-def make_group(backend: str, ctx: FieldContext) -> Group:
-    try:
-        cls = BACKENDS[backend]
-    except KeyError:
-        raise ValueError(
-            f"unknown backend '{backend}'; expected one of {sorted(BACKENDS)}"
-        ) from None
-    return cls(ctx)
+    def decode(self, text) -> GroupElement:
+        """Parse the canonical encoding: a decimal string in [0, p) with no
+        sign, padding, leading zero or digit separator."""
+        p = self.ctx.p
+        if isinstance(text, str) and text.isascii() and text.isdigit():
+            value = int(text)
+            if text == str(value) and value < p:
+                return GroupElement(self, value)
+        raise ValueError(f"{text!r} is not a canonical decimal below {p}")

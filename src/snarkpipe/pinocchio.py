@@ -14,18 +14,20 @@ where gv = g^rv, gw = g^rw, gk = g^(rv*rw), and the verifier first folds the
 public-input contribution from the verification key into the v/w/k terms.
 
 The witness key binds the prover to its assignment but carries no masking
-randomness, so it is not statistically hiding; combined with the transparent
-group backend this module demonstrates the algebra, it does not protect
-secrets.
+randomness, so it is not statistically hiding; over the transparent group,
+whose elements expose their discrete logs, this module demonstrates the
+algebra, it does not protect secrets.
+
+Keys travel as JSON objects whose group elements are canonical decimal
+strings; each loader refuses any other encoding by naming the entry.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .field import FieldContext
-from .groups import Group, GroupElement, PairingUnsupported, make_group
+from .groups import GroupElement, TransparentGroup
 from .qap import QAP, assemble
 from .rng import Sha256Rng
 
@@ -41,7 +43,6 @@ __all__ = [
     "load_verification_key",
     "load_witness_key",
     "prove",
-    "save_key",
     "setup",
     "verify",
 ]
@@ -93,7 +94,7 @@ class Trapdoor:
 
 @dataclass
 class EvaluationKey:
-    group: Group
+    group: TransparentGroup
     n_gates: int
     symbols: tuple  # symbol names, in QAP order
     public: tuple  # names of the public symbols
@@ -113,7 +114,7 @@ class EvaluationKey:
 
 @dataclass
 class VerificationKey:
-    group: Group
+    group: TransparentGroup
     g: GroupElement
     alpha_v: GroupElement  # g^alpha_v
     alpha_w: GroupElement
@@ -162,7 +163,7 @@ class VerifyResult:
 
 def setup(
     qap: QAP,
-    group: Group,
+    group: TransparentGroup,
     seed: bytes,
     public: tuple = ("one",),
 ):
@@ -171,10 +172,6 @@ def setup(
     The trapdoor exists only inside this call. Identical seeds reproduce
     identical keys.
     """
-    if not group.pairs:
-        raise PairingUnsupported(
-            f"setup needs a pairing-capable backend, not '{group.name}'"
-        )
     if group.ctx != qap.ctx:
         raise ValueError("group and QAP use different field contexts")
     if qap.n_gates == 0:
@@ -255,27 +252,17 @@ def prove(ek: EvaluationKey, qap: QAP, assignment: dict) -> WitnessKey:
         )
 
     weights = [int(qap.ctx(assignment[wire])) for wire in qap.symbols]
-    group = ek.group
     private = ek.private_indices()
+    private_weights = [weights[i] for i in private]
 
     def fold(entries) -> GroupElement:
-        acc = group.identity()
-        for i in private:
-            t = weights[i]
-            if t:
-                acc = acc * (entries[i] ** t)
-        return acc
-
-    h_elem = group.identity()
-    for d, coeff in enumerate(instance.h.coeffs):
-        if coeff:
-            h_elem = h_elem * (ek.powers_of_s[d] ** coeff)
+        return ek.group.msm([entries[i] for i in private], private_weights)
 
     return WitnessKey(
         v=fold(ek.v),
         w=fold(ek.w),
         k=fold(ek.k),
-        h=h_elem,
+        h=ek.group.msm(ek.powers_of_s, instance.h.coeffs),
         alpha_v=fold(ek.alpha_v),
         alpha_w=fold(ek.alpha_w),
         alpha_k=fold(ek.alpha_k),
@@ -288,14 +275,8 @@ def verify(
 ) -> VerifyResult:
     """Run the three pairing checks; no prover interaction required."""
     group = vk.group
-    for name in WitnessKey.FIELDS:
-        element = getattr(wk, name)
-        if not isinstance(element, GroupElement):
-            raise MalformedKey(f"witness key entry {name!r} is not a group element")
-        if not group.describes_same(element.group):
-            raise MalformedKey(
-                "witness key and verification key use different group contexts"
-            )
+    if any(getattr(wk, name).group.ctx.p != group.ctx.p for name in WitnessKey.FIELDS):
+        raise MalformedKey("witness key and verification key use different fields")
     public_inputs = dict(public_inputs or {})
     expected = {name for name, _, _, _ in vk.public_entries} - {"one"}
     if set(public_inputs) != expected:
@@ -327,7 +308,7 @@ def verify(
 # --- key serialization -------------------------------------------------------
 
 
-def _header(group: Group, kind: str) -> dict:
+def _header(group: TransparentGroup, kind: str) -> dict:
     return {
         "format": f"snarkpipe-{kind}/1",
         "backend": group.name,
@@ -385,57 +366,54 @@ def witness_key_to_dict(wk: WitnessKey) -> dict:
     return data
 
 
-def key_to_json_bytes(data: dict) -> bytes:
-    return (json.dumps(data, separators=(",", ":"), sort_keys=False) + "\n").encode()
-
-
-def save_key(path, data: dict) -> None:
-    with open(path, "wb") as fh:
-        fh.write(key_to_json_bytes(data))
-
-
-def _load_group(data: dict, kind: str, backend: str | None) -> Group:
+def _load_group(data, kind: str) -> TransparentGroup:
+    if not isinstance(data, dict):
+        raise MalformedKey(f"a {kind} file holds a JSON object, not {type(data).__name__}")
     if data.get("format") != f"snarkpipe-{kind}/1":
         raise MalformedKey(f"not a {kind} file (format={data.get('format')!r})")
-    file_backend = data.get("backend")
-    if backend is not None and backend != file_backend:
+    if data.get("backend") != TransparentGroup.name:
         raise MalformedKey(
-            f"key was written by the '{file_backend}' backend,"
-            f" refusing to load it as '{backend}'"
+            f"{kind} names backend {data.get('backend')!r};"
+            f" only {TransparentGroup.name!r} exists"
         )
     try:
-        ctx = FieldContext.from_json_dict(data["field"])
-        return make_group(file_backend, ctx)
+        return TransparentGroup(FieldContext.from_json_dict(data["field"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedKey(f"bad key header: {exc}") from exc
 
 
-def _elements(group: Group, values, expect: int | None = None) -> list:
-    out = [group.element_from_int(int(v)) for v in values]
-    if expect is not None and len(out) != expect:
-        raise MalformedKey(f"expected {expect} elements, found {len(out)}")
-    return out
-
-
-def load_evaluation_key(data: dict, backend: str | None = None) -> EvaluationKey:
-    group = _load_group(data, "evaluation-key", backend)
+def _decode(group: TransparentGroup, value, where: str) -> GroupElement:
     try:
-        n_symbols = len(data["symbols"])
+        return group.decode(value)
+    except ValueError as exc:
+        raise MalformedKey(f"{where}: {exc}") from None
+
+
+def _decode_list(group: TransparentGroup, data: dict, name: str, count: int) -> list:
+    values = data[name]
+    if not isinstance(values, list) or len(values) != count:
+        raise MalformedKey(f"evaluation-key entry {name!r} must list {count} elements")
+    return [
+        _decode(group, value, f"evaluation-key entry {name}[{i}]")
+        for i, value in enumerate(values)
+    ]
+
+
+def load_evaluation_key(data: dict) -> EvaluationKey:
+    group = _load_group(data, "evaluation-key")
+    try:
+        n_gates = int(data["n_gates"])
+        symbols = tuple(data["symbols"])
         return EvaluationKey(
             group=group,
-            n_gates=int(data["n_gates"]),
-            symbols=tuple(data["symbols"]),
+            n_gates=n_gates,
+            symbols=symbols,
             public=tuple(data["public"]),
-            powers_of_s=_elements(
-                group, data["powers_of_s"], int(data["n_gates"]) + 1
-            ),
-            v=_elements(group, data["v"], n_symbols),
-            w=_elements(group, data["w"], n_symbols),
-            k=_elements(group, data["k"], n_symbols),
-            alpha_v=_elements(group, data["alpha_v"], n_symbols),
-            alpha_w=_elements(group, data["alpha_w"], n_symbols),
-            alpha_k=_elements(group, data["alpha_k"], n_symbols),
-            beta=_elements(group, data["beta"], n_symbols),
+            powers_of_s=_decode_list(group, data, "powers_of_s", n_gates + 1),
+            **{
+                name: _decode_list(group, data, name, len(symbols))
+                for name in ("v", "w", "k", "alpha_v", "alpha_w", "alpha_k", "beta")
+            },
         )
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, MalformedKey):
@@ -443,27 +421,26 @@ def load_evaluation_key(data: dict, backend: str | None = None) -> EvaluationKey
         raise MalformedKey(f"bad evaluation key: {exc}") from exc
 
 
-def load_verification_key(data: dict, backend: str | None = None) -> VerificationKey:
-    group = _load_group(data, "verification-key", backend)
+def load_verification_key(data: dict) -> VerificationKey:
+    group = _load_group(data, "verification-key")
+
+    def entry(holder: dict, name: str, where: str) -> GroupElement:
+        return _decode(group, holder[name], f"verification-key entry {where}")
+
     try:
         return VerificationKey(
             group=group,
-            g=group.element_from_int(int(data["g"])),
-            alpha_v=group.element_from_int(int(data["alpha_v"])),
-            alpha_w=group.element_from_int(int(data["alpha_w"])),
-            alpha_k=group.element_from_int(int(data["alpha_k"])),
-            gamma=group.element_from_int(int(data["gamma"])),
-            beta_gamma=group.element_from_int(int(data["beta_gamma"])),
-            target_at_s=group.element_from_int(int(data["target_at_s"])),
             public_entries=[
-                (
-                    entry["name"],
-                    group.element_from_int(int(entry["v"])),
-                    group.element_from_int(int(entry["w"])),
-                    group.element_from_int(int(entry["k"])),
-                )
-                for entry in data["public"]
+                (item["name"], *(entry(item, f, f"public[{i}].{f}") for f in "vwk"))
+                for i, item in enumerate(data["public"])
             ],
+            **{
+                name: entry(data, name, repr(name))
+                for name in (
+                    "g", "alpha_v", "alpha_w", "alpha_k", "gamma", "beta_gamma",
+                    "target_at_s",
+                )
+            },
         )
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, MalformedKey):
@@ -471,16 +448,14 @@ def load_verification_key(data: dict, backend: str | None = None) -> Verificatio
         raise MalformedKey(f"bad verification key: {exc}") from exc
 
 
-def load_witness_key(data: dict, backend: str | None = None) -> WitnessKey:
-    group = _load_group(data, "witness-key", backend)
+def load_witness_key(data: dict) -> WitnessKey:
+    group = _load_group(data, "witness-key")
     try:
         return WitnessKey(
             **{
-                name: group.element_from_int(int(data[name]))
+                name: _decode(group, data[name], f"witness-key entry {name!r}")
                 for name in WitnessKey.FIELDS
             }
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, MalformedKey):
-            raise
-        raise MalformedKey(f"bad witness key: {exc}") from exc
+    except KeyError as exc:
+        raise MalformedKey(f"bad witness key: missing {exc}") from exc

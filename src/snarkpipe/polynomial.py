@@ -70,8 +70,7 @@ class Polynomial:
         acc = [0] * len(xs)
         for x, y in zip(xs, ys):
             num = _divide_out_root(master, x, p)
-            den = _eval_int(num, x, p)
-            scale = y * pow(den, p - 2, p) % p
+            scale = y * pow(_node_denominator(xs, x, p), p - 2, p) % p
             for i, c in enumerate(num):
                 acc[i] = (acc[i] + c * scale) % p
         return cls(ctx, acc)
@@ -214,11 +213,14 @@ class Polynomial:
         return f"Polynomial({' + '.join(terms)} mod {self.ctx.p})"
 
 
-def _eval_int(coeffs, x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % p
-    return acc
+def _node_denominator(xs, x: int, p: int) -> int:
+    """prod(x - other) over the other nodes: the master product with (x - x)
+    divided out, evaluated at x."""
+    den = 1
+    for other in xs:
+        if other != x:
+            den = den * (x - other) % p
+    return den
 
 
 def _divide_out_root(coeffs, root: int, p: int) -> list[int]:
@@ -246,6 +248,6 @@ def lagrange_basis(ctx: FieldContext, nodes) -> list[Polynomial]:
     basis = []
     for x in xs:
         num = _divide_out_root(master, x, p)
-        den_inv = pow(_eval_int(num, x, p), p - 2, p)
+        den_inv = pow(_node_denominator(xs, x, p), p - 2, p)
         basis.append(Polynomial(ctx, [c * den_inv % p for c in num]))
     return basis

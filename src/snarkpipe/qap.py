@@ -211,20 +211,8 @@ def soundness_scan(
         points = (rng.randrange(p) for _ in range(trials))
         total = trials
 
-    f_coeffs = inst.f.coeffs
-    h_coeffs = forged_quotient.coeffs
-    t_coeffs = qap.target.coeffs
-    hits = 0
-    for x in points:
-        lhs = 0
-        for c in reversed(f_coeffs):
-            lhs = (lhs * x + c) % p
-        h_val = 0
-        for c in reversed(h_coeffs):
-            h_val = (h_val * x + c) % p
-        t_val = 0
-        for c in reversed(t_coeffs):
-            t_val = (t_val * x + c) % p
-        if lhs == h_val * t_val % p:
-            hits += 1
+    hits = sum(
+        inst.f.eval_int(x) == forged_quotient.eval_int(x) * qap.target.eval_int(x) % p
+        for x in points
+    )
     return Fraction(hits, total)

@@ -16,11 +16,11 @@ from snarkpipe import (
     InvalidWitness,
     Polynomial,
     Sha256Rng,
+    TransparentGroup,
     assemble,
     build_qap,
     check_solution,
     flatten,
-    make_group,
     parse_program,
     prove,
     setup,
@@ -153,14 +153,14 @@ def test_criterion_4_soundness_bound_small_field():
 
 
 def test_criterion_5_witness_tampering(coloring_circuit, coloring_qap, ctx):
-    group = make_group("transparent", ctx)
+    group = TransparentGroup(ctx)
     ek, vk = setup(coloring_qap, group, bytes([5]))
     wk = prove(ek, coloring_qap, solve(coloring_circuit, GOOD_COLORING))
     rng = Sha256Rng(b"criterion-5")
     rejections = 0
     for name in WitnessKey.FIELDS:
         for _ in range(20):
-            replacement = group.element_from_int(rng.randrange(1, ctx.p))
+            replacement = group.generator() ** rng.randrange(1, ctx.p)
             tampered = WitnessKey(
                 **{
                     f: replacement if f == name else getattr(wk, f)
@@ -218,7 +218,7 @@ def test_criterion_6_interactive_soundness_decay():
 
 def test_criterion_7_kernel_properties(ctx):
     rng = Sha256Rng(b"criterion-7")
-    group = make_group("transparent", ctx)
+    group = TransparentGroup(ctx)
     g = group.generator()
     t = g.pair(g)
     checks = 0
@@ -310,7 +310,7 @@ def test_criterion_8_byte_identical_runs(tmp_path, monkeypatch):
 def test_invalid_witness_error_is_specific(coloring_circuit, coloring_qap, ctx):
     # Companion to criterion 1: the refusal is the dedicated error, not a
     # generic failure.
-    group = make_group("transparent", ctx)
+    group = TransparentGroup(ctx)
     ek, _ = setup(coloring_qap, group, bytes([9]))
     with pytest.raises(InvalidWitness):
         prove(ek, coloring_qap, solve(coloring_circuit, BAD_COLORING))

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from snarkpipe.cli import main
+from snarkpipe.cli import _parse_input_map, main
 
 GOOD_INPUTS = {"c1": "3", "c2": "1", "c3": "2", "c4": "1", "c5": "2"}
 BAD_INPUTS = {"c1": "1", "c2": "1", "c3": "2", "c4": "1", "c5": "2"}
@@ -94,15 +94,127 @@ def test_outputs_in_circuit_json(workdir):
     assert [o["rel"] for o in data["outputs"]] == ["neq0", "eq0"]
 
 
-def test_setup_requires_transparent_backend(workdir, capsys):
-    assert main(["compile", "cubic"]) == 0
-    code = main(["--backend", "modular", "--seed", "01", "setup"])
-    assert code == 1
-    assert "backend" in capsys.readouterr().err
-
-
 def test_missing_artifact_is_usage_error(workdir, capsys):
     assert main(["verify", "--witness-key", "nope.json"]) == 1
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    """Circuit, keys and an accepted witness key for coloring5, made once."""
+    root = tmp_path_factory.mktemp("artifacts")
+    paths = {name: str(root / f"{name}.json") for name in ("circuit", "ek", "vk", "wk")}
+    assert main(["compile", "coloring5", "-o", paths["circuit"]]) == 0
+    assert main([
+        "--seed", "0102", "setup", "--circuit", paths["circuit"],
+        "--evaluation-key", paths["ek"], "--verification-key", paths["vk"],
+    ]) == 0
+    inputs = write_json(root / "inputs.json", GOOD_INPUTS)
+    assert main([
+        "prove", "--circuit", paths["circuit"], "--evaluation-key", paths["ek"],
+        "--inputs", inputs, "-o", paths["wk"],
+    ]) == 0
+    return {name: (path, json.loads(open(path).read())) for name, path in paths.items()}
+
+
+def assert_usage_error(code, capsys, *needles):
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err
+    for needle in needles:
+        assert needle in err
+
+
+def verify_with(artifacts, tmp_path, vk=None, wk=None):
+    vk_path = write_json(tmp_path / "vk.json", vk) if vk else artifacts["vk"][0]
+    wk_path = write_json(tmp_path / "wk.json", wk) if wk else artifacts["wk"][0]
+    return main(["verify", "--verification-key", vk_path, "--witness-key", wk_path])
+
+
+NON_CANONICAL = {
+    "plus_p": lambda text, p: str(int(text) + p),
+    "leading_zero": lambda text, p: "0" + text,
+    "leading_space": lambda text, p: " " + text,
+    "leading_plus": lambda text, p: "+" + text,
+    "underscore": lambda text, p: text[0] + "_" + text[1:],
+}
+WITNESS_FIELDS = ("v", "w", "k", "h", "alpha_v", "alpha_w", "alpha_k", "z")
+
+
+@pytest.mark.parametrize("encoding", sorted(NON_CANONICAL))
+@pytest.mark.parametrize("field", WITNESS_FIELDS)
+def test_verify_refuses_non_canonical_witness_entry(
+    artifacts, tmp_path, capsys, field, encoding
+):
+    wk = dict(artifacts["wk"][1])
+    wk[field] = NON_CANONICAL[encoding](wk[field], int(wk["field"]["p"]))
+    code = verify_with(artifacts, tmp_path, wk=wk)
+    assert_usage_error(code, capsys, "malformed key", repr(field))
+
+
+def test_verify_refuses_non_canonical_verification_entry(artifacts, tmp_path, capsys):
+    vk = dict(artifacts["vk"][1])
+    vk["target_at_s"] = str(int(vk["target_at_s"]) + int(vk["field"]["p"]))
+    code = verify_with(artifacts, tmp_path, vk=vk)
+    assert_usage_error(code, capsys, "malformed key", "target_at_s")
+
+
+def test_prove_refuses_non_canonical_evaluation_entry(artifacts, tmp_path, capsys):
+    ek = dict(artifacts["ek"][1])
+    ek["powers_of_s"] = list(ek["powers_of_s"])
+    ek["powers_of_s"][1] = str(int(ek["powers_of_s"][1]) + int(ek["field"]["p"]))
+    code = main([
+        "prove", "--circuit", artifacts["circuit"][0],
+        "--evaluation-key", write_json(tmp_path / "ek.json", ek),
+        "--inputs", write_json(tmp_path / "inputs.json", GOOD_INPUTS),
+        "-o", str(tmp_path / "wk.json"),
+    ])
+    assert_usage_error(code, capsys, "malformed key", "powers_of_s[1]")
+
+
+@pytest.mark.parametrize("key", ["vk", "wk"])
+def test_verify_refuses_other_backend(artifacts, tmp_path, capsys, key):
+    data = {**artifacts[key][1], "backend": "modular"}
+    code = verify_with(artifacts, tmp_path, **{key: data})
+    assert_usage_error(code, capsys, "malformed key", "'modular'")
+
+
+@pytest.mark.parametrize(
+    "inputs, name",
+    [
+        (["3", "1", "2", "1", "2"], "JSON object"),
+        ({**GOOD_INPUTS, "c1": 3.0}, "'c1'"),
+        ({**GOOD_INPUTS, "c2": True}, "'c2'"),
+        ({**GOOD_INPUTS, "c3": "2.9"}, "'c3'"),
+        ({**GOOD_INPUTS, "c4": " 1"}, "'c4'"),
+        ({**GOOD_INPUTS, "c5": None}, "'c5'"),
+    ],
+    ids=["array", "float", "bool", "decimal_point", "space", "null"],
+)
+def test_prove_refuses_malformed_inputs(artifacts, tmp_path, capsys, inputs, name):
+    code = main([
+        "prove", "--circuit", artifacts["circuit"][0],
+        "--evaluation-key", artifacts["ek"][0],
+        "--inputs", write_json(tmp_path / "inputs.json", inputs),
+        "-o", str(tmp_path / "wk.json"),
+    ])
+    assert_usage_error(code, capsys, name)
+    assert not (tmp_path / "wk.json").exists()
+
+
+def test_input_map_accepts_integers_and_decimal_strings():
+    data = {"a": 3, "b": -4, "c": "-5", "d": "007", "e": "12345678901234567890123"}
+    assert _parse_input_map(data) == {
+        "a": 3, "b": -4, "c": -5, "d": 7, "e": 12345678901234567890123,
+    }
+
+
+def test_verify_refuses_malformed_public_inputs(artifacts, tmp_path, capsys):
+    claims = write_json(tmp_path / "public.json", ["0"])
+    code = main([
+        "verify", "--verification-key", artifacts["vk"][0],
+        "--witness-key", artifacts["wk"][0], "--public-inputs", claims,
+    ])
+    assert_usage_error(code, capsys, "JSON object")
 
 
 def test_determinism_byte_identical(workdir):

@@ -2,85 +2,69 @@ import pytest
 
 from snarkpipe import (
     FieldContext,
-    PairingUnsupported,
+    MalformedKey,
     Sha256Rng,
-    make_group,
+    TransparentGroup,
 )
-
-
-def test_modular_exponentiation_example(ctx17):
-    group = make_group("modular", ctx17)
-    g = group.generator()
-    assert g.value == 3  # smallest generator mod 17
-    assert (g**4).value == pow(3, 4, 17) == 13
+from snarkpipe.pinocchio import load_verification_key
 
 
 def test_exp_zero_gives_identity(ctx17):
-    for backend in ("modular", "transparent"):
-        group = make_group(backend, ctx17)
-        g = group.generator()
-        assert g**0 == group.identity()
+    g = TransparentGroup(ctx17).generator()
+    assert (g**0) * (g**5) == g**5
 
 
 def test_exponent_law(ctx17):
-    for backend in ("modular", "transparent"):
-        group = make_group(backend, ctx17)
-        g = group.generator()
-        assert (g**2) ** 3 == g**6
-        assert (g**2) * (g**3) == g**5
+    g = TransparentGroup(ctx17).generator()
+    assert (g**2) ** 3 == g**6
+    assert (g**2) * (g**3) == g**5
 
 
 def test_exponent_reduced_modulo_group_order(ctx17):
-    modular = make_group("modular", ctx17)
-    g = modular.generator()
-    assert g**16 == modular.identity()  # order of F_17^* is 16
-    assert g**17 == g**1
-    transparent = make_group("transparent", ctx17)
-    h = transparent.generator()
-    assert h**17 == transparent.identity()  # transparent group has order p
+    h = TransparentGroup(ctx17).generator()
+    assert h**17 == h**0  # the transparent group has order p
     assert h**18 == h**1
 
 
 def test_inverse(ctx17):
-    for backend in ("modular", "transparent"):
-        group = make_group(backend, ctx17)
-        g = group.generator()
-        assert (g**5) * (g**5).inverse() == group.identity()
+    g = TransparentGroup(ctx17).generator()
+    assert (g**5) * (g**5) ** -1 == g**0
 
 
 def test_field_element_exponents(ctx17):
-    group = make_group("transparent", ctx17)
-    g = group.generator()
+    g = TransparentGroup(ctx17).generator()
     assert g ** ctx17(6) == g**6
 
 
-def test_modular_pairing_unsupported(ctx17):
-    group = make_group("modular", ctx17)
+def test_msm_matches_exponent_products(ctx):
+    group = TransparentGroup(ctx)
     g = group.generator()
-    with pytest.raises(PairingUnsupported):
-        group.pairing(g, g)
-    with pytest.raises(PairingUnsupported):
-        g.pair(g)
+    rng = Sha256Rng(b"msm")
+    bases = [g ** rng.randrange(ctx.p) for _ in range(30)]
+    scalars = [rng.randrange(ctx.p) for _ in range(30)]
+    expected = g**0
+    for base, scalar in zip(bases, scalars):
+        expected = expected * (base**scalar)
+    assert group.msm(bases, scalars) == expected
+    assert group.msm(bases, scalars[:10]) == group.msm(bases[:10], scalars)
+    assert group.msm([], []) == g**0
 
 
 def test_pairing_examples(ctx17):
-    group = make_group("transparent", ctx17)
-    g = group.generator()
+    g = TransparentGroup(ctx17).generator()
     t = g.pair(g)
     assert (g**2).pair(g**3) == t**6
-    assert group.identity().pair(g**5) == group.target_identity()
+    assert (g**0).pair(g**5) == t**0
     assert (g**2).pair(g**3) * (g**2).pair(g**4) == (g**2).pair(g**7)
 
 
 def test_pairing_nondegenerate(ctx17):
-    group = make_group("transparent", ctx17)
-    g = group.generator()
-    assert g.pair(g) != group.target_identity()
+    g = TransparentGroup(ctx17).generator()
+    assert g.pair(g) != g.pair(g) ** 0
 
 
 def test_pairing_bilinearity_property(ctx):
-    group = make_group("transparent", ctx)
-    g = group.generator()
+    g = TransparentGroup(ctx).generator()
     t = g.pair(g)
     rng = Sha256Rng(b"bilinearity")
     for _ in range(1000):
@@ -90,14 +74,33 @@ def test_pairing_bilinearity_property(ctx):
 
 
 def test_mixed_context_rejected(ctx17, ctx101):
-    g17 = make_group("transparent", ctx17).generator()
-    g101 = make_group("transparent", ctx101).generator()
+    g17 = TransparentGroup(ctx17).generator()
+    g101 = TransparentGroup(ctx101).generator()
     with pytest.raises(ValueError):
         g17 * g101
     with pytest.raises(ValueError):
         g17.pair(g101)
 
 
-def test_unknown_backend():
+@pytest.mark.parametrize("text", ["0", "5", "16"])
+def test_decode_accepts_canonical_decimals(ctx17, text):
+    assert TransparentGroup(ctx17).decode(text).value == int(text)
+
+
+@pytest.mark.parametrize(
+    "text", ["17", "22", "05", "00", " 5", "5 ", "+5", "-5", "-0", "5_0", "", "٣", 5, None],
+)
+def test_decode_refuses_non_canonical(ctx17, text):
     with pytest.raises(ValueError):
-        make_group("elliptic", FieldContext(17))
+        TransparentGroup(ctx17).decode(text)
+
+
+def test_unknown_backend():
+    # The transparent group is the only one; a key naming another is refused.
+    header = {
+        "format": "snarkpipe-verification-key/1",
+        "backend": "elliptic",
+        "field": FieldContext(17).to_json_dict(),
+    }
+    with pytest.raises(MalformedKey, match="elliptic"):
+        load_verification_key(header)

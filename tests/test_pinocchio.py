@@ -4,22 +4,21 @@ from snarkpipe import (
     FieldContext,
     InvalidWitness,
     MalformedKey,
-    PairingUnsupported,
     Sha256Rng,
+    TransparentGroup,
     build_qap,
     flatten,
-    make_group,
     parse_program,
     prove,
     setup,
     solve,
     verify,
 )
+from snarkpipe.field import json_bytes
 from snarkpipe.pinocchio import (
     Trapdoor,
     WitnessKey,
     evaluation_key_to_dict,
-    key_to_json_bytes,
     load_evaluation_key,
     load_verification_key,
     load_witness_key,
@@ -34,7 +33,7 @@ SEED = bytes([1])
 
 @pytest.fixture(scope="module")
 def group(ctx):
-    return make_group("transparent", ctx)
+    return TransparentGroup(ctx)
 
 
 @pytest.fixture(scope="module")
@@ -97,21 +96,16 @@ def test_key_structure_bare_single_gate(ctx, group):
 def test_setup_deterministic(coloring_qap, group):
     ek1, vk1 = setup(coloring_qap, group, SEED)
     ek2, vk2 = setup(coloring_qap, group, SEED)
-    assert key_to_json_bytes(evaluation_key_to_dict(ek1)) == key_to_json_bytes(
+    assert json_bytes(evaluation_key_to_dict(ek1)) == json_bytes(
         evaluation_key_to_dict(ek2)
     )
-    assert key_to_json_bytes(verification_key_to_dict(vk1)) == key_to_json_bytes(
+    assert json_bytes(verification_key_to_dict(vk1)) == json_bytes(
         verification_key_to_dict(vk2)
     )
     ek3, _ = setup(coloring_qap, group, bytes([2]))
-    assert key_to_json_bytes(evaluation_key_to_dict(ek3)) != key_to_json_bytes(
+    assert json_bytes(evaluation_key_to_dict(ek3)) != json_bytes(
         evaluation_key_to_dict(ek1)
     )
-
-
-def test_setup_requires_pairing_backend(coloring_qap, ctx):
-    with pytest.raises(PairingUnsupported):
-        setup(coloring_qap, make_group("modular", ctx), SEED)
 
 
 def test_setup_rejects_unknown_public_symbol(coloring_qap, group):
@@ -222,7 +216,7 @@ def test_tampering_every_element_rejects(coloring_keys, coloring_witness_key, gr
     trials = 0
     for name in WitnessKey.FIELDS:
         for _ in range(20):
-            replacement = group.element_from_int(rng.randrange(1, group.ctx.p))
+            replacement = group.generator() ** rng.randrange(1, group.ctx.p)
             tampered = WitnessKey(
                 **{
                     f: replacement if f == name else getattr(coloring_witness_key, f)
@@ -240,7 +234,7 @@ def test_tampered_h_fails_only_divisibility(coloring_keys, coloring_witness_key,
     wk = coloring_witness_key
     tampered = WitnessKey(
         **{
-            f: group.element_from_int(424242) if f == "h" else getattr(wk, f)
+            f: group.generator() ** 424242 if f == "h" else getattr(wk, f)
             for f in WitnessKey.FIELDS
         }
     )
@@ -258,7 +252,7 @@ def test_out_of_span_forgery_fails_span_check(
     wk = prove(ek, coloring_qap, solve(coloring_circuit, GOOD_COLORING))
     forged = WitnessKey(
         **{
-            f: (getattr(wk, f) * group.element_from_int(123457) if f == "v"
+            f: (getattr(wk, f) * group.generator() ** 123457 if f == "v"
                 else getattr(wk, f))
             for f in WitnessKey.FIELDS
         }
@@ -338,9 +332,9 @@ def test_key_json_round_trip(coloring_keys, coloring_witness_key):
 
 
 def test_loading_refuses_backend_mismatch(coloring_witness_key):
-    data = witness_key_to_dict(coloring_witness_key)
-    with pytest.raises(MalformedKey):
-        load_witness_key(data, backend="modular")
+    data = {**witness_key_to_dict(coloring_witness_key), "backend": "modular"}
+    with pytest.raises(MalformedKey, match="modular"):
+        load_witness_key(data)
 
 
 def test_loading_refuses_wrong_format(coloring_keys):
@@ -360,10 +354,10 @@ def test_loading_rejects_truncated_key(coloring_keys):
 
 def test_verify_rejects_cross_field_keys(coloring_keys, coloring_witness_key):
     _, vk = coloring_keys
-    other = make_group("transparent", FieldContext(101))
+    other = TransparentGroup(FieldContext(101))
     alien = WitnessKey(
         **{
-            f: other.element_from_int(1) if f == "v"
+            f: other.generator() if f == "v"
             else getattr(coloring_witness_key, f)
             for f in WitnessKey.FIELDS
         }
