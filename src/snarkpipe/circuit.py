@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .field import FieldContext, FieldElement, json_bytes
+from .field import FieldContext, FieldElement, json_bytes, parse_decimal
 from .frontend import (
     Add,
     Constant,
@@ -30,6 +30,7 @@ from .frontend import (
     Relation,
     Variable,
     reduce_constant,
+    require_inputs,
 )
 
 __all__ = [
@@ -48,6 +49,8 @@ __all__ = [
 WIRE_ONE = 0
 PLUS = "Plus"
 TIMES = "Times"
+WIRE_KINDS = ("one", "input", "const", "gate", "inverse")
+CIRCUIT_FORMAT = "snarkpipe-circuit/1"
 
 
 class IncompleteAssignment(ValueError):
@@ -56,7 +59,7 @@ class IncompleteAssignment(ValueError):
 
 @dataclass(frozen=True)
 class Wire:
-    kind: str  # "one" | "input" | "const" | "gate" | "inverse"
+    kind: str  # one of WIRE_KINDS
     name: str | None = None  # inputs only
     value: int | None = None  # consts only
     of: int | None = None  # inverse hints: the wire being inverted
@@ -125,7 +128,7 @@ class Circuit:
                 entry["of"] = w.of
             wires.append(entry)
         return {
-            "format": "snarkpipe-circuit/1",
+            "format": CIRCUIT_FORMAT,
             "field": self.ctx.to_json_dict(),
             "inputs": list(self.inputs),
             "names": dict(self.names),
@@ -140,33 +143,75 @@ class Circuit:
         }
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "Circuit":
+    def from_json_dict(cls, data) -> "Circuit":
+        """Load a circuit file, refusing with a ValueError that names the
+        entry any structure flatten cannot produce: an unknown format, wire
+        kind or op, a wire id out of range, an operand that is not an
+        earlier wire than its gate's output, gate outputs that do not
+        increase with d (so no wire has two drivers), a gate index d other
+        than the gate's 1-based position, or a constant that is not a
+        canonical decimal below p."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a circuit file holds a JSON object, not {type(data).__name__}")
+        if data.get("format") != CIRCUIT_FORMAT:
+            raise ValueError(f"not a circuit file (format={data.get('format')!r})")
         ctx = FieldContext.from_json_dict(data["field"])
-        wires = [
-            Wire(
-                kind=entry["kind"],
-                name=entry.get("name"),
-                value=int(entry["value"]) if "value" in entry else None,
-                of=entry.get("of"),
-            )
-            for entry in data["wires"]
+        entries = _objects(data, "wires")
+
+        def wire_id(value, where: str, below: int = len(entries)) -> int:
+            if type(value) is int and 0 <= value < below:
+                return value
+            raise ValueError(f"{where} must be a wire id below {below}, not {value!r}")
+
+        wires = []
+        for i, entry in enumerate(entries):
+            kind, value, of = entry.get("kind"), entry.get("value"), entry.get("of")
+            if kind not in WIRE_KINDS:
+                raise ValueError(f"wire {i} has unknown kind {kind!r}")
+            if value is not None or kind == "const":
+                value = parse_decimal(value, ctx.p, what=f"wire {i} value")
+            if of is not None or kind == "inverse":
+                of = wire_id(of, f"wire {i} 'of'")
+            wires.append(Wire(kind=kind, name=entry.get("name"), value=value, of=of))
+        gates = []
+        for d, e in enumerate(_objects(data, "gates"), 1):
+            if e.get("op") not in (PLUS, TIMES):
+                raise ValueError(f"gate {d} has unknown op {e.get('op')!r}")
+            if type(e.get("d")) is not int or e["d"] != d:
+                raise ValueError(f"gate {d} must have d={d}, not {e.get('d')!r}")
+            out = wire_id(e.get("o"), f"gate {d} 'o'")
+            left = wire_id(e.get("l"), f"gate {d} 'l'", out)
+            right = wire_id(e.get("r"), f"gate {d} 'r'", out)
+            if gates and out <= gates[-1].out:
+                raise ValueError(f"gate {d} drives wire {out}, not one after gate {d - 1}'s")
+            gates.append(Gate(op=e["op"], left=left, right=right, out=out, index=d))
+        outputs = [
+            (wire_id(e.get("wire"), f"output {i}"), Relation(e.get("rel")))
+            for i, e in enumerate(_objects(data, "outputs"))
         ]
-        gates = [
-            Gate(op=e["op"], left=e["l"], right=e["r"], out=e["o"], index=e["d"])
-            for e in data["gates"]
-        ]
-        outputs = [(e["wire"], Relation(e["rel"])) for e in data["outputs"]]
+        inputs, names = data["inputs"], data["names"]
+        if not isinstance(inputs, list) or not all(isinstance(n, str) for n in inputs):
+            raise ValueError("circuit 'inputs' must be an array of names")
+        if not isinstance(names, dict):
+            raise ValueError("circuit 'names' must be a JSON object")
         return cls(
             ctx=ctx,
             wires=wires,
             gates=gates,
             outputs=outputs,
-            inputs=list(data["inputs"]),
-            names={k: int(v) for k, v in data["names"].items()},
+            inputs=inputs,
+            names={k: wire_id(v, f"name {k!r}") for k, v in names.items()},
         )
 
     def to_json_bytes(self) -> bytes:
         return json_bytes(self.to_json_dict())
+
+
+def _objects(data: dict, key: str) -> list:
+    items = data[key]
+    if not isinstance(items, list) or not all(isinstance(e, dict) for e in items):
+        raise ValueError(f"circuit {key!r} must be an array of JSON objects")
+    return items
 
 
 class _Builder:
@@ -265,6 +310,13 @@ def flatten(program: Program, ctx: FieldContext) -> Circuit:
     )
 
 
+def _gate_value(gate: Gate, values: dict, p: int) -> int:
+    """The value a gate's equation demands on its output wire."""
+    if gate.op == TIMES:
+        return values[gate.left] * values[gate.right] % p
+    return (values[gate.left] + values[gate.right]) % p
+
+
 def solve(circuit: Circuit, inputs: dict) -> dict:
     """Forward-evaluate the gates; returns a total wire -> FieldElement map.
 
@@ -274,18 +326,7 @@ def solve(circuit: Circuit, inputs: dict) -> dict:
     """
     ctx = circuit.ctx
     p = ctx.p
-    declared = set(circuit.inputs)
-    supplied = set(inputs)
-    if declared != supplied:
-        missing = sorted(declared - supplied)
-        extra = sorted(supplied - declared)
-        problems = []
-        if missing:
-            problems.append(f"missing inputs: {', '.join(missing)}")
-        if extra:
-            problems.append(f"unexpected inputs: {', '.join(extra)}")
-        raise ValueError("; ".join(problems))
-
+    require_inputs(circuit.inputs, inputs)
     values: dict = {}
     for i, wire in enumerate(circuit.wires):
         if wire.kind == "one":
@@ -299,13 +340,8 @@ def solve(circuit: Circuit, inputs: dict) -> dict:
             wire = circuit.wires[operand]
             if wire.kind == "inverse" and operand not in values:
                 values[operand] = pow(values[wire.of], p - 2, p)
-        result = (
-            values[gate.left] * values[gate.right] % p
-            if gate.op == TIMES
-            else (values[gate.left] + values[gate.right]) % p
-        )
         if circuit.wires[gate.out].kind == "gate":
-            values[gate.out] = result
+            values[gate.out] = _gate_value(gate, values, p)
     return {i: FieldElement(ctx, v) for i, v in values.items()}
 
 
@@ -329,12 +365,7 @@ def check_solution(circuit: Circuit, assignment: dict) -> bool:
         if wire.kind == "const" and values[i] != wire.value % p:
             return False
     for gate in circuit.gates:
-        expected = (
-            values[gate.left] * values[gate.right] % p
-            if gate.op == TIMES
-            else (values[gate.left] + values[gate.right]) % p
-        )
-        if values[gate.out] != expected:
+        if values[gate.out] != _gate_value(gate, values, p):
             return False
     for wire_id, relation in circuit.outputs:
         if not relation.holds(values[wire_id]):

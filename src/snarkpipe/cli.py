@@ -268,6 +268,8 @@ def cmd_interactive(args) -> int:
         raise ValueError("--rounds must be at least 1")
     if args.repeat < 1:
         raise ValueError("--repeat must be at least 1")
+    if args.transcript is not None and args.repeat > 1:
+        raise ValueError("--transcript records a single session; drop it or --repeat")
     raw = bundled.resolve_source(args.problem, ".json")
     problem, solution = interactive.load_problem(json.loads(raw))
     if not args.cheat and solution is None:

@@ -12,6 +12,7 @@ __all__ = [
     "FieldElement",
     "is_probable_prime",
     "json_bytes",
+    "parse_decimal",
 ]
 
 # 2^64 - 2^32 + 1: reduction stays within machine words and
@@ -37,6 +38,19 @@ def json_bytes(data) -> bytes:
     FieldContext.to_json_dict).
     """
     return (json.dumps(data, separators=(",", ":")) + "\n").encode()
+
+
+def parse_decimal(text, below: int | None = None, what: str = "value") -> int:
+    """Parse the one accepted encoding of a field or group value: a string
+    of ASCII digits with no sign, padding, leading zero or digit separator,
+    and below `below` when a bound is given. `what` names the value in the
+    error."""
+    if isinstance(text, str) and text.isascii() and text.isdigit():
+        value = int(text)
+        if text == str(value) and (below is None or value < below):
+            return value
+    bound = "" if below is None else f" below {below}"
+    raise ValueError(f"{what} {text!r} is not a canonical decimal{bound}")
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -246,14 +260,8 @@ class FieldContext:
     def generator(self) -> FieldElement:
         return FieldElement(self, self.generator_value)
 
-    def zero(self) -> FieldElement:
-        return FieldElement(self, 0)
-
     def one(self) -> FieldElement:
         return FieldElement(self, 1)
-
-    def sample(self, rng) -> FieldElement:
-        return FieldElement(self, rng.randrange(self.p))
 
     def sample_nonzero(self, rng) -> FieldElement:
         return FieldElement(self, rng.randrange(1, self.p))
@@ -274,5 +282,10 @@ class FieldContext:
         return {"p": str(self.p), "generator": str(self.generator_value)}
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "FieldContext":
-        return cls(int(data["p"]), int(data["generator"]))
+    def from_json_dict(cls, data) -> "FieldContext":
+        """Parse a header written by to_json_dict: p and the generator are
+        canonical decimals, the generator below p."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a field header is a JSON object, not {type(data).__name__}")
+        p = parse_decimal(data["p"], what="field p")
+        return cls(p, parse_decimal(data["generator"], p, what="field generator"))

@@ -528,22 +528,26 @@ def _eval_expr(expr: Expression, env: dict, ctx: FieldContext, warned: set) -> i
     raise TypeError(f"not an expression node: {expr!r}")
 
 
+def require_inputs(declared, supplied) -> None:
+    """Refuse an input map whose names differ from the declared inputs,
+    naming every missing and every unexpected one."""
+    missing = sorted(set(declared) - set(supplied))
+    extra = sorted(set(supplied) - set(declared))
+    problems = []
+    if missing:
+        problems.append(f"missing inputs: {', '.join(missing)}")
+    if extra:
+        problems.append(f"unexpected inputs: {', '.join(extra)}")
+    if problems:
+        raise ValueError("; ".join(problems))
+
+
 def eval_program(program: Program, inputs: dict, ctx: FieldContext) -> EvalResult:
     """Tree-walk every definition in order and check each condition.
 
     This is the reference semantics the compiled forms are tested against.
     """
-    declared = set(program.inputs)
-    supplied = set(inputs)
-    if declared != supplied:
-        missing = sorted(declared - supplied)
-        extra = sorted(supplied - declared)
-        problems = []
-        if missing:
-            problems.append(f"missing inputs: {', '.join(missing)}")
-        if extra:
-            problems.append(f"unexpected inputs: {', '.join(extra)}")
-        raise ValueError("; ".join(problems))
+    require_inputs(program.inputs, inputs)
     env = {name: int(ctx(value)) for name, value in inputs.items()}
     warned: set = set()
     values = {}

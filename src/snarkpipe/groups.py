@@ -13,7 +13,7 @@ protecting secrets.
 
 from __future__ import annotations
 
-from .field import FieldContext, FieldElement
+from .field import FieldContext, FieldElement, parse_decimal
 
 __all__ = ["GroupElement", "TargetGroupElement", "TransparentGroup"]
 
@@ -128,9 +128,4 @@ class TransparentGroup:
     def decode(self, text) -> GroupElement:
         """Parse the canonical encoding: a decimal string in [0, p) with no
         sign, padding, leading zero or digit separator."""
-        p = self.ctx.p
-        if isinstance(text, str) and text.isascii() and text.isdigit():
-            value = int(text)
-            if text == str(value) and value < p:
-                return GroupElement(self, value)
-        raise ValueError(f"{text!r} is not a canonical decimal below {p}")
+        return GroupElement(self, parse_decimal(text, self.ctx.p))

@@ -84,9 +84,9 @@ class HamiltonianCycleProblem:
         n = self.n
         if n < 3:
             raise ValueError("graph needs at least 3 vertices")
+        if any(len(row) != n for row in self.adjacency):
+            raise ValueError("adjacency matrix must be square")
         for i, row in enumerate(self.adjacency):
-            if len(row) != n:
-                raise ValueError("adjacency matrix must be square")
             for j, bit in enumerate(row):
                 if bit not in (0, 1):
                     raise ValueError("adjacency entries must be 0 or 1")
@@ -209,39 +209,80 @@ class Response:
 
 
 class ProverRound:
-    """One committed round held prover-side; consumed by its single response."""
+    """One committed round held prover-side: both responses are prepared at
+    commit time, and the round is consumed by handing out one of them."""
 
-    def __init__(self, problem, commitment, secrets: dict):
-        self.problem = problem
+    def __init__(self, commitment: RoundCommitment, responses: dict):
         self.commitment = commitment
-        self._secrets = secrets
-        self._consumed = False
+        self._responses = responses  # Challenge -> Response; None once consumed
 
     def respond(self, challenge: Challenge) -> Response:
-        if self._consumed:
+        if self._responses is None:
             raise RoundConsumed("this round has already answered a challenge")
-        self._consumed = True
-        s = self._secrets
-        if challenge is Challenge.REVEAL_CIPHER:
-            return Response(
-                challenge=challenge,
-                permutation=s["perm"],
-                flips=s.get("flips"),
-                salts=s["salts"],
-            )
-        if self.commitment.kind == "hamiltonian-cycle":
-            cycle = s["cycle"]
-            n = self.commitment.size
-            opened = tuple(
-                s["salts"][cycle[t] * n + cycle[(t + 1) % n]] for t in range(n)
-            )
-            return Response(challenge=challenge, cycle=cycle, salts=opened)
-        return Response(
-            challenge=challenge,
-            clauses=s["instance"],
-            salts=s["salts"],
-            assignment=s["assignment"],
-        )
+        responses, self._responses = self._responses, None
+        return responses[challenge]
+
+
+def _hc_entries(matrix) -> list:
+    return [_matrix_entry(bit) for row in matrix for bit in row]
+
+
+def _sat_entries(clauses) -> list:
+    return [_clause_entry(clause) for clause in clauses]
+
+
+def _committed_round(rng, kind, size, entries, opened, cipher, solution) -> tuple:
+    """Salt and commit every entry, then prepare both responses.
+
+    The cipher response opens every entry; the solution response opens the
+    entries at the positions in `opened`. `cipher` and `solution` hold the
+    other fields of each response.
+    """
+    salts = tuple(rng.randbytes(SALT_BYTES) for _ in entries)
+    commitment = RoundCommitment(
+        kind, size, tuple(_commit(entry, salt) for entry, salt in zip(entries, salts))
+    )
+    responses = {
+        Challenge.REVEAL_CIPHER: Response(Challenge.REVEAL_CIPHER, salts=salts, **cipher),
+        Challenge.REVEAL_SOLUTION: Response(
+            Challenge.REVEAL_SOLUTION, salts=tuple(salts[i] for i in opened), **solution
+        ),
+    }
+    return commitment, ProverRound(commitment, responses)
+
+
+def _cycle_positions(cycle, n: int) -> list:
+    """Row-major positions of the matrix entries on the cycle's edges."""
+    return [cycle[t] * n + cycle[(t + 1) % n] for t in range(n)]
+
+
+def _hc_round(rng, perm, matrix, cycle) -> tuple:
+    n = len(matrix)
+    return _committed_round(
+        rng, "hamiltonian-cycle", n, _hc_entries(matrix), _cycle_positions(cycle, n),
+        {"permutation": perm}, {"cycle": cycle},
+    )
+
+
+def _sat_round(rng, n_vars, perm, flips, instance, assignment) -> tuple:
+    return _committed_round(
+        rng, "sat3", n_vars, _sat_entries(instance), range(len(instance)),
+        {"permutation": perm, "flips": flips},
+        {"clauses": instance, "assignment": assignment},
+    )
+
+
+def _reshuffle(problem, rng) -> tuple:
+    """Draw a round's reshuffling: (perm, flips, reshuffled instance), with
+    flips None for a graph."""
+    if isinstance(problem, HamiltonianCycleProblem):
+        perm = _sample_perm(rng, problem.n)
+        return perm, None, problem.relabel(perm)
+    if isinstance(problem, SatProblem):
+        perm = _sample_perm(rng, problem.n_vars)
+        flips = tuple(rng.getrandbits(1) for _ in range(problem.n_vars))
+        return perm, flips, problem.transform(perm, flips)
+    raise TypeError(f"unsupported problem type {type(problem)!r}")
 
 
 def _sample_perm(rng, n: int) -> tuple:
@@ -251,47 +292,14 @@ def _sample_perm(rng, n: int) -> tuple:
 
 
 def cipher_round(problem, solution, rng) -> tuple:
-    """Honest round: reshuffle, commit, keep the secrets for one response."""
+    """Honest round: reshuffle, commit, and prepare both responses."""
+    perm, flips, instance = _reshuffle(problem, rng)
+    if not problem.is_solution(solution):
+        raise ValueError("refusing to start a round without a valid solution")
     if isinstance(problem, HamiltonianCycleProblem):
-        if not problem.is_solution(solution):
-            raise ValueError("refusing to start a round without a valid solution")
-        n = problem.n
-        perm = _sample_perm(rng, n)
-        shuffled = problem.relabel(perm)
-        salts = tuple(rng.randbytes(SALT_BYTES) for _ in range(n * n))
-        digests = tuple(
-            _commit(_matrix_entry(shuffled[i][j]), salts[i * n + j])
-            for i in range(n)
-            for j in range(n)
-        )
-        commitment = RoundCommitment("hamiltonian-cycle", n, digests)
-        secrets = {
-            "perm": perm,
-            "salts": salts,
-            "cycle": tuple(perm[v] for v in solution),
-        }
-        return commitment, ProverRound(problem, commitment, secrets)
-    if isinstance(problem, SatProblem):
-        if not problem.is_solution(solution):
-            raise ValueError("refusing to start a round without a valid solution")
-        perm = _sample_perm(rng, problem.n_vars)
-        flips = tuple(rng.getrandbits(1) for _ in range(problem.n_vars))
-        instance = problem.transform(perm, flips)
-        salts = tuple(rng.randbytes(SALT_BYTES) for _ in range(len(instance)))
-        digests = tuple(
-            _commit(_clause_entry(clause), salt)
-            for clause, salt in zip(instance, salts)
-        )
-        commitment = RoundCommitment("sat3", problem.n_vars, digests)
-        secrets = {
-            "perm": perm,
-            "flips": flips,
-            "salts": salts,
-            "instance": instance,
-            "assignment": problem.transform_assignment(solution, perm, flips),
-        }
-        return commitment, ProverRound(problem, commitment, secrets)
-    raise TypeError(f"unsupported problem type {type(problem)!r}")
+        return _hc_round(rng, perm, instance, tuple(perm[v] for v in solution))
+    assignment = problem.transform_assignment(solution, perm, flips)
+    return _sat_round(rng, problem.n_vars, perm, flips, instance, assignment)
 
 
 def forge_round(problem, rng) -> tuple:
@@ -302,153 +310,100 @@ def forge_round(problem, rng) -> tuple:
     solution. Either way the other branch cannot verify, so on a problem
     without a solution each round survives with probability 1/2.
     """
-    if rng.getrandbits(1) == 0:
-        guess = Challenge.REVEAL_CIPHER
-    else:
-        guess = Challenge.REVEAL_SOLUTION
+    doctor = rng.getrandbits(1) == 1  # guessed Challenge.REVEAL_SOLUTION
+    perm, flips, instance = _reshuffle(problem, rng)
     if isinstance(problem, HamiltonianCycleProblem):
         n = problem.n
-        perm = _sample_perm(rng, n)
-        shuffled = [list(row) for row in problem.relabel(perm)]
         planted = _sample_perm(rng, n)
-        if guess is Challenge.REVEAL_SOLUTION:
+        if doctor:
+            matrix = [list(row) for row in instance]
             for t in range(n):
                 a, b = planted[t], planted[(t + 1) % n]
-                shuffled[a][b] = 1
-                shuffled[b][a] = 1
-        salts = tuple(rng.randbytes(SALT_BYTES) for _ in range(n * n))
-        digests = tuple(
-            _commit(_matrix_entry(shuffled[i][j]), salts[i * n + j])
-            for i in range(n)
-            for j in range(n)
+                matrix[a][b] = matrix[b][a] = 1
+            instance = matrix
+        return _hc_round(rng, perm, instance, planted)
+    claimed = tuple(bool(rng.getrandbits(1)) for _ in range(problem.n_vars))
+    if doctor:
+        # Doctor each unsatisfied clause by flipping one literal's sign.
+        instance = tuple(
+            clause
+            if any(SatProblem._lit_holds(lit, claimed) for lit in clause)
+            else tuple(sorted((-clause[0],) + clause[1:]))
+            for clause in instance
         )
-        commitment = RoundCommitment("hamiltonian-cycle", n, digests)
-        secrets = {"perm": perm, "salts": salts, "cycle": planted}
-        return commitment, ProverRound(problem, commitment, secrets)
-    if isinstance(problem, SatProblem):
-        perm = _sample_perm(rng, problem.n_vars)
-        flips = tuple(rng.getrandbits(1) for _ in range(problem.n_vars))
-        instance = [list(clause) for clause in problem.transform(perm, flips)]
-        claimed = tuple(
-            bool(rng.getrandbits(1)) for _ in range(problem.n_vars)
-        )
-        if guess is Challenge.REVEAL_SOLUTION:
-            # Doctor each unsatisfied clause by flipping one literal's sign.
-            for clause in instance:
-                if not any(SatProblem._lit_holds(lit, claimed) for lit in clause):
-                    clause[0] = -clause[0]
-        instance = tuple(tuple(sorted(clause)) for clause in instance)
-        salts = tuple(rng.randbytes(SALT_BYTES) for _ in range(len(instance)))
-        digests = tuple(
-            _commit(_clause_entry(clause), salt)
-            for clause, salt in zip(instance, salts)
-        )
-        commitment = RoundCommitment("sat3", problem.n_vars, digests)
-        secrets = {
-            "perm": perm,
-            "flips": flips,
-            "salts": salts,
-            "instance": instance,
-            "assignment": claimed,
-        }
-        return commitment, ProverRound(problem, commitment, secrets)
-    raise TypeError(f"unsupported problem type {type(problem)!r}")
+    return _sat_round(rng, problem.n_vars, perm, flips, instance, claimed)
 
 
 # --- verifier ----------------------------------------------------------------
 
 
-def _check_cipher_hc(problem, commitment, response) -> bool:
-    n = problem.n
-    perm = response.permutation
-    salts = response.salts
-    if perm is None or salts is None:
-        return False
-    if sorted(perm) != list(range(n)) or len(salts) != n * n:
-        return False
-    shuffled = problem.relabel(perm)
-    return all(
-        _commit(_matrix_entry(shuffled[i][j]), salts[i * n + j])
-        == commitment.digests[i * n + j]
-        for i in range(n)
-        for j in range(n)
+def _opens(entries, salts, digests) -> bool:
+    """True iff there are as many salts and digests as entries and each
+    entry, salted, hashes to its digest."""
+    return len(entries) == len(salts) == len(digests) and all(
+        _commit(entry, salt) == digest
+        for entry, salt, digest in zip(entries, salts, digests)
     )
+
+
+def _check_cipher_hc(problem, commitment, response) -> bool:
+    perm = response.permutation
+    if perm is None or response.salts is None or sorted(perm) != list(range(problem.n)):
+        return False
+    entries = _hc_entries(problem.relabel(perm))
+    return _opens(entries, response.salts, commitment.digests)
 
 
 def _check_solution_hc(problem, commitment, response) -> bool:
     n = problem.n
     cycle = response.cycle
-    salts = response.salts
-    if cycle is None or salts is None:
-        return False
-    if sorted(cycle) != list(range(n)) or len(salts) != n:
+    if cycle is None or response.salts is None or sorted(cycle) != list(range(n)):
         return False
     # Each opened entry must be a committed 1: a present edge of the
     # committed instance.
-    return all(
-        _commit(_matrix_entry(1), salts[t])
-        == commitment.digests[cycle[t] * n + cycle[(t + 1) % n]]
-        for t in range(n)
-    )
+    digests = [commitment.digests[i] for i in _cycle_positions(cycle, n)]
+    return _opens([_matrix_entry(1)] * n, response.salts, digests)
 
 
 def _check_cipher_sat(problem, commitment, response) -> bool:
-    perm = response.permutation
-    flips = response.flips
-    salts = response.salts
-    if perm is None or flips is None or salts is None:
+    perm, flips = response.permutation, response.flips
+    if perm is None or flips is None or response.salts is None:
         return False
-    if sorted(perm) != list(range(problem.n_vars)):
+    if sorted(perm) != list(range(problem.n_vars)) or len(flips) != problem.n_vars:
         return False
-    if len(flips) != problem.n_vars or len(salts) != len(commitment.digests):
-        return False
-    instance = problem.transform(perm, flips)
-    return all(
-        _commit(_clause_entry(clause), salt) == digest
-        for clause, salt, digest in zip(instance, salts, commitment.digests)
-    )
+    entries = _sat_entries(problem.transform(perm, flips))
+    return _opens(entries, response.salts, commitment.digests)
 
 
 def _check_solution_sat(problem, commitment, response) -> bool:
-    clauses = response.clauses
-    salts = response.salts
-    assignment = response.assignment
-    if clauses is None or salts is None or assignment is None:
+    clauses, assignment = response.clauses, response.assignment
+    if clauses is None or assignment is None or response.salts is None:
         return False
-    if len(clauses) != len(commitment.digests) or len(salts) != len(clauses):
-        return False
-    if len(assignment) != problem.n_vars:
-        return False
-    for clause, salt, digest in zip(clauses, salts, commitment.digests):
-        if len(clause) != 3:
-            return False
-        if any(lit == 0 or abs(lit) > problem.n_vars for lit in clause):
-            return False
-        if _commit(_clause_entry(clause), salt) != digest:
-            return False
-    return all(
-        any(SatProblem._lit_holds(lit, assignment) for lit in clause)
-        for clause in clauses
-    )
+    opened = SatProblem(problem.n_vars, tuple(clauses))
+    opened.validate()  # a ValueError rejects the round
+    return _opens(
+        _sat_entries(opened.clauses), response.salts, commitment.digests
+    ) and opened.is_solution(assignment)
 
 
 def verify_round(problem, commitment, challenge: Challenge, response) -> bool:
     """Recompute the revealed branch against the commitments; False on any
     mismatch, never an exception for dishonest data."""
-    if response.challenge is not challenge:
-        return False
+    if isinstance(problem, HamiltonianCycleProblem):
+        shape = ("hamiltonian-cycle", problem.n, problem.n * problem.n)
+        checks = _check_cipher_hc, _check_solution_hc
+    elif isinstance(problem, SatProblem):
+        shape = ("sat3", problem.n_vars, len(problem.clauses))
+        checks = _check_cipher_sat, _check_solution_sat
+    else:
+        raise TypeError(f"unsupported problem type {type(problem)!r}")
+    check = checks[0] if challenge is Challenge.REVEAL_CIPHER else checks[1]
     try:
-        if isinstance(problem, HamiltonianCycleProblem):
-            if challenge is Challenge.REVEAL_CIPHER:
-                return _check_cipher_hc(problem, commitment, response)
-            return _check_solution_hc(problem, commitment, response)
-        if isinstance(problem, SatProblem):
-            if challenge is Challenge.REVEAL_CIPHER:
-                return _check_cipher_sat(problem, commitment, response)
-            return _check_solution_sat(problem, commitment, response)
+        if (commitment.kind, commitment.size, len(commitment.digests)) != shape:
+            return False
+        return response.challenge is challenge and check(problem, commitment, response)
     except (IndexError, TypeError, ValueError):
         return False
-    raise TypeError(f"unsupported problem type {type(problem)!r}")
 
 
 # --- sessions ----------------------------------------------------------------
@@ -489,10 +444,7 @@ def run_session(
     prover_rng = Sha256Rng(derive_seed(seed, "prover"))
     verifier_rng = Sha256Rng(derive_seed(seed, "verifier"))
     transcript: list | None = [] if collect_transcript else None
-    accepted = True
-    rounds_run = 0
-    for _ in range(rounds):
-        rounds_run += 1
+    for rounds_run in range(1, rounds + 1):
         if cheat:
             commitment, state = forge_round(problem, prover_rng)
         else:
@@ -514,38 +466,53 @@ def run_session(
                 }
             )
         if not verdict:
-            accepted = False
-            break
-    return SessionResult(accepted, rounds_run, transcript)
+            return SessionResult(False, rounds_run, transcript)
+    return SessionResult(True, rounds, transcript)
 
 
 # --- problem files -----------------------------------------------------------
 
 
-def load_problem(data: dict) -> tuple:
-    """Parse a problem description; returns (problem, solution or None)."""
+def _json_array(values, item_type: type, field: str) -> tuple:
+    """A JSON array whose items all have exactly `item_type`, so a boolean
+    is not an integer and neither a float nor a string is either."""
+    if isinstance(values, list) and all(type(v) is item_type for v in values):
+        return tuple(values)
+    names = {int: "integers", bool: "booleans", list: "arrays"}
+    raise ValueError(f"{field} must be an array of JSON {names[item_type]}, not {values!r}")
+
+
+def load_problem(data) -> tuple:
+    """Parse a problem description; returns (problem, solution or None).
+
+    Every field must already have its JSON type; anything else is a
+    ValueError naming the field, never a conversion.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"a problem file holds a JSON object, not {type(data).__name__}")
     kind = data.get("type")
     if kind == "hamiltonian-cycle":
+        rows = _json_array(data["adjacency"], list, "adjacency")
         problem = HamiltonianCycleProblem(
-            tuple(tuple(int(x) for x in row) for row in data["adjacency"])
+            tuple(_json_array(row, int, f"adjacency row {i}") for i, row in enumerate(rows))
         )
-        problem.validate()
-        solution = data.get("cycle")
-        if solution is not None:
-            solution = tuple(int(v) for v in solution)
-            if not problem.is_solution(solution):
-                raise ValueError("the supplied cycle does not solve the graph")
-        return problem, solution
-    if kind == "sat3":
+        solution_field, solution_type = "cycle", int
+    elif kind == "sat3":
+        n_vars = data["variables"]
+        if type(n_vars) is not int:
+            raise ValueError(f"variables must be a JSON integer, not {n_vars!r}")
+        clauses = _json_array(data["clauses"], list, "clauses")
         problem = SatProblem(
-            int(data["variables"]),
-            tuple(tuple(int(lit) for lit in clause) for clause in data["clauses"]),
+            n_vars,
+            tuple(_json_array(c, int, f"clause {i}") for i, c in enumerate(clauses)),
         )
-        problem.validate()
-        solution = data.get("assignment")
-        if solution is not None:
-            solution = tuple(bool(b) for b in solution)
-            if not problem.is_solution(solution):
-                raise ValueError("the supplied assignment does not satisfy the clauses")
-        return problem, solution
-    raise ValueError(f"unknown problem type {kind!r}")
+        solution_field, solution_type = "assignment", bool
+    else:
+        raise ValueError(f"unknown problem type {kind!r}")
+    problem.validate()
+    solution = data.get(solution_field)
+    if solution is not None:
+        solution = _json_array(solution, solution_type, solution_field)
+        if not problem.is_solution(solution):
+            raise ValueError(f"the supplied {solution_field} does not solve the problem")
+    return problem, solution

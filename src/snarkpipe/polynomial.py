@@ -169,12 +169,6 @@ class Polynomial:
                     num[shift + i] = (num[shift + i] - q * d) % p
         return Polynomial(self.ctx, quot), Polynomial(self.ctx, num[: len(den) - 1])
 
-    def __floordiv__(self, divisor):
-        return divmod(self, divisor)[0]
-
-    def __mod__(self, divisor):
-        return divmod(self, divisor)[1]
-
     def __call__(self, x) -> FieldElement:
         return FieldElement(self.ctx, self.eval_int(_coerce_int(self.ctx, x)))
 
@@ -184,10 +178,6 @@ class Polynomial:
         for c in reversed(self.coeffs):
             acc = (acc * x + c) % p
         return acc
-
-    def coefficient(self, i: int) -> FieldElement:
-        c = self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-        return FieldElement(self.ctx, c)
 
     def __eq__(self, other):
         if isinstance(other, Polynomial):

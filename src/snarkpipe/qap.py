@@ -53,12 +53,6 @@ class QAP:
     k: list
     target: Polynomial
 
-    def symbol_index(self, name: str) -> int:
-        try:
-            return self.symbol_names.index(name)
-        except ValueError:
-            raise ValueError(f"unknown symbol {name!r}") from None
-
     def to_json_dict(self) -> dict:
         def dump(polys):
             return [[str(c) for c in poly.coeffs] for poly in polys]

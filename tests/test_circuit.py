@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 
@@ -221,3 +222,14 @@ def test_random_inputs_cross_check(corpus_programs, ctx):
             assert check_solution(circuit, assignment) == eval_program(
                 program, env, ctx
             ).ok
+
+
+def test_flattened_circuits_pass_load_validation(corpus_programs, ctx):
+    chain = "inputs a; f0 := a*a;\n" + "".join(
+        f"f{i} := f{i - 1}*f{i - 1} + a - 7;\n" for i in range(1, 40)
+    ) + "assert f39 != 0;\n"
+    programs = [*corpus_programs.values(), parse_program(chain)]
+    for program in programs:
+        circuit = flatten(program, ctx)
+        again = Circuit.from_json_dict(json.loads(circuit.to_json_bytes()))
+        assert again.to_json_bytes() == circuit.to_json_bytes()

@@ -310,3 +310,159 @@ def test_console_entrypoint_runs():
     )
     assert proc.returncode == 0
     assert "compile" in proc.stdout
+
+
+# --- problem, circuit and header refusals ---------------------------------------
+
+TRIANGLE = {"type": "hamiltonian-cycle", "adjacency": [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+            "cycle": [0, 1, 2]}
+SAT_DEMO = {"type": "sat3", "variables": 3, "clauses": [[1, 2, -3], [-1, 2, 3]],
+            "assignment": [True, True, True]}
+
+
+@pytest.mark.parametrize(
+    "problem, name",
+    [
+        ([TRIANGLE], "JSON object"),
+        ({**SAT_DEMO, "assignment": ["false", "false", "false"]}, "assignment"),
+        ({**SAT_DEMO, "assignment": [1, 1, 1]}, "assignment"),
+        ({**TRIANGLE, "cycle": [0, 1, 2.7]}, "cycle"),
+        ({**TRIANGLE, "adjacency": [[0, True, 1], [1, 0, 1], [1, 1, 0]]}, "adjacency row 0"),
+        ({**TRIANGLE, "adjacency": [[0, "1", 1], [1, 0, 1], [1, 1, 0]]}, "adjacency row 0"),
+        ({**TRIANGLE, "adjacency": [[0, 2, 1], [2, 0, 1], [1, 1, 0]]}, "0 or 1"),
+        ({**TRIANGLE, "adjacency": [[0, 1, 1], [1, 0, 1], [1]]}, "square"),
+        ({**TRIANGLE, "adjacency": "011101110"}, "adjacency"),
+        ({**SAT_DEMO, "variables": 3.0}, "variables"),
+        ({**SAT_DEMO, "clauses": [[1, 2, -3.0]]}, "clause 0"),
+    ],
+    ids=[
+        "array", "assignment_strings", "assignment_ints", "cycle_float",
+        "adjacency_bool", "adjacency_string", "adjacency_two", "adjacency_ragged",
+        "adjacency_not_array", "variables_float", "literal_float",
+    ],
+)
+def test_interactive_refuses_malformed_problem(workdir, capsys, problem, name):
+    path = write_json(workdir / "problem.json", problem)
+    code = main(["--seed", "01", "interactive", "--problem", path])
+    assert_usage_error(code, capsys, name)
+    assert not (workdir / "transcript.json").exists()
+
+
+def test_interactive_refuses_transcript_with_repeat(workdir, capsys):
+    code = main([
+        "--seed", "01", "interactive", "--problem", "triangle", "--repeat", "2",
+        "--transcript", "t.json",
+    ])
+    assert_usage_error(code, capsys, "--transcript")
+    assert not (workdir / "t.json").exists()
+
+
+def mutate_circuit(data, edit):
+    """Apply an edit to a deep copy; an edit may also return a replacement."""
+    data = json.loads(json.dumps(data))
+    replaced = edit(data)
+    return data if replaced is None else replaced
+
+
+def first_const(data):
+    return next(i for i, w in enumerate(data["wires"]) if w["kind"] == "const")
+
+
+def first_inverse(data):
+    return next(i for i, w in enumerate(data["wires"]) if w["kind"] == "inverse")
+
+
+def drive_twice(data):
+    """Gate 2 repeats gate 1's operands and output wire."""
+    data["gates"][1] = {**data["gates"][0], "d": 2}
+
+
+def swap_first_gates(data):
+    """Gates 1 and 2 trade places but keep their positions as d."""
+    first, second = data["gates"][:2]
+    data["gates"][:2] = [{**second, "d": 1}, {**first, "d": 2}]
+
+
+CIRCUIT_EDITS = {
+    "not_object": (lambda d: [d], "JSON object"),
+    "format": (lambda d: d.update(format="snarkpipe-circuit/2"), "format"),
+    "left_out_of_range": (lambda d: d["gates"][0].update(l=99999), "gate 1 'l'"),
+    "right_not_earlier": (
+        lambda d: d["gates"][0].update(r=d["gates"][0]["o"]), "gate 1 'r'"
+    ),
+    "left_float": (lambda d: d["gates"][0].update(l=float(d["gates"][0]["l"])), "gate 1 'l'"),
+    "out_of_range": (lambda d: d["gates"][0].update(o=len(d["wires"])), "gate 1 'o'"),
+    "minus": (lambda d: d["gates"][0].update(op="Minus"), "'Minus'"),
+    "repeated_d": (lambda d: d["gates"][7].update(d=7), "gate 8"),
+    "driven_twice": (drive_twice, "gate 2 drives wire"),
+    "outputs_decreasing": (swap_first_gates, "gate 2 drives wire"),
+    "wire_kind": (lambda d: d["wires"][1].update(kind="hint"), "'hint'"),
+    "const_plus": (
+        lambda d: d["wires"][first_const(d)].update(value="+1"), "value '+1'"
+    ),
+    "const_not_below_p": (
+        lambda d: d["wires"][first_const(d)].update(value=d["field"]["p"]), "value"
+    ),
+    "const_number": (lambda d: d["wires"][first_const(d)].update(value=1), "value 1"),
+    "of_out_of_range": (lambda d: d["wires"][first_inverse(d)].update(of=-1), "'of'"),
+    "output_out_of_range": (lambda d: d["outputs"][0].update(wire=99999), "output 0"),
+    "name_out_of_range": (lambda d: d["names"].update(c1=99999), "name 'c1'"),
+    "names_array": (lambda d: d.update(names=[]), "'names'"),
+    "gate_array": (lambda d: d["gates"].append([1, 2, 3]), "'gates'"),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(CIRCUIT_EDITS))
+def test_setup_refuses_malformed_circuit(artifacts, tmp_path, capsys, edit):
+    change, name = CIRCUIT_EDITS[edit]
+    data = mutate_circuit(artifacts["circuit"][1], change)
+    code = main([
+        "--seed", "01", "setup", "--circuit", write_json(tmp_path / "c.json", data),
+        "--evaluation-key", str(tmp_path / "ek.json"),
+        "--verification-key", str(tmp_path / "vk.json"),
+    ])
+    assert_usage_error(code, capsys, name)
+    assert not (tmp_path / "ek.json").exists()
+
+
+NON_CANONICAL_HEADER = {
+    "leading_plus": lambda text: "+" + text,
+    "leading_zero": lambda text: "0" + text,
+    "space": lambda text: " " + text,
+    "underscore": lambda text: text[0] + "_" + text[1:],
+    "json_number": int,
+}
+
+
+@pytest.mark.parametrize("encoding", sorted(NON_CANONICAL_HEADER))
+@pytest.mark.parametrize("entry", ["p", "generator"])
+def test_verify_refuses_non_canonical_key_header(
+    artifacts, tmp_path, capsys, entry, encoding
+):
+    vk = json.loads(json.dumps(artifacts["vk"][1]))
+    vk["field"][entry] = NON_CANONICAL_HEADER[encoding](vk["field"][entry])
+    code = verify_with(artifacts, tmp_path, vk=vk)
+    assert_usage_error(code, capsys, "malformed key", f"field {entry}")
+
+
+@pytest.mark.parametrize("encoding", sorted(NON_CANONICAL_HEADER))
+@pytest.mark.parametrize("entry", ["p", "generator"])
+def test_setup_refuses_non_canonical_circuit_header(
+    artifacts, tmp_path, capsys, entry, encoding
+):
+    data = json.loads(json.dumps(artifacts["circuit"][1]))
+    data["field"][entry] = NON_CANONICAL_HEADER[encoding](data["field"][entry])
+    code = main([
+        "--seed", "01", "setup", "--circuit", write_json(tmp_path / "c.json", data),
+        "--evaluation-key", str(tmp_path / "ek.json"),
+        "--verification-key", str(tmp_path / "vk.json"),
+    ])
+    assert_usage_error(code, capsys, f"field {entry}")
+
+
+def test_verify_refuses_generator_not_below_p(artifacts, tmp_path, capsys):
+    vk = json.loads(json.dumps(artifacts["vk"][1]))
+    p = int(vk["field"]["p"])
+    vk["field"]["generator"] = str(p + int(vk["field"]["generator"]))
+    code = verify_with(artifacts, tmp_path, vk=vk)
+    assert_usage_error(code, capsys, "malformed key", "field generator", f"below {p}")

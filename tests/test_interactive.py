@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -15,7 +16,8 @@ from snarkpipe import (
     verify_round,
 )
 from snarkpipe.bundled import load_bundled_text
-from snarkpipe.interactive import load_problem
+from snarkpipe.field import json_bytes
+from snarkpipe.interactive import RoundCommitment, load_problem
 from snarkpipe.rng import derive_seed
 
 K3 = HamiltonianCycleProblem(((0, 1, 1), (1, 0, 1), (1, 1, 0)))
@@ -324,3 +326,78 @@ def test_load_problem_rejects_bad_data():
             {"type": "sat3", "variables": 1, "clauses": [[1, 1, 1]],
              "assignment": [False]}
         )
+
+
+# --- pinned transcripts and commitment shape --------------------------------------
+
+# SHA-256 of json_bytes(run_session(...).to_json_dict()), recorded before the
+# commit path was shared between problem kinds and provers: the salts, digests
+# and responses of every round must stay byte for byte the same.
+PINNED_TRANSCRIPTS = [
+    ("triangle.json", False, b"pinned-triangle", (True, 8),
+     "34616e13dc3a0d79fe8df545203b2a427913ebf4a4200dfca38ea727dfe65bc5"),
+    ("sat_demo.json", False, b"pinned-sat_demo", (True, 8),
+     "1c384f08bde5bfb6b580250e899ad90f9a96e64f645b1364ec474361dfd8da6c"),
+    ("path4.json", True, b"pinned-4", (False, 5),
+     "304740f608b259b4c322d71d28bceb6fad6f0b4106bfdf9f8b1cec754c0153b4"),
+    ("sat_unsat.json", True, b"pinned-39", (False, 6),
+     "9c0f43489e61964bb6d70433a42381da8d4a2e9971619ac584761c106436a26f"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, cheat, seed, outcome, digest", PINNED_TRANSCRIPTS,
+    ids=[case[0].removesuffix(".json") for case in PINNED_TRANSCRIPTS],
+)
+def test_transcript_bytes_pinned(name, cheat, seed, outcome, digest):
+    problem, solution = load_problem(json.loads(load_bundled_text(name)))
+    result = run_session(
+        problem, None if cheat else solution, rounds=8, seed=seed, cheat=cheat
+    )
+    assert (result.accepted, result.rounds_run) == outcome
+    assert hashlib.sha256(json_bytes(result.to_json_dict())).hexdigest() == digest
+
+
+def reshaped(commitment, kind=None, size=None, extra=0):
+    return RoundCommitment(
+        kind or commitment.kind,
+        commitment.size if size is None else size,
+        commitment.digests + (bytes(32),) * extra,
+    )
+
+
+@pytest.mark.parametrize("challenge", list(Challenge))
+@pytest.mark.parametrize(
+    "problem, solution", [(K3, K3_CYCLE), (SAT1, SAT1_ASSIGNMENT)], ids=["hc", "sat"]
+)
+@pytest.mark.parametrize(
+    "change",
+    [{"kind": "other"}, {"size": 99}, {"extra": 1}],
+    ids=["kind", "size", "extra_digest"],
+)
+def test_commitment_shape_must_match_problem(problem, solution, challenge, change):
+    commitment, state = cipher_round(problem, solution, Sha256Rng(b"shape"))
+    response = state.respond(challenge)
+    assert verify_round(problem, commitment, challenge, response)
+    assert not verify_round(problem, reshaped(commitment, **change), challenge, response)
+
+
+def test_sat_cipher_opening_with_extra_digest_and_salt_rejected():
+    commitment, state = cipher_round(SAT1, SAT1_ASSIGNMENT, Sha256Rng(b"extra"))
+    response = state.respond(Challenge.REVEAL_CIPHER)
+    salt = bytes(16)
+    padded = dataclasses.replace(response, salts=response.salts + (salt,))
+    longer = RoundCommitment(
+        commitment.kind,
+        commitment.size,
+        commitment.digests + (hashlib.sha256(b"\0" * 12 + salt).digest(),),
+    )
+    assert not verify_round(SAT1, longer, Challenge.REVEAL_CIPHER, padded)
+
+
+def test_sat_solution_opening_refuses_malformed_clause():
+    commitment, state = cipher_round(SAT1, SAT1_ASSIGNMENT, Sha256Rng(b"clause"))
+    response = state.respond(Challenge.REVEAL_SOLUTION)
+    for clauses in (((1, 2),), ((0, 1, 2),), ((1, 2, 4),)):
+        forged = dataclasses.replace(response, clauses=clauses)
+        assert not verify_round(SAT1, commitment, Challenge.REVEAL_SOLUTION, forged)
