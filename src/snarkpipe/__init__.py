@@ -9,7 +9,7 @@ in the clear, which also makes it insecure.
 """
 
 from .circuit import Circuit, Gate, IncompleteAssignment, Wire, check_solution, flatten, solve
-from .field import DEFAULT_GENERATOR, DEFAULT_MODULUS, DivisionByZero, FieldContext, FieldElement
+from .field import DEFAULT_GENERATOR, DEFAULT_MODULUS, DivisionByZero, FieldContext
 from .frontend import (
     ParseError,
     Program,
@@ -57,7 +57,6 @@ __all__ = [
     "DuplicateNode",
     "EvaluationKey",
     "FieldContext",
-    "FieldElement",
     "FieldTooSmall",
     "Gate",
     "GroupElement",

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .field import FieldContext, FieldElement, json_bytes, parse_decimal
+from .field import FieldContext, json_bytes, parse_decimal
 from .frontend import (
     Add,
     Constant,
@@ -149,8 +149,10 @@ class Circuit:
         kind or op, a wire id out of range, an operand that is not an
         earlier wire than its gate's output, gate outputs that do not
         increase with d (so no wire has two drivers), a gate index d other
-        than the gate's 1-based position, or a constant that is not a
-        canonical decimal below p."""
+        than the gate's 1-based position, a constant that is not a
+        canonical decimal below p, a gate wire that no gate drives, or
+        input wires other than the ones 'names' gives the declared
+        inputs."""
         if not isinstance(data, dict):
             raise ValueError(f"a circuit file holds a JSON object, not {type(data).__name__}")
         if data.get("format") != CIRCUIT_FORMAT:
@@ -194,14 +196,19 @@ class Circuit:
             raise ValueError("circuit 'inputs' must be an array of names")
         if not isinstance(names, dict):
             raise ValueError("circuit 'names' must be a JSON object")
-        return cls(
-            ctx=ctx,
-            wires=wires,
-            gates=gates,
-            outputs=outputs,
-            inputs=inputs,
-            names={k: wire_id(v, f"name {k!r}") for k, v in names.items()},
-        )
+        names = {k: wire_id(v, f"name {k!r}") for k, v in names.items()}
+        driven = {gate.out for gate in gates}
+        input_wires = {names.get(name) for name in inputs}
+        for i, wire in enumerate(wires):
+            if wire.kind == "gate" and i not in driven:
+                raise ValueError(f"wire {i} has kind 'gate' but no gate drives it")
+            if wire.kind == "input" and i not in input_wires:
+                raise ValueError(f"wire {i} is an input wire that no declared input names")
+        for name in inputs:
+            i = names.get(name)
+            if i is None or wires[i].kind != "input" or wires[i].name != name:
+                raise ValueError(f"input {name!r} names wire {i}, not an input wire {name!r}")
+        return cls(ctx, wires, gates, outputs, inputs, names)
 
     def to_json_bytes(self) -> bytes:
         return json_bytes(self.to_json_dict())
@@ -318,14 +325,13 @@ def _gate_value(gate: Gate, values: dict, p: int) -> int:
 
 
 def solve(circuit: Circuit, inputs: dict) -> dict:
-    """Forward-evaluate the gates; returns a total wire -> FieldElement map.
+    """Forward-evaluate the gates; returns a total wire -> residue map.
 
     Inverse hints are filled with source^(p-2), so an assignment always
     exists even when a condition fails; the corresponding condition gate is
     then simply unsatisfied.
     """
-    ctx = circuit.ctx
-    p = ctx.p
+    p = circuit.ctx.p
     require_inputs(circuit.inputs, inputs)
     values: dict = {}
     for i, wire in enumerate(circuit.wires):
@@ -334,7 +340,7 @@ def solve(circuit: Circuit, inputs: dict) -> dict:
         elif wire.kind == "const":
             values[i] = wire.value % p
         elif wire.kind == "input":
-            values[i] = int(ctx(inputs[wire.name]))
+            values[i] = inputs[wire.name] % p
     for gate in circuit.gates:
         for operand in (gate.left, gate.right):
             wire = circuit.wires[operand]
@@ -342,7 +348,7 @@ def solve(circuit: Circuit, inputs: dict) -> dict:
                 values[operand] = pow(values[wire.of], p - 2, p)
         if circuit.wires[gate.out].kind == "gate":
             values[gate.out] = _gate_value(gate, values, p)
-    return {i: FieldElement(ctx, v) for i, v in values.items()}
+    return values
 
 
 def check_solution(circuit: Circuit, assignment: dict) -> bool:
@@ -351,14 +357,13 @@ def check_solution(circuit: Circuit, assignment: dict) -> bool:
     Also enforces the fixed values: the one-wire carries 1 and every
     constant wire carries its constant.
     """
-    ctx = circuit.ctx
-    p = ctx.p
+    p = circuit.ctx.p
     missing = [i for i in range(len(circuit.wires)) if i not in assignment]
     if missing:
         raise IncompleteAssignment(
             f"assignment misses {len(missing)} wire(s), first: {missing[0]}"
         )
-    values = {i: int(ctx(assignment[i])) for i in range(len(circuit.wires))}
+    values = {i: assignment[i] % p for i in range(len(circuit.wires))}
     for i, wire in enumerate(circuit.wires):
         if wire.kind == "one" and values[i] != 1:
             return False

@@ -9,7 +9,7 @@ __all__ = [
     "DEFAULT_MODULUS",
     "DivisionByZero",
     "FieldContext",
-    "FieldElement",
+    "inverse",
     "is_probable_prime",
     "json_bytes",
     "parse_decimal",
@@ -55,6 +55,13 @@ def parse_decimal(text, below: int | None = None, what: str = "value") -> int:
 
 class DivisionByZero(ZeroDivisionError):
     """Division by the additive identity of the field."""
+
+
+def inverse(a: int, p: int) -> int:
+    """The multiplicative inverse of a mod the prime p, by Fermat."""
+    if a % p == 0:
+        raise DivisionByZero("zero has no multiplicative inverse")
+    return pow(a, p - 2, p)
 
 
 def is_probable_prime(n: int) -> bool:
@@ -109,104 +116,6 @@ def _generates_group(g: int, p: int, order_factors) -> bool:
     return all(pow(g, (p - 1) // q, p) != 1 for q in order_factors)
 
 
-class FieldElement:
-    """Residue in [0, p) tied to a FieldContext; every operator reduces mod p."""
-
-    __slots__ = ("ctx", "value")
-
-    def __init__(self, ctx: "FieldContext", value: int):
-        self.ctx = ctx
-        self.value = value % ctx.p
-
-    def _operand(self, other):
-        if isinstance(other, FieldElement):
-            if other.ctx.p != self.ctx.p:
-                raise ValueError(
-                    f"mixed field moduli: {self.ctx.p} vs {other.ctx.p}"
-                )
-            return other.value
-        if isinstance(other, int):
-            return other
-        return None
-
-    def __add__(self, other):
-        v = self._operand(other)
-        if v is None:
-            return NotImplemented
-        return FieldElement(self.ctx, self.value + v)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._operand(other)
-        if v is None:
-            return NotImplemented
-        return FieldElement(self.ctx, self.value - v)
-
-    def __rsub__(self, other):
-        v = self._operand(other)
-        if v is None:
-            return NotImplemented
-        return FieldElement(self.ctx, v - self.value)
-
-    def __mul__(self, other):
-        v = self._operand(other)
-        if v is None:
-            return NotImplemented
-        return FieldElement(self.ctx, self.value * v)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._operand(other)
-        if v is None:
-            return NotImplemented
-        v %= self.ctx.p
-        if v == 0:
-            raise DivisionByZero("division by zero in field")
-        return FieldElement(self.ctx, self.value * pow(v, self.ctx.p - 2, self.ctx.p))
-
-    def __rtruediv__(self, other):
-        v = self._operand(other)
-        if v is None:
-            return NotImplemented
-        return FieldElement(self.ctx, v) / self
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        return FieldElement(self.ctx, pow(self.value, exponent, self.ctx.p))
-
-    def __neg__(self):
-        return FieldElement(self.ctx, -self.value)
-
-    def inverse(self) -> "FieldElement":
-        if self.value == 0:
-            raise DivisionByZero("zero has no multiplicative inverse")
-        return FieldElement(self.ctx, pow(self.value, self.ctx.p - 2, self.ctx.p))
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.ctx.p == other.ctx.p and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.ctx.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.ctx.p, self.value))
-
-    def __int__(self):
-        return self.value
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __repr__(self):
-        return f"FieldElement({self.value} mod {self.ctx.p})"
-
-
 class FieldContext:
     """A prime modulus plus a generator of its multiplicative group.
 
@@ -248,23 +157,6 @@ class FieldContext:
                     break
             else:  # pragma: no cover - every prime field has a generator
                 raise ValueError(f"no generator found for modulus {p}")
-
-    def __call__(self, value: int | FieldElement) -> FieldElement:
-        if isinstance(value, FieldElement):
-            if value.ctx.p != self.p:
-                raise ValueError("element belongs to a different field")
-            return value
-        return FieldElement(self, value)
-
-    @property
-    def generator(self) -> FieldElement:
-        return FieldElement(self, self.generator_value)
-
-    def one(self) -> FieldElement:
-        return FieldElement(self, 1)
-
-    def sample_nonzero(self, rng) -> FieldElement:
-        return FieldElement(self, rng.randrange(1, self.p))
 
     def __eq__(self, other):
         if isinstance(other, FieldContext):

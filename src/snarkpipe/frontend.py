@@ -15,6 +15,10 @@ nonzero. Grammar (comments run from '#' to end of line, files use the
 Subtraction and unary minus are desugared to Add/Neg while parsing; powers
 survive as Pow nodes and melt into repeated multiplication later. The name
 ``one`` is reserved for the constant-one symbol of the compiled form.
+
+The parser bounds its work before any gate exists: parentheses nest at most
+MAX_NESTING deep, and a program may flatten to at most MAX_GATES gates, which
+it counts exactly as it reads (``x^k`` is k-1 gates).
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import enum
 import warnings
 from dataclasses import dataclass
 
-from .field import FieldContext, FieldElement
+from .field import FieldContext
 
 __all__ = [
     "Add",
@@ -45,6 +49,8 @@ __all__ = [
 ]
 
 RESERVED_NAMES = frozenset({"one", "inputs", "assert"})
+MAX_NESTING = 32
+MAX_GATES = 1 << 16
 
 
 class FieldReductionWarning(UserWarning):
@@ -56,7 +62,7 @@ class ParseError(ValueError):
 
     Codes: ``syntax``, ``unknown-identifier``, ``forward-reference``,
     ``bad-exponent``, ``duplicate-name``, ``reserved-name``,
-    ``bad-assertion-target``.
+    ``bad-assertion-target``, ``too-deep``, ``too-many-gates``.
     """
 
     def __init__(self, message: str, line: int, col: int, code: str = "syntax"):
@@ -195,6 +201,8 @@ class _Parser:
         self.tokens = _tokenize(source)
         self.pos = 0
         self._positions: dict = {}
+        self.depth = 0
+        self.gates = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -212,6 +220,17 @@ class _Parser:
             got = "end of input" if tok.kind == "EOF" else f"{tok.text!r}"
             raise ParseError(f"expected {want}, found {got}", tok.line, tok.col)
         return self.advance()
+
+    def spend(self, gates: int, tok: _Token) -> None:
+        """Count gates the flattened program will have, refusing past MAX_GATES."""
+        self.gates += gates
+        if self.gates > MAX_GATES:
+            raise ParseError(
+                f"program flattens to more than {MAX_GATES} gates",
+                tok.line,
+                tok.col,
+                "too-many-gates",
+            )
 
     def parse(self) -> Program:
         kw = self.expect("IDENT", "keyword 'inputs'")
@@ -268,7 +287,10 @@ class _Parser:
         name = self.expect("IDENT", "definition name")
         self._note_name(name)
         self.expect(":=")
+        before = self.gates
         expr = self._expr()
+        if self.gates == before and not any(_referenced(expr)):
+            self.spend(1, name)  # flatten wraps a constant in a gate
         self.expect(";")
         self._positions[("def", name.text)] = (name.line, name.col)
         return (name.text, expr)
@@ -288,6 +310,7 @@ class _Parser:
                 "assertions compare against literal 0", zero.line, zero.col
             )
         self.expect(";")
+        self.spend(1, name)  # the condition gate
         relation = Relation.EQUAL_ZERO if op.kind == "==" else Relation.NOT_EQUAL_ZERO
         self._positions[("cond", name.text)] = (name.line, name.col)
         self._positions.setdefault(("use", name.text), (name.line, name.col))
@@ -297,6 +320,7 @@ class _Parser:
         terms = [self._term()]
         while self.peek().kind in ("+", "-"):
             op = self.advance()
+            self.spend(2 if op.kind == "-" else 1, op)  # Plus, and Times by -1
             term = self._term()
             terms.append(Neg(term) if op.kind == "-" else term)
         return terms[0] if len(terms) == 1 else Add(tuple(terms))
@@ -304,14 +328,14 @@ class _Parser:
     def _term(self) -> Expression:
         factors = [self._factor()]
         while self.peek().kind == "*":
-            self.advance()
+            self.spend(1, self.advance())
             factors.append(self._factor())
         return factors[0] if len(factors) == 1 else Mul(tuple(factors))
 
     def _factor(self) -> Expression:
         negated = False
         if self.peek().kind == "-":
-            self.advance()
+            self.spend(1, self.advance())
             negated = True
         tok = self.peek()
         if tok.kind == "INT":
@@ -329,8 +353,17 @@ class _Parser:
             node = Variable(tok.text)
         elif tok.kind == "(":
             self.advance()
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nest deeper than {MAX_NESTING}",
+                    tok.line,
+                    tok.col,
+                    "too-deep",
+                )
             node = self._expr()
             self.expect(")")
+            self.depth -= 1
         else:
             got = "end of input" if tok.kind == "EOF" else f"{tok.text!r}"
             raise ParseError(f"expected a value, found {got}", tok.line, tok.col)
@@ -353,6 +386,7 @@ class _Parser:
                     exp_tok.col,
                     "bad-exponent",
                 )
+            self.spend(exponent - 1, exp_tok)
             node = Pow(node, exponent)
         return Neg(node) if negated else node
 
@@ -497,7 +531,7 @@ class ConditionCheck:
 
 @dataclass(frozen=True)
 class EvalResult:
-    values: dict  # name -> FieldElement, every definition
+    values: dict  # name -> residue in [0, p), every definition
     conditions: tuple  # of ConditionCheck
 
     @property
@@ -548,13 +582,11 @@ def eval_program(program: Program, inputs: dict, ctx: FieldContext) -> EvalResul
     This is the reference semantics the compiled forms are tested against.
     """
     require_inputs(program.inputs, inputs)
-    env = {name: int(ctx(value)) for name, value in inputs.items()}
+    env = {name: value % ctx.p for name, value in inputs.items()}
     warned: set = set()
     values = {}
     for name, expr in program.definitions:
-        result = _eval_expr(expr, env, ctx, warned)
-        env[name] = result
-        values[name] = FieldElement(ctx, result)
+        values[name] = env[name] = _eval_expr(expr, env, ctx, warned)
     checks = tuple(
         ConditionCheck(name, relation, relation.holds(env[name]))
         for name, relation in program.conditions

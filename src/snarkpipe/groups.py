@@ -13,7 +13,7 @@ protecting secrets.
 
 from __future__ import annotations
 
-from .field import FieldContext, FieldElement, parse_decimal
+from .field import FieldContext, parse_decimal
 
 __all__ = ["GroupElement", "TargetGroupElement", "TransparentGroup"]
 
@@ -23,14 +23,6 @@ def _common_modulus(a, b) -> int:
     if b.group.ctx.p != p:
         raise ValueError(f"elements from different fields: {p} vs {b.group.ctx.p}")
     return p
-
-
-def _exponent_int(exponent) -> int:
-    if isinstance(exponent, FieldElement):
-        return exponent.value
-    if isinstance(exponent, int):
-        return exponent
-    raise TypeError(f"exponent must be int or FieldElement, not {type(exponent)!r}")
 
 
 class GroupElement:
@@ -48,9 +40,10 @@ class GroupElement:
         p = _common_modulus(self, other)
         return GroupElement(self.group, (self.value + other.value) % p)
 
-    def __pow__(self, exponent):
-        p = self.group.ctx.p
-        return GroupElement(self.group, self.value * _exponent_int(exponent) % p)
+    def __pow__(self, exponent: int):
+        if not isinstance(exponent, int):
+            return NotImplemented
+        return GroupElement(self.group, self.value * exponent % self.group.ctx.p)
 
     def pair(self, other: "GroupElement") -> "TargetGroupElement":
         return self.group.pairing(self, other)
@@ -82,9 +75,10 @@ class TargetGroupElement:
         p = _common_modulus(self, other)
         return TargetGroupElement(self.group, (self.value + other.value) % p)
 
-    def __pow__(self, exponent):
-        p = self.group.ctx.p
-        return TargetGroupElement(self.group, self.value * _exponent_int(exponent) % p)
+    def __pow__(self, exponent: int):
+        if not isinstance(exponent, int):
+            return NotImplemented
+        return TargetGroupElement(self.group, self.value * exponent % self.group.ctx.p)
 
     def __eq__(self, other):
         if isinstance(other, TargetGroupElement):

@@ -251,9 +251,8 @@ def prove(ek: EvaluationKey, qap: QAP, assignment: dict) -> WitnessKey:
             "assignment does not satisfy the program; refusing to prove it"
         )
 
-    weights = [int(qap.ctx(assignment[wire])) for wire in qap.symbols]
     private = ek.private_indices()
-    private_weights = [weights[i] for i in private]
+    private_weights = [instance.weights[i] for i in private]
 
     def fold(entries) -> GroupElement:
         return ek.group.msm([entries[i] for i in private], private_weights)
@@ -287,7 +286,7 @@ def verify(
 
     v_full, w_full, k_full = wk.v, wk.w, wk.k
     for name, ev, ew, ek_entry in vk.public_entries:
-        t = 1 if name == "one" else int(group.ctx(public_inputs[name]))
+        t = 1 if name == "one" else public_inputs[name] % group.ctx.p
         v_full = v_full * (ev**t)
         w_full = w_full * (ew**t)
         k_full = k_full * (ek_entry**t)
@@ -399,16 +398,27 @@ def _decode_list(group: TransparentGroup, data: dict, name: str, count: int) -> 
     ]
 
 
+def _names(data: dict, name: str) -> tuple:
+    values = data[name]
+    if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+        raise MalformedKey(f"evaluation-key entry {name!r} must be an array of strings")
+    return tuple(values)
+
+
 def load_evaluation_key(data: dict) -> EvaluationKey:
     group = _load_group(data, "evaluation-key")
     try:
-        n_gates = int(data["n_gates"])
-        symbols = tuple(data["symbols"])
+        n_gates = data["n_gates"]
+        if type(n_gates) is not int or n_gates < 0:
+            raise MalformedKey(
+                f"evaluation-key entry 'n_gates' must be a JSON integer >= 0, not {n_gates!r}"
+            )
+        symbols = _names(data, "symbols")
         return EvaluationKey(
             group=group,
             n_gates=n_gates,
             symbols=symbols,
-            public=tuple(data["public"]),
+            public=_names(data, "public"),
             powers_of_s=_decode_list(group, data, "powers_of_s", n_gates + 1),
             **{
                 name: _decode_list(group, data, name, len(symbols))
@@ -427,11 +437,16 @@ def load_verification_key(data: dict) -> VerificationKey:
     def entry(holder: dict, name: str, where: str) -> GroupElement:
         return _decode(group, holder[name], f"verification-key entry {where}")
 
+    def public_name(item, i: int) -> str:
+        if not isinstance(item, dict) or not isinstance(item.get("name"), str):
+            raise MalformedKey(f"verification-key entry public[{i}].name must be a string")
+        return item["name"]
+
     try:
         return VerificationKey(
             group=group,
             public_entries=[
-                (item["name"], *(entry(item, f, f"public[{i}].{f}") for f in "vwk"))
+                (public_name(item, i), *(entry(item, f, f"public[{i}].{f}") for f in "vwk"))
                 for i, item in enumerate(data["public"])
             ],
             **{

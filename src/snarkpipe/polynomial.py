@@ -7,7 +7,7 @@ empty tuple, so equality is plain coefficient-list equality.
 
 from __future__ import annotations
 
-from .field import DivisionByZero, FieldContext, FieldElement
+from .field import DivisionByZero, FieldContext, inverse
 
 __all__ = ["DuplicateNode", "Polynomial", "lagrange_basis"]
 
@@ -16,19 +16,12 @@ class DuplicateNode(ValueError):
     """Interpolation nodes must be pairwise distinct."""
 
 
-def _coerce_int(ctx: FieldContext, value) -> int:
-    if isinstance(value, FieldElement):
-        if value.ctx.p != ctx.p:
-            raise ValueError("coefficient from a different field")
-        return value.value
-    return int(value) % ctx.p
-
-
 class Polynomial:
     __slots__ = ("ctx", "coeffs")
 
     def __init__(self, ctx: FieldContext, coeffs=()):
-        reduced = [_coerce_int(ctx, c) for c in coeffs]
+        p = ctx.p
+        reduced = [c % p for c in coeffs]
         while reduced and reduced[-1] == 0:
             reduced.pop()
         self.ctx = ctx
@@ -39,16 +32,11 @@ class Polynomial:
         return cls(ctx, ())
 
     @classmethod
-    def constant(cls, ctx: FieldContext, value) -> "Polynomial":
-        return cls(ctx, (value,))
-
-    @classmethod
     def from_roots(cls, ctx: FieldContext, roots) -> "Polynomial":
         """Monic product of (x - r) over the given roots."""
         p = ctx.p
         coeffs = [1]
-        for root in roots:
-            r = _coerce_int(ctx, root)
+        for r in roots:
             coeffs.append(0)
             for i in range(len(coeffs) - 1, 0, -1):
                 coeffs[i] = (coeffs[i - 1] - r * coeffs[i]) % p
@@ -60,8 +48,8 @@ class Polynomial:
         """Lagrange interpolation; the result has degree < len(points) and
         passes through every (x, y) pair."""
         p = ctx.p
-        xs = [_coerce_int(ctx, x) for x, _ in points]
-        ys = [_coerce_int(ctx, y) for _, y in points]
+        xs = [x % p for x, _ in points]
+        ys = [y % p for _, y in points]
         if len(set(xs)) != len(xs):
             raise DuplicateNode("repeated x-coordinate in interpolation nodes")
         if not xs:
@@ -70,7 +58,7 @@ class Polynomial:
         acc = [0] * len(xs)
         for x, y in zip(xs, ys):
             num = _divide_out_root(master, x, p)
-            scale = y * pow(_node_denominator(xs, x, p), p - 2, p) % p
+            scale = y * inverse(_node_denominator(xs, x, p), p) % p
             for i, c in enumerate(num):
                 acc[i] = (acc[i] + c * scale) % p
         return cls(ctx, acc)
@@ -88,9 +76,6 @@ class Polynomial:
             if other.ctx.p != self.ctx.p:
                 raise ValueError("polynomials over different fields")
             return other.coeffs
-        if isinstance(other, (int, FieldElement)):
-            v = _coerce_int(self.ctx, other)
-            return (v,) if v else ()
         return None
 
     def __add__(self, other):
@@ -106,8 +91,6 @@ class Polynomial:
             out[i] = (out[i] + c) % p
         return Polynomial(self.ctx, out)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         rhs = self._operand(other)
         if rhs is None:
@@ -118,16 +101,7 @@ class Polynomial:
             out[i] = (out[i] - c) % p
         return Polynomial(self.ctx, out)
 
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
-    def __neg__(self):
-        p = self.ctx.p
-        return Polynomial(self.ctx, [(-c) % p for c in self.coeffs])
-
     def __mul__(self, other):
-        if isinstance(other, (int, FieldElement)):
-            return self.scale(other)
         rhs = self._operand(other)
         if rhs is None:
             return NotImplemented
@@ -142,13 +116,6 @@ class Polynomial:
                 out[i + j] = (out[i + j] + a * b) % p
         return Polynomial(self.ctx, out)
 
-    __rmul__ = __mul__
-
-    def scale(self, scalar) -> "Polynomial":
-        s = _coerce_int(self.ctx, scalar)
-        p = self.ctx.p
-        return Polynomial(self.ctx, [c * s % p for c in self.coeffs])
-
     def __divmod__(self, divisor: "Polynomial"):
         den = self._operand(divisor)
         if den is None:
@@ -159,7 +126,7 @@ class Polynomial:
         num = list(self.coeffs)
         if len(num) < len(den):
             return Polynomial.zero(self.ctx), Polynomial(self.ctx, num)
-        lead_inv = pow(den[-1], p - 2, p)
+        lead_inv = inverse(den[-1], p)
         quot = [0] * (len(num) - len(den) + 1)
         for shift in range(len(quot) - 1, -1, -1):
             q = num[shift + len(den) - 1] * lead_inv % p
@@ -168,9 +135,6 @@ class Polynomial:
                 for i, d in enumerate(den):
                     num[shift + i] = (num[shift + i] - q * d) % p
         return Polynomial(self.ctx, quot), Polynomial(self.ctx, num[: len(den) - 1])
-
-    def __call__(self, x) -> FieldElement:
-        return FieldElement(self.ctx, self.eval_int(_coerce_int(self.ctx, x)))
 
     def eval_int(self, x: int) -> int:
         p = self.ctx.p
@@ -231,13 +195,13 @@ def lagrange_basis(ctx: FieldContext, nodes) -> list[Polynomial]:
     interpolation per target.
     """
     p = ctx.p
-    xs = [_coerce_int(ctx, x) for x in nodes]
+    xs = [x % p for x in nodes]
     if len(set(xs)) != len(xs):
         raise DuplicateNode("repeated node in basis construction")
     master = Polynomial.from_roots(ctx, xs).coeffs
     basis = []
     for x in xs:
         num = _divide_out_root(master, x, p)
-        den_inv = pow(_node_denominator(xs, x, p), p - 2, p)
+        den_inv = inverse(_node_denominator(xs, x, p), p)
         basis.append(Polynomial(ctx, [c * den_inv % p for c in num]))
     return basis

@@ -71,6 +71,7 @@ class QAP:
 
 @dataclass
 class AssembledInstance:
+    weights: list  # the assignment's residue per symbol, in QAP order
     v: Polynomial
     w: Polynomial
     k: Polynomial
@@ -150,7 +151,8 @@ def _weights(qap: QAP, assignment: dict) -> list:
         raise IncompleteAssignment(
             f"assignment misses {len(missing)} symbol wire(s), first: {missing[0]}"
         )
-    return [int(qap.ctx(assignment[wire])) for wire in qap.symbols]
+    p = qap.ctx.p
+    return [assignment[wire] % p for wire in qap.symbols]
 
 
 def assemble(qap: QAP, assignment: dict) -> AssembledInstance:
@@ -174,7 +176,7 @@ def assemble(qap: QAP, assignment: dict) -> AssembledInstance:
     quotient, remainder = divmod(f, qap.target)
     divisible = remainder.is_zero()
     return AssembledInstance(
-        v=v, w=w, k=k, f=f, h=quotient if divisible else None, divisible=divisible
+        weights, v, w, k, f, h=quotient if divisible else None, divisible=divisible
     )
 
 

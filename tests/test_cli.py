@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -80,6 +81,20 @@ def test_compile_reports_syntax_errors(workdir, capsys):
     assert main(["compile", str(source)]) == 1
     err = capsys.readouterr().err
     assert "line 1" in err
+
+
+@pytest.mark.parametrize(
+    "source, name",
+    [
+        ("inputs x; y := " + "(" * 3000 + "x" + ")" * 3000 + "; assert y == 0;", "nest"),
+        ("inputs x; y := x^100000000; assert y == 0;", "gates"),
+    ],
+    ids=["deep_nesting", "huge_exponent"],
+)
+def test_compile_refuses_unbounded_source(workdir, capsys, source, name):
+    (workdir / "big.zkp").write_text(source)
+    assert_usage_error(main(["compile", "big.zkp"]), capsys, "parse error", name)
+    assert not (workdir / "circuit.json").exists()
 
 
 def test_compile_over_custom_field(workdir, capsys):
@@ -171,6 +186,42 @@ def test_prove_refuses_non_canonical_evaluation_entry(artifacts, tmp_path, capsy
     assert_usage_error(code, capsys, "malformed key", "powers_of_s[1]")
 
 
+def public_name(value):
+    def change(vk):
+        vk["public"][0]["name"] = value
+    return change
+
+
+KEY_EDITS = {
+    "n_gates_string": ("ek", lambda k: k.update(n_gates="69"), "'n_gates'"),
+    "n_gates_float": ("ek", lambda k: k.update(n_gates=69.0), "'n_gates'"),
+    "n_gates_bool": ("ek", lambda k: k.update(n_gates=True), "'n_gates'"),
+    "symbols_number": ("ek", lambda k: k["symbols"].__setitem__(0, 0), "'symbols'"),
+    "symbols_string": ("ek", lambda k: k.update(symbols="one"), "'symbols'"),
+    "public_number": ("ek", lambda k: k.update(public=[1]), "'public'"),
+    "vk_public_name_number": ("vk", public_name(1), "public[0].name"),
+    "vk_public_name_null": ("vk", public_name(None), "public[0].name"),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(KEY_EDITS))
+def test_refuses_malformed_key_scalar(artifacts, tmp_path, capsys, edit):
+    key, change, name = KEY_EDITS[edit]
+    data = json.loads(json.dumps(artifacts[key][1]))
+    change(data)
+    if key == "vk":
+        code = verify_with(artifacts, tmp_path, vk=data)
+    else:
+        code = main([
+            "prove", "--circuit", artifacts["circuit"][0],
+            "--evaluation-key", write_json(tmp_path / "ek.json", data),
+            "--inputs", write_json(tmp_path / "inputs.json", GOOD_INPUTS),
+            "-o", str(tmp_path / "wk.json"),
+        ])
+        assert not (tmp_path / "wk.json").exists()
+    assert_usage_error(code, capsys, "malformed key", name)
+
+
 @pytest.mark.parametrize("key", ["vk", "wk"])
 def test_verify_refuses_other_backend(artifacts, tmp_path, capsys, key):
     data = {**artifacts[key][1], "backend": "modular"}
@@ -241,6 +292,52 @@ def test_determinism_byte_identical(workdir):
         ):
             run[name] = (workdir / name).read_bytes()
     assert first == second
+
+
+# SHA-256 of every Pinocchio artifact the CLI writes at seed 5eed, recorded
+# before field values became plain ints end to end: circuits, QAPs and keys
+# must stay byte for byte the same.
+PINNED_ARTIFACTS = {
+    "coloring5": (GOOD_INPUTS, {
+        "circuit": "700c495423862398412f8481a8ea66aee69f4c8e5343a94495fd244ed1540cda",
+        "qap": "8ba09067579a34efc2b23ba6eb19f757e18152beb0ec6b92e9e5ec2a40438fbd",
+        "ek": "b4bd1d374c75cc88c3923cb555f7bd6841d47cbabc88d82fa2b8e440df8fdec4",
+        "vk": "d20f15e2ea4ca18d62d4eda38a76dcc0cad79e9ba95a8ab63f9bfeed9a7c3fc9",
+        "wk": "92b544e8f411cf9ea0d2b43bab4fcfb93eb23fd168dc3ff379342caa6235df4c",
+    }),
+    "cubic": ({"x": "3", "y": "35"}, {
+        "circuit": "7181c83b1abb888a913e4e3187b5a3221a8149ec574954b32b15867bc52ee1eb",
+        "qap": "a011e3732db51ebfb1e3f9a15d595aeb679f57a6b8a3d843d2d4404bdc5eb312",
+        "ek": "00e2b263bb810069fa451424b5983cc7ee41cd4a47793e62bb9fc8fa0a379784",
+        "vk": "3d00ad25c2cc6f301e789220ba061d31e9899455d167ed49c6d73c5ef97b3143",
+        "wk": "30d366c50cb3d3c2cd2a12b585d38837351f43d4a1b02436fbe18cb11f672c41",
+    }),
+    "product": ({"x": "0", "y": "5"}, {
+        "circuit": "7af1fc7474fe646966009470cde150065ef00033506c1df98b1c76f28d8e2242",
+        "qap": "d48a6ded16f35a6e750acf347266e9fc26859bb5cdb10947119d9cd0d812e73c",
+        "ek": "7f0515150fbf46aa9203e6884c06a6b3b5e2ccb41b3e5884c2fa47a08eeaabfd",
+        "vk": "5b9fd07987c45b8dfe89427e1944dec87a3e9eeb2999fb51c33ddc95c69145c8",
+        "wk": "df973494d252daf2d6e379c0b92c0d2ed75c20887cb95b640e018166be5ed0c3",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_ARTIFACTS))
+def test_pipeline_artifact_bytes_pinned(workdir, name):
+    inputs, digests = PINNED_ARTIFACTS[name]
+    assert main(["compile", name, "-o", "circuit.json", "--emit-qap", "qap.json"]) == 0
+    assert main([
+        "--seed", "5eed", "setup", "--circuit", "circuit.json",
+        "--evaluation-key", "ek.json", "--verification-key", "vk.json",
+    ]) == 0
+    assert main([
+        "prove", "--circuit", "circuit.json", "--evaluation-key", "ek.json",
+        "--inputs", write_json(workdir / "inputs.json", inputs), "-o", "wk.json",
+    ]) == 0
+    assert {
+        artifact: hashlib.sha256((workdir / f"{artifact}.json").read_bytes()).hexdigest()
+        for artifact in digests
+    } == digests
 
 
 def test_interactive_honest_accepts(workdir, capsys):
@@ -409,6 +506,16 @@ CIRCUIT_EDITS = {
     "name_out_of_range": (lambda d: d["names"].update(c1=99999), "name 'c1'"),
     "names_array": (lambda d: d.update(names=[]), "'names'"),
     "gate_array": (lambda d: d["gates"].append([1, 2, 3]), "'gates'"),
+    "gate_wire_undriven": (
+        lambda d: d["wires"][1].update(kind="gate"), "wire 1 has kind 'gate' but no gate"
+    ),
+    "input_undeclared": (
+        lambda d: d.update(inputs=d["inputs"][1:]), "wire 1 is an input wire"
+    ),
+    "input_names_swapped": (
+        lambda d: d["names"].update(c1=d["names"]["c2"], c2=d["names"]["c1"]),
+        "input 'c1' names wire 2",
+    ),
 }
 
 

@@ -2,8 +2,18 @@ import itertools
 
 import pytest
 
-from snarkpipe import ParseError, Relation, eval_program, format_program, parse_program
+from snarkpipe import (
+    FieldContext,
+    ParseError,
+    Relation,
+    eval_program,
+    flatten,
+    format_program,
+    parse_program,
+)
 from snarkpipe.frontend import (
+    MAX_GATES,
+    MAX_NESTING,
     Add,
     Constant,
     FieldReductionWarning,
@@ -14,6 +24,10 @@ from snarkpipe.frontend import (
 )
 
 from conftest import COLORING_EDGES, GOOD_COLORING
+
+DEEP_SOURCE = "inputs x; y := " + "(" * 3000 + "x" + ")" * 3000 + "; assert y == 0;"
+# x^MAX_GATES is MAX_GATES - 1 gates; two conditions make it one too many.
+OVER_BUDGET_SOURCE = f"inputs x; y := x^{MAX_GATES}; assert y == 0; assert y != 0;"
 
 
 # --- independent oracles ------------------------------------------------------
@@ -98,12 +112,25 @@ def test_syntax_error_reports_position():
         ("inputs one; y := one; assert y == 0;", "reserved-name"),
         ("inputs x; assert x == 0;", "bad-assertion-target"),
         ("inputs x; y := x; assert z == 0;", "unknown-identifier"),
+        pytest.param(DEEP_SOURCE, "too-deep", id="3000-nested-parentheses"),
+        pytest.param(
+            "inputs x; y := x^100000000; assert y == 0;", "too-many-gates", id="huge-exponent"
+        ),
+        pytest.param(OVER_BUDGET_SOURCE, "too-many-gates", id="one-gate-over-budget"),
     ],
 )
 def test_distinct_diagnostics(source, code):
     with pytest.raises(ParseError) as err:
         parse_program(source)
     assert err.value.code == code
+
+
+def test_bounds_admit_programs_at_the_limit():
+    nested = "-(" * MAX_NESTING + "x" + "*x + x)^2" * MAX_NESTING
+    program = parse_program(f"inputs x; y := {nested}; assert y == 0;")
+    assert parse_program(format_program(program)) == program
+    at_budget = parse_program(OVER_BUDGET_SOURCE.removesuffix(" assert y != 0;"))
+    assert flatten(at_budget, FieldContext()).n_gates == MAX_GATES
 
 
 def test_assertion_requires_literal_zero():
@@ -163,14 +190,15 @@ def test_round_trip_tricky_nesting(source):
 
 def test_eval_good_coloring(coloring_program, ctx):
     result = eval_program(coloring_program, GOOD_COLORING, ctx)
-    assert result.values["f1"].value == ctx.p - 4  # -4 in the field
-    assert result.values["f2"].value == 0
+    assert result.values["f1"] == ctx.p - 4  # -4 in the field
+    assert result.values["f2"] == 0
+    assert all(type(v) is int and 0 <= v < ctx.p for v in result.values.values())
     assert result.ok
 
 
 def test_eval_repeated_color_kills_f1(coloring_program, ctx):
     result = eval_program(coloring_program, {**GOOD_COLORING, "c1": 1}, ctx)
-    assert result.values["f1"].value == 0
+    assert result.values["f1"] == 0
     checks = {c.name: c.holds for c in result.conditions}
     assert not checks["f1"] and checks["f2"]
 
@@ -178,7 +206,7 @@ def test_eval_repeated_color_kills_f1(coloring_program, ctx):
 def test_eval_out_of_range_color_kills_f2(coloring_program, ctx):
     result = eval_program(coloring_program, {**GOOD_COLORING, "c1": 4}, ctx)
     # (1-4)(2-4)(3-4) = -6, every other term 0
-    assert result.values["f2"].value == ctx.p - 6
+    assert result.values["f2"] == ctx.p - 6
     checks = {c.name: c.holds for c in result.conditions}
     assert checks["f1"] and not checks["f2"]
 
@@ -194,7 +222,7 @@ def test_big_constant_warns(ctx17):
     program = parse_program("inputs x; y := x + 100; assert y == 0;")
     with pytest.warns(FieldReductionWarning):
         result = eval_program(program, {"x": 0}, ctx17)
-    assert result.values["y"].value == 100 % 17
+    assert result.values["y"] == 100 % 17
 
 
 def test_field_eval_matches_integer_eval_on_all_color_vectors(coloring_program, ctx):
@@ -206,7 +234,7 @@ def test_field_eval_matches_integer_eval_on_all_color_vectors(coloring_program, 
         result = eval_program(coloring_program, env, ctx)
         for name in ("f1", "f2"):
             over_z = eval_over_integers(defs[name], dict(env))
-            assert result.values[name].value == over_z % ctx.p
+            assert result.values[name] == over_z % ctx.p
 
 
 def test_condition_semantics_match_adjacency_oracle(coloring_program, ctx):

@@ -31,9 +31,13 @@ def test_inverse(ctx17):
     assert (g**5) * (g**5) ** -1 == g**0
 
 
-def test_field_element_exponents(ctx17):
+def test_exponent_must_be_int(ctx17):
     g = TransparentGroup(ctx17).generator()
-    assert g ** ctx17(6) == g**6
+    for exponent in (6.0, "6", None):
+        with pytest.raises(TypeError):
+            g**exponent
+        with pytest.raises(TypeError):
+            g.pair(g) ** exponent
 
 
 def test_msm_matches_exponent_products(ctx):

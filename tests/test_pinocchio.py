@@ -292,7 +292,7 @@ def test_setup_rejects_empty_program(ctx, group):
 
     empty = QAP(
         ctx=ctx, n_gates=0, symbols=(0,), symbol_names=("one",),
-        v=[], w=[], k=[], target=Polynomial.constant(ctx, 1),
+        v=[], w=[], k=[], target=Polynomial(ctx, [1]),
     )
     with pytest.raises(ValueError):
         setup(empty, group, SEED)

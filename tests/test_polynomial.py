@@ -77,15 +77,15 @@ def test_interpolate_line(ctx17):
     poly = Polynomial.interpolate(ctx17, [(1, 2), (2, 4), (3, 6)])
     assert poly.coeffs == (0, 2)  # 2x
     for x, y in [(1, 2), (2, 4), (3, 6)]:
-        assert poly(x).value == y
+        assert poly.eval_int(x) == y
 
 
 def test_interpolate_selector_shape(ctx17):
     # One at the first node, zero at the second: the selector shape used per
     # gate output.
     poly = Polynomial.interpolate(ctx17, [(1, 1), (2, 0)])
-    assert poly(1).value == 1
-    assert poly(2).value == 0
+    assert poly.eval_int(1) == 1
+    assert poly.eval_int(2) == 0
 
 
 def test_interpolate_duplicate_node(ctx17):
@@ -104,7 +104,7 @@ def test_interpolation_round_trip_up_to_128_nodes(ctx):
         poly = Polynomial.interpolate(ctx, list(zip(xs, ys)))
         assert poly.degree < size
         for x, y in zip(xs, ys):
-            assert poly(x).value == y
+            assert poly.eval_int(x) == y
 
 
 def test_lagrange_basis_is_indicator(ctx17):
@@ -112,14 +112,14 @@ def test_lagrange_basis_is_indicator(ctx17):
     basis = lagrange_basis(ctx17, nodes)
     for i, poly in enumerate(basis):
         for j, x in enumerate(nodes):
-            assert poly(x).value == (1 if i == j else 0)
+            assert poly.eval_int(x) == (1 if i == j else 0)
 
 
 def test_from_roots_vanishes_exactly_there(ctx17):
     poly = Polynomial.from_roots(ctx17, [1, 2, 3])
     assert poly.degree == 3
     assert poly.coeffs[-1] == 1  # monic
-    roots = {x for x in range(17) if poly(x).value == 0}
+    roots = {x for x in range(17) if poly.eval_int(x) == 0}
     assert roots == {1, 2, 3}
 
 
@@ -128,10 +128,8 @@ def test_operator_algebra(ctx17):
     b = Polynomial(ctx17, [3, 0, 4])
     assert a + b == Polynomial(ctx17, [4, 2, 4])
     assert b - a == Polynomial(ctx17, [2, 15, 4])
-    assert -a == Polynomial(ctx17, [16, 15])
-    assert a * 3 == Polynomial(ctx17, [3, 6])
-    assert 3 * a == a.scale(3)
-    assert (a + 0) == a
+    assert a - b == Polynomial(ctx17, [15, 2, 13])
+    assert a + Polynomial.zero(ctx17) == a
     assert a * b == Polynomial(ctx17, [3, 6, 4, 8])
 
 
@@ -141,4 +139,11 @@ def test_eval_matches_naive_sum(ctx17):
         poly = rand_poly(ctx17, rng, 8)
         x = rng.randrange(17)
         naive = sum(c * x**i for i, c in enumerate(poly.coeffs)) % 17
-        assert poly(x).value == naive
+        assert poly.eval_int(x) == naive
+
+
+def test_mixed_moduli_rejected(ctx17, ctx101):
+    with pytest.raises(ValueError):
+        Polynomial(ctx17, [1]) + Polynomial(ctx101, [1])
+    with pytest.raises(ValueError):
+        divmod(Polynomial(ctx17, [1, 1]), Polynomial(ctx101, [1]))

@@ -92,7 +92,7 @@ def test_single_plus_gate_rows(ctx17):
     assert qap.w[by_name["one"]].coeffs == (1,)
     assert qap.k[by_name["c"]].coeffs == (1,)
     # (t_a + t_b) * 1 = t_c at the single node
-    t = {0: ctx17(1), 1: ctx17(4), 2: ctx17(5), 3: ctx17(9)}
+    t = {0: 1, 1: 4, 2: 5, 3: 9}
     assert assemble(qap, t).divisible
 
 
@@ -171,7 +171,7 @@ def test_assemble_tampered_solution(coloring_circuit, coloring_qap):
 
 def test_assemble_single_gate_zero_f(ctx17):
     qap = build_qap(hand_circuit_single_times(ctx17))
-    t = {0: ctx17(1), 1: ctx17(2), 2: ctx17(3), 3: ctx17(6)}
+    t = {0: 1, 1: 2, 2: 3, 3: 6}
     instance = assemble(qap, t)
     assert instance.f.eval_int(1) == 0
     assert instance.divisible
