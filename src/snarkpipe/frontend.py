@@ -16,9 +16,11 @@ Subtraction and unary minus are desugared to Add/Neg while parsing; powers
 survive as Pow nodes and melt into repeated multiplication later. The name
 ``one`` is reserved for the constant-one symbol of the compiled form.
 
-The parser bounds its work before any gate exists: parentheses nest at most
-MAX_NESTING deep, and a program may flatten to at most MAX_GATES gates, which
-it counts exactly as it reads (``x^k`` is k-1 gates).
+Integers are ASCII digits 0-9 only, at most MAX_LITERAL_DIGITS of them (the
+interpreter's own limit on decimal conversion). The parser bounds its work
+before any gate exists: parentheses nest at most MAX_NESTING deep, and a
+program may flatten to at most MAX_GATES gates, which it counts exactly as it
+reads (``x^k`` is k-1 gates).
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ __all__ = [
 RESERVED_NAMES = frozenset({"one", "inputs", "assert"})
 MAX_NESTING = 32
 MAX_GATES = 1 << 16
+MAX_LITERAL_DIGITS = 4300
 
 
 class FieldReductionWarning(UserWarning):
@@ -62,7 +65,7 @@ class ParseError(ValueError):
 
     Codes: ``syntax``, ``unknown-identifier``, ``forward-reference``,
     ``bad-exponent``, ``duplicate-name``, ``reserved-name``,
-    ``bad-assertion-target``, ``too-deep``, ``too-many-gates``.
+    ``bad-assertion-target``, ``too-deep``, ``too-many-gates``, ``too-long``.
     """
 
     def __init__(self, message: str, line: int, col: int, code: str = "syntax"):
@@ -161,11 +164,19 @@ def _tokenize(source: str) -> list:
             while i < n and source[i] != "\n":
                 i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             start = i
-            while i < n and source[i].isdigit():
+            while i < n and "0" <= source[i] <= "9":
                 i += 1
             text = source[start:i]
+            if len(text) > MAX_LITERAL_DIGITS:
+                raise ParseError(
+                    f"integer literal has {len(text)} digits,"
+                    f" more than {MAX_LITERAL_DIGITS}",
+                    line,
+                    col,
+                    "too-long",
+                )
             tokens.append(_Token("INT", text, line, col))
             col += len(text)
             continue

@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 SALT_BYTES = 16
+MAX_VARIABLES = 4096  # each round costs O(variables) whatever the clause count
 
 
 class RoundConsumed(RuntimeError):
@@ -501,6 +502,8 @@ def load_problem(data) -> tuple:
         n_vars = data["variables"]
         if type(n_vars) is not int:
             raise ValueError(f"variables must be a JSON integer, not {n_vars!r}")
+        if n_vars > MAX_VARIABLES:
+            raise ValueError(f"variables must be at most {MAX_VARIABLES}, not {n_vars}")
         clauses = _json_array(data["clauses"], list, "clauses")
         problem = SatProblem(
             n_vars,

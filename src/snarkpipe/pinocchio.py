@@ -107,6 +107,8 @@ class EvaluationKey:
     alpha_k: list
     beta: list  # gv^(beta*v_i(s)) * gw^(beta*w_i(s)) * gk^(beta*k_i(s))
 
+    LISTS = ("powers_of_s", "v", "w", "k", "alpha_v", "alpha_w", "alpha_k", "beta")
+
     def private_indices(self) -> list:
         public = set(self.public)
         return [i for i, name in enumerate(self.symbols) if name not in public]
@@ -123,6 +125,8 @@ class VerificationKey:
     beta_gamma: GroupElement  # g^(beta*gamma)
     target_at_s: GroupElement  # gk^T(s)
     public_entries: list  # of (name, gv^v_i(s), gw^w_i(s), gk^k_i(s))
+
+    ELEMENTS = ("g", "alpha_v", "alpha_w", "alpha_k", "gamma", "beta_gamma", "target_at_s")
 
 
 @dataclass
@@ -195,9 +199,16 @@ def setup(
         powers.append(g**s_power)
         s_power = s_power * td.s % p
 
-    v_at_s = [poly.eval_int(td.s) for poly in qap.v]
-    w_at_s = [poly.eval_int(td.s) for poly in qap.w]
-    k_at_s = [poly.eval_int(td.s) for poly in qap.k]
+    # a_i(s) = sum_d a_i(d) L_d(s): the columns never leave node form
+    lagrange_at_s = [poly.eval_int(td.s) for poly in qap.basis]
+
+    def at_s(columns) -> list:
+        return [
+            sum(value * lagrange_at_s[d - 1] for d, value in col.items()) % p
+            for col in columns
+        ]
+
+    v_at_s, w_at_s, k_at_s = at_s(qap.v), at_s(qap.w), at_s(qap.k)
 
     ek = EvaluationKey(
         group=group,
@@ -321,41 +332,20 @@ def _element(e: GroupElement) -> str:
 
 def evaluation_key_to_dict(ek: EvaluationKey) -> dict:
     data = _header(ek.group, "evaluation-key")
+    data.update(n_gates=ek.n_gates, symbols=list(ek.symbols), public=list(ek.public))
     data.update(
-        {
-            "n_gates": ek.n_gates,
-            "symbols": list(ek.symbols),
-            "public": list(ek.public),
-            "powers_of_s": [_element(e) for e in ek.powers_of_s],
-            "v": [_element(e) for e in ek.v],
-            "w": [_element(e) for e in ek.w],
-            "k": [_element(e) for e in ek.k],
-            "alpha_v": [_element(e) for e in ek.alpha_v],
-            "alpha_w": [_element(e) for e in ek.alpha_w],
-            "alpha_k": [_element(e) for e in ek.alpha_k],
-            "beta": [_element(e) for e in ek.beta],
-        }
+        {name: [_element(e) for e in getattr(ek, name)] for name in EvaluationKey.LISTS}
     )
     return data
 
 
 def verification_key_to_dict(vk: VerificationKey) -> dict:
     data = _header(vk.group, "verification-key")
-    data.update(
-        {
-            "g": _element(vk.g),
-            "alpha_v": _element(vk.alpha_v),
-            "alpha_w": _element(vk.alpha_w),
-            "alpha_k": _element(vk.alpha_k),
-            "gamma": _element(vk.gamma),
-            "beta_gamma": _element(vk.beta_gamma),
-            "target_at_s": _element(vk.target_at_s),
-            "public": [
-                {"name": name, "v": _element(v), "w": _element(w), "k": _element(k)}
-                for name, v, w, k in vk.public_entries
-            ],
-        }
-    )
+    data.update({name: _element(getattr(vk, name)) for name in VerificationKey.ELEMENTS})
+    data["public"] = [
+        {"name": name, "v": _element(v), "w": _element(w), "k": _element(k)}
+        for name, v, w, k in vk.public_entries
+    ]
     return data
 
 
@@ -419,10 +409,11 @@ def load_evaluation_key(data: dict) -> EvaluationKey:
             n_gates=n_gates,
             symbols=symbols,
             public=_names(data, "public"),
-            powers_of_s=_decode_list(group, data, "powers_of_s", n_gates + 1),
             **{
-                name: _decode_list(group, data, name, len(symbols))
-                for name in ("v", "w", "k", "alpha_v", "alpha_w", "alpha_k", "beta")
+                name: _decode_list(
+                    group, data, name, n_gates + 1 if name == "powers_of_s" else len(symbols)
+                )
+                for name in EvaluationKey.LISTS
             },
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -449,13 +440,7 @@ def load_verification_key(data: dict) -> VerificationKey:
                 (public_name(item, i), *(entry(item, f, f"public[{i}].{f}") for f in "vwk"))
                 for i, item in enumerate(data["public"])
             ],
-            **{
-                name: entry(data, name, repr(name))
-                for name in (
-                    "g", "alpha_v", "alpha_w", "alpha_k", "gamma", "beta_gamma",
-                    "target_at_s",
-                )
-            },
+            **{name: entry(data, name, repr(name)) for name in VerificationKey.ELEMENTS},
         )
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, MalformedKey):

@@ -2,7 +2,9 @@
 
 Coefficients are stored as plain residues with the field context alongside;
 the canonical form carries no trailing zeros and the zero polynomial is the
-empty tuple, so equality is plain coefficient-list equality.
+empty tuple, so equality is plain coefficient-list equality. The constructor
+is the one place that reduces mod p: the operators and `weighted_sum` hand it
+raw integer sums.
 """
 
 from __future__ import annotations
@@ -44,24 +46,26 @@ class Polynomial:
         return cls(ctx, coeffs)
 
     @classmethod
+    def weighted_sum(cls, ctx: FieldContext, terms) -> "Polynomial":
+        """sum(weight * poly) over the (weight, poly) pairs; no pairs give 0."""
+        acc = []
+        for weight, poly in terms:
+            if weight == 0:
+                continue
+            coeffs = poly.coeffs
+            if len(acc) < len(coeffs):
+                acc.extend([0] * (len(coeffs) - len(acc)))
+            for i, c in enumerate(coeffs):
+                acc[i] += weight * c
+        return cls(ctx, acc)
+
+    @classmethod
     def interpolate(cls, ctx: FieldContext, points) -> "Polynomial":
         """Lagrange interpolation; the result has degree < len(points) and
         passes through every (x, y) pair."""
-        p = ctx.p
-        xs = [x % p for x, _ in points]
-        ys = [y % p for _, y in points]
-        if len(set(xs)) != len(xs):
-            raise DuplicateNode("repeated x-coordinate in interpolation nodes")
-        if not xs:
-            return cls.zero(ctx)
-        master = cls.from_roots(ctx, xs).coeffs
-        acc = [0] * len(xs)
-        for x, y in zip(xs, ys):
-            num = _divide_out_root(master, x, p)
-            scale = y * inverse(_node_denominator(xs, x, p), p) % p
-            for i, c in enumerate(num):
-                acc[i] = (acc[i] + c * scale) % p
-        return cls(ctx, acc)
+        points = list(points)
+        basis = lagrange_basis(ctx, [x for x, _ in points])
+        return cls.weighted_sum(ctx, zip((y for _, y in points), basis))
 
     @property
     def degree(self) -> int:
@@ -71,55 +75,31 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def _operand(self, other):
-        if isinstance(other, Polynomial):
-            if other.ctx.p != self.ctx.p:
-                raise ValueError("polynomials over different fields")
-            return other.coeffs
-        return None
+    def _operand(self, other) -> "Polynomial":
+        if not isinstance(other, Polynomial):
+            raise TypeError(f"polynomial operand must be a Polynomial, not {type(other).__name__}")
+        if other.ctx.p != self.ctx.p:
+            raise ValueError("polynomials over different fields")
+        return other
 
     def __add__(self, other):
-        rhs = self._operand(other)
-        if rhs is None:
-            return NotImplemented
-        p = self.ctx.p
-        a, b = self.coeffs, rhs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = (out[i] + c) % p
-        return Polynomial(self.ctx, out)
+        return Polynomial.weighted_sum(self.ctx, ((1, self), (1, self._operand(other))))
 
     def __sub__(self, other):
-        rhs = self._operand(other)
-        if rhs is None:
-            return NotImplemented
-        p = self.ctx.p
-        out = list(self.coeffs) + [0] * max(0, len(rhs) - len(self.coeffs))
-        for i, c in enumerate(rhs):
-            out[i] = (out[i] - c) % p
-        return Polynomial(self.ctx, out)
+        return Polynomial.weighted_sum(self.ctx, ((1, self), (-1, self._operand(other))))
 
     def __mul__(self, other):
-        rhs = self._operand(other)
-        if rhs is None:
-            return NotImplemented
-        if not self.coeffs or not rhs:
-            return Polynomial.zero(self.ctx)
-        p = self.ctx.p
+        rhs = self._operand(other).coeffs
         out = [0] * (len(self.coeffs) + len(rhs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
             for j, b in enumerate(rhs):
-                out[i + j] = (out[i + j] + a * b) % p
+                out[i + j] += a * b
         return Polynomial(self.ctx, out)
 
     def __divmod__(self, divisor: "Polynomial"):
-        den = self._operand(divisor)
-        if den is None:
-            return NotImplemented
+        den = self._operand(divisor).coeffs
         if not den:
             raise DivisionByZero("polynomial division by zero")
         p = self.ctx.p
@@ -167,16 +147,6 @@ class Polynomial:
         return f"Polynomial({' + '.join(terms)} mod {self.ctx.p})"
 
 
-def _node_denominator(xs, x: int, p: int) -> int:
-    """prod(x - other) over the other nodes: the master product with (x - x)
-    divided out, evaluated at x."""
-    den = 1
-    for other in xs:
-        if other != x:
-            den = den * (x - other) % p
-    return den
-
-
 def _divide_out_root(coeffs, root: int, p: int) -> list[int]:
     """Exact synthetic division of a polynomial by (x - root)."""
     n = len(coeffs) - 1
@@ -190,9 +160,9 @@ def _divide_out_root(coeffs, root: int, p: int) -> list[int]:
 def lagrange_basis(ctx: FieldContext, nodes) -> list[Polynomial]:
     """Normalized Lagrange basis over the nodes: basis[i](nodes[j]) = [i == j].
 
-    Built once from the master product so that a batch of interpolations over
-    the same nodes costs one synthetic division per node instead of a full
-    interpolation per target.
+    Built once from the master product prod(x - node): basis[i] is the master
+    with its root nodes[i] divided out, scaled by the inverse of that
+    quotient's value at nodes[i], prod(nodes[i] - other).
     """
     p = ctx.p
     xs = [x % p for x in nodes]
@@ -201,7 +171,10 @@ def lagrange_basis(ctx: FieldContext, nodes) -> list[Polynomial]:
     master = Polynomial.from_roots(ctx, xs).coeffs
     basis = []
     for x in xs:
-        num = _divide_out_root(master, x, p)
-        den_inv = inverse(_node_denominator(xs, x, p), p)
-        basis.append(Polynomial(ctx, [c * den_inv % p for c in num]))
+        den = 1
+        for other in xs:
+            if other != x:
+                den = den * (x - other) % p
+        den_inv = inverse(den, p)
+        basis.append(Polynomial(ctx, [c * den_inv for c in _divide_out_root(master, x, p)]))
     return basis

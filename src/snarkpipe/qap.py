@@ -1,7 +1,9 @@
 """Turn a gate circuit into a quadratic program over interpolation nodes 1..N.
 
 Every witness-carrying wire (the one-wire, each input, each hint, each gate
-output) gets a triple of polynomials. At node d the triple encodes gate d:
+output) gets a triple of polynomials, kept as their values at the nodes: one
+sparse column {d: value} per symbol and family, the constraint matrices of
+the gates. At node d the triple encodes gate d:
 
     Times gate  l * r = o:  left operand adds to its v column, right operand
                             to its w column, and the output owns k(d) = 1.
@@ -16,12 +18,15 @@ when the combined polynomial
     F = (sum_i t_i v_i) * (sum_i t_i w_i) - (sum_i t_i k_i)
 
 vanishes on 1..N, i.e. when the target product T(x) = prod(x - d) divides F.
+Coefficient form is derived from the columns only where it is needed: for
+the emitted QAP file and for the prover's combined V, W and K.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .circuit import TIMES, Circuit, IncompleteAssignment
 from .field import FieldContext
@@ -48,14 +53,26 @@ class QAP:
     n_gates: int
     symbols: tuple  # wire ids, ordered: one, inputs, then remaining by id
     symbol_names: tuple
-    v: list  # per-symbol Polynomial
+    v: list  # per-symbol column {node d: value}; absent nodes hold 0
     w: list
     k: list
     target: Polynomial
 
+    @cached_property
+    def basis(self) -> list:
+        """The Lagrange basis over the nodes: basis[d - 1] is 1 at d, 0 elsewhere."""
+        return lagrange_basis(self.ctx, range(1, self.n_gates + 1))
+
+    def interpolate(self, column: dict) -> Polynomial:
+        """Coefficient form of the polynomial taking column[d] at each node d."""
+        basis = self.basis
+        return Polynomial.weighted_sum(
+            self.ctx, ((value, basis[d - 1]) for d, value in column.items())
+        )
+
     def to_json_dict(self) -> dict:
-        def dump(polys):
-            return [[str(c) for c in poly.coeffs] for poly in polys]
+        def dump(columns):
+            return [[str(c) for c in self.interpolate(col).coeffs] for col in columns]
 
         return {
             "format": "snarkpipe-qap/1",
@@ -118,30 +135,15 @@ def build_qap(circuit: Circuit) -> QAP:
             cols_w[one_pos][d] = 1
         cols_k[position[gate.out]][d] = 1
 
-    nodes = list(range(1, n + 1))
-    basis = lagrange_basis(ctx, nodes)
-
-    def interpolate_column(col: dict) -> Polynomial:
-        if not col:
-            return Polynomial.zero(ctx)
-        acc = [0] * n
-        p = ctx.p
-        for d, value in col.items():
-            if value == 0:
-                continue
-            for i, c in enumerate(basis[d - 1].coeffs):
-                acc[i] = (acc[i] + value * c) % p
-        return Polynomial(ctx, acc)
-
     return QAP(
         ctx=ctx,
         n_gates=n,
         symbols=symbols,
         symbol_names=tuple(circuit.wire_label(wire) for wire in symbols),
-        v=[interpolate_column(col) for col in cols_v],
-        w=[interpolate_column(col) for col in cols_w],
-        k=[interpolate_column(col) for col in cols_k],
-        target=Polynomial.from_roots(ctx, nodes),
+        v=cols_v,
+        w=cols_w,
+        k=cols_k,
+        target=Polynomial.from_roots(ctx, range(1, n + 1)),
     )
 
 
@@ -156,22 +158,23 @@ def _weights(qap: QAP, assignment: dict) -> list:
 
 
 def assemble(qap: QAP, assignment: dict) -> AssembledInstance:
-    """Form the weighted sums and test divisibility by the target."""
+    """Form the weighted sums and test divisibility by the target.
+
+    The sums are taken at the nodes first, A(d) = sum_i t_i a_i(d), and each
+    family is interpolated once from those values.
+    """
     p = qap.ctx.p
     weights = _weights(qap, assignment)
 
-    def combine(polys) -> Polynomial:
-        acc = [0] * max(1, qap.n_gates)
-        for weight, poly in zip(weights, polys):
-            if weight == 0:
-                continue
-            for i, c in enumerate(poly.coeffs):
-                acc[i] = (acc[i] + weight * c) % p
-        return Polynomial(qap.ctx, acc)
+    def at_nodes(columns) -> dict:
+        values: dict = {}
+        for weight, col in zip(weights, columns):
+            if weight:
+                for d, value in col.items():
+                    values[d] = values.get(d, 0) + weight * value
+        return {d: value % p for d, value in values.items()}
 
-    v = combine(qap.v)
-    w = combine(qap.w)
-    k = combine(qap.k)
+    v, w, k = (qap.interpolate(at_nodes(cols)) for cols in (qap.v, qap.w, qap.k))
     f = v * w - k
     quotient, remainder = divmod(f, qap.target)
     divisible = remainder.is_zero()

@@ -119,9 +119,9 @@ def test_criterion_3_structural_scan(corpus_programs, ctx):
                 operands.add(0)  # the one-wire is the Plus row's multiplier
             for i, wire in enumerate(qap.symbols):
                 scanned += 1
-                k_ok = (qap.k[i].eval_int(d) == 1) == (gate.out == wire)
+                k_ok = (qap.k[i].get(d, 0) == 1) == (gate.out == wire)
                 vw_ok = (
-                    qap.v[i].eval_int(d) != 0 or qap.w[i].eval_int(d) != 0
+                    qap.v[i].get(d, 0) != 0 or qap.w[i].get(d, 0) != 0
                 ) == (wire in operands)
                 if not (k_ok and vw_ok):
                     violations += 1

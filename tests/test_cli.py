@@ -88,11 +88,15 @@ def test_compile_reports_syntax_errors(workdir, capsys):
     [
         ("inputs x; y := " + "(" * 3000 + "x" + ")" * 3000 + "; assert y == 0;", "nest"),
         ("inputs x; y := x^100000000; assert y == 0;", "gates"),
+        (f"inputs x; y := x + {'7' * 5000}; assert y == 0;", "5000 digits"),
+        ("inputs x; y := x^\u0663; assert y == 0;", "unexpected character"),
+        ("inputs x; y := x + \u00b2; assert y == 0;", "unexpected character"),
     ],
-    ids=["deep_nesting", "huge_exponent"],
+    ids=["deep_nesting", "huge_exponent", "5000_digit_constant", "arabic_indic_digit",
+         "superscript_digit"],
 )
 def test_compile_refuses_unbounded_source(workdir, capsys, source, name):
-    (workdir / "big.zkp").write_text(source)
+    (workdir / "big.zkp").write_text(source, encoding="utf-8")
     assert_usage_error(main(["compile", "big.zkp"]), capsys, "parse error", name)
     assert not (workdir / "circuit.json").exists()
 
@@ -431,11 +435,12 @@ SAT_DEMO = {"type": "sat3", "variables": 3, "clauses": [[1, 2, -3], [-1, 2, 3]],
         ({**TRIANGLE, "adjacency": "011101110"}, "adjacency"),
         ({**SAT_DEMO, "variables": 3.0}, "variables"),
         ({**SAT_DEMO, "clauses": [[1, 2, -3.0]]}, "clause 0"),
+        ({"type": "sat3", "variables": 10**6, "clauses": [[1, 2, 3]]}, "variables"),
     ],
     ids=[
         "array", "assignment_strings", "assignment_ints", "cycle_float",
         "adjacency_bool", "adjacency_string", "adjacency_two", "adjacency_ragged",
-        "adjacency_not_array", "variables_float", "literal_float",
+        "adjacency_not_array", "variables_float", "literal_float", "variables_million",
     ],
 )
 def test_interactive_refuses_malformed_problem(workdir, capsys, problem, name):

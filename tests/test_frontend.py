@@ -13,6 +13,7 @@ from snarkpipe import (
 )
 from snarkpipe.frontend import (
     MAX_GATES,
+    MAX_LITERAL_DIGITS,
     MAX_NESTING,
     Add,
     Constant,
@@ -117,6 +118,14 @@ def test_syntax_error_reports_position():
             "inputs x; y := x^100000000; assert y == 0;", "too-many-gates", id="huge-exponent"
         ),
         pytest.param(OVER_BUDGET_SOURCE, "too-many-gates", id="one-gate-over-budget"),
+        pytest.param("inputs x; y := x^\u0663; assert y == 0;", "syntax", id="arabic-digit"),
+        pytest.param("inputs x; y := x + \u00b2; assert y == 0;", "syntax", id="superscript-two"),
+        pytest.param(
+            f"inputs x; y := x + {'7' * 5000}; assert y == 0;", "too-long", id="5000-digits"
+        ),
+        pytest.param(
+            f"inputs x; y := x^{'0' * 5000}2; assert y == 0;", "too-long", id="5001-digit-power"
+        ),
     ],
 )
 def test_distinct_diagnostics(source, code):
@@ -131,6 +140,14 @@ def test_bounds_admit_programs_at_the_limit():
     assert parse_program(format_program(program)) == program
     at_budget = parse_program(OVER_BUDGET_SOURCE.removesuffix(" assert y != 0;"))
     assert flatten(at_budget, FieldContext()).n_gates == MAX_GATES
+    longest = parse_program(f"inputs x; y := x + {'9' * MAX_LITERAL_DIGITS}; assert y == 0;")
+    assert dict(longest.definitions)["y"].terms[1] == Constant(int("9" * MAX_LITERAL_DIGITS))
+
+
+def test_too_long_literal_names_its_position():
+    with pytest.raises(ParseError) as err:
+        parse_program(f"inputs x;\ny := x\n  * {'1' * (MAX_LITERAL_DIGITS + 1)};\nassert y == 0;")
+    assert (err.value.code, err.value.line, err.value.col) == ("too-long", 3, 5)
 
 
 def test_assertion_requires_literal_zero():

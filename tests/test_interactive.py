@@ -17,7 +17,7 @@ from snarkpipe import (
 )
 from snarkpipe.bundled import load_bundled_text
 from snarkpipe.field import json_bytes
-from snarkpipe.interactive import RoundCommitment, load_problem
+from snarkpipe.interactive import MAX_VARIABLES, RoundCommitment, load_problem
 from snarkpipe.rng import derive_seed
 
 K3 = HamiltonianCycleProblem(((0, 1, 1), (1, 0, 1), (1, 1, 0)))
@@ -326,6 +326,14 @@ def test_load_problem_rejects_bad_data():
             {"type": "sat3", "variables": 1, "clauses": [[1, 1, 1]],
              "assignment": [False]}
         )
+
+
+def test_load_problem_bounds_variables():
+    sat = {"type": "sat3", "clauses": [[1, 2, -3]]}
+    problem, _ = load_problem({**sat, "variables": MAX_VARIABLES})
+    assert problem.n_vars == MAX_VARIABLES
+    with pytest.raises(ValueError, match="variables"):
+        load_problem({**sat, "variables": MAX_VARIABLES + 1})
 
 
 # --- pinned transcripts and commitment shape --------------------------------------

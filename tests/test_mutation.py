@@ -1,0 +1,140 @@
+"""Mutated artifacts never crash the CLI.
+
+Every artifact a user hands the CLI is hostile input. Starting from valid
+files (the bundled cubic circuit, both keys, a witness key, an inputs file
+and the bundled problems), each example replaces one node with another JSON
+value, deletes it, or re-encodes it under another JSON type, and runs the
+command that reads the file. The run must end in exit 0, 1 or 2 and print
+no traceback.
+"""
+
+import contextlib
+import copy
+import io
+import json
+from functools import reduce
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from snarkpipe.bundled import load_bundled_text
+from snarkpipe.cli import main
+
+VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4,
+)
+
+# Each artifact and the command that reads it; {m} is the mutated file, {d}
+# the directory of valid artifacts and {o} a scratch directory for outputs.
+COMMANDS = {
+    "circuit": ["setup", "--circuit", "{m}", "--evaluation-key", "{o}/ek.json",
+                "--verification-key", "{o}/vk.json"],
+    "ek": ["prove", "--circuit", "{d}/circuit.json", "--evaluation-key", "{m}",
+           "--inputs", "{d}/inputs.json", "-o", "{o}/wk.json"],
+    "vk": ["verify", "--verification-key", "{m}", "--witness-key", "{d}/wk.json"],
+    "wk": ["verify", "--verification-key", "{d}/vk.json", "--witness-key", "{m}"],
+    "inputs": ["prove", "--circuit", "{d}/circuit.json", "--evaluation-key",
+               "{d}/ek.json", "--inputs", "{m}", "-o", "{o}/wk.json"],
+    "sat_demo": ["interactive", "--problem", "{m}", "--rounds", "2",
+                 "--transcript", "{o}/transcript.json"],
+    "triangle": ["interactive", "--problem", "{m}", "--rounds", "2",
+                 "--transcript", "{o}/transcript.json"],
+}
+
+
+def run_quietly(argv) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    """Valid artifacts on disk and parsed, plus every node path of each."""
+    d = tmp_path_factory.mktemp("valid")
+    (d / "inputs.json").write_text('{"x": "3", "y": "35"}')
+    (d / "sat_demo.json").write_text(load_bundled_text("sat_demo.json"))
+    (d / "triangle.json").write_text(load_bundled_text("triangle.json"))
+    steps = (
+        ["compile", "cubic", "-o", f"{d}/circuit.json"],
+        ["--seed", "5eed", "setup", "--circuit", f"{d}/circuit.json",
+         "--evaluation-key", f"{d}/ek.json", "--verification-key", f"{d}/vk.json"],
+        ["prove", "--circuit", f"{d}/circuit.json", "--evaluation-key", f"{d}/ek.json",
+         "--inputs", f"{d}/inputs.json", "-o", f"{d}/wk.json"],
+    )
+    for argv in steps:
+        assert run_quietly(argv)[0] == 0
+    docs = {name: json.loads((d / f"{name}.json").read_text()) for name in COMMANDS}
+    return d, tmp_path_factory.mktemp("out"), {
+        name: (doc, list(node_paths(doc))) for name, doc in docs.items()
+    }
+
+
+def node_paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield from node_paths(child, prefix + (key,))
+
+
+def retyped(node) -> list:
+    """The node's content under other JSON types."""
+    out = [[node], {"value": node}, json.dumps(node)]
+    if isinstance(node, str) and node.removeprefix("-").isdigit():
+        out.append(int(node))
+    if type(node) is int:
+        out.append(float(node))
+    if type(node) is bool:
+        out.append(int(node))
+    return out
+
+
+def mutate(doc, path, kind: str, value, choice: int):
+    if not path:
+        return value if kind != "retype" else retyped(doc)[choice % 3]
+    doc = copy.deepcopy(doc)
+    parent = reduce(lambda node, key: node[key], path[:-1], doc)
+    key = path[-1]
+    if kind == "delete":
+        del parent[key]
+    elif kind == "replace":
+        parent[key] = value
+    else:
+        options = retyped(parent[key])
+        parent[key] = options[choice % len(options)]
+    return doc
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(data=st.data())
+def test_mutated_artifact_ends_in_an_exit_code(artifacts, name, data):
+    valid_dir, out_dir, docs = artifacts
+    doc, paths = docs[name]
+    mutated = mutate(
+        doc,
+        data.draw(st.sampled_from(paths), label="path"),
+        data.draw(st.sampled_from(("replace", "delete", "retype")), label="kind"),
+        data.draw(VALUES, label="value"),
+        data.draw(st.integers(0, 4), label="choice"),
+    )
+    path = out_dir / f"mutated_{name}.json"
+    path.write_text(json.dumps(mutated))
+    argv = ["--seed", "5eed"] + [
+        arg.format(m=path, d=valid_dir, o=out_dir) for arg in COMMANDS[name]
+    ]
+    code, err = run_quietly(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err

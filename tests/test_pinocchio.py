@@ -180,8 +180,23 @@ def test_witness_key_exponents_match_recomputation(
     weights = [int(assignment[w]) for w in coloring_qap.symbols]
     private = ek.private_indices()
 
-    def private_sum(polys):
-        return sum(weights[i] * polys[i].eval_int(td.s) for i in private) % p
+    def lagrange_at_s(d):
+        # L_d(s) = prod over the other nodes j of (s - j) / (d - j)
+        num = den = 1
+        for j in range(1, coloring_qap.n_gates + 1):
+            if j != d:
+                num = num * (td.s - j) % p
+                den = den * (d - j) % p
+        return num * pow(den, p - 2, p) % p
+
+    lagrange = {d: lagrange_at_s(d) for d in range(1, coloring_qap.n_gates + 1)}
+
+    def private_sum(columns):
+        return sum(
+            weights[i] * value * lagrange[d]
+            for i in private
+            for d, value in columns[i].items()
+        ) % p
 
     wk = coloring_witness_key
     v_s, w_s, k_s = (private_sum(x) for x in (coloring_qap.v, coloring_qap.w,

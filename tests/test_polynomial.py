@@ -107,6 +107,17 @@ def test_interpolation_round_trip_up_to_128_nodes(ctx):
             assert poly.eval_int(x) == y
 
 
+def test_weighted_sum(ctx17):
+    a = Polynomial(ctx17, [1, 2, 3])
+    b = Polynomial(ctx17, [5, 16])
+    assert Polynomial.weighted_sum(ctx17, []) == Polynomial.zero(ctx17)
+    assert Polynomial.weighted_sum(ctx17, [(0, a)]) == Polynomial.zero(ctx17)
+    total = Polynomial.weighted_sum(ctx17, [(3, a), (-2, b), (20, a)])
+    assert total.coeffs == ((23 - 10) % 17, (46 - 32) % 17, 69 % 17)
+    # cancelling leading terms leave no trailing zero
+    assert Polynomial.weighted_sum(ctx17, [(1, a), (16, a), (1, b)]) == b
+
+
 def test_lagrange_basis_is_indicator(ctx17):
     nodes = [1, 2, 3, 4, 5]
     basis = lagrange_basis(ctx17, nodes)

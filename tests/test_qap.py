@@ -75,22 +75,25 @@ def test_single_times_gate_rows(ctx17):
     assert qap.n_gates == 1
     assert qap.symbols == (0, 1, 2, 3)
     by_name = dict(zip(qap.symbol_names, range(len(qap.symbols))))
-    assert qap.v[by_name["a"]].coeffs == (1,)
-    assert qap.w[by_name["b"]].coeffs == (1,)
-    assert qap.k[by_name["c"]].coeffs == (1,)
+    assert qap.v[by_name["a"]] == {1: 1}
+    assert qap.w[by_name["b"]] == {1: 1}
+    assert qap.k[by_name["c"]] == {1: 1}
     assert qap.target == Polynomial(ctx17, [-1, 1])  # x - 1
     # every other entry is the zero polynomial
-    assert qap.v[by_name["one"]].is_zero()
-    assert qap.w[by_name["a"]].is_zero()
+    assert qap.v[by_name["one"]] == {}
+    assert qap.w[by_name["a"]] == {}
+    emitted = qap.to_json_dict()
+    assert emitted["v"][by_name["a"]] == ["1"]  # the constant polynomial 1
+    assert emitted["v"][by_name["one"]] == []
 
 
 def test_single_plus_gate_rows(ctx17):
     qap = build_qap(hand_circuit_single_plus(ctx17))
     by_name = dict(zip(qap.symbol_names, range(len(qap.symbols))))
-    assert qap.v[by_name["a"]].coeffs == (1,)
-    assert qap.v[by_name["b"]].coeffs == (1,)
-    assert qap.w[by_name["one"]].coeffs == (1,)
-    assert qap.k[by_name["c"]].coeffs == (1,)
+    assert qap.v[by_name["a"]] == {1: 1}
+    assert qap.v[by_name["b"]] == {1: 1}
+    assert qap.w[by_name["one"]] == {1: 1}
+    assert qap.k[by_name["c"]] == {1: 1}
     # (t_a + t_b) * 1 = t_c at the single node
     t = {0: 1, 1: 4, 2: 5, 3: 9}
     assert assemble(qap, t).divisible
@@ -105,10 +108,23 @@ def test_field_too_small(coloring_program, ctx101):
 
 def test_degree_bounds(coloring_qap):
     n = coloring_qap.n_gates
-    for polys in (coloring_qap.v, coloring_qap.w, coloring_qap.k):
-        assert all(poly.degree < n for poly in polys)
+    for columns in (coloring_qap.v, coloring_qap.w, coloring_qap.k):
+        assert all(1 <= d <= n for col in columns for d in col)
+    emitted = coloring_qap.to_json_dict()
+    for family in ("v", "w", "k"):
+        assert all(len(coeffs) <= n for coeffs in emitted[family])
     assert coloring_qap.target.degree == n
     assert coloring_qap.target.coeffs[-1] == 1
+
+
+def test_emitted_coefficients_interpolate_the_columns(coloring_qap):
+    emitted = coloring_qap.to_json_dict()
+    for family in ("v", "w", "k"):
+        columns = getattr(coloring_qap, family)
+        for coeffs, col in zip(emitted[family], columns):
+            poly = Polynomial(coloring_qap.ctx, [int(c) for c in coeffs])
+            for d in range(1, coloring_qap.n_gates + 1):
+                assert poly.eval_int(d) == col.get(d, 0)
 
 
 def test_target_vanishes_on_every_node(coloring_qap):
@@ -130,7 +146,7 @@ def test_output_rows_select_exactly_the_gate_output(name, corpus_programs, ctx):
     for d in range(1, qap.n_gates + 1):
         for i, wire in enumerate(qap.symbols):
             expected = 1 if out_by_index[d] == wire else 0
-            assert qap.k[i].eval_int(d) == expected
+            assert qap.k[i].get(d, 0) == expected
 
 
 @pytest.mark.parametrize("name", ["coloring5.zkp", "cubic.zkp", "product.zkp"])
@@ -141,7 +157,7 @@ def test_operand_rows_nonzero_exactly_for_gate_inputs(name, corpus_programs, ctx
     for d in range(1, qap.n_gates + 1):
         operands = gate_operand_symbols(circuit, gates[d])
         for i, wire in enumerate(qap.symbols):
-            touched = qap.v[i].eval_int(d) != 0 or qap.w[i].eval_int(d) != 0
+            touched = qap.v[i].get(d, 0) != 0 or qap.w[i].get(d, 0) != 0
             assert touched == (wire in operands)
 
 
@@ -178,6 +194,39 @@ def test_assemble_single_gate_zero_f(ctx17):
     # 2*3 - 6 = 0 identically: F is the zero polynomial here
     assert instance.f.is_zero()
     assert instance.h.is_zero()
+
+
+@pytest.mark.parametrize("name", ["coloring5.zkp", "cubic.zkp", "product.zkp"])
+@pytest.mark.parametrize("tampered", [False, True], ids=["valid", "tampered"])
+def test_assembled_polynomials_take_the_weighted_column_sums_at_every_node(
+    name, tampered, corpus_programs, ctx
+):
+    circuit = flatten(corpus_programs[name], ctx)
+    qap = build_qap(circuit)
+    inputs = GOOD_COLORING if name == "coloring5.zkp" else {"x": 3, "y": 35}
+    assignment = solve(circuit, inputs)
+    if tampered:
+        assignment[circuit.gates[0].out] += 1
+    weights = [assignment[wire] for wire in qap.symbols]
+    instance = assemble(qap, assignment)
+    for poly, columns in ((instance.v, qap.v), (instance.w, qap.w), (instance.k, qap.k)):
+        assert poly.degree < qap.n_gates
+        for d in range(1, qap.n_gates + 1):
+            expected = sum(t * col.get(d, 0) for t, col in zip(weights, columns)) % ctx.p
+            assert poly.eval_int(d) == expected
+
+
+def test_zero_gate_qap_assembles_to_zero_polynomials(ctx):
+    circuit = Circuit(
+        ctx=ctx, wires=[Wire(kind="one"), Wire(kind="input", name="a")], gates=[],
+        outputs=[], inputs=["a"], names={"a": 1},
+    )
+    qap = build_qap(circuit)
+    assert (qap.n_gates, qap.v, qap.w, qap.k) == (0, [{}, {}], [{}, {}], [{}, {}])
+    instance = assemble(qap, {0: 1, 1: 5})
+    assert instance.divisible
+    for poly in (instance.v, instance.w, instance.k, instance.f, instance.h):
+        assert poly.is_zero()
 
 
 def test_assemble_requires_every_symbol(coloring_qap, coloring_circuit):
