@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from importlib import resources
 
-__all__ = ["bundled_names", "load_bundled_text", "resolve_source"]
+__all__ = ["bundled_names", "load_bundled_text", "read_text", "resolve_source"]
 
 
 def _data_dir():
@@ -22,13 +22,23 @@ def load_bundled_text(name: str) -> str:
     return entry.read_text()
 
 
+def read_text(path: str) -> str:
+    """The UTF-8 text of a file on disk; any other encoding is refused by
+    naming the file."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def resolve_source(path_or_name: str, suffix: str) -> str:
     """Read a file from disk, falling back to the bundled copy of that name."""
     import os
 
     if os.path.exists(path_or_name):
-        with open(path_or_name, "r", encoding="utf-8") as fh:
-            return fh.read()
+        return read_text(path_or_name)
     candidate = os.path.basename(path_or_name)
     if not candidate.endswith(suffix):
         candidate += suffix

@@ -103,18 +103,23 @@ class Circuit:
         ids.update(g.out for g in self.gates)
         return sorted(ids)
 
-    def wire_label(self, wire_id: int) -> str:
-        """Stable human-readable symbol name; '@' keeps synthesized labels
-        out of the identifier namespace."""
-        wire = self.wires[wire_id]
-        if wire.kind == "one":
-            return "one"
-        if wire.kind == "input":
-            return wire.name
+    def wire_labels(self, wire_ids) -> list:
+        """Stable human-readable symbol names, one per wire id: the first
+        name bound to the wire, or '@<id>', the '@' keeping synthesized
+        labels out of the identifier namespace."""
+        first_name: dict = {}
         for name, target in self.names.items():
-            if target == wire_id:
-                return name
-        return f"@{wire_id}"
+            first_name.setdefault(target, name)
+        labels = []
+        for wire_id in wire_ids:
+            wire = self.wires[wire_id]
+            if wire.kind == "one":
+                labels.append("one")
+            elif wire.kind == "input":
+                labels.append(wire.name)
+            else:
+                labels.append(first_name.get(wire_id, f"@{wire_id}"))
+        return labels
 
     def to_json_dict(self) -> dict:
         wires = []

@@ -164,9 +164,15 @@ def _write_json(path: str, data: dict) -> None:
         fh.write(payload)
 
 
+def _parse_json(text: str, path: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise json.JSONDecodeError(f"{path}: {exc.msg}", exc.doc, exc.pos) from None
+
+
 def _read_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    return _parse_json(bundled.read_text(path), path)
 
 
 def _context(args) -> FieldContext:
@@ -207,7 +213,10 @@ def _parse_input_map(data) -> dict:
 
 def cmd_compile(args) -> int:
     source = bundled.resolve_source(args.source, ".zkp")
-    program = parse_program(source)
+    try:
+        program = parse_program(source)
+    except ParseError as exc:
+        raise ParseError(f"{exc.message} (in {args.source})", exc.line, exc.col, exc.code) from None
     circuit = flatten(program, _context(args))
     with open(args.output, "wb") as fh:
         fh.write(circuit.to_json_bytes())
@@ -271,7 +280,7 @@ def cmd_interactive(args) -> int:
     if args.transcript is not None and args.repeat > 1:
         raise ValueError("--transcript records a single session; drop it or --repeat")
     raw = bundled.resolve_source(args.problem, ".json")
-    problem, solution = interactive.load_problem(json.loads(raw))
+    problem, solution = interactive.load_problem(_parse_json(raw, args.problem))
     if not args.cheat and solution is None:
         raise ValueError("problem file has no solution; add one or pass --cheat")
     seed = _seed_bytes(args)
@@ -442,6 +451,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except FileNotFoundError as exc:
         print(f"missing file: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:  # a directory, no permission, a failed write
+        print(f"unusable file: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except json.JSONDecodeError as exc:
         print(f"bad JSON input: {exc}", file=sys.stderr)

@@ -200,7 +200,7 @@ def setup(
         s_power = s_power * td.s % p
 
     # a_i(s) = sum_d a_i(d) L_d(s): the columns never leave node form
-    lagrange_at_s = [poly.eval_int(td.s) for poly in qap.basis]
+    target_at_s, lagrange_at_s = qap.lagrange_at(td.s)
 
     def at_s(columns) -> list:
         return [
@@ -238,7 +238,7 @@ def setup(
         alpha_k=g**td.alpha_k,
         gamma=g**td.gamma,
         beta_gamma=g ** (td.beta * td.gamma % p),
-        target_at_s=g_k ** qap.target.eval_int(td.s),
+        target_at_s=g_k**target_at_s,
         public_entries=[
             (name, ek.v[index_of[name]], ek.w[index_of[name]], ek.k[index_of[name]])
             for name in public

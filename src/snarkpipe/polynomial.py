@@ -3,15 +3,27 @@
 Coefficients are stored as plain residues with the field context alongside;
 the canonical form carries no trailing zeros and the zero polynomial is the
 empty tuple, so equality is plain coefficient-list equality. The constructor
-is the one place that reduces mod p: the operators and `weighted_sum` hand it
-raw integer sums.
+reduces mod p and strips, so `weighted_sum` hands it raw integer sums.
+
+Products go through Kronecker substitution (one big-integer product each),
+division through Newton inversion of the reversed divisor, and products of
+many linear factors through a subproduct tree. Each gives exactly the
+residues of the schoolbook loops, which the tests keep as their oracle, at
+the cost of a few big-integer products instead of a double loop over
+coefficients.
 """
 
 from __future__ import annotations
 
 from .field import DivisionByZero, FieldContext, inverse
 
-__all__ = ["DuplicateNode", "Polynomial", "lagrange_basis"]
+__all__ = [
+    "DuplicateNode",
+    "Polynomial",
+    "SubproductTree",
+    "divide_out_root",
+    "lagrange_basis",
+]
 
 
 class DuplicateNode(ValueError):
@@ -36,14 +48,7 @@ class Polynomial:
     @classmethod
     def from_roots(cls, ctx: FieldContext, roots) -> "Polynomial":
         """Monic product of (x - r) over the given roots."""
-        p = ctx.p
-        coeffs = [1]
-        for r in roots:
-            coeffs.append(0)
-            for i in range(len(coeffs) - 1, 0, -1):
-                coeffs[i] = (coeffs[i - 1] - r * coeffs[i]) % p
-            coeffs[0] = (-r * coeffs[0]) % p
-        return cls(ctx, coeffs)
+        return cls(ctx, SubproductTree(ctx, roots).root())
 
     @classmethod
     def weighted_sum(cls, ctx: FieldContext, terms) -> "Polynomial":
@@ -89,32 +94,32 @@ class Polynomial:
         return Polynomial.weighted_sum(self.ctx, ((1, self), (-1, self._operand(other))))
 
     def __mul__(self, other):
-        rhs = self._operand(other).coeffs
-        out = [0] * (len(self.coeffs) + len(rhs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(rhs):
-                out[i + j] += a * b
-        return Polynomial(self.ctx, out)
+        return Polynomial(self.ctx, _product(self.coeffs, self._operand(other).coeffs, self.ctx.p))
 
     def __divmod__(self, divisor: "Polynomial"):
+        """Quotient and remainder by Newton inversion of the reversed divisor.
+
+        With f = q*d + r and deg r < deg d, reversing the coefficient order
+        turns the quotient into a power-series product: rev(q) = rev(f) *
+        rev(d)^-1 mod x^(deg q + 1). The remainder then only needs the low
+        deg d coefficients of f - q*d.
+        """
         den = self._operand(divisor).coeffs
         if not den:
             raise DivisionByZero("polynomial division by zero")
-        p = self.ctx.p
-        num = list(self.coeffs)
+        num = self.coeffs
         if len(num) < len(den):
-            return Polynomial.zero(self.ctx), Polynomial(self.ctx, num)
-        lead_inv = inverse(den[-1], p)
-        quot = [0] * (len(num) - len(den) + 1)
-        for shift in range(len(quot) - 1, -1, -1):
-            q = num[shift + len(den) - 1] * lead_inv % p
-            if q:
-                quot[shift] = q
-                for i, d in enumerate(den):
-                    num[shift + i] = (num[shift + i] - q * d) % p
-        return Polynomial(self.ctx, quot), Polynomial(self.ctx, num[: len(den) - 1])
+            return Polynomial.zero(self.ctx), self
+        p = self.ctx.p
+        size = len(num) - len(den) + 1  # coefficients of the quotient
+        width = _slot_width(p, max(size, len(den)))
+        inv = _inverse_series(den[::-1], size, p, width)
+        rev_quot = _low(_pack(num[: -size - 1 : -1], width) * inv, width, size)
+        quot = _unpack(rev_quot, width, size, p)[::-1]
+        low = len(den) - 1
+        fitted = _low(_pack(quot[:low], width) * _pack(den[:low], width), width, low)
+        rem = [a - b for a, b in zip(num[:low], _unpack(fitted, width, low, p))]
+        return Polynomial(self.ctx, quot), Polynomial(self.ctx, rem)
 
     def eval_int(self, x: int) -> int:
         p = self.ctx.p
@@ -147,7 +152,136 @@ class Polynomial:
         return f"Polynomial({' + '.join(terms)} mod {self.ctx.p})"
 
 
-def _divide_out_root(coeffs, root: int, p: int) -> list[int]:
+# Kronecker substitution. A coefficient list becomes one integer whose digits
+# in base 2^(8 * width) are the coefficients. For residues mod p and slots of
+# 2 * bitlen(p) + bitlen(terms) bits, the product of two packed lists holds
+# every coefficient of the polynomial product, a sum of at most `terms`
+# residue products, in its own slot with no carry into the next. CPython
+# multiplies the integers in C (Karatsuba), so one big-integer product stands
+# in for the double loop over coefficients; packing, slicing out a run of
+# slots and the reduction mod p are linear.
+
+
+def _slot_width(p: int, terms: int) -> int:
+    """Bytes per slot that hold a sum of `terms` products of residues."""
+    return (2 * p.bit_length() + terms.bit_length() + 7) // 8
+
+
+def _pack(coeffs, width: int) -> int:
+    return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in coeffs]), "little")
+
+
+def _low(value: int, width: int, length: int) -> int:
+    """The packed value truncated to its first `length` slots (mod x^length)."""
+    return value & ((1 << 8 * width * length) - 1)
+
+
+def _unpack(value: int, width: int, length: int, p: int) -> list[int]:
+    """The `length` slots of a packed value as residues mod p."""
+    data = value.to_bytes(width * length, "little")
+    from_bytes = int.from_bytes
+    return [from_bytes(data[i : i + width], "little") % p for i in range(0, len(data), width)]
+
+
+def _reduce(value: int, width: int, length: int, p: int, sign: int = 1) -> int:
+    """The packed value with each of its `length` slots c replaced by the
+    residue of sign * c: _pack(_unpack(...)) without the list in between."""
+    data = value.to_bytes(width * length, "little")
+    from_bytes = int.from_bytes
+    return from_bytes(
+        b"".join(
+            [
+                (sign * from_bytes(data[i : i + width], "little") % p).to_bytes(width, "little")
+                for i in range(0, len(data), width)
+            ]
+        ),
+        "little",
+    )
+
+
+def _product(a, b, p: int) -> list[int]:
+    """Residues of the product of two residue lists, trailing zeros kept."""
+    if not a or not b:
+        return []
+    width = _slot_width(p, min(len(a), len(b)))
+    return _unpack(_pack(a, width) * _pack(b, width), width, len(a) + len(b) - 1, p)
+
+
+def _inverse_series(h, size: int, p: int, width: int) -> int:
+    """The first `size` coefficients of 1/h as a power series, packed in
+    slots of `width` bytes (wide enough for sums of `size` products); h[0]
+    must be nonzero.
+
+    Newton iteration doubles the precision each step: if h*g = 1 mod x^l,
+    then h*g = 1 + x^l*e mod x^2l and g - x^l*(g*e) is the inverse mod x^2l.
+    """
+    packed_h = _pack(h[:size], width)
+    steps = []  # the precisions to reach, largest first
+    while size > 1:
+        steps.append(size)
+        size = (size + 1) // 2
+    bits = 8 * width
+    g, known = inverse(h[0], p), 1
+    for target in reversed(steps):
+        gained = target - known
+        error = _low(_low(packed_h, width, target) * g >> bits * known, width, gained)
+        error = _reduce(error, width, gained, p, sign=-1)
+        fix = _low(_low(g, width, gained) * error, width, gained)
+        g += _reduce(fix, width, gained, p) << bits * known
+        known = target
+    return g
+
+
+class SubproductTree:
+    """The product tree of the linear factors (x - r), Kronecker-packed.
+
+    levels[0] holds the factors; each further level multiplies neighbours
+    pairwise, an odd one out moving up unchanged, so the last level holds the
+    one root prod(x - r). A node is (packed coefficients, number of roots
+    under it); every node uses the tree's one slot width, which holds the sum
+    of two products of the tree's largest size.
+    """
+
+    def __init__(self, ctx: FieldContext, roots):
+        p = ctx.p
+        roots = list(roots)
+        self.p, self.size = p, len(roots)
+        self.width = width = _slot_width(p, 2 * len(roots) + 2)
+        nodes = [(_pack([-r % p, 1], width), 1) for r in roots]
+        self.levels = [nodes]
+        while len(nodes) > 1:
+            nodes = [
+                (_reduce(t_l * t_r, width, m_l + m_r + 1, p), m_l + m_r)
+                for (t_l, m_l), (t_r, m_r) in zip(nodes[::2], nodes[1::2])
+            ] + nodes[len(nodes) & ~1 :]
+            self.levels.append(nodes)
+
+    def root(self) -> list[int]:
+        """Coefficients of prod(x - r); no roots give the constant 1."""
+        if not self.size:
+            return [1]
+        return _unpack(self.levels[-1][0][0], self.width, self.size + 1, self.p)
+
+    def combine(self, scales) -> list[int]:
+        """Coefficients of sum(scales[i] * root / (x - r_i)).
+
+        A node's numerator is num_left * T_right + num_right * T_left with T
+        the products its children hold. With scales[i] = y_i / prod_{j != i}
+        (r_i - r_j) this is the polynomial of degree < len(roots) through
+        every (r_i, y_i).
+        """
+        p, width = self.p, self.width
+        nums = [c % p for c in scales]
+        for nodes in self.levels[:-1]:
+            paired = zip(nums[::2], nums[1::2], nodes[::2], nodes[1::2])
+            nums = [
+                _reduce(n_l * t_r + n_r * t_l, width, m_l + m_r, p)
+                for n_l, n_r, (t_l, m_l), (t_r, m_r) in paired
+            ] + nums[len(nums) & ~1 :]
+        return _unpack(nums[0], width, self.size, p) if nums else []
+
+
+def divide_out_root(coeffs, root: int, p: int) -> list[int]:
     """Exact synthetic division of a polynomial by (x - root)."""
     n = len(coeffs) - 1
     quot = [0] * n
@@ -176,5 +310,5 @@ def lagrange_basis(ctx: FieldContext, nodes) -> list[Polynomial]:
             if other != x:
                 den = den * (x - other) % p
         den_inv = inverse(den, p)
-        basis.append(Polynomial(ctx, [c * den_inv for c in _divide_out_root(master, x, p)]))
+        basis.append(Polynomial(ctx, [c * den_inv for c in divide_out_root(master, x, p)]))
     return basis

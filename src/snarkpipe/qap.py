@@ -29,8 +29,9 @@ from fractions import Fraction
 from functools import cached_property
 
 from .circuit import TIMES, Circuit, IncompleteAssignment
-from .field import FieldContext
-from .polynomial import Polynomial, lagrange_basis
+from .field import FieldContext, inverse
+from .polynomial import Polynomial, SubproductTree, divide_out_root
+from .polynomial import lagrange_basis  # noqa: F401  re-export: perfbench's tracer wraps it here
 from .rng import Sha256Rng
 
 __all__ = [
@@ -56,32 +57,102 @@ class QAP:
     v: list  # per-symbol column {node d: value}; absent nodes hold 0
     w: list
     k: list
-    target: Polynomial
 
     @cached_property
-    def basis(self) -> list:
-        """The Lagrange basis over the nodes: basis[d - 1] is 1 at d, 0 elsewhere."""
-        return lagrange_basis(self.ctx, range(1, self.n_gates + 1))
+    def tree(self) -> SubproductTree:
+        """Subproduct tree of the factors (x - d) over the nodes 1..N."""
+        return SubproductTree(self.ctx, range(1, self.n_gates + 1))
+
+    @cached_property
+    def target(self) -> Polynomial:
+        """T(x) = prod(x - d) over the nodes, the root of the tree."""
+        return Polynomial(self.ctx, self.tree.root())
+
+    @cached_property
+    def weights(self) -> list:
+        """Barycentric weights: weights[d - 1] = 1 / prod_{j != d}(d - j).
+
+        On the nodes 1..N that product is (d-1)! * (-1)^(N-d) * (N-d)!, so
+        every weight comes from one table of inverse factorials, itself one
+        field inversion.
+        """
+        p, n = self.ctx.p, self.n_gates
+        fact = 1
+        for i in range(2, n + 1):
+            fact = fact * i % p
+        inv_fact = [1] * (n + 1)  # inv_fact[i] = 1 / i!, nonzero since p > N
+        inv_fact[n] = inverse(fact, p)
+        for i in range(n, 1, -1):
+            inv_fact[i - 1] = inv_fact[i] * i % p
+        return [
+            (-1) ** (n - d) * inv_fact[d - 1] * inv_fact[n - d] % p for d in range(1, n + 1)
+        ]
 
     def interpolate(self, column: dict) -> Polynomial:
-        """Coefficient form of the polynomial taking column[d] at each node d."""
-        basis = self.basis
-        return Polynomial.weighted_sum(
-            self.ctx, ((value, basis[d - 1]) for d, value in column.items())
-        )
+        """Coefficient form of the polynomial taking column[d] at each node d,
+        combined up the tree from the leaves column[d] * weights[d - 1]."""
+        scales = [0] * self.n_gates
+        weights = self.weights
+        for d, value in column.items():
+            scales[d - 1] = value * weights[d - 1]
+        return Polynomial(self.ctx, self.tree.combine(scales))
+
+    def lagrange_at(self, s: int) -> tuple:
+        """(T(s), [L_1(s), ..., L_N(s)]) without any coefficient list.
+
+        L_d(s) = weights[d - 1] * prod_{j != d}(s - j), the product taken from
+        running prefix and suffix products of the (s - j).
+        """
+        p, n = self.ctx.p, self.n_gates
+        suffix = [1] * (n + 1)  # suffix[d] = prod_{j > d}(s - j)
+        for d in range(n, 0, -1):
+            suffix[d - 1] = suffix[d] * (s - d) % p
+        values = []
+        prefix = 1  # prod_{j < d}(s - j)
+        for d, weight in enumerate(self.weights, start=1):
+            values.append(weight * prefix % p * suffix[d] % p)
+            prefix = prefix * (s - d) % p
+        return suffix[0], values
+
+    def interpolate_columns(self, columns) -> list:
+        """Coefficient form of many sparse columns at once.
+
+        A column is sum_d column[d] * weights[d - 1] * T(x) / (x - d). Each
+        row T(x) / (x - d) is divided out of T once, by synthetic division,
+        and added into every column with an entry at d: O(N) per node and
+        per entry, in proportion to the N coefficients each column emits,
+        where a tree pass per column would cost a full-size product.
+        """
+        p = self.ctx.p
+        by_node: dict = {}
+        for i, col in enumerate(columns):
+            for d, value in col.items():
+                by_node.setdefault(d, []).append((i, value))
+        sums: list = [() for _ in columns]
+        target = self.target.coeffs
+        for d, entries in by_node.items():
+            row = divide_out_root(target, d, p)
+            weight = self.weights[d - 1]
+            for i, value in entries:
+                scale = value * weight % p
+                acc = sums[i] or [0] * len(row)
+                sums[i] = [a + scale * c for a, c in zip(acc, row)]
+        return [Polynomial(self.ctx, coeffs) for coeffs in sums]
 
     def to_json_dict(self) -> dict:
-        def dump(columns):
-            return [[str(c) for c in self.interpolate(col).coeffs] for col in columns]
-
+        n = len(self.symbols)
+        coeffs = [
+            [str(c) for c in poly.coeffs]
+            for poly in self.interpolate_columns(self.v + self.w + self.k)
+        ]
         return {
             "format": "snarkpipe-qap/1",
             "field": self.ctx.to_json_dict(),
             "n_gates": self.n_gates,
             "symbols": list(self.symbol_names),
-            "v": dump(self.v),
-            "w": dump(self.w),
-            "k": dump(self.k),
+            "v": coeffs[:n],
+            "w": coeffs[n : 2 * n],
+            "k": coeffs[2 * n :],
             "target": [str(c) for c in self.target.coeffs],
         }
 
@@ -139,11 +210,10 @@ def build_qap(circuit: Circuit) -> QAP:
         ctx=ctx,
         n_gates=n,
         symbols=symbols,
-        symbol_names=tuple(circuit.wire_label(wire) for wire in symbols),
+        symbol_names=tuple(circuit.wire_labels(symbols)),
         v=cols_v,
         w=cols_w,
         k=cols_k,
-        target=Polynomial.from_roots(ctx, range(1, n + 1)),
     )
 
 

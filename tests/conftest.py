@@ -23,6 +23,11 @@ def ctx17():
 
 
 @pytest.fixture(scope="session")
+def ctx97():
+    return FieldContext(97)
+
+
+@pytest.fixture(scope="session")
 def ctx101():
     return FieldContext(101)
 

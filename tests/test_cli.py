@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from snarkpipe.bundled import load_bundled_text
 from snarkpipe.cli import _parse_input_map, main
 
 GOOD_INPUTS = {"c1": "3", "c2": "1", "c3": "2", "c4": "1", "c5": "2"}
@@ -578,3 +579,82 @@ def test_verify_refuses_generator_not_below_p(artifacts, tmp_path, capsys):
     vk["field"]["generator"] = str(p + int(vk["field"]["generator"]))
     code = verify_with(artifacts, tmp_path, vk=vk)
     assert_usage_error(code, capsys, "malformed key", "field generator", f"below {p}")
+
+
+# --- unusable paths ---------------------------------------------------------------
+
+# Every flag that names a file the CLI reads, with "{f}" for the file under
+# test, "{o}" for a scratch directory and "{circuit}" and so on for the valid
+# coloring5 artifacts, plus the valid content the unusable variants start from.
+INPUT_FLAGS = {
+    "compile_source": (["compile", "{f}", "-o", "{o}/circuit.json"], "cubic.zkp"),
+    "setup_circuit": (["setup", "--circuit", "{f}", "--evaluation-key", "{o}/ek.json",
+                       "--verification-key", "{o}/vk.json"], "circuit"),
+    "prove_circuit": (["prove", "--circuit", "{f}", "--evaluation-key", "{ek}",
+                       "--inputs", "{inputs}", "-o", "{o}/wk.json"], "circuit"),
+    "prove_evaluation_key": (["prove", "--circuit", "{circuit}", "--evaluation-key", "{f}",
+                              "--inputs", "{inputs}", "-o", "{o}/wk.json"], "ek"),
+    "prove_inputs": (["prove", "--circuit", "{circuit}", "--evaluation-key", "{ek}",
+                      "--inputs", "{f}", "-o", "{o}/wk.json"], "inputs"),
+    "verify_verification_key": (["verify", "--verification-key", "{f}",
+                                 "--witness-key", "{wk}"], "vk"),
+    "verify_witness_key": (["verify", "--verification-key", "{vk}",
+                            "--witness-key", "{f}"], "wk"),
+    "verify_public_inputs": (["verify", "--verification-key", "{vk}", "--witness-key", "{wk}",
+                              "--public-inputs", "{f}"], "public"),
+    "interactive_problem": (["interactive", "--problem", "{f}", "--rounds", "1",
+                             "--transcript", "{o}/transcript.json"], "triangle.json"),
+}
+UNUSABLE = {
+    "directory": lambda path, valid: path.mkdir(),
+    "empty": lambda path, valid: path.write_bytes(b""),
+    "non_utf8": lambda path, valid: path.write_bytes(b"\xff" + valid),
+    "truncated": lambda path, valid: path.write_bytes(valid[: len(valid) // 2]),
+}
+# Every flag that names a file the CLI writes.
+OUTPUT_FLAGS = {
+    "compile_output": ["compile", "cubic", "-o", "{f}"],
+    "compile_emit_qap": ["compile", "cubic", "-o", "{o}/circuit.json", "--emit-qap", "{f}"],
+    "setup_evaluation_key": ["setup", "--circuit", "{circuit}", "--evaluation-key", "{f}",
+                             "--verification-key", "{o}/vk.json"],
+    "setup_verification_key": ["setup", "--circuit", "{circuit}", "--evaluation-key",
+                               "{o}/ek.json", "--verification-key", "{f}"],
+    "prove_output": ["prove", "--circuit", "{circuit}", "--evaluation-key", "{ek}",
+                     "--inputs", "{inputs}", "-o", "{f}"],
+    "interactive_transcript": ["interactive", "--problem", "triangle", "--rounds", "1",
+                               "--transcript", "{f}"],
+}
+
+
+def valid_bytes(artifacts, name: str) -> bytes:
+    if name in artifacts:
+        return open(artifacts[name][0], "rb").read()
+    if name == "inputs":
+        return json.dumps(GOOD_INPUTS).encode()
+    if name == "public":
+        return b"{}"
+    return load_bundled_text(name).encode()
+
+
+def fill(argv, artifacts, root, target):
+    paths = {name: path for name, (path, _) in artifacts.items()}
+    paths["inputs"] = write_json(root / "inputs.json", GOOD_INPUTS)
+    return ["--seed", "01"] + [arg.format(f=target, o=root, **paths) for arg in argv]
+
+
+@pytest.mark.parametrize("kind", sorted(UNUSABLE))
+@pytest.mark.parametrize("flag", sorted(INPUT_FLAGS))
+def test_unusable_input_path_is_named(artifacts, tmp_path, capsys, flag, kind):
+    argv, content = INPUT_FLAGS[flag]
+    target = tmp_path / "unusable"
+    UNUSABLE[kind](target, valid_bytes(artifacts, content))
+    code = main(fill(argv, artifacts, tmp_path, target))
+    assert_usage_error(code, capsys, str(target))
+
+
+@pytest.mark.parametrize("flag", sorted(OUTPUT_FLAGS))
+def test_directory_output_path_is_named(artifacts, tmp_path, capsys, flag):
+    target = tmp_path / "adir"
+    target.mkdir()
+    code = main(fill(OUTPUT_FLAGS[flag], artifacts, tmp_path, target))
+    assert_usage_error(code, capsys, str(target))

@@ -303,11 +303,9 @@ def test_public_symbol_folding(ctx, group):
 
 def test_setup_rejects_empty_program(ctx, group):
     from snarkpipe.qap import QAP
-    from snarkpipe.polynomial import Polynomial
 
     empty = QAP(
-        ctx=ctx, n_gates=0, symbols=(0,), symbol_names=("one",),
-        v=[], w=[], k=[], target=Polynomial(ctx, [1]),
+        ctx=ctx, n_gates=0, symbols=(0,), symbol_names=("one",), v=[], w=[], k=[],
     )
     with pytest.raises(ValueError):
         setup(empty, group, SEED)

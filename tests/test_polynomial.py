@@ -1,6 +1,15 @@
 import pytest
 
-from snarkpipe import DivisionByZero, DuplicateNode, Polynomial, Sha256Rng, lagrange_basis
+from snarkpipe import (
+    QAP,
+    DivisionByZero,
+    DuplicateNode,
+    FieldContext,
+    Polynomial,
+    Sha256Rng,
+    lagrange_basis,
+)
+from snarkpipe.polynomial import SubproductTree
 
 
 def rand_poly(ctx, rng, max_degree):
@@ -158,3 +167,182 @@ def test_mixed_moduli_rejected(ctx17, ctx101):
         Polynomial(ctx17, [1]) + Polynomial(ctx101, [1])
     with pytest.raises(ValueError):
         divmod(Polynomial(ctx17, [1, 1]), Polynomial(ctx101, [1]))
+
+
+# --- the fast kernels against the schoolbook oracle -----------------------------
+#
+# These are the quadratic bodies that __mul__, __divmod__ and from_roots had
+# before Kronecker substitution, Newton division and the product tree took
+# their place; every fast kernel must give exactly their residues. The whole
+# section runs in about 3 s.
+
+MODULI = (17, 97, None)  # None: the default 64-bit modulus
+
+
+def schoolbook_mul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return [c % p for c in out]
+
+
+def schoolbook_divmod(num, den, p):
+    num = list(num)
+    if len(num) < len(den):
+        return [], num
+    lead_inv = pow(den[-1], p - 2, p)
+    quot = [0] * (len(num) - len(den) + 1)
+    for shift in range(len(quot) - 1, -1, -1):
+        q = num[shift + len(den) - 1] * lead_inv % p
+        quot[shift] = q
+        for i, d in enumerate(den):
+            num[shift + i] = (num[shift + i] - q * d) % p
+    return quot, num[: len(den) - 1]
+
+
+def schoolbook_from_roots(roots, p):
+    coeffs = [1]
+    for r in roots:
+        coeffs.append(0)
+        for i in range(len(coeffs) - 1, 0, -1):
+            coeffs[i] = (coeffs[i - 1] - r * coeffs[i]) % p
+        coeffs[0] = (-r * coeffs[0]) % p
+    return coeffs
+
+
+def field_for(p):
+    return FieldContext() if p is None else FieldContext(p)
+
+
+def random_coeffs(rng, p, length, nonzero_lead=False):
+    coeffs = [rng.randrange(p) for _ in range(length)]
+    if nonzero_lead and coeffs:
+        coeffs[-1] = rng.randrange(1, p)
+    return coeffs
+
+
+def random_length(rng):
+    # Mostly short, sometimes up to 300 coefficients.
+    return rng.randrange(301) if rng.randrange(4) == 0 else rng.randrange(12)
+
+
+@pytest.mark.parametrize("modulus", MODULI, ids=["p17", "p97", "default"])
+def test_product_matches_schoolbook(modulus):
+    ctx = field_for(modulus)
+    p = ctx.p
+    rng = Sha256Rng(b"kronecker-product", label=str(p).encode())
+    cases = [([], []), ([], [1, 2]), ([p - 1] * 300, [p - 1] * 300)]
+    cases += [
+        (random_coeffs(rng, p, random_length(rng)), random_coeffs(rng, p, random_length(rng)))
+        for _ in range(150)
+    ]
+    for a, b in cases:
+        product = Polynomial(ctx, a) * Polynomial(ctx, b)
+        assert product == Polynomial(ctx, schoolbook_mul(a, b, p)), (a, b)
+
+
+@pytest.mark.parametrize("modulus", MODULI, ids=["p17", "p97", "default"])
+def test_divmod_matches_schoolbook(modulus):
+    ctx = field_for(modulus)
+    p = ctx.p
+    rng = Sha256Rng(b"newton-division", label=str(p).encode())
+    cases = [([], [3]), ([1, 2, 3], [5]), ([1, 2], [1, 2, 3, 4]), ([p - 1] * 300, [p - 1] * 150)]
+    for _ in range(150):
+        num = random_coeffs(rng, p, random_length(rng))
+        # non-monic divisors, longer than the dividend about half the time
+        den = random_coeffs(rng, p, 1 + random_length(rng), nonzero_lead=True)
+        cases.append((num, den))
+    for num, den in cases:
+        quot, rem = divmod(Polynomial(ctx, num), Polynomial(ctx, den))
+        want_quot, want_rem = schoolbook_divmod(Polynomial(ctx, num).coeffs, den, p)
+        assert quot == Polynomial(ctx, want_quot), (num, den)
+        assert rem == Polynomial(ctx, want_rem), (num, den)
+
+
+@pytest.mark.parametrize("modulus", MODULI, ids=["p17", "p97", "default"])
+def test_from_roots_matches_schoolbook(modulus):
+    ctx = field_for(modulus)
+    p = ctx.p
+    rng = Sha256Rng(b"product-tree", label=str(p).encode())
+    cases = [[], [0], [p], [5] * 9, list(range(1, 301)), [p + 1, 2 * p + 1, 1]]
+    for _ in range(100):
+        # roots at or above p, and repeats once they outnumber the field
+        cases.append([rng.randrange(3 * p) for _ in range(random_length(rng))])
+    for roots in cases:
+        assert Polynomial.from_roots(ctx, roots).coeffs == tuple(
+            schoolbook_from_roots(roots, p)
+        ), roots
+
+
+def node_qap(ctx, n):
+    """A QAP over the nodes 1..n with no symbols: only its node state is used."""
+    return QAP(ctx=ctx, n_gates=n, symbols=(), symbol_names=(), v=[], w=[], k=[])
+
+
+def basis_interpolation(ctx, values):
+    basis = lagrange_basis(ctx, range(1, len(values) + 1))
+    return Polynomial.weighted_sum(ctx, zip(values, basis))
+
+
+@pytest.mark.parametrize("modulus,sizes", [
+    (97, range(1, 49)),  # every N the field admits: 97 > 2N
+    # every N to 64, then every 7th to 300: the oracle is quadratic per size
+    (None, list(range(1, 65)) + list(range(65, 301, 7)) + [300]),
+], ids=["p97", "default"])
+def test_tree_interpolation_matches_lagrange_basis(modulus, sizes):
+    ctx = field_for(modulus)
+    p = ctx.p
+    rng = Sha256Rng(b"tree-interpolation", label=str(p).encode())
+    for n in sizes:
+        qap = node_qap(ctx, n)
+        values = random_coeffs(rng, p, n)
+        values[rng.randrange(n)] = 0  # absent nodes hold 0
+        column = {d: y for d, y in enumerate(values, start=1) if y}
+        assert qap.interpolate(column) == basis_interpolation(ctx, values), n
+        assert qap.target.coeffs == tuple(schoolbook_from_roots(range(1, n + 1), p))
+
+
+def test_sparse_columns_match_lagrange_basis(ctx):
+    rng = Sha256Rng(b"sparse-columns")
+    for n in (1, 2, 7, 69, 150):
+        qap = node_qap(ctx, n)
+        columns = [{}]
+        for _ in range(12):
+            nodes = {rng.randrange(1, n + 1) for _ in range(rng.randrange(1, 4))}
+            columns.append({d: rng.randrange(ctx.p) for d in nodes})
+        for col, poly in zip(columns, qap.interpolate_columns(columns)):
+            values = [col.get(d, 0) for d in range(1, n + 1)]
+            assert poly == basis_interpolation(ctx, values) == qap.interpolate(col)
+
+
+@pytest.mark.parametrize("modulus", (97, None), ids=["p97", "default"])
+def test_closed_form_lagrange_values_match_horner(modulus):
+    ctx = field_for(modulus)
+    p = ctx.p
+    rng = Sha256Rng(b"lagrange-at-s", label=str(p).encode())
+    for n in list(range(1, 49)) + ([100, 201] if modulus is None else []):
+        s = rng.randrange(n + 1, p)  # setup's trapdoor rule: s > N
+        qap = node_qap(ctx, n)
+        target_at_s, values = qap.lagrange_at(s)
+        assert values == [poly.eval_int(s) for poly in lagrange_basis(ctx, range(1, n + 1))]
+        assert target_at_s == qap.target.eval_int(s)
+
+
+def test_subproduct_tree_combines_over_arbitrary_roots(ctx97):
+    rng = Sha256Rng(b"tree-any-roots")
+    for size in (1, 2, 3, 5, 16, 33):
+        roots = rng.sample(range(97), size)
+        tree = SubproductTree(ctx97, roots)
+        assert Polynomial(ctx97, tree.root()) == Polynomial.from_roots(ctx97, roots)
+        ys = [rng.randrange(97) for _ in roots]
+        scales = []
+        for r, y in zip(roots, ys):
+            den = 1
+            for other in roots:
+                if other != r:
+                    den = den * (r - other) % 97
+            scales.append(y * pow(den, 95, 97))
+        assert Polynomial(ctx97, tree.combine(scales)) == Polynomial.interpolate(
+            ctx97, zip(roots, ys)
+        )
