@@ -6,94 +6,81 @@ transparent group with a bilinear pairing, and ships an interactive
 commit-and-reveal proof baseline for comparison. Educational by design:
 the transparent group that makes everything runnable stores discrete logs
 in the clear, which also makes it insecure.
-"""
 
-from .circuit import Circuit, Gate, IncompleteAssignment, Wire, check_solution, flatten, solve
-from .field import DEFAULT_GENERATOR, DEFAULT_MODULUS, DivisionByZero, FieldContext
-from .frontend import (
-    ParseError,
-    Program,
-    Relation,
-    eval_program,
-    format_program,
-    parse_program,
-)
-from .groups import GroupElement, TargetGroupElement, TransparentGroup
-from .interactive import (
-    Challenge,
-    HamiltonianCycleProblem,
-    RoundConsumed,
-    SatProblem,
-    cipher_round,
-    forge_round,
-    run_session,
-    verify_round,
-)
-from .pinocchio import (
-    EvaluationKey,
-    InvalidWitness,
-    MalformedKey,
-    Trapdoor,
-    VerificationKey,
-    VerifyResult,
-    WitnessKey,
-    prove,
-    setup,
-    verify,
-)
-from .polynomial import DuplicateNode, Polynomial, lagrange_basis
-from .qap import QAP, AssembledInstance, FieldTooSmall, assemble, build_qap, soundness_scan
-from .rng import Sha256Rng
+Importing the package loads no submodule: each public name below is
+imported from its module on first access (PEP 562), so a command that
+only verifies never pays for the compiler, the prover or the interactive
+baseline.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AssembledInstance",
-    "Challenge",
-    "Circuit",
-    "DEFAULT_GENERATOR",
-    "DEFAULT_MODULUS",
-    "DivisionByZero",
-    "DuplicateNode",
-    "EvaluationKey",
-    "FieldContext",
-    "FieldTooSmall",
-    "Gate",
-    "GroupElement",
-    "HamiltonianCycleProblem",
-    "IncompleteAssignment",
-    "InvalidWitness",
-    "MalformedKey",
-    "ParseError",
-    "Polynomial",
-    "Program",
-    "QAP",
-    "Relation",
-    "RoundConsumed",
-    "SatProblem",
-    "Sha256Rng",
-    "TargetGroupElement",
-    "TransparentGroup",
-    "Trapdoor",
-    "VerificationKey",
-    "VerifyResult",
-    "Wire",
-    "WitnessKey",
-    "assemble",
-    "build_qap",
-    "check_solution",
-    "cipher_round",
-    "eval_program",
-    "flatten",
-    "forge_round",
-    "format_program",
-    "lagrange_basis",
-    "parse_program",
-    "prove",
-    "run_session",
-    "setup",
-    "soundness_scan",
-    "solve",
-    "verify",
-    "verify_round",
-]
+# public name -> the submodule that defines it
+_EXPORTS = {
+    "AssembledInstance": "qap",
+    "Challenge": "interactive",
+    "Circuit": "circuit",
+    "DEFAULT_GENERATOR": "field",
+    "DEFAULT_MODULUS": "field",
+    "DivisionByZero": "field",
+    "DuplicateNode": "polynomial",
+    "EvaluationKey": "pinocchio",
+    "FieldContext": "field",
+    "FieldTooSmall": "qap",
+    "Gate": "circuit",
+    "GroupElement": "groups",
+    "HamiltonianCycleProblem": "interactive",
+    "IncompleteAssignment": "circuit",
+    "InvalidWitness": "pinocchio",
+    "MalformedKey": "pinocchio",
+    "ParseError": "frontend",
+    "Polynomial": "polynomial",
+    "Program": "frontend",
+    "QAP": "qap",
+    "Relation": "frontend",
+    "RoundConsumed": "interactive",
+    "SatProblem": "interactive",
+    "Sha256Rng": "rng",
+    "TargetGroupElement": "groups",
+    "TransparentGroup": "groups",
+    "Trapdoor": "pinocchio",
+    "VerificationKey": "pinocchio",
+    "VerifyResult": "pinocchio",
+    "Wire": "circuit",
+    "WitnessKey": "pinocchio",
+    "assemble": "qap",
+    "build_qap": "qap",
+    "check_solution": "circuit",
+    "cipher_round": "interactive",
+    "eval_program": "frontend",
+    "flatten": "circuit",
+    "forge_round": "interactive",
+    "format_program": "frontend",
+    "lagrange_basis": "polynomial",
+    "parse_program": "frontend",
+    "prove": "pinocchio",
+    "run_session": "interactive",
+    "setup": "pinocchio",
+    "soundness_scan": "qap",
+    "solve": "circuit",
+    "verify": "pinocchio",
+    "verify_round": "interactive",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    from importlib import import_module
+
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

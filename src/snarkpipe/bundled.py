@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-from importlib import resources
-
 __all__ = ["bundled_names", "load_bundled_text", "read_text", "resolve_source"]
 
 
 def _data_dir():
+    # Imported here: commands that read only files on disk never load it.
+    from importlib import resources
+
     return resources.files(__package__).joinpath("data")
 
 

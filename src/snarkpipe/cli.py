@@ -18,20 +18,51 @@ import json
 import os
 import sys
 
-from . import bundled, interactive, pinocchio
-from .circuit import Circuit, flatten, solve
+from . import bundled, pinocchio
 from .field import DEFAULT_MODULUS, FieldContext, inverse, json_bytes
-from .frontend import ParseError, parse_program
 from .groups import TransparentGroup
 from .pinocchio import InvalidWitness, MalformedKey
-from .qap import build_qap
-from .rng import Sha256Rng, derive_seed, parse_seed
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
+if TYPE_CHECKING:
+    from .circuit import Circuit
+    from .frontend import Program
+    from .qap import QAP
 
 __all__ = ["build_parser", "entrypoint", "main"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_REJECT = 2
+
+# Each command imports what it runs, so that verify loads only the field,
+# group and key code. The four stages below are module-level functions that
+# import on call: the commands reach them through this module's globals,
+# where perfbench's tracer wraps them.
+
+
+def parse_program(source: str) -> Program:
+    from .frontend import parse_program
+
+    return parse_program(source)
+
+
+def flatten(program: Program, ctx: FieldContext) -> Circuit:
+    from .circuit import flatten
+
+    return flatten(program, ctx)
+
+
+def solve(circuit: Circuit, inputs: dict) -> dict:
+    from .circuit import solve
+
+    return solve(circuit, inputs)
+
+
+def build_qap(circuit: Circuit) -> QAP:
+    from .qap import build_qap
+
+    return build_qap(circuit)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -182,6 +213,8 @@ def _context(args) -> FieldContext:
 
 
 def _seed_bytes(args) -> bytes:
+    from .rng import parse_seed
+
     if args.seed is not None:
         return parse_seed(args.seed)
     seed = os.urandom(16)
@@ -190,6 +223,8 @@ def _seed_bytes(args) -> bytes:
 
 
 def _load_circuit(path: str) -> Circuit:
+    from .circuit import Circuit
+
     return Circuit.from_json_dict(_read_json(path))
 
 
@@ -212,17 +247,23 @@ def _parse_input_map(data) -> dict:
 
 
 def cmd_compile(args) -> int:
+    from .frontend import ParseError
+
     source = bundled.resolve_source(args.source, ".zkp")
     try:
         program = parse_program(source)
     except ParseError as exc:
-        raise ParseError(f"{exc.message} (in {args.source})", exc.line, exc.col, exc.code) from None
+        print(f"parse error: {exc} (in {args.source})", file=sys.stderr)
+        return EXIT_USAGE
     circuit = flatten(program, _context(args))
-    with open(args.output, "wb") as fh:
-        fh.write(circuit.to_json_bytes())
+    # Every check runs before the first output is opened, and the QAP file
+    # is written first, so a failed compile leaves no circuit file behind.
     qap = build_qap(circuit)
+    payload = circuit.to_json_bytes()
     if args.emit_qap:
         _write_json(args.emit_qap, qap.to_json_dict())
+    with open(args.output, "wb") as fh:
+        fh.write(payload)
     print(f"N={circuit.n_gates} symbols={len(qap.symbols)}")
     print(f"wrote {args.output}")
     if args.emit_qap:
@@ -273,6 +314,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_interactive(args) -> int:
+    from . import interactive
+    from .rng import derive_seed
+
     if args.rounds < 1:
         raise ValueError("--rounds must be at least 1")
     if args.repeat < 1:
@@ -323,6 +367,10 @@ def cmd_selftest(args) -> int:
     import tempfile
     import time
 
+    from . import interactive
+    from .polynomial import Polynomial
+    from .rng import Sha256Rng, derive_seed, parse_seed
+
     seed = parse_seed(args.seed) if args.seed else b"selftest"
     ctx = _context(args)
     failures = []
@@ -340,8 +388,6 @@ def cmd_selftest(args) -> int:
         a = rng.randrange(1, ctx.p)
         ok = ok and inverse(a, ctx.p) * a % ctx.p == 1
     report("field inverse identity (500 samples)", ok)
-
-    from .polynomial import Polynomial
 
     ok = True
     for _ in range(100):
@@ -443,9 +489,6 @@ def main(argv=None) -> int:
     except InvalidWitness as exc:
         print(f"invalid witness: {exc}", file=sys.stderr)
         return EXIT_REJECT
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except MalformedKey as exc:
         print(f"malformed key: {exc}", file=sys.stderr)
         return EXIT_USAGE

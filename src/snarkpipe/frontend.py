@@ -127,9 +127,6 @@ class Program:
     definitions: tuple  # of (name, Expression)
     conditions: tuple  # of (name, Relation)
 
-    def defined_names(self) -> tuple:
-        return tuple(name for name, _ in self.definitions)
-
 
 # --- lexer -----------------------------------------------------------------
 

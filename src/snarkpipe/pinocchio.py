@@ -24,12 +24,14 @@ strings; each loader refuses any other encoding by naming the entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .field import FieldContext
 from .groups import GroupElement, TransparentGroup
-from .qap import QAP, assemble
-from .rng import Sha256Rng
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
+if TYPE_CHECKING:
+    from .qap import QAP
 
 __all__ = [
     "EvaluationKey",
@@ -56,19 +58,17 @@ class MalformedKey(ValueError):
     """A key file or key pair is structurally unusable."""
 
 
-@dataclass(frozen=True)
-class Trapdoor:
-    """Setup randomness; must never outlive setup (files never contain it)."""
+# The records are named tuples: importing ``dataclasses`` would pull in
+# ``inspect`` and ``ast``, which cost more than a cold verify's own work.
 
-    r_v: int
-    r_w: int
-    r_k: int
-    s: int
-    alpha_v: int
-    alpha_w: int
-    alpha_k: int
-    beta: int
-    gamma: int
+
+class Trapdoor(
+    namedtuple("Trapdoor", "r_v r_w r_k s alpha_v alpha_w alpha_k beta gamma")
+):
+    """Setup randomness, nine residues mod p; must never outlive setup
+    (files never contain it)."""
+
+    __slots__ = ()
 
     @classmethod
     def sample(cls, rng, p: int, n_gates: int) -> "Trapdoor":
@@ -92,20 +92,28 @@ class Trapdoor:
         )
 
 
-@dataclass
-class EvaluationKey:
-    group: TransparentGroup
-    n_gates: int
-    symbols: tuple  # symbol names, in QAP order
-    public: tuple  # names of the public symbols
-    powers_of_s: list  # g^(s^d), d = 0..N
-    v: list  # gv^(v_i(s)) per symbol
-    w: list
-    k: list
-    alpha_v: list  # gv^(alpha_v * v_i(s)) per symbol
-    alpha_w: list
-    alpha_k: list
-    beta: list  # gv^(beta*v_i(s)) * gw^(beta*w_i(s)) * gk^(beta*k_i(s))
+class EvaluationKey(
+    namedtuple(
+        "EvaluationKey",
+        (
+            "group",  # TransparentGroup
+            "n_gates",
+            "symbols",  # symbol names, in QAP order
+            "public",  # names of the public symbols
+            "powers_of_s",  # g^(s^d), d = 0..N
+            "v",  # gv^(v_i(s)) per symbol
+            "w",
+            "k",
+            "alpha_v",  # gv^(alpha_v * v_i(s)) per symbol
+            "alpha_w",
+            "alpha_k",
+            "beta",  # gv^(beta*v_i(s)) * gw^(beta*w_i(s)) * gk^(beta*k_i(s))
+        ),
+    )
+):
+    """The program's shape and, per `LISTS` entry, a list of group elements."""
+
+    __slots__ = ()
 
     LISTS = ("powers_of_s", "v", "w", "k", "alpha_v", "alpha_w", "alpha_k", "beta")
 
@@ -114,42 +122,56 @@ class EvaluationKey:
         return [i for i, name in enumerate(self.symbols) if name not in public]
 
 
-@dataclass
-class VerificationKey:
-    group: TransparentGroup
-    g: GroupElement
-    alpha_v: GroupElement  # g^alpha_v
-    alpha_w: GroupElement
-    alpha_k: GroupElement
-    gamma: GroupElement  # g^gamma
-    beta_gamma: GroupElement  # g^(beta*gamma)
-    target_at_s: GroupElement  # gk^T(s)
-    public_entries: list  # of (name, gv^v_i(s), gw^w_i(s), gk^k_i(s))
+class VerificationKey(
+    namedtuple(
+        "VerificationKey",
+        (
+            "group",  # TransparentGroup
+            "g",
+            "alpha_v",  # g^alpha_v
+            "alpha_w",
+            "alpha_k",
+            "gamma",  # g^gamma
+            "beta_gamma",  # g^(beta*gamma)
+            "target_at_s",  # gk^T(s)
+            "public_entries",  # of (name, gv^v_i(s), gw^w_i(s), gk^k_i(s))
+        ),
+    )
+):
+    """The `ELEMENTS` group elements and the public symbols' key entries."""
+
+    __slots__ = ()
 
     ELEMENTS = ("g", "alpha_v", "alpha_w", "alpha_k", "gamma", "beta_gamma", "target_at_s")
 
 
-@dataclass
-class WitnessKey:
+class WitnessKey(
+    namedtuple(
+        "WitnessKey",
+        (
+            "v",  # gv^v(s) over the private symbols
+            "w",
+            "k",
+            "h",  # g^H(s)
+            "alpha_v",
+            "alpha_w",
+            "alpha_k",
+            "z",
+        ),
+    )
+):
     """Exactly eight group elements, all formed from evaluation-key material."""
 
-    v: GroupElement  # gv^v(s) over the private symbols
-    w: GroupElement
-    k: GroupElement
-    h: GroupElement  # g^H(s)
-    alpha_v: GroupElement
-    alpha_w: GroupElement
-    alpha_k: GroupElement
-    z: GroupElement
+    __slots__ = ()
 
     FIELDS = ("v", "w", "k", "h", "alpha_v", "alpha_w", "alpha_k", "z")
 
 
-@dataclass(frozen=True)
-class VerifyResult:
-    divisibility: bool
-    span: bool
-    coefficients: bool
+class VerifyResult(namedtuple("VerifyResult", "divisibility span coefficients")):
+    """One bool per pairing check. Test `accepted`: a non-empty tuple is
+    always true."""
+
+    __slots__ = ()
 
     @property
     def accepted(self) -> bool:
@@ -163,6 +185,14 @@ class VerifyResult:
             f"checks: div={mark(self.divisibility)}"
             f" span={mark(self.span)} coeff={mark(self.coefficients)}"
         )
+
+
+def assemble(qap: QAP, assignment: dict):
+    """``qap.assemble``, imported on first use so that verify never loads
+    the QAP and polynomial code."""
+    from .qap import assemble
+
+    return assemble(qap, assignment)
 
 
 def setup(
@@ -184,6 +214,8 @@ def setup(
         if name not in qap.symbol_names:
             raise ValueError(f"public symbol {name!r} is not in the program")
     public = tuple(dict.fromkeys(("one",) + tuple(public)))  # one is always public
+
+    from .rng import Sha256Rng
 
     p = qap.ctx.p
     rng = Sha256Rng(seed, label=b"trusted-setup")

@@ -108,6 +108,28 @@ def test_compile_over_custom_field(workdir, capsys):
     assert data["field"]["p"] == "101"
 
 
+def test_compile_too_small_field_creates_no_output(workdir, capsys):
+    code = main(["--field", "101", "compile", "coloring5", "-o", "c.json", "--emit-qap", "q.json"])
+    assert_usage_error(code, capsys, "modulus 101 must exceed 2N = 138")
+    assert sorted(os.listdir(workdir)) == []
+
+
+def test_compile_too_small_field_keeps_existing_output(workdir, capsys):
+    (workdir / "c.json").write_bytes(b"earlier circuit\n")
+    (workdir / "q.json").write_bytes(b"earlier qap\n")
+    code = main(["--field", "101", "compile", "coloring5", "-o", "c.json", "--emit-qap", "q.json"])
+    assert_usage_error(code, capsys, "modulus 101 must exceed 2N = 138")
+    assert (workdir / "c.json").read_bytes() == b"earlier circuit\n"
+    assert (workdir / "q.json").read_bytes() == b"earlier qap\n"
+
+
+def test_compile_unusable_emit_qap_path_writes_no_circuit(workdir, capsys):
+    (workdir / "adir").mkdir()
+    code = main(["compile", "cubic", "-o", "c.json", "--emit-qap", "adir"])
+    assert_usage_error(code, capsys, "adir")
+    assert not (workdir / "c.json").exists()
+
+
 def test_outputs_in_circuit_json(workdir):
     assert main(["compile", "coloring5"]) == 0
     data = json.loads((workdir / "circuit.json").read_text())

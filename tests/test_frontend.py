@@ -73,7 +73,7 @@ def test_minimal_program():
 
 def test_coloring_program_shape(coloring_program):
     assert coloring_program.inputs == ("c1", "c2", "c3", "c4", "c5")
-    assert coloring_program.defined_names() == ("f1", "f2")
+    assert [name for name, _ in coloring_program.definitions] == ["f1", "f2"]
     assert coloring_program.conditions == (
         ("f1", Relation.NOT_EQUAL_ZERO),
         ("f2", Relation.EQUAL_ZERO),
@@ -169,7 +169,7 @@ def test_comments_and_whitespace():
     program = parse_program(
         "# heading\ninputs x;  # trailing\n\nout := x * 2;\nassert out != 0;\n"
     )
-    assert program.defined_names() == ("out",)
+    assert [name for name, _ in program.definitions] == ["out"]
 
 
 def test_parse_is_deterministic(coloring_program):
