@@ -20,7 +20,6 @@ _EXPORTS = {
     "AssembledInstance": "qap",
     "Challenge": "interactive",
     "Circuit": "circuit",
-    "DEFAULT_GENERATOR": "field",
     "DEFAULT_MODULUS": "field",
     "DivisionByZero": "field",
     "DuplicateNode": "polynomial",

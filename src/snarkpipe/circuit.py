@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .field import FieldContext, json_bytes, parse_decimal
+from .field import FieldContext, json_bytes, parse_decimal, read_header, write_header
 from .frontend import (
     Add,
     Constant,
@@ -50,7 +50,6 @@ WIRE_ONE = 0
 PLUS = "Plus"
 TIMES = "Times"
 WIRE_KINDS = ("one", "input", "const", "gate", "inverse")
-CIRCUIT_FORMAT = "snarkpipe-circuit/1"
 
 
 class IncompleteAssignment(ValueError):
@@ -133,8 +132,7 @@ class Circuit:
                 entry["of"] = w.of
             wires.append(entry)
         return {
-            "format": CIRCUIT_FORMAT,
-            "field": self.ctx.to_json_dict(),
+            **write_header("circuit", self.ctx),
             "inputs": list(self.inputs),
             "names": dict(self.names),
             "wires": wires,
@@ -150,19 +148,16 @@ class Circuit:
     @classmethod
     def from_json_dict(cls, data) -> "Circuit":
         """Load a circuit file, refusing with a ValueError that names the
-        entry any structure flatten cannot produce: an unknown format, wire
-        kind or op, a wire id out of range, an operand that is not an
-        earlier wire than its gate's output, gate outputs that do not
-        increase with d (so no wire has two drivers), a gate index d other
-        than the gate's 1-based position, a constant that is not a
-        canonical decimal below p, a gate wire that no gate drives, or
-        input wires other than the ones 'names' gives the declared
+        entry any structure flatten cannot produce: a bad header (see
+        read_header), an unknown wire kind or op, a wire id out of range,
+        an inverse hint whose 'of' is not an earlier input or gate wire, an
+        operand that is not an earlier wire than its gate's output, gate
+        outputs that do not increase with d (so no wire has two drivers), a
+        gate index d other than the gate's 1-based position, a constant that
+        is not a canonical decimal below p, a gate wire that no gate drives,
+        or input wires other than the ones 'names' gives the declared
         inputs."""
-        if not isinstance(data, dict):
-            raise ValueError(f"a circuit file holds a JSON object, not {type(data).__name__}")
-        if data.get("format") != CIRCUIT_FORMAT:
-            raise ValueError(f"not a circuit file (format={data.get('format')!r})")
-        ctx = FieldContext.from_json_dict(data["field"])
+        ctx = read_header(data, "circuit")
         entries = _objects(data, "wires")
 
         def wire_id(value, where: str, below: int = len(entries)) -> int:
@@ -179,6 +174,12 @@ class Circuit:
                 value = parse_decimal(value, ctx.p, what=f"wire {i} value")
             if of is not None or kind == "inverse":
                 of = wire_id(of, f"wire {i} 'of'")
+            if kind == "inverse" and (of >= i or wires[of].kind not in ("input", "gate")):
+                # solve reads the value of 'of' before any gate uses the hint
+                raise ValueError(
+                    f"wire {i} is an inverse hint of wire {of},"
+                    " which is not an earlier input or gate wire"
+                )
             wires.append(Wire(kind=kind, name=entry.get("name"), value=value, of=of))
         gates = []
         for d, e in enumerate(_objects(data, "gates"), 1):

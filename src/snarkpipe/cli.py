@@ -14,6 +14,7 @@ parties; all field and group values travel as decimal strings. Exit codes:
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -86,12 +87,6 @@ def _add_global_flags(parser, top_level: bool) -> None:
         metavar="DECIMAL",
         default=default(str(DEFAULT_MODULUS)),
         help="prime modulus (decimal); default 2^64 - 2^32 + 1",
-    )
-    parser.add_argument(
-        "--generator",
-        metavar="DECIMAL",
-        default=default(None),
-        help="generator of the multiplicative group (default: derived)",
     )
     parser.add_argument(
         "--seed",
@@ -190,9 +185,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_json(path: str, data: dict) -> None:
-    payload = json_bytes(data)
-    with open(path, "wb") as fh:
-        fh.write(payload)
+    _write_files({path: json_bytes(data)})
+
+
+def _write_files(payloads: dict) -> None:
+    """Write each path's bytes, or on failure leave every path as it was.
+
+    Each payload first goes to a temporary file beside its path; only once
+    all are written are they renamed over their paths. A path that is a
+    directory is refused before anything is written, since its rename would
+    fail only after earlier paths had been replaced."""
+    for path in payloads:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    staged = []
+    try:
+        for path, payload in payloads.items():
+            temp = f"{path}.{os.getpid()}.tmp"
+            with open(temp, "xb") as fh:
+                staged.append(temp)
+                fh.write(payload)
+        for path in payloads:
+            os.replace(staged.pop(0), path)
+    finally:
+        for temp in staged:
+            os.unlink(temp)
 
 
 def _parse_json(text: str, path: str):
@@ -207,9 +224,7 @@ def _read_json(path: str) -> dict:
 
 
 def _context(args) -> FieldContext:
-    p = int(args.field)
-    generator = int(args.generator) if args.generator is not None else None
-    return FieldContext(p, generator)
+    return FieldContext(int(args.field))
 
 
 def _seed_bytes(args) -> bytes:
@@ -256,14 +271,12 @@ def cmd_compile(args) -> int:
         print(f"parse error: {exc} (in {args.source})", file=sys.stderr)
         return EXIT_USAGE
     circuit = flatten(program, _context(args))
-    # Every check runs before the first output is opened, and the QAP file
-    # is written first, so a failed compile leaves no circuit file behind.
+    # Every check runs before the first output is opened, and both files
+    # are written together, so a failed compile leaves no file behind.
     qap = build_qap(circuit)
-    payload = circuit.to_json_bytes()
-    if args.emit_qap:
-        _write_json(args.emit_qap, qap.to_json_dict())
-    with open(args.output, "wb") as fh:
-        fh.write(payload)
+    payloads = {args.emit_qap: json_bytes(qap.to_json_dict())} if args.emit_qap else {}
+    payloads[args.output] = circuit.to_json_bytes()  # wins if both name one path
+    _write_files(payloads)
     print(f"N={circuit.n_gates} symbols={len(qap.symbols)}")
     print(f"wrote {args.output}")
     if args.emit_qap:
@@ -288,7 +301,10 @@ def cmd_prove(args) -> int:
     circuit = _load_circuit(args.circuit)
     ek = pinocchio.load_evaluation_key(_read_json(args.evaluation_key))
     if ek.group.ctx != circuit.ctx:
-        raise MalformedKey("evaluation key and circuit use different fields")
+        raise MalformedKey(
+            f"evaluation key (p={ek.group.ctx.p}) and circuit (p={circuit.ctx.p})"
+            " use different fields"
+        )
     qap = build_qap(circuit)
     inputs = _parse_input_map(_read_json(args.inputs))
     assignment = solve(circuit, inputs)

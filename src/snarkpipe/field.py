@@ -1,11 +1,16 @@
-"""Exact arithmetic over a prime field, and the artifact encoding."""
+"""Exact arithmetic over a prime field, and the artifact encoding.
+
+A field is its prime modulus p and nothing else. Every artifact file starts
+with the same header, written by write_header and checked by read_header:
+
+    {"format": "snarkpipe-<kind>/2", "field": {"p": "<p as a decimal>"}, ...}
+"""
 
 from __future__ import annotations
 
 import json
 
 __all__ = [
-    "DEFAULT_GENERATOR",
     "DEFAULT_MODULUS",
     "DivisionByZero",
     "FieldContext",
@@ -13,29 +18,27 @@ __all__ = [
     "is_probable_prime",
     "json_bytes",
     "parse_decimal",
+    "read_header",
+    "write_header",
 ]
 
-# 2^64 - 2^32 + 1: reduction stays within machine words and
-# p - 1 = 2^32 * 3 * 5 * 17 * 257 * 65537 factors completely, so the
-# default generator can be verified exactly at construction time.
+# 2^64 - 2^32 + 1: every residue fits in 64 bits, and a forged assignment
+# survives the random evaluation point with probability at most 2N/p.
 DEFAULT_MODULUS = 2**64 - 2**32 + 1
-DEFAULT_GENERATOR = 7
-_DEFAULT_ORDER_FACTORS = (2, 3, 5, 17, 257, 65537)
 
 # Deterministic Miller-Rabin witness set, sound for every n < 3.3 * 10^24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# Give up factoring p - 1 past this many trial divisors; callers must then
-# supply the generator themselves.
-_FACTOR_BUDGET = 1_000_000
+# The one versioned artifact format; a change to any file's layout bumps it.
+_FORMAT = "snarkpipe-{kind}/2"
 
 
 def json_bytes(data) -> bytes:
     """Encode an artifact: compact JSON in insertion order plus a newline.
 
     Every file the pipeline writes goes through here, so equal artifacts are
-    equal bytes. Field and group values inside are decimal strings (see
-    FieldContext.to_json_dict).
+    equal bytes. Field and group values inside are canonical decimal
+    strings (see parse_decimal).
     """
     return (json.dumps(data, separators=(",", ":")) + "\n").encode()
 
@@ -88,96 +91,52 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-def _distinct_prime_factors(n: int) -> list[int] | None:
-    """Distinct prime factors of n by trial division, or None if n resists
-    the division budget (a large cofactor would need real factoring)."""
-    factors = []
-    if n % 2 == 0:
-        factors.append(2)
-        while n % 2 == 0:
-            n //= 2
-    candidate = 3
-    steps = 0
-    while candidate * candidate <= n:
-        if steps > _FACTOR_BUDGET:
-            return None
-        if n % candidate == 0:
-            factors.append(candidate)
-            while n % candidate == 0:
-                n //= candidate
-        candidate += 2
-        steps += 1
-    if n > 1:
-        factors.append(n)
-    return factors
-
-
-def _generates_group(g: int, p: int, order_factors) -> bool:
-    return all(pow(g, (p - 1) // q, p) != 1 for q in order_factors)
-
-
 class FieldContext:
-    """A prime modulus plus a generator of its multiplicative group.
+    """A validated prime modulus p."""
 
-    The default modulus ships with generator 7, which is checked against the
-    known factorization of p - 1. For other moduli the generator is found by
-    factoring p - 1 when that is cheap, and otherwise must be supplied and is
-    trusted as configured.
-    """
+    __slots__ = ("p",)
 
-    __slots__ = ("p", "generator_value")
-
-    def __init__(self, p: int = DEFAULT_MODULUS, generator: int | None = None):
+    def __init__(self, p: int = DEFAULT_MODULUS):
         if not isinstance(p, int) or p < 3:
             raise ValueError("modulus must be an odd prime")
         if not is_probable_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         self.p = p
-        if generator is not None:
-            g = generator % p
-            if g in (0, 1):
-                raise ValueError("generator must not be 0 or 1")
-            if p == DEFAULT_MODULUS:
-                if not _generates_group(g, p, _DEFAULT_ORDER_FACTORS):
-                    raise ValueError(f"{g} does not generate the group mod {p}")
-            self.generator_value = g
-        elif p == DEFAULT_MODULUS:
-            if not _generates_group(DEFAULT_GENERATOR, p, _DEFAULT_ORDER_FACTORS):
-                raise ValueError("default generator failed its order check")
-            self.generator_value = DEFAULT_GENERATOR
-        else:
-            factors = _distinct_prime_factors(p - 1)
-            if factors is None:
-                raise ValueError(
-                    f"cannot factor {p} - 1 cheaply; pass an explicit generator"
-                )
-            for g in range(2, p):
-                if _generates_group(g, p, factors):
-                    self.generator_value = g
-                    break
-            else:  # pragma: no cover - every prime field has a generator
-                raise ValueError(f"no generator found for modulus {p}")
 
     def __eq__(self, other):
         if isinstance(other, FieldContext):
-            return self.p == other.p and self.generator_value == other.generator_value
+            return self.p == other.p
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.p, self.generator_value))
+        return hash(self.p)
 
     def __repr__(self):
-        return f"FieldContext(p={self.p}, generator={self.generator_value})"
+        return f"FieldContext(p={self.p})"
 
-    def to_json_dict(self) -> dict:
-        # Decimal strings keep 64-bit values intact for JSON consumers.
-        return {"p": str(self.p), "generator": str(self.generator_value)}
 
-    @classmethod
-    def from_json_dict(cls, data) -> "FieldContext":
-        """Parse a header written by to_json_dict: p and the generator are
-        canonical decimals, the generator below p."""
-        if not isinstance(data, dict):
-            raise ValueError(f"a field header is a JSON object, not {type(data).__name__}")
-        p = parse_decimal(data["p"], what="field p")
-        return cls(p, parse_decimal(data["generator"], p, what="field generator"))
+def write_header(kind: str, ctx: FieldContext) -> dict:
+    """The entries every artifact file starts with: its format and its field,
+    p as a decimal string so that 64-bit values survive JSON consumers."""
+    return {"format": _FORMAT.format(kind=kind), "field": {"p": str(ctx.p)}}
+
+
+def read_header(data, kind: str) -> FieldContext:
+    """Check the header write_header made for a `kind` file and return its
+    field. Refuses, with a ValueError that names the entry, anything but a
+    JSON object of this format version whose field holds exactly p as a
+    canonical decimal prime; files of another version are refused by name."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a {kind} file holds a JSON object, not {type(data).__name__}")
+    expected = _FORMAT.format(kind=kind)
+    if data.get("format") != expected:
+        raise ValueError(
+            f"not a {kind} file (format={data.get('format')!r}; this version reads {expected!r})"
+        )
+    field = data.get("field")
+    if not isinstance(field, dict):
+        raise ValueError(f"{kind} 'field' must be a JSON object, not {type(field).__name__}")
+    for entry in field:
+        if entry != "p":
+            raise ValueError(f"field entry {entry!r} is not allowed; the field holds only 'p'")
+    return FieldContext(parse_decimal(field.get("p"), what="field entry 'p'"))

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .field import FieldContext
+from .field import read_header, write_header
 from .groups import GroupElement, TransparentGroup
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
@@ -207,7 +207,9 @@ def setup(
     identical keys.
     """
     if group.ctx != qap.ctx:
-        raise ValueError("group and QAP use different field contexts")
+        raise ValueError(
+            f"group (p={group.ctx.p}) and QAP (p={qap.ctx.p}) use different field contexts"
+        )
     if qap.n_gates == 0:
         raise ValueError("empty quadratic program: nothing to set up")
     for name in public:
@@ -317,8 +319,13 @@ def verify(
 ) -> VerifyResult:
     """Run the three pairing checks; no prover interaction required."""
     group = vk.group
-    if any(getattr(wk, name).group.ctx.p != group.ctx.p for name in WitnessKey.FIELDS):
-        raise MalformedKey("witness key and verification key use different fields")
+    for name in WitnessKey.FIELDS:
+        p = getattr(wk, name).group.ctx.p
+        if p != group.ctx.p:
+            raise MalformedKey(
+                f"witness key (p={p}) and verification key (p={group.ctx.p})"
+                " use different fields"
+            )
     public_inputs = dict(public_inputs or {})
     expected = {name for name, _, _, _ in vk.public_entries} - {"one"}
     if set(public_inputs) != expected:
@@ -351,11 +358,7 @@ def verify(
 
 
 def _header(group: TransparentGroup, kind: str) -> dict:
-    return {
-        "format": f"snarkpipe-{kind}/1",
-        "backend": group.name,
-        "field": group.ctx.to_json_dict(),
-    }
+    return {**write_header(kind, group.ctx), "backend": group.name}
 
 
 def _element(e: GroupElement) -> str:
@@ -388,19 +391,16 @@ def witness_key_to_dict(wk: WitnessKey) -> dict:
 
 
 def _load_group(data, kind: str) -> TransparentGroup:
-    if not isinstance(data, dict):
-        raise MalformedKey(f"a {kind} file holds a JSON object, not {type(data).__name__}")
-    if data.get("format") != f"snarkpipe-{kind}/1":
-        raise MalformedKey(f"not a {kind} file (format={data.get('format')!r})")
+    try:
+        ctx = read_header(data, kind)
+    except ValueError as exc:
+        raise MalformedKey(str(exc)) from None
     if data.get("backend") != TransparentGroup.name:
         raise MalformedKey(
             f"{kind} names backend {data.get('backend')!r};"
             f" only {TransparentGroup.name!r} exists"
         )
-    try:
-        return TransparentGroup(FieldContext.from_json_dict(data["field"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedKey(f"bad key header: {exc}") from exc
+    return TransparentGroup(ctx)
 
 
 def _decode(group: TransparentGroup, value, where: str) -> GroupElement:

@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .circuit import TIMES, Circuit, IncompleteAssignment
-from .field import FieldContext, inverse
+from .field import FieldContext, inverse, write_header
 from .polynomial import Polynomial, SubproductTree, divide_out_root
 from .polynomial import lagrange_basis  # noqa: F401  re-export: perfbench's tracer wraps it here
 from .rng import Sha256Rng
@@ -146,8 +146,7 @@ class QAP:
             for poly in self.interpolate_columns(self.v + self.w + self.k)
         ]
         return {
-            "format": "snarkpipe-qap/1",
-            "field": self.ctx.to_json_dict(),
+            **write_header("qap", self.ctx),
             "n_gates": self.n_gates,
             "symbols": list(self.symbol_names),
             "v": coeffs[:n],

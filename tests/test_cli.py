@@ -105,7 +105,7 @@ def test_compile_refuses_unbounded_source(workdir, capsys, source, name):
 def test_compile_over_custom_field(workdir, capsys):
     assert main(["--field", "101", "compile", "cubic"]) == 0
     data = json.loads((workdir / "circuit.json").read_text())
-    assert data["field"]["p"] == "101"
+    assert data["field"] == {"p": "101"}
 
 
 def test_compile_too_small_field_creates_no_output(workdir, capsys):
@@ -128,6 +128,92 @@ def test_compile_unusable_emit_qap_path_writes_no_circuit(workdir, capsys):
     code = main(["compile", "cubic", "-o", "c.json", "--emit-qap", "adir"])
     assert_usage_error(code, capsys, "adir")
     assert not (workdir / "c.json").exists()
+
+
+def test_compile_unusable_output_path_writes_no_qap(workdir, capsys):
+    (workdir / "adir").mkdir()
+    code = main(["compile", "cubic", "-o", "adir", "--emit-qap", "q.json"])
+    assert_usage_error(code, capsys, "Is a directory", "adir")
+    assert sorted(os.listdir(workdir)) == ["adir"]
+    assert os.listdir(workdir / "adir") == []
+
+
+def test_compile_unusable_output_path_keeps_existing_qap(workdir, capsys):
+    (workdir / "adir").mkdir()
+    (workdir / "q.json").write_bytes(b"earlier qap\n")
+    code = main(["compile", "cubic", "-o", "adir", "--emit-qap", "q.json"])
+    assert_usage_error(code, capsys, "adir")
+    assert (workdir / "q.json").read_bytes() == b"earlier qap\n"
+    assert sorted(os.listdir(workdir)) == ["adir", "q.json"]
+
+
+def test_compile_to_one_path_twice_keeps_the_circuit(workdir):
+    assert main(["compile", "cubic", "-o", "c.json", "--emit-qap", "c.json"]) == 0
+    assert json.loads((workdir / "c.json").read_text())["format"] == "snarkpipe-circuit/2"
+    assert os.listdir(workdir) == ["c.json"]
+
+
+@pytest.mark.parametrize(
+    "argv", [["--generator", "5", "compile", "cubic"], ["compile", "cubic", "--generator", "5"]]
+)
+def test_generator_flag_is_unknown(workdir, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "snarkpipe: error:" in capsys.readouterr().err
+    assert not (workdir / "circuit.json").exists()
+
+
+def test_full_pipeline_over_a_safe_prime(workdir, capsys):
+    # p - 1 = 2q with q prime: nothing about p - 1 needs factoring.
+    p = "9223372036854778487"
+    assert main(["--field", p, "compile", "cubic"]) == 0
+    assert main(["--seed", "01", "setup"]) == 0
+    inputs = write_json(workdir / "inputs.json", {"x": "3", "y": "35"})
+    assert main(["prove", "--inputs", inputs]) == 0
+    assert main(["verify"]) == 0
+    assert "accept" in capsys.readouterr().out
+    for name in ("circuit", "evaluation_key", "verification_key", "witness_key"):
+        assert json.loads((workdir / f"{name}.json").read_text())["field"] == {"p": p}
+
+
+def small_field_pipeline(root):
+    """cubic over p = 101: circuit, keys and witness key under root."""
+    assert main(["--field", "101", "compile", "cubic", "-o", f"{root}/c101.json"]) == 0
+    assert main([
+        "--seed", "01", "setup", "--circuit", f"{root}/c101.json",
+        "--evaluation-key", f"{root}/ek101.json", "--verification-key", f"{root}/vk101.json",
+    ]) == 0
+    assert main([
+        "prove", "--circuit", f"{root}/c101.json", "--evaluation-key", f"{root}/ek101.json",
+        "--inputs", write_json(root / "in101.json", {"x": "3", "y": "35"}),
+        "-o", f"{root}/wk101.json",
+    ]) == 0
+
+
+def test_prove_mismatch_names_both_moduli(artifacts, tmp_path, capsys):
+    small_field_pipeline(tmp_path)
+    code = main([
+        "prove", "--circuit", str(tmp_path / "c101.json"), "--evaluation-key", artifacts["ek"][0],
+        "--inputs", str(tmp_path / "in101.json"), "-o", str(tmp_path / "wk.json"),
+    ])
+    p = artifacts["ek"][1]["field"]["p"]
+    assert_usage_error(
+        code, capsys, f"evaluation key (p={p}) and circuit (p=101) use different fields"
+    )
+    assert not (tmp_path / "wk.json").exists()
+
+
+def test_verify_mismatch_names_both_moduli(artifacts, tmp_path, capsys):
+    small_field_pipeline(tmp_path)
+    code = main([
+        "verify", "--verification-key", artifacts["vk"][0],
+        "--witness-key", str(tmp_path / "wk101.json"),
+    ])
+    p = artifacts["vk"][1]["field"]["p"]
+    assert_usage_error(
+        code, capsys, f"witness key (p=101) and verification key (p={p}) use different fields"
+    )
 
 
 def test_outputs_in_circuit_json(workdir):
@@ -322,29 +408,31 @@ def test_determinism_byte_identical(workdir):
 
 
 # SHA-256 of every Pinocchio artifact the CLI writes at seed 5eed, recorded
-# before field values became plain ints end to end: circuits, QAPs and keys
-# must stay byte for byte the same.
+# when the header became format version 2 with the field reduced to p. Every
+# entry but "format" and "field" equals the version 1 artifacts, which were
+# pinned in turn before field values became plain ints end to end: circuits,
+# QAPs and keys must stay byte for byte the same.
 PINNED_ARTIFACTS = {
     "coloring5": (GOOD_INPUTS, {
-        "circuit": "700c495423862398412f8481a8ea66aee69f4c8e5343a94495fd244ed1540cda",
-        "qap": "8ba09067579a34efc2b23ba6eb19f757e18152beb0ec6b92e9e5ec2a40438fbd",
-        "ek": "b4bd1d374c75cc88c3923cb555f7bd6841d47cbabc88d82fa2b8e440df8fdec4",
-        "vk": "d20f15e2ea4ca18d62d4eda38a76dcc0cad79e9ba95a8ab63f9bfeed9a7c3fc9",
-        "wk": "92b544e8f411cf9ea0d2b43bab4fcfb93eb23fd168dc3ff379342caa6235df4c",
+        "circuit": "1b158ec3b261aa800b925003536572f0ab5ee6f22c386aa0efddf6ed58ef858c",
+        "qap": "a7a1d3003fd4b488095dde8293c3a8e56e917eef28a27ccb374f259f887c1776",
+        "ek": "f311257415745516720f606f9edd9fe9121a2f3d1c3072b3f72df57206b231d9",
+        "vk": "b1b50cce3d5057dd874644203ee539a925ba4a253968d2d13d8617c710d14b85",
+        "wk": "ca334fc278198d91aed59334ab06a8862ac9b923876dd213e6f3f2e84a8be9ed",
     }),
     "cubic": ({"x": "3", "y": "35"}, {
-        "circuit": "7181c83b1abb888a913e4e3187b5a3221a8149ec574954b32b15867bc52ee1eb",
-        "qap": "a011e3732db51ebfb1e3f9a15d595aeb679f57a6b8a3d843d2d4404bdc5eb312",
-        "ek": "00e2b263bb810069fa451424b5983cc7ee41cd4a47793e62bb9fc8fa0a379784",
-        "vk": "3d00ad25c2cc6f301e789220ba061d31e9899455d167ed49c6d73c5ef97b3143",
-        "wk": "30d366c50cb3d3c2cd2a12b585d38837351f43d4a1b02436fbe18cb11f672c41",
+        "circuit": "08f0fc3d2ac2b95db1ac0b66820528d67f22c95915d34697b2b33d7c3f37d0b2",
+        "qap": "ab1d6d9e9b64de94ac4a42ed88187ffa377c0b1868217160cf9411a5f21223c7",
+        "ek": "41f62e3ae752c30a3eb3679237658161facec87e2aa06286e02ef6b3dcf9ba06",
+        "vk": "4a6c011480b820346a24b68fae2c11f925e15593facae9914595f7d1df8e8549",
+        "wk": "0442f705f42b5573e6ac3322a93cd9cec0e6fd66675cda1aee79daf6c0b8a195",
     }),
     "product": ({"x": "0", "y": "5"}, {
-        "circuit": "7af1fc7474fe646966009470cde150065ef00033506c1df98b1c76f28d8e2242",
-        "qap": "d48a6ded16f35a6e750acf347266e9fc26859bb5cdb10947119d9cd0d812e73c",
-        "ek": "7f0515150fbf46aa9203e6884c06a6b3b5e2ccb41b3e5884c2fa47a08eeaabfd",
-        "vk": "5b9fd07987c45b8dfe89427e1944dec87a3e9eeb2999fb51c33ddc95c69145c8",
-        "wk": "df973494d252daf2d6e379c0b92c0d2ed75c20887cb95b640e018166be5ed0c3",
+        "circuit": "f3b8d8a250386f062546b480df909e7efb5a6807de8547031751c86791d10ed1",
+        "qap": "65ac3219dc27d53bbe6a6001c680ce097fb22dca741b714b0d3b8bfb8a417b25",
+        "ek": "8b4066f73eb35b51faec6e243de79912436f16691878dc88aae47217728ca83a",
+        "vk": "7a0d4b6cfc98bf5300e249e6028b13ae7a084bcb255d896983d01c6e4dad2e7e",
+        "wk": "bf6392e0093517fdc6a8d9c85411c9e8b73b32e38da2a57ab99b4efde019aa6b",
     }),
 }
 
@@ -497,6 +585,12 @@ def first_inverse(data):
     return next(i for i, w in enumerate(data["wires"]) if w["kind"] == "inverse")
 
 
+def inverse_of_hint(data):
+    """The wire after the inverse hint becomes a second hint that inverts it."""
+    first = first_inverse(data)
+    data["wires"][first + 1] = {"kind": "inverse", "of": first}
+
+
 def drive_twice(data):
     """Gate 2 repeats gate 1's operands and output wire."""
     data["gates"][1] = {**data["gates"][0], "d": 2}
@@ -510,7 +604,19 @@ def swap_first_gates(data):
 
 CIRCUIT_EDITS = {
     "not_object": (lambda d: [d], "JSON object"),
-    "format": (lambda d: d.update(format="snarkpipe-circuit/2"), "format"),
+    "format": (
+        lambda d: d.update(format="snarkpipe-circuit/1"),
+        "format='snarkpipe-circuit/1'; this version reads 'snarkpipe-circuit/2'",
+    ),
+    "inverse_of_itself": (
+        lambda d: d["wires"][first_inverse(d)].update(of=first_inverse(d)),
+        "is an inverse hint of wire",
+    ),
+    "inverse_of_later_wire": (
+        lambda d: d["wires"][first_inverse(d)].update(of=first_inverse(d) + 1),
+        "is an inverse hint of wire",
+    ),
+    "inverse_of_hint": (inverse_of_hint, "which is not an earlier input or gate wire"),
     "left_out_of_range": (lambda d: d["gates"][0].update(l=99999), "gate 1 'l'"),
     "right_not_earlier": (
         lambda d: d["gates"][0].update(r=d["gates"][0]["o"]), "gate 1 'r'"
@@ -569,15 +675,22 @@ NON_CANONICAL_HEADER = {
 }
 
 
+def edit_field_header(header, entry, encoding):
+    """p in a non-canonical encoding, or an entry beside p (the field header
+    holds only p, so any other entry is refused whatever its encoding)."""
+    header = json.loads(json.dumps(header))
+    header["field"][entry] = NON_CANONICAL_HEADER[encoding](header["field"].get(entry, "7"))
+    return header
+
+
 @pytest.mark.parametrize("encoding", sorted(NON_CANONICAL_HEADER))
 @pytest.mark.parametrize("entry", ["p", "generator"])
 def test_verify_refuses_non_canonical_key_header(
     artifacts, tmp_path, capsys, entry, encoding
 ):
-    vk = json.loads(json.dumps(artifacts["vk"][1]))
-    vk["field"][entry] = NON_CANONICAL_HEADER[encoding](vk["field"][entry])
+    vk = edit_field_header(artifacts["vk"][1], entry, encoding)
     code = verify_with(artifacts, tmp_path, vk=vk)
-    assert_usage_error(code, capsys, "malformed key", f"field {entry}")
+    assert_usage_error(code, capsys, "malformed key", f"field entry {entry!r}")
 
 
 @pytest.mark.parametrize("encoding", sorted(NON_CANONICAL_HEADER))
@@ -585,22 +698,42 @@ def test_verify_refuses_non_canonical_key_header(
 def test_setup_refuses_non_canonical_circuit_header(
     artifacts, tmp_path, capsys, entry, encoding
 ):
-    data = json.loads(json.dumps(artifacts["circuit"][1]))
-    data["field"][entry] = NON_CANONICAL_HEADER[encoding](data["field"][entry])
+    data = edit_field_header(artifacts["circuit"][1], entry, encoding)
     code = main([
         "--seed", "01", "setup", "--circuit", write_json(tmp_path / "c.json", data),
         "--evaluation-key", str(tmp_path / "ek.json"),
         "--verification-key", str(tmp_path / "vk.json"),
     ])
-    assert_usage_error(code, capsys, f"field {entry}")
+    assert_usage_error(code, capsys, f"field entry {entry!r}")
 
 
-def test_verify_refuses_generator_not_below_p(artifacts, tmp_path, capsys):
-    vk = json.loads(json.dumps(artifacts["vk"][1]))
-    p = int(vk["field"]["p"])
-    vk["field"]["generator"] = str(p + int(vk["field"]["generator"]))
-    code = verify_with(artifacts, tmp_path, vk=vk)
-    assert_usage_error(code, capsys, "malformed key", "field generator", f"below {p}")
+# A file of the previous format version, and the command that reads it.
+OLD_FORMAT = {
+    "circuit": ("circuit", ["setup", "--circuit", "{f}", "--evaluation-key", "{o}/ek.json",
+                            "--verification-key", "{o}/vk.json"]),
+    "ek": ("evaluation-key", ["prove", "--circuit", "{circuit}", "--evaluation-key", "{f}",
+                              "--inputs", "{inputs}", "-o", "{o}/wk.json"]),
+    "vk": ("verification-key", ["verify", "--verification-key", "{f}", "--witness-key", "{wk}"]),
+    "wk": ("witness-key", ["verify", "--verification-key", "{vk}", "--witness-key", "{f}"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OLD_FORMAT))
+def test_refuses_previous_format_version_by_name(artifacts, tmp_path, capsys, name):
+    kind, argv = OLD_FORMAT[name]
+    old = {
+        **artifacts[name][1],
+        "format": f"snarkpipe-{kind}/1",
+        "field": {**artifacts[name][1]["field"], "generator": "7"},
+    }
+    target = write_json(tmp_path / "old.json", old)
+    code = main(fill(argv, artifacts, tmp_path, target))
+    assert_usage_error(
+        code, capsys,
+        f"not a {kind} file (format='snarkpipe-{kind}/1';"
+        f" this version reads 'snarkpipe-{kind}/2')",
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["inputs.json", "old.json"]
 
 
 # --- unusable paths ---------------------------------------------------------------

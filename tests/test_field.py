@@ -1,13 +1,9 @@
+import re
+
 import pytest
 
-from snarkpipe import (
-    DEFAULT_GENERATOR,
-    DEFAULT_MODULUS,
-    DivisionByZero,
-    FieldContext,
-    Sha256Rng,
-)
-from snarkpipe.field import inverse, is_probable_prime
+from snarkpipe import DEFAULT_MODULUS, DivisionByZero, FieldContext, Sha256Rng
+from snarkpipe.field import inverse, is_probable_prime, read_header, write_header
 
 
 def brute_force_inverse(a: int, p: int) -> int:
@@ -43,31 +39,10 @@ def test_fermat_inverse_property(ctx):
 
 def test_default_context_constants(ctx):
     assert ctx.p == DEFAULT_MODULUS == 2**64 - 2**32 + 1
-    assert ctx.generator_value == DEFAULT_GENERATOR == 7
-    # p - 1 really is 2^32 * (2^32 - 1).
-    assert ctx.p - 1 == 2**32 * (2**32 - 1)
-
-
-def test_default_generator_spans_group(ctx):
-    # Order of 7 must not divide (p-1)/q for any prime q | p-1.
-    for q in (2, 3, 5, 17, 257, 65537):
-        assert pow(7, (ctx.p - 1) // q, ctx.p) != 1
-
-
-def test_small_field_generator_has_full_order(ctx17):
-    g = ctx17.generator_value
-    seen = set()
-    x = 1
-    for _ in range(16):
-        x = x * g % 17
-        seen.add(x)
-    assert len(seen) == 16
-
-
-def test_bad_generator_for_default_modulus_rejected():
-    # 4 is a square, so it lands in the index-2 subgroup and fails the check.
-    with pytest.raises(ValueError):
-        FieldContext(DEFAULT_MODULUS, generator=4)
+    assert ctx == FieldContext(DEFAULT_MODULUS)
+    assert ctx != FieldContext(101)
+    assert hash(ctx) == hash(FieldContext(DEFAULT_MODULUS))
+    assert repr(ctx) == f"FieldContext(p={DEFAULT_MODULUS})"
 
 
 def test_composite_modulus_rejected():
@@ -87,7 +62,25 @@ def test_is_probable_prime_small_cases():
 
 def test_context_json_round_trip(ctx, ctx101):
     for c in (ctx, ctx101):
-        again = FieldContext.from_json_dict(c.to_json_dict())
-        assert again == c
+        assert read_header(write_header("circuit", c), "circuit") == c
     # decimal strings, not numbers, so 64-bit values survive JSON consumers
-    assert ctx.to_json_dict() == {"p": str(ctx.p), "generator": "7"}
+    assert write_header("qap", ctx) == {"format": "snarkpipe-qap/2", "field": {"p": str(ctx.p)}}
+
+
+@pytest.mark.parametrize(
+    "header, needle",
+    [
+        ([], "JSON object, not list"),
+        ({"format": "snarkpipe-qap/2", "field": {"p": "101"}}, "not a circuit file"),
+        ({"format": "snarkpipe-circuit/1", "field": {"p": "101"}}, "this version reads"),
+        ({"format": "snarkpipe-circuit/2"}, "'field' must be a JSON object"),
+        ({"format": "snarkpipe-circuit/2", "field": "101"}, "'field' must be a JSON object"),
+        ({"format": "snarkpipe-circuit/2", "field": {}}, "field entry 'p'"),
+        ({"format": "snarkpipe-circuit/2", "field": {"p": "0101"}}, "canonical decimal"),
+        ({"format": "snarkpipe-circuit/2", "field": {"p": "15"}}, "not prime"),
+        ({"format": "snarkpipe-circuit/2", "field": {"p": "101", "g": "2"}}, "field entry 'g'"),
+    ],
+)
+def test_read_header_refuses_by_name(header, needle):
+    with pytest.raises(ValueError, match=re.escape(needle)):
+        read_header(header, "circuit")

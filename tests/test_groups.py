@@ -6,6 +6,7 @@ from snarkpipe import (
     Sha256Rng,
     TransparentGroup,
 )
+from snarkpipe.field import write_header
 from snarkpipe.pinocchio import load_verification_key
 
 
@@ -101,10 +102,6 @@ def test_decode_refuses_non_canonical(ctx17, text):
 
 def test_unknown_backend():
     # The transparent group is the only one; a key naming another is refused.
-    header = {
-        "format": "snarkpipe-verification-key/1",
-        "backend": "elliptic",
-        "field": FieldContext(17).to_json_dict(),
-    }
+    header = {**write_header("verification-key", FieldContext(17)), "backend": "elliptic"}
     with pytest.raises(MalformedKey, match="elliptic"):
         load_verification_key(header)

@@ -375,5 +375,12 @@ def test_verify_rejects_cross_field_keys(coloring_keys, coloring_witness_key):
             for f in WitnessKey.FIELDS
         }
     )
-    with pytest.raises(MalformedKey):
+    with pytest.raises(MalformedKey) as exc:
         verify(vk, alien)
+    assert f"witness key (p=101) and verification key (p={vk.group.ctx.p})" in str(exc.value)
+
+
+def test_setup_mismatch_names_both_moduli(coloring_qap):
+    with pytest.raises(ValueError) as exc:
+        setup(coloring_qap, TransparentGroup(FieldContext(101)), b"seed")
+    assert f"group (p=101) and QAP (p={coloring_qap.ctx.p})" in str(exc.value)
