@@ -20,7 +20,7 @@ import os
 import sys
 
 from . import bundled, pinocchio
-from .field import DEFAULT_MODULUS, FieldContext, inverse, json_bytes
+from .field import DEFAULT_MODULUS, FieldContext, inverse, json_bytes, parse_decimal
 from .groups import TransparentGroup
 from .pinocchio import InvalidWitness, MalformedKey
 
@@ -30,7 +30,7 @@ if TYPE_CHECKING:
     from .frontend import Program
     from .qap import QAP
 
-__all__ = ["build_parser", "entrypoint", "main"]
+__all__ = ["build_parser", "entrypoint", "main", "parse_args"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -75,117 +75,78 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _add_global_flags(parser, top_level: bool) -> None:
-    # The same flags register on the top-level parser (with real defaults)
-    # and on every subcommand (defaulting to SUPPRESS so a subcommand-level
-    # occurrence overrides the top-level value instead of erasing it).
-    def default(value):
-        return value if top_level else argparse.SUPPRESS
-
+def _add_global_flags(parser) -> None:
+    # Both the top-level parser and the command's parser take these flags.
+    # The command's parser reads into the namespace the top-level one filled,
+    # and argparse sets no default over an attribute already there, so a
+    # command-level flag overrides the top-level value and an absent one
+    # keeps it. --field is only parsed: the field is built by the command.
     parser.add_argument(
         "--field",
+        type=parse_decimal,
         metavar="DECIMAL",
-        default=default(str(DEFAULT_MODULUS)),
+        default=DEFAULT_MODULUS,
         help="prime modulus (decimal); default 2^64 - 2^32 + 1",
     )
     parser.add_argument(
         "--seed",
         metavar="HEX",
-        default=default(None),
+        default=None,
         help="hex seed for all randomized steps (default: fresh entropy)",
     )
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser: the global flags, then the command name and
+    every argument after it, which the command's own parser reads."""
+    listing = "".join(f"\n  {name:<13}{summary}" for name, (_, summary, _) in _COMMANDS.items())
     parser = _Parser(
         prog="snarkpipe",
         description="compile polynomial programs and run the proof pipeline",
+        epilog="commands:" + listing,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    _add_global_flags(parser, top_level=True)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p_compile = sub.add_parser(
-        "compile", help="compile a .zkp source file into a circuit"
+    _add_global_flags(parser)
+    # PARSER is the nargs argparse gives its own subcommand action: the first
+    # string must be a command, and every later one, a "--" included, is kept
+    # for the command's parser. (A one-string positional followed by a
+    # REMAINDER would drop a "--" right after the command name.)
+    parser.add_argument(
+        "command",
+        nargs=argparse.PARSER,
+        choices=_COMMANDS,
+        help="the command to run (see below) and its arguments",
     )
-    _add_global_flags(p_compile, top_level=False)
-    p_compile.add_argument("source", help="path to a .zkp file or a bundled name")
-    p_compile.add_argument(
-        "-o", "--output", default="circuit.json", help="circuit file to write"
-    )
-    p_compile.add_argument(
-        "--emit-qap",
-        nargs="?",
-        const="qap.json",
-        default=None,
-        metavar="PATH",
-        help="also dump the interpolated polynomial families",
-    )
-
-    p_setup = sub.add_parser("setup", help="run the trusted setup for a circuit")
-    _add_global_flags(p_setup, top_level=False)
-    p_setup.add_argument("--circuit", default="circuit.json")
-    p_setup.add_argument(
-        "--public",
-        default="one",
-        help="comma-separated public symbol names (default: one)",
-    )
-    p_setup.add_argument("--evaluation-key", default="evaluation_key.json")
-    p_setup.add_argument("--verification-key", default="verification_key.json")
-
-    p_prove = sub.add_parser("prove", help="produce a witness key from inputs")
-    _add_global_flags(p_prove, top_level=False)
-    p_prove.add_argument("--circuit", default="circuit.json")
-    p_prove.add_argument("--evaluation-key", default="evaluation_key.json")
-    p_prove.add_argument(
-        "--inputs", required=True, help="JSON file mapping input names to decimals"
-    )
-    p_prove.add_argument("-o", "--output", default="witness_key.json")
-
-    p_verify = sub.add_parser("verify", help="check a witness key")
-    _add_global_flags(p_verify, top_level=False)
-    p_verify.add_argument("--verification-key", default="verification_key.json")
-    p_verify.add_argument("--witness-key", default="witness_key.json")
-    p_verify.add_argument(
-        "--public-inputs",
-        default=None,
-        help="JSON file mapping public symbol names to decimals",
-    )
-
-    p_inter = sub.add_parser(
-        "interactive", help="run the commit-and-reveal protocol"
-    )
-    _add_global_flags(p_inter, top_level=False)
-    p_inter.add_argument(
-        "--problem", required=True, help="problem JSON file or bundled name"
-    )
-    p_inter.add_argument("--rounds", type=int, default=10)
-    p_inter.add_argument(
-        "--cheat",
-        action="store_true",
-        help="run a prover that has no solution and guesses each challenge",
-    )
-    p_inter.add_argument(
-        "--repeat",
-        type=int,
-        default=1,
-        help="run this many sessions and report the acceptance rate",
-    )
-    p_inter.add_argument(
-        "--transcript",
-        default=None,
-        metavar="PATH",
-        help="write the session transcript (single sessions only)",
-    )
-
-    p_self = sub.add_parser(
-        "selftest", help="run the bundled pipeline and quick checks"
-    )
-    _add_global_flags(p_self, top_level=False)
     return parser
 
 
-def _write_json(path: str, data: dict) -> None:
-    _write_files({path: json_bytes(data)})
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one command: the global flags and its own arguments."""
+    parser = _Parser(prog=f"snarkpipe {name}")
+    _add_global_flags(parser)
+    _, _, add_arguments = _COMMANDS[name]
+    if add_arguments is not None:
+        add_arguments(parser)
+    return parser
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parse in two stages, building only the parser of the command run.
+
+    Arguments neither parser knows are reported by the top-level parser,
+    as one list in command-line order."""
+    parser = build_parser()
+    args, extras = parser.parse_known_args(argv)
+    args.command, *rest = args.command
+    args, more = _command_parser(args.command).parse_known_args(rest, args)
+    if extras or more:
+        parser.error(f"unrecognized arguments: {' '.join(extras + more)}")
+    return args
+
+
+def _write_json(files: dict) -> None:
+    """Write each path's artifact dict, all or nothing (see _write_files)."""
+    _write_files({path: json_bytes(data) for path, data in files.items()})
 
 
 def _write_files(payloads: dict) -> None:
@@ -224,7 +185,7 @@ def _read_json(path: str) -> dict:
 
 
 def _context(args) -> FieldContext:
-    return FieldContext(int(args.field))
+    return FieldContext(args.field)
 
 
 def _seed_bytes(args) -> bytes:
@@ -261,6 +222,21 @@ def _parse_input_map(data) -> dict:
     return out
 
 
+def _compile_arguments(parser) -> None:
+    parser.add_argument("source", help="path to a .zkp file or a bundled name")
+    parser.add_argument(
+        "-o", "--output", default="circuit.json", help="circuit file to write"
+    )
+    parser.add_argument(
+        "--emit-qap",
+        nargs="?",
+        const="qap.json",
+        default=None,
+        metavar="PATH",
+        help="also dump the interpolated polynomial families",
+    )
+
+
 def cmd_compile(args) -> int:
     from .frontend import ParseError
 
@@ -284,17 +260,39 @@ def cmd_compile(args) -> int:
     return EXIT_OK
 
 
+def _setup_arguments(parser) -> None:
+    parser.add_argument("--circuit", default="circuit.json")
+    parser.add_argument(
+        "--public",
+        default="one",
+        help="comma-separated public symbol names (default: one)",
+    )
+    parser.add_argument("--evaluation-key", default="evaluation_key.json")
+    parser.add_argument("--verification-key", default="verification_key.json")
+
+
 def cmd_setup(args) -> int:
     circuit = _load_circuit(args.circuit)
     qap = build_qap(circuit)
     group = TransparentGroup(circuit.ctx)
     public = tuple(name for name in args.public.split(",") if name)
     ek, vk = pinocchio.setup(qap, group, _seed_bytes(args), public)
-    _write_json(args.evaluation_key, pinocchio.evaluation_key_to_dict(ek))
-    _write_json(args.verification_key, pinocchio.verification_key_to_dict(vk))
+    ek_data = pinocchio.evaluation_key_to_dict(ek)
+    vk_data = pinocchio.verification_key_to_dict(vk)
+    # One batch, so a key that cannot be written leaves the other unwritten.
+    _write_json({args.evaluation_key: ek_data, args.verification_key: vk_data})
     print(f"wrote {args.evaluation_key}")
     print(f"wrote {args.verification_key}")
     return EXIT_OK
+
+
+def _prove_arguments(parser) -> None:
+    parser.add_argument("--circuit", default="circuit.json")
+    parser.add_argument("--evaluation-key", default="evaluation_key.json")
+    parser.add_argument(
+        "--inputs", required=True, help="JSON file mapping input names to decimals"
+    )
+    parser.add_argument("-o", "--output", default="witness_key.json")
 
 
 def cmd_prove(args) -> int:
@@ -309,9 +307,19 @@ def cmd_prove(args) -> int:
     inputs = _parse_input_map(_read_json(args.inputs))
     assignment = solve(circuit, inputs)
     wk = pinocchio.prove(ek, qap, assignment)
-    _write_json(args.output, pinocchio.witness_key_to_dict(wk))
+    _write_json({args.output: pinocchio.witness_key_to_dict(wk)})
     print(f"wrote {args.output}")
     return EXIT_OK
+
+
+def _verify_arguments(parser) -> None:
+    parser.add_argument("--verification-key", default="verification_key.json")
+    parser.add_argument("--witness-key", default="witness_key.json")
+    parser.add_argument(
+        "--public-inputs",
+        default=None,
+        help="JSON file mapping public symbol names to decimals",
+    )
 
 
 def cmd_verify(args) -> int:
@@ -327,6 +335,30 @@ def cmd_verify(args) -> int:
         return EXIT_OK
     print("reject")
     return EXIT_REJECT
+
+
+def _interactive_arguments(parser) -> None:
+    parser.add_argument(
+        "--problem", required=True, help="problem JSON file or bundled name"
+    )
+    parser.add_argument("--rounds", type=int, default=10)
+    parser.add_argument(
+        "--cheat",
+        action="store_true",
+        help="run a prover that has no solution and guesses each challenge",
+    )
+    parser.add_argument(
+        "--repeat",
+        type=int,
+        default=1,
+        help="run this many sessions and report the acceptance rate",
+    )
+    parser.add_argument(
+        "--transcript",
+        default=None,
+        metavar="PATH",
+        help="write the session transcript (single sessions only)",
+    )
 
 
 def cmd_interactive(args) -> int:
@@ -355,7 +387,7 @@ def cmd_interactive(args) -> int:
             collect_transcript=True,
         )
         path = args.transcript or "transcript.json"
-        _write_json(path, result.to_json_dict())
+        _write_json({path: result.to_json_dict()})
         print(f"wrote {path}")
         print("accept" if result.accepted else "reject")
         return EXIT_OK if result.accepted else EXIT_REJECT
@@ -428,8 +460,8 @@ def cmd_selftest(args) -> int:
         ek_path = os.path.join(tmp, "evaluation_key.json")
         vk_path = os.path.join(tmp, "verification_key.json")
         ek, vk = pinocchio.setup(qap, group, seed)
-        _write_json(ek_path, pinocchio.evaluation_key_to_dict(ek))
-        _write_json(vk_path, pinocchio.verification_key_to_dict(vk))
+        _write_json({ek_path: pinocchio.evaluation_key_to_dict(ek)})
+        _write_json({vk_path: pinocchio.verification_key_to_dict(vk)})
         ek = pinocchio.load_evaluation_key(_read_json(ek_path))
         vk = pinocchio.load_verification_key(_read_json(vk_path))
     witness = {"c1": 3, "c2": 1, "c3": 2, "c4": 1, "c5": 2}
@@ -486,20 +518,21 @@ def cmd_selftest(args) -> int:
     return EXIT_OK
 
 
+# Each command: its handler, its one-line help and the function that adds
+# its own arguments. A run builds the parser of its command only.
 _COMMANDS = {
-    "compile": cmd_compile,
-    "setup": cmd_setup,
-    "prove": cmd_prove,
-    "verify": cmd_verify,
-    "interactive": cmd_interactive,
-    "selftest": cmd_selftest,
+    "compile": (cmd_compile, "compile a .zkp source file into a circuit", _compile_arguments),
+    "setup": (cmd_setup, "run the trusted setup for a circuit", _setup_arguments),
+    "prove": (cmd_prove, "produce a witness key from inputs", _prove_arguments),
+    "verify": (cmd_verify, "check a witness key", _verify_arguments),
+    "interactive": (cmd_interactive, "run the commit-and-reveal protocol", _interactive_arguments),
+    "selftest": (cmd_selftest, "run the bundled pipeline and quick checks", None),
 }
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handler = _COMMANDS[args.command]
+    args = parse_args(argv)
+    handler, _, _ = _COMMANDS[args.command]
     try:
         return handler(args)
     except InvalidWitness as exc:

@@ -1,11 +1,13 @@
 import hashlib
 import json
 import os
+import re
 
 import pytest
 
+from snarkpipe import cli
 from snarkpipe.bundled import load_bundled_text
-from snarkpipe.cli import _parse_input_map, main
+from snarkpipe.cli import _parse_input_map, main, parse_args
 
 GOOD_INPUTS = {"c1": "3", "c2": "1", "c3": "2", "c4": "1", "c5": "2"}
 BAD_INPUTS = {"c1": "1", "c2": "1", "c3": "2", "c4": "1", "c5": "2"}
@@ -151,6 +153,24 @@ def test_compile_to_one_path_twice_keeps_the_circuit(workdir):
     assert main(["compile", "cubic", "-o", "c.json", "--emit-qap", "c.json"]) == 0
     assert json.loads((workdir / "c.json").read_text())["format"] == "snarkpipe-circuit/2"
     assert os.listdir(workdir) == ["c.json"]
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+@pytest.mark.parametrize("unusable", ["directory", "missing_parent"])
+def test_setup_writes_both_keys_or_neither(workdir, capsys, unusable, existing):
+    assert main(["compile", "cubic"]) == 0
+    vk_path = "vdir" if unusable == "directory" else "nodir/vk.json"
+    if unusable == "directory":
+        os.mkdir("vdir")
+    old = b"an older evaluation key\n"
+    if existing:
+        (workdir / "evaluation_key.json").write_bytes(old)
+    code = main(["--seed", "01", "setup", "--verification-key", vk_path])
+    assert_usage_error(code, capsys, "unusable file" if unusable == "directory" else "missing file")
+    left = set(os.listdir(workdir)) - {"circuit.json", "vdir"}
+    assert left == ({"evaluation_key.json"} if existing else set())
+    if existing:
+        assert (workdir / "evaluation_key.json").read_bytes() == old
 
 
 @pytest.mark.parametrize(
@@ -813,3 +833,230 @@ def test_directory_output_path_is_named(artifacts, tmp_path, capsys, flag):
     target.mkdir()
     code = main(fill(OUTPUT_FLAGS[flag], artifacts, tmp_path, target))
     assert_usage_error(code, capsys, str(target))
+
+
+# --- command-line parsing ---------------------------------------------------------
+
+DEFAULT_P = 18446744069414584321
+
+# argv -> vars(namespace), recorded from the single argparse parser with one
+# subparser per command that the two-stage parse replaced. Only `field`
+# differs: it is now the parsed int rather than its decimal string.
+NAMESPACES = [
+    (["compile", "coloring5"],
+     {"field": DEFAULT_P, "seed": None, "command": "compile", "source": "coloring5",
+      "output": "circuit.json", "emit_qap": None}),
+    (["compile", "src.zkp", "-o", "c.json", "--emit-qap"],
+     {"field": DEFAULT_P, "seed": None, "command": "compile", "source": "src.zkp",
+      "output": "c.json", "emit_qap": "qap.json"}),
+    (["compile", "src.zkp", "--emit-qap", "-o", "c.json"],
+     {"field": DEFAULT_P, "seed": None, "command": "compile", "source": "src.zkp",
+      "output": "c.json", "emit_qap": "qap.json"}),
+    (["compile", "src.zkp", "--emit-qap", "q.json", "--output", "c.json"],
+     {"field": DEFAULT_P, "seed": None, "command": "compile", "source": "src.zkp",
+      "output": "c.json", "emit_qap": "q.json"}),
+    (["compile", "--", "-x.zkp"],
+     {"field": DEFAULT_P, "seed": None, "command": "compile", "source": "-x.zkp",
+      "output": "circuit.json", "emit_qap": None}),
+    (["setup"],
+     {"field": DEFAULT_P, "seed": None, "command": "setup", "circuit": "circuit.json",
+      "public": "one", "evaluation_key": "evaluation_key.json",
+      "verification_key": "verification_key.json"}),
+    (["--seed", "01", "setup", "--circuit", "c.json", "--public", "one,out",
+      "--evaluation-key", "ek.json", "--verification-key", "vk.json"],
+     {"field": DEFAULT_P, "seed": "01", "command": "setup", "circuit": "c.json",
+      "public": "one,out", "evaluation_key": "ek.json", "verification_key": "vk.json"}),
+    (["prove", "--inputs", "in.json"],
+     {"field": DEFAULT_P, "seed": None, "command": "prove", "circuit": "circuit.json",
+      "evaluation_key": "evaluation_key.json", "inputs": "in.json",
+      "output": "witness_key.json"}),
+    (["prove", "--circuit", "c.json", "--evaluation-key", "ek.json", "--inputs", "in.json",
+      "-o", "wk.json"],
+     {"field": DEFAULT_P, "seed": None, "command": "prove", "circuit": "c.json",
+      "evaluation_key": "ek.json", "inputs": "in.json", "output": "wk.json"}),
+    (["verify"],
+     {"field": DEFAULT_P, "seed": None, "command": "verify",
+      "verification_key": "verification_key.json", "witness_key": "witness_key.json",
+      "public_inputs": None}),
+    (["verify", "--verification-key", "vk.json", "--witness-key", "wk.json",
+      "--public-inputs", "pub.json"],
+     {"field": DEFAULT_P, "seed": None, "command": "verify", "verification_key": "vk.json",
+      "witness_key": "wk.json", "public_inputs": "pub.json"}),
+    (["interactive", "--problem", "triangle"],
+     {"field": DEFAULT_P, "seed": None, "command": "interactive", "problem": "triangle",
+      "rounds": 10, "cheat": False, "repeat": 1, "transcript": None}),
+    (["interactive", "--problem", "p.json", "--rounds", "3", "--cheat", "--repeat", "40"],
+     {"field": DEFAULT_P, "seed": None, "command": "interactive", "problem": "p.json",
+      "rounds": 3, "cheat": True, "repeat": 40, "transcript": None}),
+    (["interactive", "--problem", "p.json", "--transcript", "t.json"],
+     {"field": DEFAULT_P, "seed": None, "command": "interactive", "problem": "p.json",
+      "rounds": 10, "cheat": False, "repeat": 1, "transcript": "t.json"}),
+    (["selftest"],
+     {"field": DEFAULT_P, "seed": None, "command": "selftest"}),
+    (["--field", "101", "--seed", "0a", "selftest"],
+     {"field": 101, "seed": "0a", "command": "selftest"}),
+    (["--field", "101", "compile", "cubic"],
+     {"field": 101, "seed": None, "command": "compile", "source": "cubic",
+      "output": "circuit.json", "emit_qap": None}),
+    (["compile", "cubic", "--field", "101", "--seed", "0b"],
+     {"field": 101, "seed": "0b", "command": "compile", "source": "cubic",
+      "output": "circuit.json", "emit_qap": None}),
+    (["--field", "101", "--seed", "01", "verify", "--field", "103", "--seed", "02"],
+     {"field": 103, "seed": "02", "command": "verify",
+      "verification_key": "verification_key.json", "witness_key": "witness_key.json",
+      "public_inputs": None}),
+    (["--seed", "01", "--field", "97", "prove", "--inputs", "i.json", "--seed", "02"],
+     {"field": 97, "seed": "02", "command": "prove", "circuit": "circuit.json",
+      "evaluation_key": "evaluation_key.json", "inputs": "i.json",
+      "output": "witness_key.json"}),
+    (["--seed", "01", "interactive", "--seed", "02", "--problem", "triangle"],
+     {"field": DEFAULT_P, "seed": "02", "command": "interactive", "problem": "triangle",
+      "rounds": 10, "cheat": False, "repeat": 1, "transcript": None}),
+    (["--field=97", "setup", "--seed=ff"],
+     {"field": 97, "seed": "ff", "command": "setup", "circuit": "circuit.json",
+      "public": "one", "evaluation_key": "evaluation_key.json",
+      "verification_key": "verification_key.json"}),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, expected", NAMESPACES, ids=[" ".join(argv) for argv, _ in NAMESPACES]
+)
+def test_parse_args_namespace(argv, expected):
+    assert vars(parse_args(argv)) == expected
+
+
+# The smallest argv each command accepts.
+MINIMAL_ARGV = {
+    "compile": ["compile", "cubic"],
+    "setup": ["setup"],
+    "prove": ["prove", "--inputs", "in.json"],
+    "verify": ["verify"],
+    "interactive": ["interactive", "--problem", "triangle"],
+    "selftest": ["selftest"],
+}
+
+
+def test_each_run_builds_two_parsers(monkeypatch):
+    assert sorted(MINIMAL_ARGV) == sorted(cli._COMMANDS)
+    built = []
+
+    class CountingParser(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(cli, "_Parser", CountingParser)
+    for name, argv in MINIMAL_ARGV.items():
+        _, summary, add_arguments = cli._COMMANDS[name]
+        monkeypatch.setitem(cli._COMMANDS, name, (lambda args: 0, summary, add_arguments))
+        for _ in range(2):  # nothing built is kept for the next run
+            built.clear()
+            assert main(argv) == 0
+            assert [parser.prog for parser in built] == ["snarkpipe", f"snarkpipe {name}"]
+            assert sum(len(parser._actions) for parser in built) <= 13
+
+
+USAGE_ERRORS = {
+    "no_command": ([], "snarkpipe: error: the following arguments are required: command"),
+    "unknown_command": (["bogus"], "snarkpipe: error: argument command: invalid choice: 'bogus'"),
+    "prove_without_inputs": (
+        ["prove"], "snarkpipe prove: error: the following arguments are required: --inputs"
+    ),
+    "unknown_flag_before": (
+        ["--bogus", "verify"], "snarkpipe: error: unrecognized arguments: --bogus"
+    ),
+    "unknown_flag_after": (
+        ["verify", "--bogus"], "snarkpipe: error: unrecognized arguments: --bogus"
+    ),
+    "unknown_arguments_both_sides": (
+        ["--bogus", "verify", "--zap", "x"],
+        "snarkpipe: error: unrecognized arguments: --bogus --zap x",
+    ),
+    "rounds_not_an_int": (
+        ["interactive", "--problem", "triangle", "--rounds", "x"],
+        "snarkpipe interactive: error: argument --rounds: invalid int value: 'x'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_usage_error_names_its_parser(workdir, capsys, case):
+    argv, message = USAGE_ERRORS[case]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    lines = capsys.readouterr().err.splitlines()
+    prog = message.split(": error:")[0]
+    assert lines[0].startswith(f"usage: {prog} [-h]")
+    assert lines[-1].startswith(message)
+    assert os.listdir(workdir) == []
+
+
+@pytest.mark.parametrize("where", ["before", "after"])
+@pytest.mark.parametrize("spelling", ["1_01", " 101", "+101", "0101", "abc"])
+def test_field_takes_one_canonical_decimal(workdir, capsys, spelling, where):
+    flag = ["--field", spelling]
+    argv = flag + ["compile", "cubic"] if where == "before" else ["compile", "cubic"] + flag
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    prog = "snarkpipe" if where == "before" else "snarkpipe compile"
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith(f"{prog}: error: argument --field: ")
+    assert last.endswith(repr(spelling))
+    assert os.listdir(workdir) == []
+
+
+def test_field_is_not_checked_for_primality_while_parsing():
+    assert parse_args(["--field", "100", "verify"]).field == 100
+
+
+COMMAND_HELP = {
+    "compile": "compile a .zkp source file into a circuit",
+    "setup": "run the trusted setup for a circuit",
+    "prove": "produce a witness key from inputs",
+    "verify": "check a witness key",
+    "interactive": "run the commit-and-reveal protocol",
+    "selftest": "run the bundled pipeline and quick checks",
+}
+
+
+def test_top_level_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: snarkpipe [-h] [--field DECIMAL] [--seed HEX]")
+    for name, summary in COMMAND_HELP.items():
+        assert re.search(rf"^  {name} +{re.escape(summary)}$", out, re.MULTILINE), name
+
+
+VERIFY_HELP = """\
+usage: snarkpipe verify [-h] [--field DECIMAL] [--seed HEX]
+                        [--verification-key VERIFICATION_KEY]
+                        [--witness-key WITNESS_KEY]
+                        [--public-inputs PUBLIC_INPUTS]
+
+options:
+  -h, --help            show this help message and exit
+  --field DECIMAL       prime modulus (decimal); default 2^64 - 2^32 + 1
+  --seed HEX            hex seed for all randomized steps (default: fresh
+                        entropy)
+  --verification-key VERIFICATION_KEY
+  --witness-key WITNESS_KEY
+  --public-inputs PUBLIC_INPUTS
+                        JSON file mapping public symbol names to decimals
+"""
+
+
+def test_command_help_shows_only_its_own_arguments(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "--witness-key" in out
+    assert "--inputs" not in out
+    # Python 3.10 titles the section "optional arguments".
+    assert out.replace("optional arguments:", "options:") == VERIFY_HELP
