@@ -75,6 +75,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _decimal(text: str) -> int:
+    """argparse type of every numeric flag: one canonical decimal."""
+    try:
+        return parse_decimal(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a canonical decimal: {text!r}") from None
+
+
 def _add_global_flags(parser) -> None:
     # Both the top-level parser and the command's parser take these flags.
     # The command's parser reads into the namespace the top-level one filled,
@@ -83,7 +91,7 @@ def _add_global_flags(parser) -> None:
     # keeps it. --field is only parsed: the field is built by the command.
     parser.add_argument(
         "--field",
-        type=parse_decimal,
+        type=_decimal,
         metavar="DECIMAL",
         default=DEFAULT_MODULUS,
         help="prime modulus (decimal); default 2^64 - 2^32 + 1",
@@ -163,7 +171,13 @@ def _write_files(payloads: dict) -> None:
     try:
         for path, payload in payloads.items():
             temp = f"{path}.{os.getpid()}.tmp"
-            with open(temp, "xb") as fh:
+            try:
+                fh = open(temp, "xb")
+            except FileExistsError:  # a stale temporary: name it
+                raise
+            except OSError as exc:  # name the path asked for, not the temporary
+                raise type(exc)(exc.errno, exc.strerror, path) from None
+            with fh:
                 staged.append(temp)
                 fh.write(payload)
         for path in payloads:
@@ -341,7 +355,7 @@ def _interactive_arguments(parser) -> None:
     parser.add_argument(
         "--problem", required=True, help="problem JSON file or bundled name"
     )
-    parser.add_argument("--rounds", type=int, default=10)
+    parser.add_argument("--rounds", type=_decimal, default=10)
     parser.add_argument(
         "--cheat",
         action="store_true",
@@ -349,7 +363,7 @@ def _interactive_arguments(parser) -> None:
     )
     parser.add_argument(
         "--repeat",
-        type=int,
+        type=_decimal,
         default=1,
         help="run this many sessions and report the acceptance rate",
     )

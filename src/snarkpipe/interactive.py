@@ -56,16 +56,19 @@ class Challenge(enum.Enum):
     REVEAL_SOLUTION = "solution"
 
 
-def _commit(entry: bytes, salt: bytes) -> bytes:
-    return hashlib.sha256(entry + salt).digest()
+# Entry encodings: a matrix entry is its bit as one byte, a clause its three
+# literals, sorted, as little-endian int32s.
+_MATRIX_ENTRY = (b"\x00", b"\x01")
+_CLAUSE = struct.Struct("<3i")
+
+# Byte value -> its top bit. Sha256Rng.getrandbits(1) draws one byte and
+# keeps its top bit, so translating one n-byte draw gives the same n coins.
+_TOP_BIT = bytes(b >> 7 for b in range(256))
 
 
-def _matrix_entry(bit: int) -> bytes:
-    return bytes([bit & 1])
-
-
-def _clause_entry(clause) -> bytes:
-    return b"".join(struct.pack("<i", lit) for lit in sorted(clause))
+def _coins(rng, n: int) -> tuple:
+    """n fair 0/1 coins from one draw."""
+    return tuple(rng.randbytes(n).translate(_TOP_BIT))
 
 
 # --- public problems ---------------------------------------------------------
@@ -106,12 +109,13 @@ class HamiltonianCycleProblem:
 
     def relabel(self, perm) -> tuple:
         """Adjacency matrix after renaming vertex i to perm[i]."""
-        n = self.n
-        out = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                out[perm[i]][perm[j]] = self.adjacency[i][j]
-        return tuple(tuple(row) for row in out)
+        # Entry (a, b) of the result is entry (i, j) of the original, where
+        # perm[i] = a and perm[j] = b.
+        source = [0] * self.n
+        for i, a in enumerate(perm):
+            source[a] = i
+        rows = self.adjacency
+        return tuple([tuple(map(rows[i].__getitem__, source)) for i in source])
 
 
 @dataclass(frozen=True)
@@ -123,42 +127,38 @@ class SatProblem:
     clauses: tuple  # of 3-tuples of literals
 
     def validate(self) -> None:
-        if self.n_vars < 1:
+        n = self.n_vars
+        if n < 1:
             raise ValueError("need at least one variable")
+        literals = set(range(-n, n + 1))
+        literals.discard(0)
         for clause in self.clauses:
             if len(clause) != 3:
                 raise ValueError("every clause must hold exactly 3 literals")
-            for lit in clause:
-                if lit == 0 or abs(lit) > self.n_vars:
-                    raise ValueError(f"literal {lit} out of range")
+            if not literals.issuperset(clause):
+                lit = next(lit for lit in clause if lit not in literals)
+                raise ValueError(f"literal {lit} out of range")
 
     def is_solution(self, assignment) -> bool:
         if len(assignment) != self.n_vars:
             return False
-        return all(
-            any(self._lit_holds(lit, assignment) for lit in clause)
-            for clause in self.clauses
-        )
+        # A clause fails exactly when it shares no literal with the true ones.
+        return not any(map(self._true_literals(assignment).isdisjoint, self.clauses))
 
     @staticmethod
-    def _lit_holds(lit: int, assignment) -> bool:
-        value = bool(assignment[abs(lit) - 1])
-        return value if lit > 0 else not value
+    def _true_literals(assignment) -> set:
+        """The literals an assignment makes true: k or -k for variable k."""
+        return {k if value else -k for k, value in enumerate(assignment, 1)}
 
     def transform(self, perm, flips) -> tuple:
         """Clause list after renaming variable i to perm[i] and flipping the
         polarity of every variable with flips[i] set."""
-
-        def map_lit(lit: int) -> int:
-            i = abs(lit) - 1
-            sign = 1 if lit > 0 else -1
-            if flips[i]:
-                sign = -sign
-            return sign * (perm[i] + 1)
-
-        return tuple(
-            tuple(sorted(map_lit(lit) for lit in clause)) for clause in self.clauses
-        )
+        image = {}
+        for k, (target, flip) in enumerate(zip(perm, flips), 1):
+            image[k] = -(target + 1) if flip else target + 1
+            image[-k] = -image[k]
+        image_of = image.__getitem__
+        return tuple([tuple(sorted(map(image_of, clause))) for clause in self.clauses])
 
     def transform_assignment(self, assignment, perm, flips) -> tuple:
         out = [False] * self.n_vars
@@ -225,11 +225,12 @@ class ProverRound:
 
 
 def _hc_entries(matrix) -> list:
-    return [_matrix_entry(bit) for row in matrix for bit in row]
+    return [_MATRIX_ENTRY[bit] for row in matrix for bit in row]
 
 
 def _sat_entries(clauses) -> list:
-    return [_clause_entry(clause) for clause in clauses]
+    pack = _CLAUSE.pack
+    return [pack(*sorted(clause)) for clause in clauses]
 
 
 def _committed_round(rng, kind, size, entries, opened, cipher, solution) -> tuple:
@@ -239,9 +240,13 @@ def _committed_round(rng, kind, size, entries, opened, cipher, solution) -> tupl
     entries at the positions in `opened`. `cipher` and `solution` hold the
     other fields of each response.
     """
-    salts = tuple(rng.randbytes(SALT_BYTES) for _ in entries)
+    # One draw for every salt: the stream is counter-mode, so its slices are
+    # the bytes a draw per salt would give.
+    drawn = rng.randbytes(SALT_BYTES * len(entries))
+    salts = tuple([drawn[i : i + SALT_BYTES] for i in range(0, len(drawn), SALT_BYTES)])
+    sha256 = hashlib.sha256
     commitment = RoundCommitment(
-        kind, size, tuple(_commit(entry, salt) for entry, salt in zip(entries, salts))
+        kind, size, tuple([sha256(entry + salt).digest() for entry, salt in zip(entries, salts)])
     )
     responses = {
         Challenge.REVEAL_CIPHER: Response(Challenge.REVEAL_CIPHER, salts=salts, **cipher),
@@ -281,7 +286,7 @@ def _reshuffle(problem, rng) -> tuple:
         return perm, None, problem.relabel(perm)
     if isinstance(problem, SatProblem):
         perm = _sample_perm(rng, problem.n_vars)
-        flips = tuple(rng.getrandbits(1) for _ in range(problem.n_vars))
+        flips = _coins(rng, problem.n_vars)
         return perm, flips, problem.transform(perm, flips)
     raise TypeError(f"unsupported problem type {type(problem)!r}")
 
@@ -323,13 +328,12 @@ def forge_round(problem, rng) -> tuple:
                 matrix[a][b] = matrix[b][a] = 1
             instance = matrix
         return _hc_round(rng, perm, instance, planted)
-    claimed = tuple(bool(rng.getrandbits(1)) for _ in range(problem.n_vars))
+    claimed = tuple(map(bool, _coins(rng, problem.n_vars)))
     if doctor:
         # Doctor each unsatisfied clause by flipping one literal's sign.
+        true = SatProblem._true_literals(claimed)
         instance = tuple(
-            clause
-            if any(SatProblem._lit_holds(lit, claimed) for lit in clause)
-            else tuple(sorted((-clause[0],) + clause[1:]))
+            tuple(sorted((-clause[0],) + clause[1:])) if true.isdisjoint(clause) else clause
             for clause in instance
         )
     return _sat_round(rng, problem.n_vars, perm, flips, instance, claimed)
@@ -341,10 +345,10 @@ def forge_round(problem, rng) -> tuple:
 def _opens(entries, salts, digests) -> bool:
     """True iff there are as many salts and digests as entries and each
     entry, salted, hashes to its digest."""
-    return len(entries) == len(salts) == len(digests) and all(
-        _commit(entry, salt) == digest
-        for entry, salt, digest in zip(entries, salts, digests)
-    )
+    sha256 = hashlib.sha256
+    return len(entries) == len(salts) == len(digests) and [
+        sha256(entry + salt).digest() for entry, salt in zip(entries, salts)
+    ] == list(digests)
 
 
 def _check_cipher_hc(problem, commitment, response) -> bool:
@@ -363,7 +367,7 @@ def _check_solution_hc(problem, commitment, response) -> bool:
     # Each opened entry must be a committed 1: a present edge of the
     # committed instance.
     digests = [commitment.digests[i] for i in _cycle_positions(cycle, n)]
-    return _opens([_matrix_entry(1)] * n, response.salts, digests)
+    return _opens([_MATRIX_ENTRY[1]] * n, response.salts, digests)
 
 
 def _check_cipher_sat(problem, commitment, response) -> bool:
@@ -403,7 +407,7 @@ def verify_round(problem, commitment, challenge: Challenge, response) -> bool:
         if (commitment.kind, commitment.size, len(commitment.digests)) != shape:
             return False
         return response.challenge is challenge and check(problem, commitment, response)
-    except (IndexError, TypeError, ValueError):
+    except (IndexError, TypeError, ValueError, struct.error):
         return False
 
 

@@ -56,14 +56,17 @@ class Sha256Rng(random.Random):
         self._pool = b""
 
     def _take(self, n: int) -> bytes:
-        while len(self._pool) < n:
-            block = hashlib.sha256(
-                self._key + self._counter.to_bytes(8, "little")
-            ).digest()
-            self._counter += 1
-            self._pool += block
-        out, self._pool = self._pool[:n], self._pool[n:]
-        return out
+        pool = self._pool
+        if len(pool) < n:
+            # Exactly the 32-byte counter blocks the shortfall needs, in order.
+            start, key, sha256 = self._counter, self._key, hashlib.sha256
+            self._counter = start + (n - len(pool) + 31) // 32
+            pool += b"".join(
+                sha256(key + i.to_bytes(8, "little")).digest()
+                for i in range(start, self._counter)
+            )
+        self._pool = pool[n:]
+        return pool[:n]
 
     def getrandbits(self, k: int) -> int:
         if k < 0:

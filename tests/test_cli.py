@@ -246,6 +246,34 @@ def test_missing_artifact_is_usage_error(workdir, capsys):
     assert main(["verify", "--witness-key", "nope.json"]) == 1
 
 
+
+@pytest.mark.parametrize(
+    "argv, path",
+    [
+        (["--seed", "01", "setup", "--verification-key", "nodir/vk.json"], "nodir/vk.json"),
+        (["compile", "cubic", "-o", "nodir/c.json"], "nodir/c.json"),
+        (["compile", "cubic", "-o", "nodir/c.json", "--emit-qap", "q.json"], "nodir/c.json"),
+    ],
+    ids=["setup", "compile", "compile_with_qap"],
+)
+def test_failed_write_names_the_path_given(workdir, capsys, argv, path):
+    assert main(["compile", "cubic"]) == 0
+    capsys.readouterr()
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.splitlines()[-1] == f"missing file: [Errno 2] No such file or directory: {path!r}"
+    assert os.listdir(workdir) == ["circuit.json"]  # no temporary file is left
+
+
+def test_stale_temporary_file_is_named(workdir, capsys):
+    stale = f"c.json.{os.getpid()}.tmp"
+    (workdir / stale).write_bytes(b"left by an earlier run\n")
+    code = main(["compile", "cubic", "-o", "c.json"])
+    assert_usage_error(code, capsys, f"File exists: {stale!r}")
+    assert sorted(os.listdir(workdir)) == [stale]
+
+
 @pytest.fixture(scope="module")
 def artifacts(tmp_path_factory):
     """Circuit, keys and an accepted witness key for coloring5, made once."""
@@ -975,7 +1003,11 @@ USAGE_ERRORS = {
     ),
     "rounds_not_an_int": (
         ["interactive", "--problem", "triangle", "--rounds", "x"],
-        "snarkpipe interactive: error: argument --rounds: invalid int value: 'x'",
+        "snarkpipe interactive: error: argument --rounds: not a canonical decimal: 'x'",
+    ),
+    "field_not_a_decimal": (
+        ["--field", "abc", "verify"],
+        "snarkpipe: error: argument --field: not a canonical decimal: 'abc'",
     ),
 }
 
@@ -1005,6 +1037,26 @@ def test_field_takes_one_canonical_decimal(workdir, capsys, spelling, where):
     last = capsys.readouterr().err.splitlines()[-1]
     assert last.startswith(f"{prog}: error: argument --field: ")
     assert last.endswith(repr(spelling))
+    assert os.listdir(workdir) == []
+
+
+@pytest.mark.parametrize("flag", ["--rounds", "--repeat"])
+@pytest.mark.parametrize("spelling", ["1_0", "+10", " 10", "010", "10.0", "-1", ""])
+def test_session_counts_take_one_canonical_decimal(workdir, capsys, flag, spelling):
+    with pytest.raises(SystemExit) as exc:
+        main(["--seed", "01", "interactive", "--problem", "triangle", flag, spelling])
+    assert exc.value.code == 1
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last == (
+        f"snarkpipe interactive: error: argument {flag}: not a canonical decimal: {spelling!r}"
+    )
+    assert os.listdir(workdir) == []
+
+
+@pytest.mark.parametrize("flag", ["--rounds", "--repeat"])
+def test_session_counts_below_one_are_refused_after_parsing(workdir, capsys, flag):
+    code = main(["--seed", "01", "interactive", "--problem", "triangle", flag, "0"])
+    assert_usage_error(code, capsys, f"error: {flag} must be at least 1")
     assert os.listdir(workdir) == []
 
 

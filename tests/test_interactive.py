@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -366,6 +367,69 @@ def test_transcript_bytes_pinned(name, cheat, seed, outcome, digest):
     assert hashlib.sha256(json_bytes(result.to_json_dict())).hexdigest() == digest
 
 
+
+def planted_cycle_graph(n: int, chord_rate: float, rng: random.Random) -> tuple:
+    """A graph on n vertices with a planted Hamiltonian cycle plus random
+    chords, and that cycle."""
+    cycle = list(range(n))
+    rng.shuffle(cycle)
+    adjacency = [[0] * n for _ in range(n)]
+    for t in range(n):
+        a, b = cycle[t], cycle[(t + 1) % n]
+        adjacency[a][b] = adjacency[b][a] = 1
+    for a in range(n):
+        for b in range(a + 1, n):
+            if rng.random() < chord_rate:
+                adjacency[a][b] = adjacency[b][a] = 1
+    return HamiltonianCycleProblem(tuple(map(tuple, adjacency))), tuple(cycle)
+
+
+def planted_sat(n_vars: int, n_clauses: int, rng: random.Random) -> tuple:
+    """A 3-SAT instance whose every clause holds under a planted assignment,
+    and that assignment."""
+    planted = tuple(rng.random() < 0.5 for _ in range(n_vars))
+    clauses = []
+    while len(clauses) < n_clauses:
+        chosen = rng.sample(range(1, n_vars + 1), 3)
+        clause = tuple(v if rng.random() < 0.5 else -v for v in chosen)
+        if any((lit > 0) == planted[abs(lit) - 1] for lit in clause):
+            clauses.append(clause)
+    return SatProblem(n_vars, tuple(clauses)), planted
+
+
+# The sizes of the benchmark's interactive workload: one round commits 576
+# matrix entries (a 9216-byte salt draw) or 420 clauses over 100 variables.
+# Recorded like PINNED_TRANSCRIPTS, before salts and coin flips were drawn in
+# bulk. Each cheating seed survives a few rounds of both challenges.
+SCALE_PROBLEMS = {
+    "hc24": planted_cycle_graph(24, 0.15, random.Random(24)),
+    "sat100": planted_sat(100, 420, random.Random(420)),
+}
+PINNED_SCALE_TRANSCRIPTS = [
+    ("hc24", False, b"scale-hc", (True, 20),
+     "c458020c6a1d3af2fc77d7cef2cac3457038c7f8ffba6d0b9fb5317b80025932"),
+    ("hc24", True, b"scale-hc-cheat-3", (False, 4),
+     "bd3383e78b335fae0f1a3d7e8faa95be6d148e82578f9ff37f6bf52d7521c10a"),
+    ("sat100", False, b"scale-sat", (True, 20),
+     "0c3151e195e503b861f7f5e970d070e1481ad778348489a920e6eeb601ef9bc7"),
+    ("sat100", True, b"scale-sat-cheat-13", (False, 7),
+     "aa3ed39a17edcfb14263d506f888759668fcbfbec73d14dda7bf56c081d8080a"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, cheat, seed, outcome, digest", PINNED_SCALE_TRANSCRIPTS,
+    ids=[f"{case[0]}-{'cheat' if case[1] else 'honest'}" for case in PINNED_SCALE_TRANSCRIPTS],
+)
+def test_scale_transcript_bytes_pinned(name, cheat, seed, outcome, digest):
+    problem, solution = SCALE_PROBLEMS[name]
+    problem.validate()
+    result = run_session(
+        problem, None if cheat else solution, rounds=20, seed=seed, cheat=cheat
+    )
+    assert (result.accepted, result.rounds_run) == outcome
+    assert hashlib.sha256(json_bytes(result.to_json_dict())).hexdigest() == digest
+
 def reshaped(commitment, kind=None, size=None, extra=0):
     return RoundCommitment(
         kind or commitment.kind,
@@ -409,3 +473,18 @@ def test_sat_solution_opening_refuses_malformed_clause():
     for clauses in (((1, 2),), ((0, 1, 2),), ((1, 2, 4),)):
         forged = dataclasses.replace(response, clauses=clauses)
         assert not verify_round(SAT1, commitment, Challenge.REVEAL_SOLUTION, forged)
+
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("permutation", (0, 1.0, 2)), ("clauses", ((1.0, 2, -3),)), ("clauses", ((1.5, 2, -3),))],
+    ids=["float_in_permutation", "float_literal", "fractional_literal"],
+)
+def test_sat_opening_with_non_integer_literal_is_rejected(field, value):
+    """A literal that is not an int cannot be packed as one; the round is
+    rejected rather than raising."""
+    challenge = Challenge.REVEAL_CIPHER if field == "permutation" else Challenge.REVEAL_SOLUTION
+    commitment, state = cipher_round(SAT1, SAT1_ASSIGNMENT, Sha256Rng(b"non-int"))
+    forged = dataclasses.replace(state.respond(challenge), **{field: value})
+    assert not verify_round(SAT1, commitment, challenge, forged)

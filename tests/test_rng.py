@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from snarkpipe.rng import Sha256Rng, derive_seed, parse_seed
@@ -60,3 +62,62 @@ def test_state_export_unsupported():
     rng = Sha256Rng(b"s")
     with pytest.raises(NotImplementedError):
         rng.getstate()
+
+
+# --- bulk draws ------------------------------------------------------------------
+
+
+class BlockAtATimeRng(Sha256Rng):
+    """The stream as it was first written: the pool grows one counter block
+    per loop turn. The reference for Sha256Rng._take."""
+
+    def _take(self, n: int) -> bytes:
+        while len(self._pool) < n:
+            block = hashlib.sha256(self._key + self._counter.to_bytes(8, "little")).digest()
+            self._counter += 1
+            self._pool += block
+        out, self._pool = self._pool[:n], self._pool[n:]
+        return out
+
+
+# Sizes on either side of the 32-byte block, and offsets into the pool that
+# cover every position within two blocks.
+BOUNDARY_SIZES = (0, 1, 15, 16, 17, 31, 32, 33, 63, 64, 65, 100, 9216)
+OFFSETS = range(66)
+
+
+def test_stream_is_counter_mode_sha256():
+    key = hashlib.sha256(b"label\x00seed").digest()
+    blocks = b"".join(
+        hashlib.sha256(key + i.to_bytes(8, "little")).digest() for i in range(4)
+    )
+    assert Sha256Rng(b"seed", label=b"label").randbytes(128) == blocks
+
+
+@pytest.mark.parametrize("a", BOUNDARY_SIZES)
+def test_consecutive_draws_concatenate(a):
+    for b in BOUNDARY_SIZES:
+        for offset in OFFSETS:
+            one, two = Sha256Rng(b"concat"), Sha256Rng(b"concat")
+            assert one.randbytes(offset) == two.randbytes(offset)
+            assert one.randbytes(a) + one.randbytes(b) == two.randbytes(a + b)
+            assert one.randbytes(40) == two.randbytes(40)  # the streams stay level
+
+
+def test_one_bit_is_the_top_bit_of_one_byte():
+    for offset in OFFSETS:
+        one, two = Sha256Rng(b"coin"), Sha256Rng(b"coin")
+        one.randbytes(offset), two.randbytes(offset)
+        assert [one.getrandbits(1) for _ in range(70)] == [b >> 7 for b in two.randbytes(70)]
+
+
+def test_bulk_take_matches_block_at_a_time():
+    fast, slow = Sha256Rng(b"mixed", label=b"x"), BlockAtATimeRng(b"mixed", label=b"x")
+    for size in BOUNDARY_SIZES * 3:
+        assert fast.randbytes(size) == slow.randbytes(size)
+        assert fast.getrandbits(size % 70) == slow.getrandbits(size % 70)
+        a, b = list(range(size % 50)), list(range(size % 50))
+        fast.shuffle(a)
+        slow.shuffle(b)
+        assert a == b
+    assert fast.random() == slow.random()
