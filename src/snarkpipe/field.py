@@ -48,7 +48,14 @@ def parse_decimal(text, below: int | None = None, what: str = "value") -> int:
     of ASCII digits with no sign, padding, leading zero or digit separator,
     and below `below` when a bound is given. `what` names the value in the
     error."""
-    if isinstance(text, str) and text.isascii() and text.isdigit():
+    # A value below `below` has no more digits than it, so a longer string is
+    # refused before int() sees it (and its limit on digits).
+    if (
+        isinstance(text, str)
+        and text.isascii()
+        and text.isdigit()
+        and (below is None or len(text) <= len(str(below)))
+    ):
         value = int(text)
         if text == str(value) and (below is None or value < below):
             return value

@@ -123,3 +123,21 @@ class TransparentGroup:
         """Parse the canonical encoding: a decimal string in [0, p) with no
         sign, padding, leading zero or digit separator."""
         return GroupElement(self, parse_decimal(text, self.ctx.p))
+
+    def decode_all(self, texts: list) -> list | None:
+        """``decode`` over a whole list in one pass, or None if any entry is
+        not canonical (``decode`` then names it).
+
+        A string is canonical exactly when str(int(text)) gives it back and
+        its value lies in [0, p): the round trip rules out signs, padding,
+        leading zeros, separators, non-ASCII digits and non-strings.
+        """
+        try:
+            values = list(map(int, texts))
+        except (TypeError, ValueError, OverflowError):  # OverflowError: JSON's Infinity
+            return None
+        if list(map(str, values)) != texts or values and not (
+            0 <= min(values) and max(values) < self.ctx.p
+        ):
+            return None
+        return [GroupElement(self, value) for value in values]

@@ -286,14 +286,16 @@ def prove(ek: EvaluationKey, qap: QAP, assignment: dict) -> WitnessKey:
 
     Only key entries and witness weights enter the products below; the
     evaluation point s never appears. Refuses assignments whose combined
-    polynomial is not divisible by the target.
+    polynomial is not divisible by the target, naming the first gate that
+    does not hold.
     """
     if ek.symbols != qap.symbol_names or ek.n_gates != qap.n_gates:
         raise MalformedKey("evaluation key was generated for a different program")
     instance = assemble(qap, assignment)
     if not instance.divisible:
+        d = instance.failing_gate
         raise InvalidWitness(
-            "assignment does not satisfy the program; refusing to prove it"
+            f"gate {d} does not hold (v\u00b7w != k at node {d}); refusing to prove it"
         )
 
     private = ek.private_indices()
@@ -414,10 +416,13 @@ def _decode_list(group: TransparentGroup, data: dict, name: str, count: int) -> 
     values = data[name]
     if not isinstance(values, list) or len(values) != count:
         raise MalformedKey(f"evaluation-key entry {name!r} must list {count} elements")
-    return [
-        _decode(group, value, f"evaluation-key entry {name}[{i}]")
-        for i, value in enumerate(values)
-    ]
+    elements = group.decode_all(values)
+    if elements is None:  # decode one by one to name the first bad entry
+        elements = [
+            _decode(group, value, f"evaluation-key entry {name}[{i}]")
+            for i, value in enumerate(values)
+        ]
+    return elements
 
 
 def _names(data: dict, name: str) -> tuple:
@@ -425,6 +430,25 @@ def _names(data: dict, name: str) -> tuple:
     if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
         raise MalformedKey(f"evaluation-key entry {name!r} must be an array of strings")
     return tuple(values)
+
+
+def _public_names(data: dict, symbols: tuple) -> tuple:
+    """The public names as setup writes them: 'one' first, then distinct
+    symbols."""
+    public = _names(data, "public")
+    where = "evaluation-key entry 'public'"
+    if not public or public[0] != "one":
+        first = repr(public[0]) if public else "nothing"
+        raise MalformedKey(f"{where} must list 'one' first, not {first}")
+    known = set(symbols)
+    seen = set()
+    for name in public:
+        if name not in known:
+            raise MalformedKey(f"{where} names {name!r}, which is not a symbol")
+        if name in seen:
+            raise MalformedKey(f"{where} lists {name!r} twice")
+        seen.add(name)
+    return public
 
 
 def load_evaluation_key(data: dict) -> EvaluationKey:
@@ -440,7 +464,7 @@ def load_evaluation_key(data: dict) -> EvaluationKey:
             group=group,
             n_gates=n_gates,
             symbols=symbols,
-            public=_names(data, "public"),
+            public=_public_names(data, symbols),
             **{
                 name: _decode_list(
                     group, data, name, n_gates + 1 if name == "powers_of_s" else len(symbols)

@@ -96,29 +96,22 @@ class Polynomial:
     def __mul__(self, other):
         return Polynomial(self.ctx, _product(self.coeffs, self._operand(other).coeffs, self.ctx.p))
 
-    def __divmod__(self, divisor: "Polynomial"):
-        """Quotient and remainder by Newton inversion of the reversed divisor.
-
-        With f = q*d + r and deg r < deg d, reversing the coefficient order
-        turns the quotient into a power-series product: rev(q) = rev(f) *
-        rev(d)^-1 mod x^(deg q + 1). The remainder then only needs the low
-        deg d coefficients of f - q*d.
-        """
+    def __floordiv__(self, divisor: "Polynomial"):
+        """The quotient alone: divmod without the remainder's product."""
         den = self._operand(divisor).coeffs
-        if not den:
-            raise DivisionByZero("polynomial division by zero")
-        num = self.coeffs
-        if len(num) < len(den):
+        return Polynomial(self.ctx, _quotient(self.coeffs, den, self.ctx.p))
+
+    def __divmod__(self, divisor: "Polynomial"):
+        """Quotient and remainder; the remainder only needs the low deg d
+        coefficients of f - q*d."""
+        den = self._operand(divisor).coeffs
+        num, p = self.coeffs, self.ctx.p
+        quot = _quotient(num, den, p)
+        if not quot:  # deg f < deg d
             return Polynomial.zero(self.ctx), self
-        p = self.ctx.p
-        size = len(num) - len(den) + 1  # coefficients of the quotient
-        width = _slot_width(p, max(size, len(den)))
-        inv = _inverse_series(den[::-1], size, p, width)
-        rev_quot = _low(_pack(num[: -size - 1 : -1], width) * inv, width, size)
-        quot = _unpack(rev_quot, width, size, p)[::-1]
         low = len(den) - 1
-        fitted = _low(_pack(quot[:low], width) * _pack(den[:low], width), width, low)
-        rem = [a - b for a, b in zip(num[:low], _unpack(fitted, width, low, p))]
+        fitted = _product(quot[:low], den[:low], p)
+        rem = [a - b for a, b in zip(num[:low], fitted)]
         return Polynomial(self.ctx, quot), Polynomial(self.ctx, rem)
 
     def eval_int(self, x: int) -> int:
@@ -230,6 +223,26 @@ def _inverse_series(h, size: int, p: int, width: int) -> int:
         g += _reduce(fix, width, gained, p) << bits * known
         known = target
     return g
+
+
+def _quotient(num, den, p: int) -> list[int]:
+    """Residues of the quotient of num by den, by Newton inversion of the
+    reversed divisor; den's last coefficient must be nonzero.
+
+    With f = q*d + r and deg r < deg d, reversing the coefficient order
+    turns the quotient into a power-series product: rev(q) = rev(f) *
+    rev(d)^-1 mod x^(deg q + 1). Only the top deg q + 1 coefficients of f
+    enter it.
+    """
+    if not den:
+        raise DivisionByZero("polynomial division by zero")
+    size = len(num) - len(den) + 1  # coefficients of the quotient
+    if size <= 0:
+        return []
+    width = _slot_width(p, size)
+    inv = _inverse_series(den[::-1], size, p, width)
+    rev_quot = _low(_pack(num[: -size - 1 : -1], width) * inv, width, size)
+    return _unpack(rev_quot, width, size, p)[::-1]
 
 
 class SubproductTree:

@@ -18,8 +18,10 @@ when the combined polynomial
     F = (sum_i t_i v_i) * (sum_i t_i w_i) - (sum_i t_i k_i)
 
 vanishes on 1..N, i.e. when the target product T(x) = prod(x - d) divides F.
-Coefficient form is derived from the columns only where it is needed: for
-the emitted QAP file and for the prover's combined V, W and K.
+Since T has the N distinct roots 1..N, that is one test per gate on the
+weighted column sums: V(d) * W(d) = K(d). Coefficient form is derived from
+the columns only where it is needed: for the emitted QAP file, and for the
+prover's V and W, whose product's quotient by T is the quotient H of F.
 """
 
 from __future__ import annotations
@@ -156,15 +158,45 @@ class QAP:
         }
 
 
-@dataclass
 class AssembledInstance:
-    weights: list  # the assignment's residue per symbol, in QAP order
-    v: Polynomial
-    w: Polynomial
-    k: Polynomial
-    f: Polynomial  # v*w - k
-    h: Polynomial | None  # exact quotient f / target, present iff divisible
-    divisible: bool
+    """An assignment's weighted sums over a QAP, with the verdict eager and
+    the coefficient forms of V, W, K and F made from the node values on
+    first use."""
+
+    def __init__(self, qap: QAP, weights: list, nodes: tuple):
+        self.qap = qap
+        self.weights = weights  # the assignment's residue per symbol, in QAP order
+        self.nodes = nodes  # V, W and K at the nodes, each {d: residue}
+        p = qap.ctx.p
+        at_v, at_w, at_k = nodes
+        self.failing_gate = next(  # the first node d where V(d) * W(d) != K(d)
+            (
+                d
+                for d in range(1, qap.n_gates + 1)
+                if (at_v.get(d, 0) * at_w.get(d, 0) - at_k.get(d, 0)) % p
+            ),
+            None,
+        )
+        self.divisible = self.failing_gate is None
+        # deg K < N = deg T, so K is the remainder of V*W by T and H its quotient
+        self.h = (self.v * self.w) // qap.target if self.divisible else None
+
+    @cached_property
+    def v(self) -> Polynomial:
+        return self.qap.interpolate(self.nodes[0])
+
+    @cached_property
+    def w(self) -> Polynomial:
+        return self.qap.interpolate(self.nodes[1])
+
+    @cached_property
+    def k(self) -> Polynomial:
+        return self.qap.interpolate(self.nodes[2])
+
+    @cached_property
+    def f(self) -> Polynomial:
+        """v*w - k"""
+        return self.v * self.w - self.k
 
 
 def build_qap(circuit: Circuit) -> QAP:
@@ -227,10 +259,9 @@ def _weights(qap: QAP, assignment: dict) -> list:
 
 
 def assemble(qap: QAP, assignment: dict) -> AssembledInstance:
-    """Form the weighted sums and test divisibility by the target.
-
-    The sums are taken at the nodes first, A(d) = sum_i t_i a_i(d), and each
-    family is interpolated once from those values.
+    """Form the weighted sums at the nodes, A(d) = sum_i t_i a_i(d), and test
+    divisibility by the target gate by gate. Only a divisible instance
+    interpolates, and only V and W: H is the quotient of V*W by T.
     """
     p = qap.ctx.p
     weights = _weights(qap, assignment)
@@ -243,13 +274,7 @@ def assemble(qap: QAP, assignment: dict) -> AssembledInstance:
                     values[d] = values.get(d, 0) + weight * value
         return {d: value % p for d, value in values.items()}
 
-    v, w, k = (qap.interpolate(at_nodes(cols)) for cols in (qap.v, qap.w, qap.k))
-    f = v * w - k
-    quotient, remainder = divmod(f, qap.target)
-    divisible = remainder.is_zero()
-    return AssembledInstance(
-        weights, v, w, k, f, h=quotient if divisible else None, divisible=divisible
-    )
+    return AssembledInstance(qap, weights, (at_nodes(qap.v), at_nodes(qap.w), at_nodes(qap.k)))
 
 
 def soundness_scan(
@@ -269,7 +294,7 @@ def soundness_scan(
     """
     p = qap.ctx.p
     inst = assemble(qap, assignment)
-    forged_quotient, _ = divmod(inst.f, qap.target)
+    forged_quotient = inst.f // qap.target
 
     if trials is None:
         points = range(p)

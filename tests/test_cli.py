@@ -7,7 +7,9 @@ import pytest
 
 from snarkpipe import cli
 from snarkpipe.bundled import load_bundled_text
+from snarkpipe.circuit import Circuit, solve
 from snarkpipe.cli import _parse_input_map, main, parse_args
+from snarkpipe.pinocchio import EvaluationKey
 
 GOOD_INPUTS = {"c1": "3", "c2": "1", "c3": "2", "c4": "1", "c5": "2"}
 BAD_INPUTS = {"c1": "1", "c2": "1", "c3": "2", "c4": "1", "c5": "2"}
@@ -44,6 +46,29 @@ def test_pipeline_rejects_bad_witness_at_prove(workdir, capsys):
     assert run_pipeline(workdir, BAD_INPUTS) == 2
     err = capsys.readouterr().err
     assert "invalid witness" in err
+
+
+def first_failing_gate(circuit, assignment):
+    """The index of the first gate whose equation the assignment breaks,
+    read off the circuit's gates alone."""
+    p = circuit.ctx.p
+    for gate in sorted(circuit.gates, key=lambda gate: gate.index):
+        left, right, out = (assignment[wire] for wire in (gate.left, gate.right, gate.out))
+        if ((left * right if gate.op == "Times" else left + right) - out) % p:
+            return gate.index
+    return None
+
+
+def test_refused_prove_names_the_first_failing_gate(workdir, capsys):
+    assert run_pipeline(workdir, BAD_INPUTS) == 2
+    circuit = Circuit.from_json_dict(json.loads((workdir / "circuit.json").read_text()))
+    d = first_failing_gate(circuit, solve(circuit, _parse_input_map(BAD_INPUTS)))
+    assert d is not None
+    assert capsys.readouterr().err == (
+        f"invalid witness: gate {d} does not hold (v\u00b7w != k at node {d});"
+        " refusing to prove it\n"
+    )
+    assert not (workdir / "witness_key.json").exists()
 
 
 def test_verify_rejects_tampered_witness_file(workdir, capsys):
@@ -334,17 +359,38 @@ def test_verify_refuses_non_canonical_verification_entry(artifacts, tmp_path, ca
     assert_usage_error(code, capsys, "malformed key", "target_at_s")
 
 
-def test_prove_refuses_non_canonical_evaluation_entry(artifacts, tmp_path, capsys):
+HOSTILE_ENTRIES = {
+    **NON_CANONICAL,
+    "negative": lambda text, p: "-5",
+    "non_ascii_digit": lambda text, p: "\u0663",
+    "over_4300_digits": lambda text, p: "1" * 4301,
+    "json_integer": lambda text, p: 5,
+    "json_float": lambda text, p: 5.0,
+    "json_true": lambda text, p: True,
+    "json_null": lambda text, p: None,
+    "json_array": lambda text, p: [],
+    "json_infinity": lambda text, p: float("inf"),
+}
+
+
+@pytest.mark.parametrize("encoding", sorted(HOSTILE_ENTRIES))
+@pytest.mark.parametrize("position", ["first", "last"])
+@pytest.mark.parametrize("name", EvaluationKey.LISTS)
+def test_prove_refuses_non_canonical_evaluation_entry(
+    artifacts, tmp_path, capsys, name, position, encoding
+):
     ek = dict(artifacts["ek"][1])
-    ek["powers_of_s"] = list(ek["powers_of_s"])
-    ek["powers_of_s"][1] = str(int(ek["powers_of_s"][1]) + int(ek["field"]["p"]))
+    ek[name] = list(ek[name])
+    i = 0 if position == "first" else len(ek[name]) - 1
+    ek[name][i] = HOSTILE_ENTRIES[encoding](ek[name][i], int(ek["field"]["p"]))
     code = main([
         "prove", "--circuit", artifacts["circuit"][0],
         "--evaluation-key", write_json(tmp_path / "ek.json", ek),
         "--inputs", write_json(tmp_path / "inputs.json", GOOD_INPUTS),
         "-o", str(tmp_path / "wk.json"),
     ])
-    assert_usage_error(code, capsys, "malformed key", "powers_of_s[1]")
+    assert_usage_error(code, capsys, f"malformed key: evaluation-key entry {name}[{i}]: ")
+    assert not (tmp_path / "wk.json").exists()
 
 
 def public_name(value):
@@ -360,6 +406,22 @@ KEY_EDITS = {
     "symbols_number": ("ek", lambda k: k["symbols"].__setitem__(0, 0), "'symbols'"),
     "symbols_string": ("ek", lambda k: k.update(symbols="one"), "'symbols'"),
     "public_number": ("ek", lambda k: k.update(public=[1]), "'public'"),
+    "public_empty": (
+        "ek", lambda k: k.update(public=[]),
+        "evaluation-key entry 'public' must list 'one' first, not nothing",
+    ),
+    "public_one_not_first": (
+        "ek", lambda k: k.update(public=["c1", "one"]),
+        "evaluation-key entry 'public' must list 'one' first, not 'c1'",
+    ),
+    "public_unknown_name": (
+        "ek", lambda k: k.update(public=["one", "nosuch"]),
+        "evaluation-key entry 'public' names 'nosuch', which is not a symbol",
+    ),
+    "public_repeated_name": (
+        "ek", lambda k: k.update(public=["one", "one"]),
+        "evaluation-key entry 'public' lists 'one' twice",
+    ),
     "vk_public_name_number": ("vk", public_name(1), "public[0].name"),
     "vk_public_name_null": ("vk", public_name(None), "public[0].name"),
 }

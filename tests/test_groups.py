@@ -93,11 +93,22 @@ def test_decode_accepts_canonical_decimals(ctx17, text):
 
 
 @pytest.mark.parametrize(
-    "text", ["17", "22", "05", "00", " 5", "5 ", "+5", "-5", "-0", "5_0", "", "٣", 5, None],
+    "text",
+    ["17", "22", "05", "00", " 5", "5 ", "+5", "-5", "-0", "5_0", "", "٣", 5, None]
+    + [5.0, True, [], float("inf"), float("nan"), pytest.param("1" * 4301, id="4301_digits")],
 )
 def test_decode_refuses_non_canonical(ctx17, text):
+    group = TransparentGroup(ctx17)
     with pytest.raises(ValueError):
-        TransparentGroup(ctx17).decode(text)
+        group.decode(text)
+    assert group.decode_all([text, "3"]) is None
+    assert group.decode_all(["3", "0", text]) is None
+
+
+def test_decode_all_matches_decode_on_canonical_lists(ctx17):
+    group = TransparentGroup(ctx17)
+    for texts in ([], ["0"], [str(v) for v in range(17)], ["16", "0", "16"]):
+        assert group.decode_all(texts) == [group.decode(text) for text in texts]
 
 
 def test_unknown_backend():

@@ -16,6 +16,7 @@ from snarkpipe import (
 )
 from snarkpipe.field import json_bytes
 from snarkpipe.pinocchio import (
+    EvaluationKey,
     Trapdoor,
     WitnessKey,
     evaluation_key_to_dict,
@@ -342,6 +343,19 @@ def test_key_json_round_trip(coloring_keys, coloring_witness_key):
     wk2 = load_witness_key(witness_key_to_dict(coloring_witness_key))
     assert verify(vk2, wk2).accepted
     assert evaluation_key_to_dict(ek2) == evaluation_key_to_dict(ek)
+
+
+def test_one_pass_decode_matches_per_entry_decode(coloring_keys, ctx, group):
+    chain = ["inputs a, y;", "f1 := a*a + 7;"]
+    chain += [f"f{i} := f{i - 1}*f{i - 1} + a;" for i in range(2, 40)]
+    chain += ["out := f39 - y;", "assert out == 0;"]
+    chain_ek, _ = setup(build_qap(flatten(parse_program("\n".join(chain)), ctx)), group, SEED)
+    for ek in (coloring_keys[0], chain_ek):
+        data = evaluation_key_to_dict(ek)
+        loaded = load_evaluation_key(data)
+        for name in EvaluationKey.LISTS:
+            per_entry = [group.decode(text) for text in data[name]]
+            assert group.decode_all(data[name]) == per_entry == getattr(loaded, name)
 
 
 def test_loading_refuses_backend_mismatch(coloring_witness_key):
