@@ -60,7 +60,6 @@ _EXPORTS = {
     "prove": "pinocchio",
     "run_session": "interactive",
     "setup": "pinocchio",
-    "soundness_scan": "qap",
     "solve": "circuit",
     "verify": "pinocchio",
     "verify_round": "interactive",

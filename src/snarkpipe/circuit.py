@@ -16,7 +16,7 @@ alike, condition gates included.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from collections import namedtuple
 
 from .field import FieldContext, json_bytes, parse_decimal, read_header, write_header
 from .frontend import (
@@ -56,31 +56,45 @@ class IncompleteAssignment(ValueError):
     """The assignment does not cover every wire of the circuit."""
 
 
-@dataclass(frozen=True)
-class Wire:
-    kind: str  # one of WIRE_KINDS
-    name: str | None = None  # inputs only
-    value: int | None = None  # consts only
-    of: int | None = None  # inverse hints: the wire being inverted
+Wire = namedtuple(
+    "Wire",
+    (
+        "kind",  # one of WIRE_KINDS
+        "name",  # inputs only
+        "value",  # consts only
+        "of",  # inverse hints: the wire being inverted
+    ),
+    defaults=(None, None, None),
+)
+
+Gate = namedtuple(
+    "Gate",
+    (
+        "op",  # PLUS or TIMES
+        "left",
+        "right",
+        "out",
+        "index",  # 1-based constraint index d
+    ),
+)
 
 
-@dataclass(frozen=True)
-class Gate:
-    op: str  # PLUS or TIMES
-    left: int
-    right: int
-    out: int
-    index: int  # 1-based constraint index d
-
-
-@dataclass
 class Circuit:
-    ctx: FieldContext
-    wires: list
-    gates: list
-    outputs: list  # of (wire id, Relation)
-    inputs: list  # declared input names, in order
-    names: dict = dc_field(default_factory=dict)  # name -> wire id
+    def __init__(
+        self,
+        ctx: FieldContext,
+        wires: list,
+        gates: list,
+        outputs: list,
+        inputs: list,
+        names: dict | None = None,
+    ):
+        self.ctx = ctx
+        self.wires = wires
+        self.gates = gates
+        self.outputs = outputs  # of (wire id, Relation)
+        self.inputs = inputs  # declared input names, in order
+        self.names = {} if names is None else names  # name -> wire id
 
     @property
     def n_gates(self) -> int:

@@ -253,6 +253,7 @@ def _compile_arguments(parser) -> None:
 
 def cmd_compile(args) -> int:
     from .frontend import ParseError
+    from .qap import check_field
 
     source = bundled.resolve_source(args.source, ".zkp")
     try:
@@ -263,11 +264,13 @@ def cmd_compile(args) -> int:
     circuit = flatten(program, _context(args))
     # Every check runs before the first output is opened, and both files
     # are written together, so a failed compile leaves no file behind.
-    qap = build_qap(circuit)
-    payloads = {args.emit_qap: json_bytes(qap.to_json_dict())} if args.emit_qap else {}
+    check_field(circuit)
+    payloads = {}
+    if args.emit_qap:
+        payloads[args.emit_qap] = json_bytes(build_qap(circuit).to_json_dict())
     payloads[args.output] = circuit.to_json_bytes()  # wins if both name one path
     _write_files(payloads)
-    print(f"N={circuit.n_gates} symbols={len(qap.symbols)}")
+    print(f"N={circuit.n_gates} symbols={len(circuit.symbol_wires())}")
     print(f"wrote {args.output}")
     if args.emit_qap:
         print(f"wrote {args.emit_qap}")

@@ -60,7 +60,17 @@ def parse_decimal(text, below: int | None = None, what: str = "value") -> int:
         if text == str(value) and (below is None or value < below):
             return value
     bound = "" if below is None else f" below {below}"
-    raise ValueError(f"{what} {text!r} is not a canonical decimal{bound}")
+    raise ValueError(f"{what} {_quote(text)} is not a canonical decimal{bound}")
+
+
+def _quote(value) -> str:
+    """repr(value), cut to 40 characters so that a refusal stays one short
+    line; a cut string also gives its length."""
+    text = repr(value)
+    if len(text) <= 40:
+        return text
+    size = f" ({len(value)} characters)" if isinstance(value, str) else ""
+    return f"{text[:40]}...{size}"
 
 
 class DivisionByZero(ZeroDivisionError):

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .field import FieldContext
 
@@ -84,61 +84,66 @@ class Relation(enum.Enum):
         return (value == 0) == (self is Relation.EQUAL_ZERO)
 
 
-class Expression:
-    """Base class for expression tree nodes."""
+class Expression(tuple):
+    """Base class of the expression tree nodes, which are named tuples.
+
+    A node equals only a node of its own type with equal fields, so
+    ``Add((x, y)) != Mul((x, y))``; the hash takes the type in too.
+    """
 
     __slots__ = ()
 
+    def __eq__(self, other):
+        return type(self) is type(other) and tuple.__eq__(self, other)
 
-@dataclass(frozen=True)
-class Constant(Expression):
-    value: int
+    def __ne__(self, other):
+        return not self == other
 
-
-@dataclass(frozen=True)
-class Variable(Expression):
-    name: str
-
-
-@dataclass(frozen=True)
-class Add(Expression):
-    terms: tuple
+    def __hash__(self):
+        return hash((type(self), tuple.__hash__(self)))
 
 
-@dataclass(frozen=True)
-class Mul(Expression):
-    factors: tuple
+class Constant(Expression, namedtuple("Constant", "value")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Neg(Expression):
-    operand: Expression
+class Variable(Expression, namedtuple("Variable", "name")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Pow(Expression):
-    base: Expression
-    exponent: int
+class Add(Expression, namedtuple("Add", "terms")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Program:
-    inputs: tuple
-    definitions: tuple  # of (name, Expression)
-    conditions: tuple  # of (name, Relation)
+class Mul(Expression, namedtuple("Mul", "factors")):
+    __slots__ = ()
+
+
+class Neg(Expression, namedtuple("Neg", "operand")):
+    __slots__ = ()
+
+
+class Pow(Expression, namedtuple("Pow", "base exponent")):
+    __slots__ = ()
+
+
+Program = namedtuple(
+    "Program",
+    (
+        "inputs",
+        "definitions",  # of (name, Expression)
+        "conditions",  # of (name, Relation)
+    ),
+)
 
 
 # --- lexer -----------------------------------------------------------------
 
-_PUNCT = (":=", "==", "!=", ",", ";", "+", "-", "*", "^", "(", ")")
+_PAIRS = (":=", "==", "!=")
+_SINGLES = (",", ";", "+", "-", "*", "^", "(", ")")
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # IDENT | INT | punctuation literal | EOF
-    text: str
-    line: int
-    col: int
+# kind is IDENT, INT, the punctuation itself or EOF
+_Token = namedtuple("_Token", "kind text line col")
 
 
 def _tokenize(source: str) -> list:
@@ -186,12 +191,12 @@ def _tokenize(source: str) -> list:
             col += len(text)
             continue
         two = source[i : i + 2]
-        if two in _PUNCT:
+        if two in _PAIRS:
             tokens.append(_Token(two, two, line, col))
             i += 2
             col += 2
             continue
-        if ch in _PUNCT:
+        if ch in _SINGLES:
             tokens.append(_Token(ch, ch, line, col))
             i += 1
             col += 1
@@ -530,17 +535,19 @@ def reduce_constant(value: int, ctx: FieldContext, warned: set | None = None) ->
     return value % ctx.p
 
 
-@dataclass(frozen=True)
-class ConditionCheck:
-    name: str
-    relation: Relation
-    holds: bool
+ConditionCheck = namedtuple("ConditionCheck", "name relation holds")
 
 
-@dataclass(frozen=True)
-class EvalResult:
-    values: dict  # name -> residue in [0, p), every definition
-    conditions: tuple  # of ConditionCheck
+class EvalResult(
+    namedtuple(
+        "EvalResult",
+        (
+            "values",  # name -> residue in [0, p), every definition
+            "conditions",  # of ConditionCheck
+        ),
+    )
+):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

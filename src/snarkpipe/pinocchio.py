@@ -432,23 +432,21 @@ def _names(data: dict, name: str) -> tuple:
     return tuple(values)
 
 
-def _public_names(data: dict, symbols: tuple) -> tuple:
-    """The public names as setup writes them: 'one' first, then distinct
-    symbols."""
-    public = _names(data, "public")
-    where = "evaluation-key entry 'public'"
+def _check_public(public, where: str, symbols=None) -> None:
+    """Refuse a list of public names that setup could not have written:
+    setup lists 'one' first, then distinct names, each a symbol (checked
+    when `symbols` is given)."""
     if not public or public[0] != "one":
         first = repr(public[0]) if public else "nothing"
         raise MalformedKey(f"{where} must list 'one' first, not {first}")
-    known = set(symbols)
+    known = None if symbols is None else set(symbols)
     seen = set()
     for name in public:
-        if name not in known:
+        if known is not None and name not in known:
             raise MalformedKey(f"{where} names {name!r}, which is not a symbol")
         if name in seen:
             raise MalformedKey(f"{where} lists {name!r} twice")
         seen.add(name)
-    return public
 
 
 def load_evaluation_key(data: dict) -> EvaluationKey:
@@ -460,11 +458,13 @@ def load_evaluation_key(data: dict) -> EvaluationKey:
                 f"evaluation-key entry 'n_gates' must be a JSON integer >= 0, not {n_gates!r}"
             )
         symbols = _names(data, "symbols")
+        public = _names(data, "public")
+        _check_public(public, "evaluation-key entry 'public'", symbols)
         return EvaluationKey(
             group=group,
             n_gates=n_gates,
             symbols=symbols,
-            public=_public_names(data, symbols),
+            public=public,
             **{
                 name: _decode_list(
                     group, data, name, n_gates + 1 if name == "powers_of_s" else len(symbols)
@@ -490,12 +490,16 @@ def load_verification_key(data: dict) -> VerificationKey:
         return item["name"]
 
     try:
+        public_entries = [
+            (public_name(item, i), *(entry(item, f, f"public[{i}].{f}") for f in "vwk"))
+            for i, item in enumerate(data["public"])
+        ]
+        _check_public(
+            [name for name, _, _, _ in public_entries], "verification-key entry 'public'"
+        )
         return VerificationKey(
             group=group,
-            public_entries=[
-                (public_name(item, i), *(entry(item, f, f"public[{i}].{f}") for f in "vwk"))
-                for i, item in enumerate(data["public"])
-            ],
+            public_entries=public_entries,
             **{name: entry(data, name, repr(name)) for name in VerificationKey.ELEMENTS},
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -26,15 +26,12 @@ prover's V and W, whose product's quotient by T is the quotient H of F.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .circuit import TIMES, Circuit, IncompleteAssignment
 from .field import FieldContext, inverse, write_header
 from .polynomial import Polynomial, SubproductTree, divide_out_root
 from .polynomial import lagrange_basis  # noqa: F401  re-export: perfbench's tracer wraps it here
-from .rng import Sha256Rng
 
 __all__ = [
     "QAP",
@@ -42,7 +39,7 @@ __all__ = [
     "FieldTooSmall",
     "assemble",
     "build_qap",
-    "soundness_scan",
+    "check_field",
 ]
 
 
@@ -50,15 +47,24 @@ class FieldTooSmall(ValueError):
     """The modulus must exceed twice the gate count."""
 
 
-@dataclass
 class QAP:
-    ctx: FieldContext
-    n_gates: int
-    symbols: tuple  # wire ids, ordered: one, inputs, then remaining by id
-    symbol_names: tuple
-    v: list  # per-symbol column {node d: value}; absent nodes hold 0
-    w: list
-    k: list
+    def __init__(
+        self,
+        ctx: FieldContext,
+        n_gates: int,
+        symbols: tuple,
+        symbol_names: tuple,
+        v: list,
+        w: list,
+        k: list,
+    ):
+        self.ctx = ctx
+        self.n_gates = n_gates
+        self.symbols = symbols  # wire ids, ordered: one, inputs, then remaining by id
+        self.symbol_names = symbol_names
+        self.v = v  # per-symbol column {node d: value}; absent nodes hold 0
+        self.w = w
+        self.k = k
 
     @cached_property
     def tree(self) -> SubproductTree:
@@ -199,13 +205,17 @@ class AssembledInstance:
         return self.v * self.w - self.k
 
 
+def check_field(circuit: Circuit) -> None:
+    """Refuse a circuit whose modulus does not exceed twice its gate count."""
+    p, n = circuit.ctx.p, circuit.n_gates
+    if p <= 2 * n:
+        raise FieldTooSmall(f"modulus {p} must exceed 2N = {2 * n} for a {n}-gate circuit")
+
+
 def build_qap(circuit: Circuit) -> QAP:
+    check_field(circuit)
     ctx = circuit.ctx
     n = circuit.n_gates
-    if ctx.p <= 2 * n:
-        raise FieldTooSmall(
-            f"modulus {ctx.p} must exceed 2N = {2 * n} for a {n}-gate circuit"
-        )
     symbols = tuple(circuit.symbol_wires())
     position = {wire: idx for idx, wire in enumerate(symbols)}
     one_pos = position[0]
@@ -275,37 +285,3 @@ def assemble(qap: QAP, assignment: dict) -> AssembledInstance:
         return {d: value % p for d, value in values.items()}
 
     return AssembledInstance(qap, weights, (at_nodes(qap.v), at_nodes(qap.w), at_nodes(qap.k)))
-
-
-def soundness_scan(
-    qap: QAP,
-    assignment: dict,
-    trials: int | None = None,
-    seed: bytes = b"soundness-scan",
-) -> Fraction:
-    """Fraction of evaluation points where a forged quotient survives.
-
-    The forger rounds F / T down to its polynomial quotient H' and hopes the
-    verifier's random point s satisfies v(s)w(s) - k(s) = H'(s)T(s). For a
-    genuine solution that identity holds everywhere; otherwise it can hold
-    on at most deg(F) <= 2N points. With trials=None every field point is
-    scanned (meant for small moduli); otherwise `trials` points are drawn
-    uniformly at random.
-    """
-    p = qap.ctx.p
-    inst = assemble(qap, assignment)
-    forged_quotient = inst.f // qap.target
-
-    if trials is None:
-        points = range(p)
-        total = p
-    else:
-        rng = Sha256Rng(seed, label=b"scan")
-        points = (rng.randrange(p) for _ in range(trials))
-        total = trials
-
-    hits = sum(
-        inst.f.eval_int(x) == forged_quotient.eval_int(x) * qap.target.eval_int(x) % p
-        for x in points
-    )
-    return Fraction(hits, total)

@@ -25,7 +25,6 @@ from snarkpipe import (
     prove,
     setup,
     solve,
-    soundness_scan,
     verify,
 )
 from snarkpipe.bundled import load_bundled_text
@@ -35,7 +34,7 @@ from snarkpipe.interactive import HamiltonianCycleProblem, run_session
 from snarkpipe.pinocchio import WitnessKey
 from snarkpipe.rng import derive_seed
 
-from conftest import BAD_COLORING, CORPUS, GOOD_COLORING
+from conftest import BAD_COLORING, CORPUS, GOOD_COLORING, soundness_scan
 
 GOOD_INPUTS_JSON = {k: str(v) for k, v in GOOD_COLORING.items()}
 BAD_INPUTS_JSON = {k: str(v) for k, v in BAD_COLORING.items()}

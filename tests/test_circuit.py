@@ -14,7 +14,7 @@ from snarkpipe import (
     parse_program,
     solve,
 )
-from snarkpipe.circuit import PLUS, TIMES, WIRE_ONE
+from snarkpipe.circuit import PLUS, TIMES, WIRE_ONE, Gate, Wire
 from snarkpipe.frontend import Add, Constant, Mul, Neg, Pow, Variable
 
 from conftest import BAD_COLORING, GOOD_COLORING
@@ -118,6 +118,21 @@ def test_flattening_deterministic(coloring_program, ctx):
     a = flatten(coloring_program, ctx).to_json_bytes()
     b = flatten(coloring_program, ctx).to_json_bytes()
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "record,field",
+    [
+        (Wire(kind="one"), "kind"),
+        (Wire(kind="const", value=3), "value"),
+        (Wire(kind="inverse", of=1), "of"),
+        (Gate(TIMES, 1, 2, 3, 1), "out"),
+        (Gate(PLUS, 1, 2, 3, 1), "op"),
+    ],
+)
+def test_wires_and_gates_are_immutable(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, 0)
 
 
 def test_circuit_json_round_trip(coloring_circuit):

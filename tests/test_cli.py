@@ -141,6 +141,15 @@ def test_compile_too_small_field_creates_no_output(workdir, capsys):
     assert sorted(os.listdir(workdir)) == []
 
 
+def test_compile_checks_the_field_without_building_the_qap(workdir, capsys, monkeypatch):
+    monkeypatch.setattr("snarkpipe.qap.build_qap", None)  # a plain compile never calls it
+    code = main(["--field", "101", "compile", "coloring5", "-o", "c.json"])
+    assert_usage_error(code, capsys, "modulus 101 must exceed 2N = 138")
+    assert sorted(os.listdir(workdir)) == []
+    assert main(["compile", "coloring5", "-o", "c.json"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "N=69 symbols=76"
+
+
 def test_compile_too_small_field_keeps_existing_output(workdir, capsys):
     (workdir / "c.json").write_bytes(b"earlier circuit\n")
     (workdir / "q.json").write_bytes(b"earlier qap\n")
@@ -352,6 +361,16 @@ def test_verify_refuses_non_canonical_witness_entry(
     assert_usage_error(code, capsys, "malformed key", repr(field))
 
 
+def test_long_refused_entry_is_quoted_in_part(artifacts, tmp_path, capsys):
+    wk = {**artifacts["wk"][1], "h": "1" * 4301}
+    code = verify_with(artifacts, tmp_path, wk=wk)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("malformed key: witness-key entry 'h'")
+    assert "(4301 characters)" in err
+    assert err.count("\n") == 1 and len(err) < 200
+
+
 def test_verify_refuses_non_canonical_verification_entry(artifacts, tmp_path, capsys):
     vk = dict(artifacts["vk"][1])
     vk["target_at_s"] = str(int(vk["target_at_s"]) + int(vk["field"]["p"]))
@@ -421,6 +440,18 @@ KEY_EDITS = {
     "public_repeated_name": (
         "ek", lambda k: k.update(public=["one", "one"]),
         "evaluation-key entry 'public' lists 'one' twice",
+    ),
+    "vk_public_empty": (
+        "vk", lambda k: k.update(public=[]),
+        "verification-key entry 'public' must list 'one' first, not nothing",
+    ),
+    "vk_public_one_not_first": (
+        "vk", lambda k: k["public"].insert(0, {**k["public"][0], "name": "c1"}),
+        "verification-key entry 'public' must list 'one' first, not 'c1'",
+    ),
+    "vk_public_repeated_name": (
+        "vk", lambda k: k["public"].append(dict(k["public"][0])),
+        "verification-key entry 'public' lists 'one' twice",
     ),
     "vk_public_name_number": ("vk", public_name(1), "public[0].name"),
     "vk_public_name_null": ("vk", public_name(None), "public[0].name"),

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import snarkpipe
+from snarkpipe.bundled import load_bundled_text
 from snarkpipe.cli import main
 
 SRC = str(Path(snarkpipe.__file__).resolve().parents[1])
@@ -70,6 +71,58 @@ def test_cold_verify_loads_only_field_group_and_key_code(keys, tmp_path):
     assert code == 0
     assert [name for name in NOT_ON_VERIFY_PATH if name in modules] == []
     assert {"snarkpipe.field", "snarkpipe.groups", "snarkpipe.pinocchio"} <= set(modules)
+
+
+def cold_modules(argv, cwd) -> list:
+    """The modules a fresh interpreter has loaded after ``cli.main(argv)``."""
+    proc = run_clean(
+        "import json, sys\n"
+        "from snarkpipe import cli\n"
+        f"code = cli.main({argv!r})\n"
+        "print(json.dumps([code, sorted(sys.modules)]))\n",
+        cwd,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0
+    return modules
+
+
+# Loaded only for dataclass records, which no pipeline command has.
+NOT_ON_ANY_PIPELINE_PATH = ("dataclasses", "inspect")
+# Drawn on only by setup's trapdoor and the interactive baseline.
+NOT_ON_COMPILE_OR_PROVE_PATH = ("fractions", "snarkpipe.rng", "hashlib")
+
+
+def test_cold_compile_loads_no_dataclasses_or_rng(tmp_path):
+    # A source file, not a bundled name: importlib.resources loads inspect
+    # on Python 3.12 and later.
+    Path(tmp_path, "coloring5.zkp").write_text(load_bundled_text("coloring5.zkp"))
+    modules = cold_modules(["compile", "coloring5.zkp", "-o", "circuit.json"], tmp_path)
+    unwanted = NOT_ON_ANY_PIPELINE_PATH + NOT_ON_COMPILE_OR_PROVE_PATH
+    assert [name for name in unwanted if name in modules] == []
+    assert "snarkpipe.frontend" in modules and "snarkpipe.circuit" in modules
+
+
+def test_cold_setup_loads_no_dataclasses(keys, tmp_path):
+    modules = cold_modules(
+        ["--seed", "0102", "setup", "--circuit", keys["circuit"],
+         "--evaluation-key", "ek.json", "--verification-key", "vk.json"],
+        tmp_path,
+    )
+    assert [name for name in NOT_ON_ANY_PIPELINE_PATH if name in modules] == []
+    assert Path(tmp_path, "ek.json").read_bytes() == Path(keys["ek"]).read_bytes()
+
+
+def test_cold_prove_loads_no_dataclasses_or_rng(keys, tmp_path):
+    modules = cold_modules(
+        ["prove", "--circuit", keys["circuit"], "--evaluation-key", keys["ek"],
+         "--inputs", keys["in"], "-o", "wk.json"],
+        tmp_path,
+    )
+    unwanted = NOT_ON_ANY_PIPELINE_PATH + NOT_ON_COMPILE_OR_PROVE_PATH
+    assert [name for name in unwanted if name in modules] == []
+    assert Path(tmp_path, "wk.json").read_bytes() == Path(keys["wk"]).read_bytes()
 
 
 def test_bare_package_import_loads_no_submodule(tmp_path):

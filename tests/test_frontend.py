@@ -102,6 +102,21 @@ def test_syntax_error_reports_position():
 
 
 @pytest.mark.parametrize(
+    "source,message",
+    [
+        ("inputs x;\ny := x", "line 2, col 7: expected ';', found end of input"),
+        ("inputs x;\ny := (", "line 2, col 7: expected a value, found end of input"),
+        ("inputs x;\ny := (x)", "line 2, col 9: expected ';', found end of input"),
+        ("inputs x;", "line 1, col 10: program needs at least one assertion"),
+    ],
+)
+def test_end_of_input_is_one_column_past_the_last_character(source, message):
+    with pytest.raises(ParseError) as err:
+        parse_program(source)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
     "source,code",
     [
         ("inputs x; y := z + 1; assert y == 0;", "unknown-identifier"),
@@ -200,6 +215,46 @@ def test_round_trip_bundled(name, corpus_programs):
 def test_round_trip_tricky_nesting(source):
     program = parse_program(source)
     assert parse_program(format_program(program)) == program
+
+
+def test_round_trip_equality_sees_node_types():
+    plus = parse_program("inputs x, y; z := x + y; assert z == 0;")
+    times = parse_program("inputs x, y; z := x * y; assert z == 0;")
+    assert plus != times and hash(plus) != hash(times)
+    assert parse_program(format_program(times)) == times != plus
+
+
+# --- expression nodes ---------------------------------------------------------
+
+
+def test_nodes_of_different_types_with_equal_fields_differ():
+    x, y = Variable("x"), Variable("y")
+    assert Add((x, y)) != Mul((x, y))
+    assert not Add((x, y)) == Mul((x, y))
+    assert hash(Add((x, y))) != hash(Mul((x, y)))
+    one_field = [Constant("x"), Variable("x"), Neg("x"), ("x",)]
+    for a, b in itertools.combinations(one_field, 2):
+        assert a != b and b != a
+    assert len({hash(node) for node in one_field}) == len(one_field)
+    assert Add((x, y)) == Add((Variable("x"), Variable("y")))
+    assert hash(Add((x, y))) == hash(Add((Variable("x"), Variable("y"))))
+
+
+@pytest.mark.parametrize(
+    "node,field",
+    [
+        (Constant(3), "value"),
+        (Variable("x"), "name"),
+        (Add((Variable("x"), Constant(1))), "terms"),
+        (Mul((Variable("x"), Constant(2))), "factors"),
+        (Neg(Variable("x")), "operand"),
+        (Pow(Variable("x"), 2), "base"),
+        (Pow(Variable("x"), 2), "exponent"),
+    ],
+)
+def test_nodes_are_immutable(node, field):
+    with pytest.raises(AttributeError):
+        setattr(node, field, Constant(0))
 
 
 # --- evaluation ---------------------------------------------------------------

@@ -14,11 +14,10 @@ from snarkpipe import (
     flatten,
     parse_program,
     solve,
-    soundness_scan,
 )
 from snarkpipe.circuit import Circuit, Gate, Wire
 
-from conftest import GOOD_COLORING
+from conftest import GOOD_COLORING, soundness_scan
 
 
 def hand_circuit_single_times(ctx):
