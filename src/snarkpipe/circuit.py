@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .field import FieldContext, json_bytes, parse_decimal, read_header, write_header
+from .field import FieldContext, _quote, json_bytes, parse_decimal, read_header, write_header
 from .frontend import (
     Add,
     Constant,
@@ -50,6 +50,7 @@ WIRE_ONE = 0
 PLUS = "Plus"
 TIMES = "Times"
 WIRE_KINDS = ("one", "input", "const", "gate", "inverse")
+RELATIONS = {relation.value: relation for relation in Relation}  # by file spelling
 
 
 class IncompleteAssignment(ValueError):
@@ -177,13 +178,13 @@ class Circuit:
         def wire_id(value, where: str, below: int = len(entries)) -> int:
             if type(value) is int and 0 <= value < below:
                 return value
-            raise ValueError(f"{where} must be a wire id below {below}, not {value!r}")
+            raise ValueError(f"{where} must be a wire id below {below}, not {_quote(value)}")
 
         wires = []
         for i, entry in enumerate(entries):
             kind, value, of = entry.get("kind"), entry.get("value"), entry.get("of")
             if kind not in WIRE_KINDS:
-                raise ValueError(f"wire {i} has unknown kind {kind!r}")
+                raise ValueError(f"wire {i} has unknown kind {_quote(kind)}")
             if value is not None or kind == "const":
                 value = parse_decimal(value, ctx.p, what=f"wire {i} value")
             if of is not None or kind == "inverse":
@@ -198,25 +199,29 @@ class Circuit:
         gates = []
         for d, e in enumerate(_objects(data, "gates"), 1):
             if e.get("op") not in (PLUS, TIMES):
-                raise ValueError(f"gate {d} has unknown op {e.get('op')!r}")
+                raise ValueError(f"gate {d} has unknown op {_quote(e.get('op'))}")
             if type(e.get("d")) is not int or e["d"] != d:
-                raise ValueError(f"gate {d} must have d={d}, not {e.get('d')!r}")
+                raise ValueError(f"gate {d} must have d={d}, not {_quote(e.get('d'))}")
             out = wire_id(e.get("o"), f"gate {d} 'o'")
             left = wire_id(e.get("l"), f"gate {d} 'l'", out)
             right = wire_id(e.get("r"), f"gate {d} 'r'", out)
             if gates and out <= gates[-1].out:
                 raise ValueError(f"gate {d} drives wire {out}, not one after gate {d - 1}'s")
             gates.append(Gate(op=e["op"], left=left, right=right, out=out, index=d))
-        outputs = [
-            (wire_id(e.get("wire"), f"output {i}"), Relation(e.get("rel")))
-            for i, e in enumerate(_objects(data, "outputs"))
-        ]
+        outputs = []
+        for i, e in enumerate(_objects(data, "outputs")):
+            wire, rel = wire_id(e.get("wire"), f"output {i}"), e.get("rel")
+            if not isinstance(rel, str) or rel not in RELATIONS:
+                raise ValueError(
+                    f"output {i} 'rel' must be one of {', '.join(RELATIONS)}, not {_quote(rel)}"
+                )
+            outputs.append((wire, RELATIONS[rel]))
         inputs, names = data["inputs"], data["names"]
         if not isinstance(inputs, list) or not all(isinstance(n, str) for n in inputs):
             raise ValueError("circuit 'inputs' must be an array of names")
         if not isinstance(names, dict):
             raise ValueError("circuit 'names' must be a JSON object")
-        names = {k: wire_id(v, f"name {k!r}") for k, v in names.items()}
+        names = {k: wire_id(v, f"name {_quote(k)}") for k, v in names.items()}
         driven = {gate.out for gate in gates}
         input_wires = {names.get(name) for name in inputs}
         for i, wire in enumerate(wires):
@@ -227,7 +232,9 @@ class Circuit:
         for name in inputs:
             i = names.get(name)
             if i is None or wires[i].kind != "input" or wires[i].name != name:
-                raise ValueError(f"input {name!r} names wire {i}, not an input wire {name!r}")
+                raise ValueError(
+                    f"input {_quote(name)} names wire {i}, not an input wire of that name"
+                )
         return cls(ctx, wires, gates, outputs, inputs, names)
 
     def to_json_bytes(self) -> bytes:

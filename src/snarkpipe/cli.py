@@ -20,7 +20,7 @@ import os
 import sys
 
 from . import bundled, pinocchio
-from .field import DEFAULT_MODULUS, FieldContext, inverse, json_bytes, parse_decimal
+from .field import DEFAULT_MODULUS, FieldContext, _quote, inverse, json_bytes, parse_decimal
 from .groups import TransparentGroup
 from .pinocchio import InvalidWitness, MalformedKey
 
@@ -80,7 +80,7 @@ def _decimal(text: str) -> int:
     try:
         return parse_decimal(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a canonical decimal: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"not a canonical decimal: {_quote(text)}") from None
 
 
 def _add_global_flags(parser) -> None:
@@ -231,7 +231,8 @@ def _parse_input_map(data) -> dict:
             out[name] = int(value)
         else:
             raise ValueError(
-                f"input {name!r} must be an integer or a decimal string, not {value!r}"
+                f"input {_quote(name)} must be an integer or a decimal string,"
+                f" not {_quote(value)}"
             )
     return out
 

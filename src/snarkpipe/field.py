@@ -109,14 +109,17 @@ def is_probable_prime(n: int) -> bool:
 
 
 class FieldContext:
-    """A validated prime modulus p."""
+    """A validated prime modulus p.
+
+    DEFAULT_MODULUS is a known prime (tests pin it); any other p is tested
+    once per context."""
 
     __slots__ = ("p",)
 
     def __init__(self, p: int = DEFAULT_MODULUS):
         if not isinstance(p, int) or p < 3:
             raise ValueError("modulus must be an odd prime")
-        if not is_probable_prime(p):
+        if p != DEFAULT_MODULUS and not is_probable_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         self.p = p
 

@@ -29,7 +29,7 @@ import enum
 import warnings
 from collections import namedtuple
 
-from .field import FieldContext
+from .field import FieldContext, _quote
 
 __all__ = [
     "Add",
@@ -579,14 +579,15 @@ def _eval_expr(expr: Expression, env: dict, ctx: FieldContext, warned: set) -> i
 
 def require_inputs(declared, supplied) -> None:
     """Refuse an input map whose names differ from the declared inputs,
-    naming every missing and every unexpected one."""
+    naming every missing and every unexpected one (each list quoted and cut
+    to a short line)."""
     missing = sorted(set(declared) - set(supplied))
     extra = sorted(set(supplied) - set(declared))
     problems = []
     if missing:
-        problems.append(f"missing inputs: {', '.join(missing)}")
+        problems.append(f"missing inputs: {_quote(', '.join(missing))}")
     if extra:
-        problems.append(f"unexpected inputs: {', '.join(extra)}")
+        problems.append(f"unexpected inputs: {_quote(', '.join(extra))}")
     if problems:
         raise ValueError("; ".join(problems))
 

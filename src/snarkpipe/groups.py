@@ -13,6 +13,8 @@ protecting secrets.
 
 from __future__ import annotations
 
+from operator import mul
+
 from .field import FieldContext, parse_decimal
 
 __all__ = ["GroupElement", "TargetGroupElement", "TransparentGroup"]
@@ -107,13 +109,13 @@ class TransparentGroup:
         return GroupElement(self, 1)
 
     def msm(self, bases, scalars) -> GroupElement:
-        """Product of bases[i] ** scalars[i], up to the shorter sequence.
+        """Product of the elements whose discrete logs are ``bases`` (residues
+        mod p), each raised to its scalar, up to the shorter sequence.
 
         With the discrete logs in the clear this is one dot product mod p; a
         real pairing group would use a bucket method such as Pippenger's.
         """
-        total = sum(base.value * scalar for base, scalar in zip(bases, scalars))
-        return GroupElement(self, total % self.ctx.p)
+        return GroupElement(self, sum(map(mul, bases, scalars)) % self.ctx.p)
 
     def pairing(self, a: GroupElement, b: GroupElement) -> TargetGroupElement:
         p = _common_modulus(a, b)
@@ -125,8 +127,9 @@ class TransparentGroup:
         return GroupElement(self, parse_decimal(text, self.ctx.p))
 
     def decode_all(self, texts: list) -> list | None:
-        """``decode`` over a whole list in one pass, or None if any entry is
-        not canonical (``decode`` then names it).
+        """The discrete logs ``decode`` would give for a whole list, as ints,
+        in one pass, or None if any entry is not canonical (``decode`` then
+        names it).
 
         A string is canonical exactly when str(int(text)) gives it back and
         its value lies in [0, p): the round trip rules out signs, padding,
@@ -140,4 +143,4 @@ class TransparentGroup:
             0 <= min(values) and max(values) < self.ctx.p
         ):
             return None
-        return [GroupElement(self, value) for value in values]
+        return values

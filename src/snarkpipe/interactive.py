@@ -26,6 +26,7 @@ import hashlib
 import struct
 from dataclasses import dataclass
 
+from .field import _quote
 from .rng import Sha256Rng, derive_seed
 
 __all__ = [
@@ -484,7 +485,9 @@ def _json_array(values, item_type: type, field: str) -> tuple:
     if isinstance(values, list) and all(type(v) is item_type for v in values):
         return tuple(values)
     names = {int: "integers", bool: "booleans", list: "arrays"}
-    raise ValueError(f"{field} must be an array of JSON {names[item_type]}, not {values!r}")
+    raise ValueError(
+        f"{field} must be an array of JSON {names[item_type]}, not {_quote(values)}"
+    )
 
 
 def load_problem(data) -> tuple:
@@ -505,7 +508,7 @@ def load_problem(data) -> tuple:
     elif kind == "sat3":
         n_vars = data["variables"]
         if type(n_vars) is not int:
-            raise ValueError(f"variables must be a JSON integer, not {n_vars!r}")
+            raise ValueError(f"variables must be a JSON integer, not {_quote(n_vars)}")
         if n_vars > MAX_VARIABLES:
             raise ValueError(f"variables must be at most {MAX_VARIABLES}, not {n_vars}")
         clauses = _json_array(data["clauses"], list, "clauses")
@@ -515,7 +518,7 @@ def load_problem(data) -> tuple:
         )
         solution_field, solution_type = "assignment", bool
     else:
-        raise ValueError(f"unknown problem type {kind!r}")
+        raise ValueError(f"unknown problem type {_quote(kind)}")
     problem.validate()
     solution = data.get(solution_field)
     if solution is not None:

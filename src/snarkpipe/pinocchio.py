@@ -100,18 +100,20 @@ class EvaluationKey(
             "n_gates",
             "symbols",  # symbol names, in QAP order
             "public",  # names of the public symbols
-            "powers_of_s",  # g^(s^d), d = 0..N
-            "v",  # gv^(v_i(s)) per symbol
+            "powers_of_s",  # s^d, d = 0..N
+            "v",  # r_v * v_i(s) per symbol
             "w",
             "k",
-            "alpha_v",  # gv^(alpha_v * v_i(s)) per symbol
+            "alpha_v",  # alpha_v * r_v * v_i(s) per symbol
             "alpha_w",
             "alpha_k",
-            "beta",  # gv^(beta*v_i(s)) * gw^(beta*w_i(s)) * gk^(beta*k_i(s))
+            "beta",  # beta * (r_v*v_i + r_w*w_i + r_k*k_i)(s)
         ),
     )
 ):
-    """The program's shape and, per `LISTS` entry, a list of group elements."""
+    """The program's shape and, per `LISTS` entry, a list of group elements
+    given by their discrete logs: plain residues mod p, the exponents of g
+    that a key file lists."""
 
     __slots__ = ()
 
@@ -204,7 +206,9 @@ def setup(
     """Generate the evaluation and verification keys from a seeded trapdoor.
 
     The trapdoor exists only inside this call. Identical seeds reproduce
-    identical keys.
+    identical keys. Every evaluation-key entry is g raised to a product of
+    trapdoor scalars, so setup computes those exponents by field arithmetic,
+    the fixed-base exponentiation a real group would then apply.
     """
     if group.ctx != qap.ctx:
         raise ValueError(
@@ -222,16 +226,10 @@ def setup(
     p = qap.ctx.p
     rng = Sha256Rng(seed, label=b"trusted-setup")
     td = Trapdoor.sample(rng, p, qap.n_gates)
-    g = group.generator()
-    g_v = g**td.r_v
-    g_w = g**td.r_w
-    g_k = g**td.r_k
 
-    powers = []
-    s_power = 1
-    for _ in range(qap.n_gates + 1):
-        powers.append(g**s_power)
-        s_power = s_power * td.s % p
+    powers = [1]
+    for _ in range(qap.n_gates):
+        powers.append(powers[-1] * td.s % p)
 
     # a_i(s) = sum_d a_i(d) L_d(s): the columns never leave node form
     target_at_s, lagrange_at_s = qap.lagrange_at(td.s)
@@ -242,27 +240,29 @@ def setup(
             for col in columns
         ]
 
-    v_at_s, w_at_s, k_at_s = at_s(qap.v), at_s(qap.w), at_s(qap.k)
+    def scaled(factor: int, values: list) -> list:
+        return [factor * x % p for x in values]
 
+    v_at_s, w_at_s, k_at_s = at_s(qap.v), at_s(qap.w), at_s(qap.k)
+    beta_v, beta_w, beta_k = (td.beta * r % p for r in (td.r_v, td.r_w, td.r_k))
     ek = EvaluationKey(
         group=group,
         n_gates=qap.n_gates,
         symbols=qap.symbol_names,
         public=public,
         powers_of_s=powers,
-        v=[g_v**x for x in v_at_s],
-        w=[g_w**x for x in w_at_s],
-        k=[g_k**x for x in k_at_s],
-        alpha_v=[g_v ** (td.alpha_v * x % p) for x in v_at_s],
-        alpha_w=[g_w ** (td.alpha_w * x % p) for x in w_at_s],
-        alpha_k=[g_k ** (td.alpha_k * x % p) for x in k_at_s],
+        v=scaled(td.r_v, v_at_s),
+        w=scaled(td.r_w, w_at_s),
+        k=scaled(td.r_k, k_at_s),
+        alpha_v=scaled(td.alpha_v * td.r_v % p, v_at_s),
+        alpha_w=scaled(td.alpha_w * td.r_w % p, w_at_s),
+        alpha_k=scaled(td.alpha_k * td.r_k % p, k_at_s),
         beta=[
-            (g_v ** (td.beta * x % p))
-            * (g_w ** (td.beta * y % p))
-            * (g_k ** (td.beta * z % p))
+            (beta_v * x + beta_w * y + beta_k * z) % p
             for x, y, z in zip(v_at_s, w_at_s, k_at_s)
         ],
     )
+    g = group.generator()
     index_of = {name: i for i, name in enumerate(qap.symbol_names)}
     vk = VerificationKey(
         group=group,
@@ -272,9 +272,9 @@ def setup(
         alpha_k=g**td.alpha_k,
         gamma=g**td.gamma,
         beta_gamma=g ** (td.beta * td.gamma % p),
-        target_at_s=g_k**target_at_s,
+        target_at_s=g ** (td.r_k * target_at_s % p),
         public_entries=[
-            (name, ek.v[index_of[name]], ek.w[index_of[name]], ek.k[index_of[name]])
+            (name, *(g ** entries[index_of[name]] for entries in (ek.v, ek.w, ek.k)))
             for name in public
         ],
     )
@@ -370,9 +370,7 @@ def _element(e: GroupElement) -> str:
 def evaluation_key_to_dict(ek: EvaluationKey) -> dict:
     data = _header(ek.group, "evaluation-key")
     data.update(n_gates=ek.n_gates, symbols=list(ek.symbols), public=list(ek.public))
-    data.update(
-        {name: [_element(e) for e in getattr(ek, name)] for name in EvaluationKey.LISTS}
-    )
+    data.update({name: list(map(str, getattr(ek, name))) for name in EvaluationKey.LISTS})
     return data
 
 
@@ -416,13 +414,13 @@ def _decode_list(group: TransparentGroup, data: dict, name: str, count: int) -> 
     values = data[name]
     if not isinstance(values, list) or len(values) != count:
         raise MalformedKey(f"evaluation-key entry {name!r} must list {count} elements")
-    elements = group.decode_all(values)
-    if elements is None:  # decode one by one to name the first bad entry
-        elements = [
-            _decode(group, value, f"evaluation-key entry {name}[{i}]")
+    residues = group.decode_all(values)
+    if residues is None:  # decode one by one to name the first bad entry
+        residues = [
+            _decode(group, value, f"evaluation-key entry {name}[{i}]").value
             for i, value in enumerate(values)
         ]
-    return elements
+    return residues
 
 
 def _names(data: dict, name: str) -> tuple:

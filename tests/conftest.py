@@ -4,6 +4,7 @@ import pytest
 
 from snarkpipe import FieldContext, Sha256Rng, assemble, build_qap, flatten, parse_program
 from snarkpipe.bundled import load_bundled_text
+from snarkpipe.pinocchio import EvaluationKey, Trapdoor, VerificationKey, verification_key_to_dict
 
 CORPUS = ("coloring5.zkp", "cubic.zkp", "product.zkp")
 
@@ -42,6 +43,83 @@ def soundness_scan(qap, assignment, trials=None, seed=b"soundness-scan") -> Frac
         for x in points
     )
     return Fraction(hits, total)
+
+
+def chain_program(links: int):
+    """A squaring chain of N = 2 * links + 3 gates."""
+    lines = ["inputs a, y;", "f1 := a*a + 7;"]
+    lines += [f"f{i} := f{i - 1}*f{i - 1} + a;" for i in range(2, links + 1)]
+    lines += [f"out := f{links} - y;", "assert out == 0;"]
+    return parse_program("\n".join(lines))
+
+
+def setup_oracle(qap, group, seed, public=("one",)) -> tuple:
+    """(evaluation-key dict, verification-key dict) the way setup made them
+    when it raised group elements: every entry is a product of powers of
+    g, g_v = g^r_v, g_w = g^r_w and g_k = g^r_k, written as its discrete log."""
+    p = qap.ctx.p
+    public = tuple(dict.fromkeys(("one",) + tuple(public)))
+    td = Trapdoor.sample(Sha256Rng(seed, label=b"trusted-setup"), p, qap.n_gates)
+    g = group.generator()
+    g_v = g**td.r_v
+    g_w = g**td.r_w
+    g_k = g**td.r_k
+
+    powers = []
+    s_power = 1
+    for _ in range(qap.n_gates + 1):
+        powers.append(g**s_power)
+        s_power = s_power * td.s % p
+
+    target_at_s, lagrange_at_s = qap.lagrange_at(td.s)
+
+    def at_s(columns) -> list:
+        return [
+            sum(value * lagrange_at_s[d - 1] for d, value in col.items()) % p
+            for col in columns
+        ]
+
+    v_at_s, w_at_s, k_at_s = at_s(qap.v), at_s(qap.w), at_s(qap.k)
+    lists = {
+        "powers_of_s": powers,
+        "v": [g_v**x for x in v_at_s],
+        "w": [g_w**x for x in w_at_s],
+        "k": [g_k**x for x in k_at_s],
+        "alpha_v": [g_v ** (td.alpha_v * x % p) for x in v_at_s],
+        "alpha_w": [g_w ** (td.alpha_w * x % p) for x in w_at_s],
+        "alpha_k": [g_k ** (td.alpha_k * x % p) for x in k_at_s],
+        "beta": [
+            (g_v ** (td.beta * x % p))
+            * (g_w ** (td.beta * y % p))
+            * (g_k ** (td.beta * z % p))
+            for x, y, z in zip(v_at_s, w_at_s, k_at_s)
+        ],
+    }
+    index_of = {name: i for i, name in enumerate(qap.symbol_names)}
+    vk = VerificationKey(
+        group=group,
+        g=g,
+        alpha_v=g**td.alpha_v,
+        alpha_w=g**td.alpha_w,
+        alpha_k=g**td.alpha_k,
+        gamma=g**td.gamma,
+        beta_gamma=g ** (td.beta * td.gamma % p),
+        target_at_s=g_k**target_at_s,
+        public_entries=[
+            (name, *(lists[f][index_of[name]] for f in "vwk")) for name in public
+        ],
+    )
+    ek_dict = {
+        "format": "snarkpipe-evaluation-key/2",
+        "field": {"p": str(p)},
+        "backend": "transparent",
+        "n_gates": qap.n_gates,
+        "symbols": list(qap.symbol_names),
+        "public": list(public),
+        **{name: [str(e.value) for e in lists[name]] for name in EvaluationKey.LISTS},
+    }
+    return ek_dict, verification_key_to_dict(vk)
+
 
 @pytest.fixture(scope="session")
 def ctx():

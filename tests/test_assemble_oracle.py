@@ -24,14 +24,13 @@ from snarkpipe import (  # noqa: E402
     build_qap,
     eval_program,
     flatten,
-    parse_program,
     prove,
     setup,
     solve,
 )
 from snarkpipe.circuit import Circuit, Wire  # noqa: E402
 
-from conftest import BAD_COLORING, GOOD_COLORING  # noqa: E402
+from conftest import BAD_COLORING, GOOD_COLORING, chain_program  # noqa: E402
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=80, database=None)
 
@@ -65,14 +64,6 @@ def assert_matches_oracle(qap, assignment):
     assert instance.failing_gate == failing
     assert instance.f == f
     return instance
-
-
-def chain_program(links: int):
-    """A squaring chain of N = 2 * links + 3 gates."""
-    lines = ["inputs a, y;", "f1 := a*a + 7;"]
-    lines += [f"f{i} := f{i - 1}*f{i - 1} + a;" for i in range(2, links + 1)]
-    lines += [f"out := f{links} - y;", "assert out == 0;"]
-    return parse_program("\n".join(lines))
 
 
 # --- every coloring, chains, tamperings, the empty program ----------------------

@@ -1205,3 +1205,124 @@ def test_command_help_shows_only_its_own_arguments(capsys, monkeypatch):
     assert "--inputs" not in out
     # Python 3.10 titles the section "optional arguments".
     assert out.replace("optional arguments:", "options:") == VERIFY_HELP
+
+
+# --- hostile values are quoted in part ------------------------------------------
+
+LONG = "y" * 5000
+
+
+def assert_one_short_line(code, capsys, name):
+    """Exit 1 with one stderr line under 200 characters naming the entry."""
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("\n") == 1 and len(err) < 200, err[:300]
+    assert name in err
+
+
+def prove_with_inputs(artifacts, tmp_path, inputs):
+    return main([
+        "prove", "--circuit", artifacts["circuit"][0],
+        "--evaluation-key", artifacts["ek"][0],
+        "--inputs", write_json(tmp_path / "inputs.json", inputs),
+        "-o", str(tmp_path / "wk.json"),
+    ])
+
+
+@pytest.mark.parametrize(
+    "inputs, name",
+    [
+        ({**GOOD_INPUTS, "c1": LONG}, "input 'c1' must be an integer"),
+        ({**GOOD_INPUTS, LONG: 3.0}, "input 'yyyy"),
+        ({**GOOD_INPUTS, LONG: "1"}, "unexpected inputs: 'yyyy"),
+        ({**GOOD_INPUTS, **{f"{LONG}{i}": "1" for i in range(3)}}, "unexpected inputs: "),
+    ],
+    ids=["value", "name", "unexpected_name", "unexpected_names"],
+)
+def test_prove_quotes_hostile_inputs(artifacts, tmp_path, capsys, inputs, name):
+    code = prove_with_inputs(artifacts, tmp_path, inputs)
+    assert_one_short_line(code, capsys, name)
+    assert not (tmp_path / "wk.json").exists()
+
+
+def test_short_input_lists_are_named_whole(artifacts, tmp_path, capsys):
+    inputs = {**GOOD_INPUTS, "zz": "1"}
+    del inputs["c2"]
+    code = prove_with_inputs(artifacts, tmp_path, inputs)
+    assert_one_short_line(code, capsys, "error: missing inputs: 'c2'; unexpected inputs: 'zz'")
+
+
+def test_numeric_flag_quotes_a_hostile_value(workdir, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--field", LONG, "verify"])
+    assert exc.value.code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[-1].startswith("snarkpipe: error: argument --field: not a canonical decimal")
+    assert "(5000 characters)" in lines[-1]
+    assert max(map(len, lines)) < 200
+
+
+HOSTILE_CIRCUIT_EDITS = {
+    "wire_kind": (lambda d: d["wires"][1].update(kind=LONG), "wire 1 has unknown kind"),
+    "gate_op": (lambda d: d["gates"][0].update(op=LONG), "gate 1 has unknown op"),
+    "gate_index": (lambda d: d["gates"][0].update(d=LONG), "gate 1 must have d=1"),
+    "gate_out": (lambda d: d["gates"][0].update(o=LONG), "gate 1 'o' must be a wire id"),
+    "output_wire": (lambda d: d["outputs"][0].update(wire=LONG), "output 0 must be a wire id"),
+    "output_rel": (lambda d: d["outputs"][0].update(rel=LONG), "output 0 'rel' must be one of"),
+    "output_rel_array": (lambda d: d["outputs"][0].update(rel=[LONG]), "output 0 'rel'"),
+    "name": (lambda d: d["names"].update({LONG: LONG}), "name 'yyyy"),
+    "input": (lambda d: d["inputs"].append(LONG), "input 'yyyy"),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(HOSTILE_CIRCUIT_EDITS))
+def test_setup_quotes_hostile_circuit_values(artifacts, tmp_path, capsys, edit):
+    change, name = HOSTILE_CIRCUIT_EDITS[edit]
+    data = mutate_circuit(artifacts["circuit"][1], change)
+    code = main([
+        "--seed", "01", "setup", "--circuit", write_json(tmp_path / "c.json", data),
+        "--evaluation-key", str(tmp_path / "ek.json"),
+        "--verification-key", str(tmp_path / "vk.json"),
+    ])
+    assert_one_short_line(code, capsys, name)
+    assert not (tmp_path / "ek.json").exists()
+
+
+@pytest.mark.parametrize(
+    "problem, name",
+    [
+        ({"type": LONG}, "unknown problem type 'yyyy"),
+        ({**TRIANGLE, "adjacency": LONG}, "adjacency must be an array"),
+        ({**TRIANGLE, "adjacency": [[LONG]]}, "adjacency row 0 must be an array"),
+        ({**TRIANGLE, "cycle": [LONG]}, "cycle must be an array"),
+        ({**SAT_DEMO, "variables": LONG}, "variables must be a JSON integer"),
+        ({**SAT_DEMO, "clauses": [[1, 2, LONG]]}, "clause 0 must be an array"),
+    ],
+    ids=["type", "adjacency", "adjacency_row", "cycle", "variables", "clause"],
+)
+def test_interactive_quotes_hostile_problem_values(workdir, capsys, problem, name):
+    path = write_json(workdir / "problem.json", problem)
+    code = main(["--seed", "01", "interactive", "--problem", path])
+    assert_one_short_line(code, capsys, name)
+    assert not (workdir / "transcript.json").exists()
+
+
+# A composite modulus in each artifact header, and the command that reads it.
+COMPOSITE_HEADER = {
+    "circuit": ["setup", "--circuit", "{f}", "--evaluation-key", "{o}/ek.json",
+                "--verification-key", "{o}/vk.json"],
+    "ek": ["prove", "--circuit", "{circuit}", "--evaluation-key", "{f}",
+           "--inputs", "{inputs}", "-o", "{o}/wk.json"],
+    "vk": ["verify", "--verification-key", "{f}", "--witness-key", "{wk}"],
+    "wk": ["verify", "--verification-key", "{vk}", "--witness-key", "{f}"],
+}
+
+
+@pytest.mark.parametrize("p", [2**61 + 1, (2**61 - 1) * 3, 2**64 - 2**32 + 3])
+@pytest.mark.parametrize("name", sorted(COMPOSITE_HEADER))
+def test_composite_modulus_in_a_header_is_refused(artifacts, tmp_path, capsys, name, p):
+    data = {**artifacts[name][1], "field": {"p": str(p)}}
+    target = write_json(tmp_path / "composite.json", data)
+    code = main(fill(COMPOSITE_HEADER[name], artifacts, tmp_path, target))
+    assert_one_short_line(code, capsys, f"modulus {p} is not prime")
+    assert sorted(os.listdir(tmp_path)) == ["composite.json", "inputs.json"]

@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from snarkpipe import DEFAULT_MODULUS, DivisionByZero, FieldContext, Sha256Rng
+from snarkpipe import DEFAULT_MODULUS, DivisionByZero, FieldContext, Sha256Rng, field
 from snarkpipe.field import inverse, is_probable_prime, read_header, write_header
 
 
@@ -58,6 +58,42 @@ def test_is_probable_prime_small_cases():
         assert is_probable_prime(n)
     for n in (0, 1, 4, 9, 15, 21, 2**31, DEFAULT_MODULUS + 2):
         assert not is_probable_prime(n)
+
+
+def test_default_modulus_is_prime():
+    # FieldContext takes DEFAULT_MODULUS as a known prime; this pins why.
+    assert is_probable_prime(DEFAULT_MODULUS)
+    assert is_probable_prime(2**61 - 1)
+    assert not is_probable_prime(DEFAULT_MODULUS - 2)
+
+
+@pytest.fixture()
+def prime_tests(monkeypatch):
+    """Every modulus FieldContext hands to is_probable_prime."""
+    tested = []
+
+    def counting(n):
+        tested.append(n)
+        return is_probable_prime(n)
+
+    monkeypatch.setattr(field, "is_probable_prime", counting)
+    return tested
+
+
+def test_default_modulus_is_not_tested_again(prime_tests):
+    header = write_header("witness-key", FieldContext())
+    assert read_header(header, "witness-key").p == DEFAULT_MODULUS
+    assert FieldContext(DEFAULT_MODULUS).p == DEFAULT_MODULUS
+    assert prime_tests == []
+
+
+def test_other_modulus_is_tested_once_per_context(prime_tests):
+    p = 2**61 - 1
+    header = write_header("evaluation-key", FieldContext(p))
+    assert prime_tests == [p]
+    for count in (2, 3):
+        assert read_header(header, "evaluation-key").p == p
+        assert prime_tests == [p] * count
 
 
 def test_context_json_round_trip(ctx, ctx101):

@@ -42,14 +42,15 @@ def test_exponent_must_be_int(ctx17):
 
 
 def test_msm_matches_exponent_products(ctx):
+    # The bases are discrete logs, the form evaluation-key entries take.
     group = TransparentGroup(ctx)
     g = group.generator()
     rng = Sha256Rng(b"msm")
-    bases = [g ** rng.randrange(ctx.p) for _ in range(30)]
+    bases = [rng.randrange(ctx.p) for _ in range(30)]
     scalars = [rng.randrange(ctx.p) for _ in range(30)]
     expected = g**0
     for base, scalar in zip(bases, scalars):
-        expected = expected * (base**scalar)
+        expected = expected * ((g**base) ** scalar)
     assert group.msm(bases, scalars) == expected
     assert group.msm(bases, scalars[:10]) == group.msm(bases[:10], scalars)
     assert group.msm([], []) == g**0
@@ -108,7 +109,7 @@ def test_decode_refuses_non_canonical(ctx17, text):
 def test_decode_all_matches_decode_on_canonical_lists(ctx17):
     group = TransparentGroup(ctx17)
     for texts in ([], ["0"], [str(v) for v in range(17)], ["16", "0", "16"]):
-        assert group.decode_all(texts) == [group.decode(text) for text in texts]
+        assert group.decode_all(texts) == [group.decode(text).value for text in texts]
 
 
 def test_unknown_backend():

@@ -354,7 +354,7 @@ def test_one_pass_decode_matches_per_entry_decode(coloring_keys, ctx, group):
         data = evaluation_key_to_dict(ek)
         loaded = load_evaluation_key(data)
         for name in EvaluationKey.LISTS:
-            per_entry = [group.decode(text) for text in data[name]]
+            per_entry = [group.decode(text).value for text in data[name]]
             assert group.decode_all(data[name]) == per_entry == getattr(loaded, name)
 
 
