@@ -2,25 +2,25 @@
 
 from __future__ import annotations
 
+import os
+
 __all__ = ["bundled_names", "load_bundled_text", "read_text", "resolve_source"]
 
 
-def _data_dir():
-    # Imported here: commands that read only files on disk never load it.
-    from importlib import resources
-
-    return resources.files(__package__).joinpath("data")
+def _data_dir() -> str:
+    return os.path.join(os.path.dirname(__file__), "data")
 
 
 def bundled_names() -> list:
-    return sorted(entry.name for entry in _data_dir().iterdir() if entry.is_file())
+    data = _data_dir()
+    return sorted(name for name in os.listdir(data) if os.path.isfile(os.path.join(data, name)))
 
 
 def load_bundled_text(name: str) -> str:
-    entry = _data_dir().joinpath(name)
-    if not entry.is_file():
+    path = os.path.join(_data_dir(), name)
+    if not os.path.isfile(path):
         raise FileNotFoundError(f"no bundled file named {name!r}")
-    return entry.read_text()
+    return read_text(path)
 
 
 def read_text(path: str) -> str:
@@ -36,8 +36,6 @@ def read_text(path: str) -> str:
 
 def resolve_source(path_or_name: str, suffix: str) -> str:
     """Read a file from disk, falling back to the bundled copy of that name."""
-    import os
-
     if os.path.exists(path_or_name):
         return read_text(path_or_name)
     candidate = os.path.basename(path_or_name)

@@ -485,11 +485,15 @@ def _format_expr(expr: Expression, parent: str = "top") -> str:
         return str(expr.value)
     if isinstance(expr, Variable):
         return expr.name
+    # A factor is [-] primary [^k]: a negated negation and the base of a
+    # power other than a name or an integer need parentheses.
     if isinstance(expr, Neg):
         inner = _format_expr(expr.operand, "neg")
-        return f"-{inner}"
+        return f"-({inner})" if isinstance(expr.operand, Neg) else f"-{inner}"
     if isinstance(expr, Pow):
         base = _format_expr(expr.base, "pow")
+        if isinstance(expr.base, (Neg, Pow)):
+            base = f"({base})"
         return f"{base}^{expr.exponent}"
     if isinstance(expr, Mul):
         text = "*".join(_format_expr(f, "mul") for f in expr.factors)

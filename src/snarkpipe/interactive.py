@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import struct
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .field import _quote
 from .rng import Sha256Rng, derive_seed
@@ -75,11 +75,15 @@ def _coins(rng, n: int) -> tuple:
 # --- public problems ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HamiltonianCycleProblem:
-    """Find a cycle through every vertex of a simple undirected graph."""
+# The records are named tuples: ``dataclasses`` would pull ``inspect`` and
+# ``ast`` into every cold ``interactive`` run for these few classes alone.
 
-    adjacency: tuple  # of tuples of 0/1
+
+class HamiltonianCycleProblem(namedtuple("HamiltonianCycleProblem", "adjacency")):
+    """Find a cycle through every vertex of a simple undirected graph; the
+    adjacency matrix is a tuple of tuples of 0/1."""
+
+    __slots__ = ()
 
     @property
     def n(self) -> int:
@@ -119,13 +123,11 @@ class HamiltonianCycleProblem:
         return tuple([tuple(map(rows[i].__getitem__, source)) for i in source])
 
 
-@dataclass(frozen=True)
-class SatProblem:
-    """Satisfy a conjunction of 3-literal clauses; literal k means variable
-    |k| (1-based), negated when k < 0."""
+class SatProblem(namedtuple("SatProblem", "n_vars clauses")):
+    """Satisfy a conjunction of 3-literal clauses (a tuple of 3-tuples);
+    literal k means variable |k| (1-based), negated when k < 0."""
 
-    n_vars: int
-    clauses: tuple  # of 3-tuples of literals
+    __slots__ = ()
 
     def validate(self) -> None:
         n = self.n_vars
@@ -171,27 +173,32 @@ class SatProblem:
 # --- round data --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RoundCommitment:
-    kind: str  # "hamiltonian-cycle" | "sat3"
-    size: int  # vertices or variables
-    digests: tuple  # of 32-byte digests
+class RoundCommitment(namedtuple("RoundCommitment", "kind size digests")):
+    """kind is "hamiltonian-cycle" or "sat3", size the vertices or variables,
+    digests a tuple of 32-byte digests."""
+
+    __slots__ = ()
 
     def hex_digests(self) -> list:
         return [d.hex() for d in self.digests]
 
 
-@dataclass(frozen=True)
-class Response:
-    challenge: Challenge
-    # REVEAL_CIPHER: the reshuffling plus every salt.
-    permutation: tuple | None = None
-    flips: tuple | None = None  # sat only
-    salts: tuple | None = None
-    # REVEAL_SOLUTION: the reshuffled solution plus the openings it needs.
-    cycle: tuple | None = None  # hamiltonian only; opened salts in `salts`
-    clauses: tuple | None = None  # sat only: the full reshuffled instance
-    assignment: tuple | None = None  # sat only
+class Response(
+    namedtuple(
+        "Response",
+        "challenge permutation flips salts cycle clauses assignment",
+        defaults=(None,) * 6,
+    )
+):
+    """A prover's answer to one challenge; fields it does not reveal are None.
+
+    REVEAL_CIPHER: the reshuffling (`permutation`, and `flips` for sat) plus
+    every salt. REVEAL_SOLUTION: the reshuffled solution (`cycle` for
+    hamiltonian, with its opened salts in `salts`; for sat, `clauses`, the
+    full reshuffled instance, and `assignment`).
+    """
+
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         data: dict = {"challenge": self.challenge.value}
@@ -415,11 +422,10 @@ def verify_round(problem, commitment, challenge: Challenge, response) -> bool:
 # --- sessions ----------------------------------------------------------------
 
 
-@dataclass
-class SessionResult:
-    accepted: bool
-    rounds_run: int
-    transcript: list | None = None
+class SessionResult(
+    namedtuple("SessionResult", "accepted rounds_run transcript", defaults=(None,))
+):
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {

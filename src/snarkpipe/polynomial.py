@@ -21,7 +21,6 @@ __all__ = [
     "DuplicateNode",
     "Polynomial",
     "SubproductTree",
-    "divide_out_root",
     "lagrange_basis",
 ]
 
@@ -58,10 +57,13 @@ class Polynomial:
             if weight == 0:
                 continue
             coeffs = poly.coeffs
-            if len(acc) < len(coeffs):
-                acc.extend([0] * (len(coeffs) - len(acc)))
-            for i, c in enumerate(coeffs):
-                acc[i] += weight * c
+            if not acc:  # nothing to add to yet
+                acc = [weight * c for c in coeffs]
+                continue
+            n = len(coeffs)
+            if len(acc) < n:
+                acc.extend([0] * (n - len(acc)))
+            acc[:n] = [a + weight * c for a, c in zip(acc, coeffs)]
         return cls(ctx, acc)
 
     @classmethod
@@ -294,34 +296,30 @@ class SubproductTree:
         return _unpack(nums[0], width, self.size, p) if nums else []
 
 
-def divide_out_root(coeffs, root: int, p: int) -> list[int]:
-    """Exact synthetic division of a polynomial by (x - root)."""
-    n = len(coeffs) - 1
-    quot = [0] * n
-    quot[n - 1] = coeffs[n]
-    for i in range(n - 1, 0, -1):
-        quot[i - 1] = (coeffs[i] + root * quot[i]) % p
-    return quot
-
-
 def lagrange_basis(ctx: FieldContext, nodes) -> list[Polynomial]:
     """Normalized Lagrange basis over the nodes: basis[i](nodes[j]) = [i == j].
 
     Built once from the master product prod(x - node): basis[i] is the master
     with its root nodes[i] divided out, scaled by the inverse of that
-    quotient's value at nodes[i], prod(nodes[i] - other).
+    quotient's value at nodes[i], prod(nodes[i] - other). Synthetic division
+    is linear, so the scale is applied inside it, one coefficient at a time.
     """
     p = ctx.p
     xs = [x % p for x in nodes]
     if len(set(xs)) != len(xs):
         raise DuplicateNode("repeated node in basis construction")
-    master = Polynomial.from_roots(ctx, xs).coeffs
+    top = Polynomial.from_roots(ctx, xs).coeffs[:0:-1]  # master's x^N down to x^1
     basis = []
-    for x in xs:
+    for i, x in enumerate(xs):
         den = 1
-        for other in xs:
-            if other != x:
-                den = den * (x - other) % p
-        den_inv = inverse(den, p)
-        basis.append(Polynomial(ctx, [c * den_inv for c in divide_out_root(master, x, p)]))
+        for other in xs[:i]:
+            den = den * (x - other) % p
+        for other in xs[i + 1 :]:
+            den = den * (x - other) % p
+        scale = inverse(den, p)
+        acc, row = 0, []  # row[k] is the coefficient of x^(N-1-k)
+        for c in top:
+            acc = (c * scale + x * acc) % p
+            row.append(acc)
+        basis.append(Polynomial(ctx, row[::-1]))
     return basis

@@ -30,8 +30,7 @@ from functools import cached_property
 
 from .circuit import TIMES, Circuit, IncompleteAssignment
 from .field import FieldContext, inverse, write_header
-from .polynomial import Polynomial, SubproductTree, divide_out_root
-from .polynomial import lagrange_basis  # noqa: F401  re-export: perfbench's tracer wraps it here
+from .polynomial import Polynomial, SubproductTree, lagrange_basis
 
 __all__ = [
     "QAP",
@@ -122,44 +121,20 @@ class QAP:
             prefix = prefix * (s - d) % p
         return suffix[0], values
 
-    def interpolate_columns(self, columns) -> list:
-        """Coefficient form of many sparse columns at once.
-
-        A column is sum_d column[d] * weights[d - 1] * T(x) / (x - d). Each
-        row T(x) / (x - d) is divided out of T once, by synthetic division,
-        and added into every column with an entry at d: O(N) per node and
-        per entry, in proportion to the N coefficients each column emits,
-        where a tree pass per column would cost a full-size product.
-        """
-        p = self.ctx.p
-        by_node: dict = {}
-        for i, col in enumerate(columns):
-            for d, value in col.items():
-                by_node.setdefault(d, []).append((i, value))
-        sums: list = [() for _ in columns]
-        target = self.target.coeffs
-        for d, entries in by_node.items():
-            row = divide_out_root(target, d, p)
-            weight = self.weights[d - 1]
-            for i, value in entries:
-                scale = value * weight % p
-                acc = sums[i] or [0] * len(row)
-                sums[i] = [a + scale * c for a, c in zip(acc, row)]
-        return [Polynomial(self.ctx, coeffs) for coeffs in sums]
-
     def to_json_dict(self) -> dict:
-        n = len(self.symbols)
-        coeffs = [
-            [str(c) for c in poly.coeffs]
-            for poly in self.interpolate_columns(self.v + self.w + self.k)
-        ]
+        """The QAP in coefficient form: a column is sum_d column[d] * L_d(x),
+        over one Lagrange basis of the nodes built for every column."""
+        basis = lagrange_basis(self.ctx, range(1, self.n_gates + 1))
+
+        def coeffs(col) -> list:
+            terms = ((value, basis[d - 1]) for d, value in col.items())
+            return [str(c) for c in Polynomial.weighted_sum(self.ctx, terms).coeffs]
+
         return {
             **write_header("qap", self.ctx),
             "n_gates": self.n_gates,
             "symbols": list(self.symbol_names),
-            "v": coeffs[:n],
-            "w": coeffs[n : 2 * n],
-            "k": coeffs[2 * n :],
+            **{family: [coeffs(col) for col in getattr(self, family)] for family in "vwk"},
             "target": [str(c) for c in self.target.coeffs],
         }
 

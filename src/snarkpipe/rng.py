@@ -10,7 +10,6 @@ Subclassing random.Random keeps shuffle/randrange/randbytes available.
 from __future__ import annotations
 
 import hashlib
-import os
 import random
 
 __all__ = ["Sha256Rng", "derive_seed", "parse_seed"]
@@ -29,29 +28,19 @@ def derive_seed(seed: bytes, label: str) -> bytes:
     return hashlib.sha256(label.encode() + b"\x00" + seed).digest()
 
 
-def _normalize(seed) -> bytes:
-    if isinstance(seed, bytes):
-        return seed
-    if isinstance(seed, bytearray):
-        return bytes(seed)
-    if isinstance(seed, str):
-        return seed.encode()
-    if isinstance(seed, int):
-        length = max(1, (seed.bit_length() + 7) // 8)
-        return seed.to_bytes(length, "little")
-    if seed is None:
-        return os.urandom(32)
-    raise TypeError(f"unsupported seed type {type(seed)!r}")
+def _require_bytes(role: str, value) -> bytes:
+    if not isinstance(value, bytes):
+        raise TypeError(f"{role} must be bytes, not {type(value).__name__}")
+    return value
 
 
 class Sha256Rng(random.Random):
-    def __init__(self, seed=None, label: bytes = b""):
-        self._label = label if isinstance(label, bytes) else str(label).encode()
+    def __init__(self, seed: bytes, label: bytes = b""):
+        self._label = _require_bytes("label", label)
         super().__init__(seed)
 
     def seed(self, a=None, version=2):
-        key_material = getattr(self, "_label", b"") + b"\x00" + _normalize(a)
-        self._key = hashlib.sha256(key_material).digest()
+        self._key = hashlib.sha256(self._label + b"\x00" + _require_bytes("seed", a)).digest()
         self._counter = 0
         self._pool = b""
 

@@ -4,6 +4,7 @@ import pytest
 
 from snarkpipe import FieldContext, Sha256Rng, assemble, build_qap, flatten, parse_program
 from snarkpipe.bundled import load_bundled_text
+from snarkpipe.field import DEFAULT_MODULUS
 from snarkpipe.pinocchio import EvaluationKey, Trapdoor, VerificationKey, verification_key_to_dict
 
 CORPUS = ("coloring5.zkp", "cubic.zkp", "product.zkp")
@@ -119,6 +120,51 @@ def setup_oracle(qap, group, seed, public=("one",)) -> tuple:
         **{name: [str(e.value) for e in lists[name]] for name in EvaluationKey.LISTS},
     }
     return ek_dict, verification_key_to_dict(vk)
+
+
+# --- generated programs -----------------------------------------------------------
+
+try:
+    from hypothesis import strategies as st
+except ImportError:  # the modules that draw programs skip themselves
+    st = None
+
+if st is not None:
+    # Constants below and at or above either test field's modulus (97 and the
+    # default), so flattening reduces some of them.
+    CONSTANTS = st.integers(0, 200) | st.integers(DEFAULT_MODULUS - 2, 3 * DEFAULT_MODULUS)
+
+    def expressions(names):
+        """Expressions over the names with binary +, - and *, unary -, ^k and
+        decimal constants."""
+        leaves = st.sampled_from(names) | CONSTANTS.map(str)
+        return st.recursive(
+            leaves,
+            lambda inner: st.one_of(
+                st.tuples(inner, st.sampled_from(["+", "-", "*"]), inner).map(
+                    lambda t: f"({t[0]} {t[1]} {t[2]})"
+                ),
+                inner.map(lambda x: f"-{x}" if not x.startswith("-") else x),
+                st.tuples(inner, st.integers(1, 4)).map(lambda t: f"({t[0]})^{t[1]}"),
+            ),
+            max_leaves=4,
+        )
+
+    @st.composite
+    def programs(draw):
+        """A straight-line program over one to three inputs and one to five
+        definitions, ending in `==` or `!=` assertions on the last definition
+        and on each earlier one that is drawn for it."""
+        names = ["a", "b", "c"][: draw(st.integers(1, 3))]
+        lines = [f"inputs {', '.join(names)};"]
+        defined = []
+        for i in range(draw(st.integers(1, 5))):
+            lines.append(f"t{i} := {draw(expressions(names + defined))};")
+            defined.append(f"t{i}")
+        for name in defined:
+            if name == defined[-1] or draw(st.booleans()):
+                lines.append(f"assert {name} {draw(st.sampled_from(['==', '!=']))} 0;")
+        return "\n".join(lines)
 
 
 @pytest.fixture(scope="session")

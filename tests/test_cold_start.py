@@ -95,13 +95,27 @@ NOT_ON_COMPILE_OR_PROVE_PATH = ("fractions", "snarkpipe.rng", "hashlib")
 
 
 def test_cold_compile_loads_no_dataclasses_or_rng(tmp_path):
-    # A source file, not a bundled name: importlib.resources loads inspect
-    # on Python 3.12 and later.
+    # A source file on disk; the bundled name's path is checked below.
     Path(tmp_path, "coloring5.zkp").write_text(load_bundled_text("coloring5.zkp"))
     modules = cold_modules(["compile", "coloring5.zkp", "-o", "circuit.json"], tmp_path)
     unwanted = NOT_ON_ANY_PIPELINE_PATH + NOT_ON_COMPILE_OR_PROVE_PATH
     assert [name for name in unwanted if name in modules] == []
     assert "snarkpipe.frontend" in modules and "snarkpipe.circuit" in modules
+
+
+# importlib.resources pulls in pathlib, tempfile, zipfile and typing, and on
+# Python 3.12 and later inspect; a bundled name is a file beside the package.
+NOT_ON_BUNDLED_PATH = ("importlib.resources", "inspect", "zipfile", "tempfile")
+
+
+@pytest.mark.parametrize("argv", [
+    ["compile", "coloring5", "-o", "circuit.json"],
+    ["--seed", "01", "interactive", "--problem", "triangle"],
+], ids=["compile-coloring5", "interactive-triangle"])
+def test_cold_bundled_name_loads_no_resource_machinery(argv, tmp_path):
+    modules = cold_modules(argv, tmp_path)
+    assert [name for name in NOT_ON_BUNDLED_PATH if name in modules] == []
+    assert "snarkpipe.bundled" in modules
 
 
 def test_cold_setup_loads_no_dataclasses(keys, tmp_path):

@@ -210,6 +210,9 @@ def test_round_trip_bundled(name, corpus_programs):
         "inputs x; y := x*(-x); assert y != 0;",
         "inputs x; y := 1 + (2 + x); assert y == 0;",
         "inputs x; y := ((x))^2 - -3; assert y == 0;",
+        "inputs x; y := (-x)^3; assert y == 0;",
+        "inputs x; y := ((x)^2)^3 + (x^2)^1; assert y == 0;",
+        "inputs x; y := -(-x) - -(-x)^2; assert y == 0;",
     ],
 )
 def test_round_trip_tricky_nesting(source):

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import random
@@ -458,7 +457,7 @@ def test_sat_cipher_opening_with_extra_digest_and_salt_rejected():
     commitment, state = cipher_round(SAT1, SAT1_ASSIGNMENT, Sha256Rng(b"extra"))
     response = state.respond(Challenge.REVEAL_CIPHER)
     salt = bytes(16)
-    padded = dataclasses.replace(response, salts=response.salts + (salt,))
+    padded = response._replace(salts=response.salts + (salt,))
     longer = RoundCommitment(
         commitment.kind,
         commitment.size,
@@ -471,7 +470,7 @@ def test_sat_solution_opening_refuses_malformed_clause():
     commitment, state = cipher_round(SAT1, SAT1_ASSIGNMENT, Sha256Rng(b"clause"))
     response = state.respond(Challenge.REVEAL_SOLUTION)
     for clauses in (((1, 2),), ((0, 1, 2),), ((1, 2, 4),)):
-        forged = dataclasses.replace(response, clauses=clauses)
+        forged = response._replace(clauses=clauses)
         assert not verify_round(SAT1, commitment, Challenge.REVEAL_SOLUTION, forged)
 
 
@@ -486,5 +485,5 @@ def test_sat_opening_with_non_integer_literal_is_rejected(field, value):
     rejected rather than raising."""
     challenge = Challenge.REVEAL_CIPHER if field == "permutation" else Challenge.REVEAL_SOLUTION
     commitment, state = cipher_round(SAT1, SAT1_ASSIGNMENT, Sha256Rng(b"non-int"))
-    forged = dataclasses.replace(state.respond(challenge), **{field: value})
+    forged = state.respond(challenge)._replace(**{field: value})
     assert not verify_round(SAT1, commitment, challenge, forged)

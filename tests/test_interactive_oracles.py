@@ -6,7 +6,6 @@ mapped and tested one call each, clause entries packed one literal at a
 time. Hypothesis generates the problems; every comparison is exact.
 """
 
-import dataclasses
 import hashlib
 import struct
 
@@ -239,7 +238,7 @@ def test_malformed_opened_clause_is_rejected(clause):
             check(SatProblem(3, (clause,)))
     commitment, state = cipher_round(problem, (True, True, False), Sha256Rng(b"malformed"))
     response = state.respond(Challenge.REVEAL_SOLUTION)
-    forged = dataclasses.replace(response, clauses=(clause,) + response.clauses[1:])
+    forged = response._replace(clauses=(clause,) + response.clauses[1:])
     assert not verify_round(problem, commitment, Challenge.REVEAL_SOLUTION, forged)
 
 

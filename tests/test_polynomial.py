@@ -304,16 +304,24 @@ def test_tree_interpolation_matches_lagrange_basis(modulus, sizes):
 
 
 def test_sparse_columns_match_lagrange_basis(ctx):
+    # The emitted file's columns against the tree (QAP.interpolate) and a
+    # basis interpolation of the dense node values.
     rng = Sha256Rng(b"sparse-columns")
     for n in (1, 2, 7, 69, 150):
-        qap = node_qap(ctx, n)
         columns = [{}]
         for _ in range(12):
             nodes = {rng.randrange(1, n + 1) for _ in range(rng.randrange(1, 4))}
             columns.append({d: rng.randrange(ctx.p) for d in nodes})
-        for col, poly in zip(columns, qap.interpolate_columns(columns)):
-            values = [col.get(d, 0) for d in range(1, n + 1)]
-            assert poly == basis_interpolation(ctx, values) == qap.interpolate(col)
+        families = {"v": columns, "w": columns[1:] + columns[:1], "k": columns[::-1]}
+        names = tuple(f"s{i}" for i in range(len(columns)))
+        qap = QAP(ctx=ctx, n_gates=n, symbols=names, symbol_names=names, **families)
+        emitted = qap.to_json_dict()
+        for family, cols in families.items():
+            for col, coeffs in zip(cols, emitted[family], strict=True):
+                poly = Polynomial(ctx, [int(c) for c in coeffs])
+                assert [str(c) for c in poly.coeffs] == coeffs  # canonical, no trailing zero
+                values = [col.get(d, 0) for d in range(1, n + 1)]
+                assert poly == basis_interpolation(ctx, values) == qap.interpolate(col)
 
 
 @pytest.mark.parametrize("modulus", (97, None), ids=["p97", "default"])

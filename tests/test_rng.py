@@ -64,6 +64,48 @@ def test_state_export_unsupported():
         rng.getstate()
 
 
+# --- seeds and labels are bytes ----------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", ["seed", 1, None, bytearray(b"seed")],
+                         ids=["str", "int", "None", "bytearray"])
+def test_non_bytes_seed_is_refused_by_type(seed):
+    with pytest.raises(TypeError, match=f"seed must be bytes, not {type(seed).__name__}$"):
+        Sha256Rng(seed)
+
+
+def test_missing_seed_is_refused():
+    with pytest.raises(TypeError, match="seed"):
+        Sha256Rng()
+    rng = Sha256Rng(b"s")
+    with pytest.raises(TypeError, match="seed must be bytes, not NoneType"):
+        rng.seed()  # random.Random's reseed-from-the-clock form
+
+
+@pytest.mark.parametrize("label", ["label", 7], ids=["str", "int"])
+def test_non_bytes_label_is_refused_by_type(label):
+    with pytest.raises(TypeError, match=f"label must be bytes, not {type(label).__name__}$"):
+        Sha256Rng(b"seed", label=label)
+
+
+# SHA-256 of 100 random bytes, a 77-bit draw and 20 randrange(256) draws,
+# recorded while the seed and label still accepted other types.
+PINNED_STREAMS = (
+    (b"seed", b"", "2150ffc3390d484e32da3d77ced41143a2d0fb6f9d4300f4d308acb8ebee9ec4"),
+    (b"seed", b"label", "a91dcadd4aa06cada5abecea2a89db5e51382606ee669c6c441fd345b9bdf0ce"),
+    (b"", b"trusted-setup", "9e858cd07e29114bd30c16990c9efb3c50042223adc6889b49bdc71fec77c60d"),
+    (b"\x01", b"selftest", "c1e81a9a7cd1cf77c62f88e4666a103dabf75a5288616c3d0a89607d4a40bbb5"),
+)
+
+
+@pytest.mark.parametrize("seed,label,digest", PINNED_STREAMS)
+def test_byte_streams_are_pinned(seed, label, digest):
+    rng = Sha256Rng(seed, label=label)
+    data = rng.randbytes(100) + rng.getrandbits(77).to_bytes(10, "little")
+    data += bytes([rng.randrange(256) for _ in range(20)])
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
 # --- bulk draws ------------------------------------------------------------------
 
 

@@ -24,7 +24,7 @@ from snarkpipe.pinocchio import (  # noqa: E402
     verification_key_to_dict,
 )
 
-from conftest import chain_program, setup_oracle  # noqa: E402
+from conftest import chain_program, programs, setup_oracle  # noqa: E402
 
 SEEDS = (bytes([1]), b"setup-oracle", bytes.fromhex("5eed0102"))
 
@@ -57,34 +57,6 @@ def test_squaring_chains_match_oracle(links, ctx):
 
 
 # --- generated programs where collisions are likely ------------------------------
-
-
-def expressions(names):
-    leaves = st.sampled_from(names) | st.integers(0, 200).map(str)  # constants up to 2p
-    return st.recursive(
-        leaves,
-        lambda inner: st.one_of(
-            st.tuples(inner, st.sampled_from(["+", "-", "*"]), inner).map(
-                lambda t: f"({t[0]} {t[1]} {t[2]})"
-            ),
-            inner.map(lambda x: f"-{x}" if not x.startswith("-") else x),
-            st.tuples(inner, st.integers(1, 4)).map(lambda t: f"({t[0]})^{t[1]}"),
-        ),
-        max_leaves=4,
-    )
-
-
-@st.composite
-def programs(draw):
-    """A straight-line program over one to three inputs and one to five
-    definitions, ending in an assertion on the last definition."""
-    names = ["a", "b", "c"][: draw(st.integers(1, 3))]
-    lines = [f"inputs {', '.join(names)};"]
-    for i in range(draw(st.integers(1, 5))):
-        lines.append(f"t{i} := {draw(expressions(names))};")
-        names.append(f"t{i}")
-    lines.append(f"assert {names[-1]} {draw(st.sampled_from(['==', '!=']))} 0;")
-    return "\n".join(lines)
 
 
 @pytest.mark.filterwarnings("ignore:integer constant")  # constants at or above p

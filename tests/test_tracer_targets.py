@@ -54,3 +54,21 @@ def test_commands_call_stages_through_module_globals(tmp_path, monkeypatch):
     assert main(["--seed", "01", "setup"]) == 0
     assert main(["prove", "--inputs", "in.json"]) == 0
     assert called == {f"{m}.{a}" for m, a in STAGE_CALL_SITES}
+
+
+def test_emit_qap_builds_its_basis_through_qap_module_global(tmp_path, monkeypatch):
+    # The tracer's polynomial.lagrange_basis span wraps the name in qap's
+    # globals; the emitted file must build its one basis through it.
+    qap_module = importlib.import_module("snarkpipe.qap")
+    calls = []
+    original = vars(qap_module)["lagrange_basis"]
+
+    def recording(ctx, nodes):
+        calls.append(list(nodes))
+        return original(ctx, nodes)
+
+    monkeypatch.setattr(qap_module, "lagrange_basis", recording)
+    monkeypatch.chdir(tmp_path)
+    assert main(["compile", "coloring5", "--emit-qap", "q.json"]) == 0
+    assert calls == [list(range(1, 70))]
+    assert json.loads((tmp_path / "q.json").read_text())["n_gates"] == 69
