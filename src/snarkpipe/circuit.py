@@ -49,7 +49,16 @@ __all__ = [
 WIRE_ONE = 0
 PLUS = "Plus"
 TIMES = "Times"
-WIRE_KINDS = ("one", "input", "const", "gate", "inverse")
+# The keys a circuit file's entries take: a wire's depend on its kind.
+WIRE_KEYS = {
+    "one": frozenset({"kind"}),
+    "input": frozenset({"kind", "name"}),
+    "const": frozenset({"kind", "value"}),
+    "gate": frozenset({"kind"}),
+    "inverse": frozenset({"kind", "of"}),
+}
+GATE_KEYS = frozenset({"op", "l", "r", "o", "d"})
+OUTPUT_KEYS = frozenset({"wire", "rel"})
 RELATIONS = {relation.value: relation for relation in Relation}  # by file spelling
 
 
@@ -60,7 +69,7 @@ class IncompleteAssignment(ValueError):
 Wire = namedtuple(
     "Wire",
     (
-        "kind",  # one of WIRE_KINDS
+        "kind",  # one of the WIRE_KEYS
         "name",  # inputs only
         "value",  # consts only
         "of",  # inverse hints: the wire being inverted
@@ -164,81 +173,116 @@ class Circuit:
     def from_json_dict(cls, data) -> "Circuit":
         """Load a circuit file, refusing with a ValueError that names the
         entry any structure flatten cannot produce: a bad header (see
-        read_header), an unknown wire kind or op, a wire id out of range,
-        an inverse hint whose 'of' is not an earlier input or gate wire, an
-        operand that is not an earlier wire than its gate's output, gate
-        outputs that do not increase with d (so no wire has two drivers), a
-        gate index d other than the gate's 1-based position, a constant that
-        is not a canonical decimal below p, a gate wire that no gate drives,
-        or input wires other than the ones 'names' gives the declared
-        inputs."""
+        read_header), an unknown wire kind or op, a key that the entry's kind
+        does not take, a wire id out of range, an inverse hint whose 'of' is
+        not an earlier input or gate wire, an operand that is not an earlier
+        wire than its gate's output, gate outputs that do not increase with d
+        (so no wire is two gates' output), a gate index d other than the gate's
+        1-based position, a constant that is not a canonical decimal below p,
+        a gate wire that no gate drives, or input wires other than the ones
+        'names' gives the declared inputs. Error text is built only for the
+        check that fails."""
         ctx = read_header(data, "circuit")
         entries = _objects(data, "wires")
-
-        def wire_id(value, where: str, below: int = len(entries)) -> int:
-            if type(value) is int and 0 <= value < below:
-                return value
-            raise ValueError(f"{where} must be a wire id below {below}, not {_quote(value)}")
+        count = len(entries)
 
         wires = []
         for i, entry in enumerate(entries):
-            kind, value, of = entry.get("kind"), entry.get("value"), entry.get("of")
-            if kind not in WIRE_KINDS:
+            kind = entry.get("kind")
+            if not isinstance(kind, str) or kind not in WIRE_KEYS:
                 raise ValueError(f"wire {i} has unknown kind {_quote(kind)}")
-            if value is not None or kind == "const":
-                value = parse_decimal(value, ctx.p, what=f"wire {i} value")
-            if of is not None or kind == "inverse":
-                of = wire_id(of, f"wire {i} 'of'")
-            if kind == "inverse" and (of >= i or wires[of].kind not in ("input", "gate")):
-                # solve reads the value of 'of' before any gate uses the hint
-                raise ValueError(
-                    f"wire {i} is an inverse hint of wire {of},"
-                    " which is not an earlier input or gate wire"
-                )
-            wires.append(Wire(kind=kind, name=entry.get("name"), value=value, of=of))
+            if kind == "const":
+                try:
+                    value = parse_decimal(entry.get("value"), ctx.p)
+                except ValueError as exc:  # "value ... is not a canonical decimal"
+                    raise ValueError(f"wire {i} {exc}") from None
+                wires.append(Wire(kind, None, value))
+            elif kind == "input":
+                wires.append(Wire(kind, entry.get("name")))
+            elif kind == "inverse":
+                of = entry.get("of")
+                if type(of) is not int or not 0 <= of < count:
+                    raise _not_wire_id(f"wire {i} 'of'", of, count)
+                if of >= i or wires[of].kind not in ("input", "gate"):
+                    # solve reads the value of 'of' before any gate uses the hint
+                    raise ValueError(
+                        f"wire {i} is an inverse hint of wire {of},"
+                        " which is not an earlier input or gate wire"
+                    )
+                wires.append(Wire(kind, None, None, of))
+            else:
+                wires.append(Wire(kind))
+
         gates = []
+        last = -1  # the previous gate's output wire
         for d, e in enumerate(_objects(data, "gates"), 1):
-            if e.get("op") not in (PLUS, TIMES):
-                raise ValueError(f"gate {d} has unknown op {_quote(e.get('op'))}")
+            if not e.keys() <= GATE_KEYS:
+                raise _stray_key(f"gate {d}", e, GATE_KEYS)
+            op, left, right, out = e.get("op"), e.get("l"), e.get("r"), e.get("o")
+            if op not in (PLUS, TIMES):
+                raise ValueError(f"gate {d} has unknown op {_quote(op)}")
             if type(e.get("d")) is not int or e["d"] != d:
                 raise ValueError(f"gate {d} must have d={d}, not {_quote(e.get('d'))}")
-            out = wire_id(e.get("o"), f"gate {d} 'o'")
-            left = wire_id(e.get("l"), f"gate {d} 'l'", out)
-            right = wire_id(e.get("r"), f"gate {d} 'r'", out)
-            if gates and out <= gates[-1].out:
+            if type(out) is not int or not 0 <= out < count:
+                raise _not_wire_id(f"gate {d} 'o'", out, count)
+            if type(left) is not int or not 0 <= left < out:
+                raise _not_wire_id(f"gate {d} 'l'", left, out)
+            if type(right) is not int or not 0 <= right < out:
+                raise _not_wire_id(f"gate {d} 'r'", right, out)
+            if out <= last:
                 raise ValueError(f"gate {d} drives wire {out}, not one after gate {d - 1}'s")
-            gates.append(Gate(op=e["op"], left=left, right=right, out=out, index=d))
+            last = out
+            gates.append(Gate(op, left, right, out, d))
+
         outputs = []
         for i, e in enumerate(_objects(data, "outputs")):
-            wire, rel = wire_id(e.get("wire"), f"output {i}"), e.get("rel")
+            if not e.keys() <= OUTPUT_KEYS:
+                raise _stray_key(f"output {i}", e, OUTPUT_KEYS)
+            wire, rel = e.get("wire"), e.get("rel")
+            if type(wire) is not int or not 0 <= wire < count:
+                raise _not_wire_id(f"output {i}", wire, count)
             if not isinstance(rel, str) or rel not in RELATIONS:
                 raise ValueError(
                     f"output {i} 'rel' must be one of {', '.join(RELATIONS)}, not {_quote(rel)}"
                 )
             outputs.append((wire, RELATIONS[rel]))
+
         inputs, names = data["inputs"], data["names"]
         if not isinstance(inputs, list) or not all(isinstance(n, str) for n in inputs):
             raise ValueError("circuit 'inputs' must be an array of names")
         if not isinstance(names, dict):
             raise ValueError("circuit 'names' must be a JSON object")
-        names = {k: wire_id(v, f"name {_quote(k)}") for k, v in names.items()}
+        for name, wire in names.items():
+            if type(wire) is not int or not 0 <= wire < count:
+                raise _not_wire_id(f"name {_quote(name)}", wire, count)
         driven = {gate.out for gate in gates}
         input_wires = {names.get(name) for name in inputs}
-        for i, wire in enumerate(wires):
+        for i, (wire, entry) in enumerate(zip(wires, entries)):
             if wire.kind == "gate" and i not in driven:
                 raise ValueError(f"wire {i} has kind 'gate' but no gate drives it")
             if wire.kind == "input" and i not in input_wires:
                 raise ValueError(f"wire {i} is an input wire that no declared input names")
+            if not entry.keys() <= WIRE_KEYS[wire.kind]:
+                raise _stray_key(f"wire {i} of kind {wire.kind!r}", entry, WIRE_KEYS[wire.kind])
         for name in inputs:
             i = names.get(name)
             if i is None or wires[i].kind != "input" or wires[i].name != name:
                 raise ValueError(
                     f"input {_quote(name)} names wire {i}, not an input wire of that name"
                 )
-        return cls(ctx, wires, gates, outputs, inputs, names)
+        return cls(ctx, wires, gates, outputs, inputs, dict(names))
 
     def to_json_bytes(self) -> bytes:
         return json_bytes(self.to_json_dict())
+
+
+def _not_wire_id(where: str, value, below: int) -> ValueError:
+    return ValueError(f"{where} must be a wire id below {below}, not {_quote(value)}")
+
+
+def _stray_key(where: str, entry: dict, keys) -> ValueError:
+    key = next(key for key in entry if key not in keys)
+    return ValueError(f"{where} takes no key {_quote(key)}")
 
 
 def _objects(data: dict, key: str) -> list:

@@ -66,7 +66,39 @@ def build_qap(circuit: Circuit) -> QAP:
     return build_qap(circuit)
 
 
+def _terminal_columns() -> int:
+    """shutil.get_terminal_size().columns, fallback 80 included: COLUMNS if
+    it is a positive integer, else the width of the terminal on stdout."""
+    try:
+        columns = int(os.environ["COLUMNS"])
+    except (KeyError, ValueError):
+        columns = 0
+    if columns <= 0:
+        try:
+            columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
+        except (AttributeError, ValueError, OSError):
+            columns = 0
+    return columns or 80
+
+
+class _Formatter(argparse.RawDescriptionHelpFormatter):
+    """argparse's help layout, descriptions and epilogs kept as written.
+
+    argparse builds a formatter for every argument a parser adds, and its
+    own formatter imports shutil for the terminal width, with zlib, bz2,
+    lzma and fnmatch behind it; this one reads the width itself.
+    """
+
+    def __init__(self, prog, indent_increment=2, max_help_position=24, width=None, **kwargs):
+        if width is None:
+            width = _terminal_columns() - 2
+        super().__init__(prog, indent_increment, max_help_position, width, **kwargs)
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        super().__init__(formatter_class=_Formatter, **kwargs)
+
     # Usage problems exit 1; plain argparse would exit 2, which this tool
     # reserves for verification rejects.
     def error(self, message):
@@ -112,7 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="snarkpipe",
         description="compile polynomial programs and run the proof pipeline",
         epilog="commands:" + listing,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     _add_global_flags(parser)
     # PARSER is the nargs argparse gives its own subcommand action: the first

@@ -231,19 +231,22 @@ def setup(
     for _ in range(qap.n_gates):
         powers.append(powers[-1] * td.s % p)
 
-    # a_i(s) = sum_d a_i(d) L_d(s): the columns never leave node form
+    # a_i(s) = sum_d a_i(d) L_d(s): row d adds L_d(s) times its coefficients
+    # into its symbols' sums, so the matrices never leave node form
     target_at_s, lagrange_at_s = qap.lagrange_at(td.s)
-
-    def at_s(columns) -> list:
-        return [
-            sum(value * lagrange_at_s[d - 1] for d, value in col.items()) % p
-            for col in columns
-        ]
+    v_sum, w_sum, k_sum = ([0] * len(qap.symbols) for _ in "vwk")
+    for (v, w, k), lagrange in zip(qap.rows, lagrange_at_s):
+        for i, c in v:
+            v_sum[i] += c * lagrange
+        for i, c in w:
+            w_sum[i] += c * lagrange
+        for i, c in k:
+            k_sum[i] += c * lagrange
 
     def scaled(factor: int, values: list) -> list:
         return [factor * x % p for x in values]
 
-    v_at_s, w_at_s, k_at_s = at_s(qap.v), at_s(qap.w), at_s(qap.k)
+    v_at_s, w_at_s, k_at_s = ([x % p for x in sums] for sums in (v_sum, w_sum, k_sum))
     beta_v, beta_w, beta_k = (td.beta * r % p for r in (td.r_v, td.r_w, td.r_k))
     ek = EvaluationKey(
         group=group,

@@ -250,50 +250,83 @@ def _quotient(num, den, p: int) -> list[int]:
 class SubproductTree:
     """The product tree of the linear factors (x - r), Kronecker-packed.
 
-    levels[0] holds the factors; each further level multiplies neighbours
-    pairwise, an odd one out moving up unchanged, so the last level holds the
-    one root prod(x - r). A node is (packed coefficients, number of roots
-    under it); every node uses the tree's one slot width, which holds the sum
-    of two products of the tree's largest size.
+    A node holds U(y) = prod(y + r) over its roots r mod p, whose
+    coefficients are all non-negative; T(x) = prod(x - r) is (-1)^m U(-x)
+    for m roots, so `root` and `combine` negate alternate coefficients once
+    at the end. levels[0] holds the factors; each further level multiplies
+    neighbours pairwise, an odd one out moving up unchanged, so the last
+    level holds the one root. A node is (packed coefficients, number of
+    roots under it); every node uses the tree's one slot width, which holds
+    the sum of two products of residues of the tree's largest size.
+
+    Nothing cancels in a product of non-negative coefficients: a node's
+    coefficients sum to U(1), and U(1) of a product is the product of its
+    factors' U(1). bounds[k] bounds U(1) on level k, and a level's products
+    are reduced only once that bound reaches p. Over the nodes 1..N the lower
+    levels are products of small integers and need no reduction at all.
     """
 
     def __init__(self, ctx: FieldContext, roots):
         p = ctx.p
-        roots = list(roots)
+        roots = [r % p for r in roots]
         self.p, self.size = p, len(roots)
         self.width = width = _slot_width(p, 2 * len(roots) + 2)
-        nodes = [(_pack([-r % p, 1], width), 1) for r in roots]
-        self.levels = [nodes]
+        nodes = [(_pack([r, 1], width), 1) for r in roots]
+        bound = 1 + max(roots, default=0)  # U(1) = 1 + r of a leaf, at most
+        self.levels, self.bounds = [nodes], [bound]
         while len(nodes) > 1:
-            nodes = [
-                (_reduce(t_l * t_r, width, m_l + m_r + 1, p), m_l + m_r)
-                for (t_l, m_l), (t_r, m_r) in zip(nodes[::2], nodes[1::2])
-            ] + nodes[len(nodes) & ~1 :]
+            bound *= bound
+            paired = zip(nodes[::2], nodes[1::2])
+            if bound < p:
+                products = [(t_l * t_r, m_l + m_r) for (t_l, m_l), (t_r, m_r) in paired]
+            else:
+                products = [
+                    (_reduce(t_l * t_r, width, m_l + m_r + 1, p), m_l + m_r)
+                    for (t_l, m_l), (t_r, m_r) in paired
+                ]
+                # U(1) on this level k: at most 2^k + 1 coefficients, each below p
+                bound = ((1 << len(self.levels)) + 1) * (p - 1)
+            nodes = products + nodes[len(nodes) & ~1 :]
             self.levels.append(nodes)
+            self.bounds.append(bound)
 
     def root(self) -> list[int]:
         """Coefficients of prod(x - r); no roots give the constant 1."""
-        if not self.size:
-            return [1]
-        return _unpack(self.levels[-1][0][0], self.width, self.size + 1, self.p)
+        n = self.size
+        coeffs = _unpack(self.levels[-1][0][0], self.width, n + 1, self.p) if n else [1]
+        # T(x) = (-1)^n U(-x): the coefficient of x^i changes sign when n - i is odd
+        coeffs[(n + 1) % 2 :: 2] = [-c % self.p for c in coeffs[(n + 1) % 2 :: 2]]
+        return coeffs
 
     def combine(self, scales) -> list[int]:
         """Coefficients of sum(scales[i] * root / (x - r_i)).
 
-        A node's numerator is num_left * T_right + num_right * T_left with T
-        the products its children hold. With scales[i] = y_i / prod_{j != i}
-        (r_i - r_j) this is the polynomial of degree < len(roots) through
-        every (r_i, y_i).
+        A node's numerator is num_left * U_right + num_right * U_left with U
+        the products its children hold, so the sum comes out as (-1)^(n-1)
+        times sum(scales[i] * U_i(-x)), U_i the product without y + r_i.
+        A coefficient of num * U is at most max(num) * U(1), and the
+        numerators are reduced only when the next level's could overflow a
+        slot. With scales[i] = y_i / prod_{j != i} (r_i - r_j) this is the
+        polynomial of degree < len(roots) through every (r_i, y_i).
         """
-        p, width = self.p, self.width
-        nums = [c % p for c in scales]
-        for nodes in self.levels[:-1]:
+        p, width, n = self.p, self.width, self.size
+        limit = 1 << 8 * width  # every slot value stays below this
+        nums, bound = [c % p for c in scales], p - 1  # bound: on every coefficient
+        for nodes, node_bound in zip(self.levels[:-1], self.bounds):
+            if 2 * bound * node_bound >= limit:
+                nums = [_reduce(num, width, m, p) for num, (_, m) in zip(nums, nodes)]
+                bound = p - 1
+            bound *= 2 * node_bound
             paired = zip(nums[::2], nums[1::2], nodes[::2], nodes[1::2])
             nums = [
-                _reduce(n_l * t_r + n_r * t_l, width, m_l + m_r, p)
-                for n_l, n_r, (t_l, m_l), (t_r, m_r) in paired
+                n_l * t_r + n_r * t_l for n_l, n_r, (t_l, _), (t_r, _) in paired
             ] + nums[len(nums) & ~1 :]
-        return _unpack(nums[0], width, self.size, p) if nums else []
+        if not nums:
+            return []
+        coeffs = _unpack(nums[0], width, n, p)
+        # the coefficient of x^j changes sign when n - 1 - j is odd
+        coeffs[n % 2 :: 2] = [-c % p for c in coeffs[n % 2 :: 2]]
+        return coeffs
 
 
 def lagrange_basis(ctx: FieldContext, nodes) -> list[Polynomial]:

@@ -1,17 +1,17 @@
 """Turn a gate circuit into a quadratic program over interpolation nodes 1..N.
 
 Every witness-carrying wire (the one-wire, each input, each hint, each gate
-output) gets a triple of polynomials, kept as their values at the nodes: one
-sparse column {d: value} per symbol and family, the constraint matrices of
-the gates. At node d the triple encodes gate d:
+output) gets a triple of polynomials, kept as their values at the nodes. The
+QAP stores them as the rows of the constraint matrices: per gate d, the
+(symbol, coefficient) entries of v, w and k at node d, which encode gate d:
 
-    Times gate  l * r = o:  left operand adds to its v column, right operand
-                            to its w column, and the output owns k(d) = 1.
-    Plus gate   l + r = o:  both operands add to their v columns, the
-                            one-wire's w column gets 1, the output owns
-                            k(d) = 1, so (t_l + t_r) * 1 = t_o.
+    Times gate  l * r = o:  the left operand's v entry, the right operand's
+                            w entry, and the output's k entry 1.
+    Plus gate   l + r = o:  both operands' v entries, the one-wire's w
+                            entry 1, the output's k entry 1, so
+                            (t_l + t_r) * 1 = t_o.
 
-Constant operands contribute value-many units to the one-wire's column
+Constant operands contribute value-many units to the one-wire's entry
 instead of owning symbols. An assignment t then satisfies every gate exactly
 when the combined polynomial
 
@@ -19,16 +19,17 @@ when the combined polynomial
 
 vanishes on 1..N, i.e. when the target product T(x) = prod(x - d) divides F.
 Since T has the N distinct roots 1..N, that is one test per gate on the
-weighted column sums: V(d) * W(d) = K(d). Coefficient form is derived from
-the columns only where it is needed: for the emitted QAP file, and for the
-prover's V and W, whose product's quotient by T is the quotient H of F.
+weighted row sums: V(d) * W(d) = K(d). Coefficient form is derived only where
+it is needed: for the emitted QAP file, from the per-symbol columns {d: value}
+of the rows, and for the prover's V and W, whose product's quotient by T is
+the quotient H of F.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 
-from .circuit import TIMES, Circuit, IncompleteAssignment
+from .circuit import TIMES, WIRE_ONE, Circuit, IncompleteAssignment
 from .field import FieldContext, inverse, write_header
 from .polynomial import Polynomial, SubproductTree, lagrange_basis
 
@@ -53,17 +54,36 @@ class QAP:
         n_gates: int,
         symbols: tuple,
         symbol_names: tuple,
-        v: list,
-        w: list,
-        k: list,
+        rows: list,
     ):
         self.ctx = ctx
         self.n_gates = n_gates
         self.symbols = symbols  # wire ids, ordered: one, inputs, then remaining by id
         self.symbol_names = symbol_names
-        self.v = v  # per-symbol column {node d: value}; absent nodes hold 0
-        self.w = w
-        self.k = k
+        # rows[d - 1] = (v, w, k) at node d, each a tuple of (symbol index,
+        # coefficient); a symbol absent from an entry tuple holds 0 there
+        self.rows = rows
+
+    def _columns(self, family: int) -> list:
+        columns: list = [{} for _ in self.symbols]
+        for d, row in enumerate(self.rows, 1):
+            for i, value in row[family]:
+                columns[i][d] = value
+        return columns
+
+    @cached_property
+    def v(self) -> list:
+        """Per-symbol columns {node d: value}, absent nodes holding 0: the
+        emitted QAP file's view of the rows (and w, k likewise)."""
+        return self._columns(0)
+
+    @cached_property
+    def w(self) -> list:
+        return self._columns(1)
+
+    @cached_property
+    def k(self) -> list:
+        return self._columns(2)
 
     @cached_property
     def tree(self) -> SubproductTree:
@@ -125,6 +145,15 @@ class QAP:
         """The QAP in coefficient form: a column is sum_d column[d] * L_d(x),
         over one Lagrange basis of the nodes built for every column."""
         basis = lagrange_basis(self.ctx, range(1, self.n_gates + 1))
+        # basis[0] is T / (x - 1) times its leading coefficient, so T needs no
+        # second product of the (x - d)
+        target = Polynomial(self.ctx, [1])
+        if basis:
+            quotient = basis[0].coeffs
+            scale = inverse(quotient[-1], self.ctx.p)
+            target = Polynomial(
+                self.ctx, [(a - b) * scale for a, b in zip((0, *quotient), (*quotient, 0))]
+            )
 
         def coeffs(col) -> list:
             terms = ((value, basis[d - 1]) for d, value in col.items())
@@ -135,7 +164,7 @@ class QAP:
             "n_gates": self.n_gates,
             "symbols": list(self.symbol_names),
             **{family: [coeffs(col) for col in getattr(self, family)] for family in "vwk"},
-            "target": [str(c) for c in self.target.coeffs],
+            "target": [str(c) for c in target.coeffs],
         }
 
 
@@ -151,12 +180,7 @@ class AssembledInstance:
         p = qap.ctx.p
         at_v, at_w, at_k = nodes
         self.failing_gate = next(  # the first node d where V(d) * W(d) != K(d)
-            (
-                d
-                for d in range(1, qap.n_gates + 1)
-                if (at_v.get(d, 0) * at_w.get(d, 0) - at_k.get(d, 0)) % p
-            ),
-            None,
+            (d for d in at_v if (at_v[d] * at_w[d] - at_k[d]) % p), None
         )
         self.divisible = self.failing_gate is None
         # deg K < N = deg T, so K is the remainder of V*W by T and H its quotient
@@ -189,47 +213,35 @@ def check_field(circuit: Circuit) -> None:
 
 def build_qap(circuit: Circuit) -> QAP:
     check_field(circuit)
-    ctx = circuit.ctx
-    n = circuit.n_gates
+    p = circuit.ctx.p
     symbols = tuple(circuit.symbol_wires())
-    position = {wire: idx for idx, wire in enumerate(symbols)}
-    one_pos = position[0]
-
-    cols_v: list = [{} for _ in symbols]
-    cols_w: list = [{} for _ in symbols]
-    cols_k: list = [{} for _ in symbols]
-
-    def contribute(cols, wire_id: int, d: int) -> None:
-        wire = circuit.wires[wire_id]
+    position = {wire: i for i, wire in enumerate(symbols)}
+    one = (position[WIRE_ONE], 1)
+    # an operand's (symbol, coefficient) entry: constants count on the one-wire
+    entry = {wire: (i, 1) for wire, i in position.items()}
+    for wire_id, wire in enumerate(circuit.wires):
         if wire.kind == "const":
-            col = cols[one_pos]
-            col[d] = (col.get(d, 0) + wire.value) % ctx.p
+            entry[wire_id] = (one[0], wire.value % p)
         elif wire.kind == "one":
-            col = cols[one_pos]
-            col[d] = (col.get(d, 0) + 1) % ctx.p
-        else:
-            col = cols[position[wire_id]]
-            col[d] = (col.get(d, 0) + 1) % ctx.p
+            entry[wire_id] = one
 
+    rows = []
     for gate in circuit.gates:
-        d = gate.index
+        left, right = entry[gate.left], entry[gate.right]
+        k = ((position[gate.out], 1),)
         if gate.op == TIMES:
-            contribute(cols_v, gate.left, d)
-            contribute(cols_w, gate.right, d)
+            rows.append(((left,), (right,), k))
+        elif left[0] == right[0]:  # one symbol, or two constants
+            rows.append((((left[0], (left[1] + right[1]) % p),), (one,), k))
         else:
-            contribute(cols_v, gate.left, d)
-            contribute(cols_v, gate.right, d)
-            cols_w[one_pos][d] = 1
-        cols_k[position[gate.out]][d] = 1
+            rows.append(((left, right), (one,), k))
 
     return QAP(
-        ctx=ctx,
-        n_gates=n,
+        ctx=circuit.ctx,
+        n_gates=circuit.n_gates,
         symbols=symbols,
         symbol_names=tuple(circuit.wire_labels(symbols)),
-        v=cols_v,
-        w=cols_w,
-        k=cols_k,
+        rows=rows,
     )
 
 
@@ -244,19 +256,27 @@ def _weights(qap: QAP, assignment: dict) -> list:
 
 
 def assemble(qap: QAP, assignment: dict) -> AssembledInstance:
-    """Form the weighted sums at the nodes, A(d) = sum_i t_i a_i(d), and test
-    divisibility by the target gate by gate. Only a divisible instance
-    interpolates, and only V and W: H is the quotient of V*W by T.
+    """Form the weighted sums at the nodes, A(d) = sum_i t_i a_i(d), one row
+    at a time, and test divisibility by the target gate by gate. Only a
+    divisible instance interpolates, and only V and W: H is the quotient of
+    V*W by T.
     """
     p = qap.ctx.p
-    weights = _weights(qap, assignment)
-
-    def at_nodes(columns) -> dict:
-        values: dict = {}
-        for weight, col in zip(weights, columns):
-            if weight:
-                for d, value in col.items():
-                    values[d] = values.get(d, 0) + weight * value
-        return {d: value % p for d, value in values.items()}
-
-    return AssembledInstance(qap, weights, (at_nodes(qap.v), at_nodes(qap.w), at_nodes(qap.k)))
+    t = _weights(qap, assignment)
+    at_v: dict = {}
+    at_w: dict = {}
+    at_k: dict = {}
+    for d, (v, w, k) in enumerate(qap.rows, 1):
+        total = 0
+        for i, c in v:
+            total += t[i] * c
+        at_v[d] = total % p
+        total = 0
+        for i, c in w:
+            total += t[i] * c
+        at_w[d] = total % p
+        total = 0
+        for i, c in k:
+            total += t[i] * c
+        at_k[d] = total % p
+    return AssembledInstance(qap, t, (at_v, at_w, at_k))

@@ -722,6 +722,10 @@ def first_const(data):
     return next(i for i, w in enumerate(data["wires"]) if w["kind"] == "const")
 
 
+def first_gate(data):
+    return next(i for i, w in enumerate(data["wires"]) if w["kind"] == "gate")
+
+
 def first_inverse(data):
     return next(i for i, w in enumerate(data["wires"]) if w["kind"] == "inverse")
 
@@ -1272,6 +1276,21 @@ HOSTILE_CIRCUIT_EDITS = {
     "output_rel_array": (lambda d: d["outputs"][0].update(rel=[LONG]), "output 0 'rel'"),
     "name": (lambda d: d["names"].update({LONG: LONG}), "name 'yyyy"),
     "input": (lambda d: d["inputs"].append(LONG), "input 'yyyy"),
+    # each wire kind takes only its own keys, gates and outputs only theirs
+    "gate_wire_value": (
+        lambda d: d["wires"][first_gate(d)].update(value="5"), "takes no key 'value'"
+    ),
+    "gate_wire_name": (
+        lambda d: d["wires"][first_gate(d)].update(name="zzz"), "takes no key 'name'"
+    ),
+    "gate_wire_of": (lambda d: d["wires"][first_gate(d)].update(of=1), "takes no key 'of'"),
+    "input_wire_value": (lambda d: d["wires"][1].update(value="7"), "wire 1 of kind 'input'"),
+    "const_wire_name": (
+        lambda d: d["wires"][first_const(d)].update(name="zzz"), "takes no key 'name'"
+    ),
+    "wire_key": (lambda d: d["wires"][0].update({LONG: 1}), "wire 0 of kind 'one' takes no key"),
+    "gate_key": (lambda d: d["gates"][0].update({LONG: 1}), "gate 1 takes no key 'yyyy"),
+    "output_key": (lambda d: d["outputs"][0].update({LONG: 1}), "output 0 takes no key 'yyyy"),
 }
 
 

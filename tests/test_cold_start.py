@@ -29,6 +29,12 @@ NOT_ON_VERIFY_PATH = (
     "hashlib",
     "fractions",
     "importlib.resources",
+    # argparse's own help formatter imports shutil for the terminal width
+    "shutil",
+    "zlib",
+    "bz2",
+    "lzma",
+    "fnmatch",
 )
 
 

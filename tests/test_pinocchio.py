@@ -306,7 +306,7 @@ def test_setup_rejects_empty_program(ctx, group):
     from snarkpipe.qap import QAP
 
     empty = QAP(
-        ctx=ctx, n_gates=0, symbols=(0,), symbol_names=("one",), v=[], w=[], k=[],
+        ctx=ctx, n_gates=0, symbols=(0,), symbol_names=("one",), rows=[],
     )
     with pytest.raises(ValueError):
         setup(empty, group, SEED)

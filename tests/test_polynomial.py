@@ -9,7 +9,8 @@ from snarkpipe import (
     Sha256Rng,
     lagrange_basis,
 )
-from snarkpipe.polynomial import SubproductTree
+from snarkpipe import polynomial
+from snarkpipe.polynomial import SubproductTree, _pack, _reduce, _slot_width, _unpack
 
 
 def rand_poly(ctx, rng, max_degree):
@@ -277,7 +278,7 @@ def test_from_roots_matches_schoolbook(modulus):
 
 def node_qap(ctx, n):
     """A QAP over the nodes 1..n with no symbols: only its node state is used."""
-    return QAP(ctx=ctx, n_gates=n, symbols=(), symbol_names=(), v=[], w=[], k=[])
+    return QAP(ctx=ctx, n_gates=n, symbols=(), symbol_names=(), rows=[((), (), ())] * n)
 
 
 def basis_interpolation(ctx, values):
@@ -314,7 +315,14 @@ def test_sparse_columns_match_lagrange_basis(ctx):
             columns.append({d: rng.randrange(ctx.p) for d in nodes})
         families = {"v": columns, "w": columns[1:] + columns[:1], "k": columns[::-1]}
         names = tuple(f"s{i}" for i in range(len(columns)))
-        qap = QAP(ctx=ctx, n_gates=n, symbols=names, symbol_names=names, **families)
+        rows = [
+            tuple(
+                tuple((i, col[d]) for i, col in enumerate(families[family]) if d in col)
+                for family in "vwk"
+            )
+            for d in range(1, n + 1)
+        ]
+        qap = QAP(ctx=ctx, n_gates=n, symbols=names, symbol_names=names, rows=rows)
         emitted = qap.to_json_dict()
         for family, cols in families.items():
             for col, coeffs in zip(cols, emitted[family], strict=True):
@@ -354,3 +362,85 @@ def test_subproduct_tree_combines_over_arbitrary_roots(ctx97):
         assert Polynomial(ctx97, tree.combine(scales)) == Polynomial.interpolate(
             ctx97, zip(roots, ys)
         )
+
+
+# --- the product tree against the body it replaced ---------------------------------
+
+
+class ReducingSubproductTree:
+    """`SubproductTree` before its nodes held prod(y + r): every node holds
+    prod(x - r) as residues, and every product and every numerator is reduced
+    as soon as it is formed."""
+
+    def __init__(self, ctx, roots):
+        p = ctx.p
+        roots = list(roots)
+        self.p, self.size = p, len(roots)
+        self.width = width = _slot_width(p, 2 * len(roots) + 2)
+        nodes = [(_pack([-r % p, 1], width), 1) for r in roots]
+        self.levels = [nodes]
+        while len(nodes) > 1:
+            nodes = [
+                (_reduce(t_l * t_r, width, m_l + m_r + 1, p), m_l + m_r)
+                for (t_l, m_l), (t_r, m_r) in zip(nodes[::2], nodes[1::2])
+            ] + nodes[len(nodes) & ~1 :]
+            self.levels.append(nodes)
+
+    def root(self):
+        if not self.size:
+            return [1]
+        return _unpack(self.levels[-1][0][0], self.width, self.size + 1, self.p)
+
+    def combine(self, scales):
+        p, width = self.p, self.width
+        nums = [c % p for c in scales]
+        for nodes in self.levels[:-1]:
+            paired = zip(nums[::2], nums[1::2], nodes[::2], nodes[1::2])
+            nums = [
+                _reduce(n_l * t_r + n_r * t_l, width, m_l + m_r, p)
+                for n_l, n_r, (t_l, m_l), (t_r, m_r) in paired
+            ] + nums[len(nums) & ~1 :]
+        return _unpack(nums[0], width, self.size, p) if nums else []
+
+
+# Sizes 0-3, and 2^k - 1, 2^k and 2^k + 1, around which the first level that
+# needs a reduction moves, at the test field, the default and 2^61 - 1.
+TREE_SIZES = [0, 1, 2, 3] + [m for k in range(2, 9) for m in (2**k - 1, 2**k, 2**k + 1)]
+
+
+@pytest.mark.parametrize("modulus", (97, None, 2**61 - 1), ids=["p97", "default", "m61"])
+def test_subproduct_tree_matches_the_reducing_tree(modulus):
+    ctx = field_for(modulus)
+    p = ctx.p
+    rng = Sha256Rng(b"tree-bounds", label=str(p).encode())
+    for n in TREE_SIZES:
+        root_lists = [
+            list(range(1, n + 1)),  # the QAP's nodes, repeating mod 97 past 96
+            [rng.choice((0, p - 1, p - 2)) for _ in range(n)],  # the largest U(1)
+            [rng.randrange(p) for _ in range(n)],
+        ]
+        for roots in root_lists:
+            tree, oracle = SubproductTree(ctx, roots), ReducingSubproductTree(ctx, roots)
+            assert tree.root() == oracle.root() == schoolbook_from_roots(roots, p), (n, roots)
+            for scales in ([0] * n, [p - 1] * n, random_coeffs(rng, p, n)):
+                combined = tree.combine(scales)
+                assert combined == oracle.combine(scales), (n, roots, scales)
+                if n <= 17:
+                    want = [0] * n
+                    for i, scale in enumerate(scales):
+                        others = schoolbook_from_roots(roots[:i] + roots[i + 1 :], p)
+                        want = [a + scale * b for a, b in zip(want, others)]
+                    assert combined == [c % p for c in want], (n, roots, scales)
+
+
+def test_tree_over_the_nodes_reduces_only_levels_whose_bound_reaches_p(monkeypatch):
+    # Over the nodes 1..201 a node on level k has U(1) <= 202^(2^k), below the
+    # default p up to level 3, so only the products of levels 4-8 are reduced:
+    # 13 + 6 + 3 + 2 + 1 of them, where reducing every product takes 200.
+    ctx = FieldContext()
+    calls = []
+    monkeypatch.setattr(polynomial, "_reduce", lambda *args: calls.append(args) or _reduce(*args))
+    tree = SubproductTree(ctx, range(1, 202))
+    assert tree.bounds[3] == 202**8 < ctx.p <= tree.bounds[4]
+    assert len(calls) == 25
+    assert tree.root() == ReducingSubproductTree(ctx, range(1, 202)).root()

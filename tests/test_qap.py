@@ -17,7 +17,7 @@ from snarkpipe import (
 )
 from snarkpipe.circuit import Circuit, Gate, Wire
 
-from conftest import GOOD_COLORING, soundness_scan
+from conftest import GOOD_COLORING, chain_program, soundness_scan
 
 
 def hand_circuit_single_times(ctx):
@@ -316,3 +316,100 @@ def test_scan_trial_sampling_is_seeded(ctx101):
     a = soundness_scan(qap, assignment, trials=500, seed=b"fixed")
     b = soundness_scan(qap, assignment, trials=500, seed=b"fixed")
     assert a == b
+
+
+# --- the rows against the columns they replaced -----------------------------------
+
+
+def columns_oracle(circuit):
+    """(v, w, k) per-symbol columns {d: value}, the way build_qap made them
+    before it stored the rows of the constraint matrices."""
+    p = circuit.ctx.p
+    symbols = circuit.symbol_wires()
+    position = {wire: idx for idx, wire in enumerate(symbols)}
+    one_pos = position[0]
+    cols_v = [{} for _ in symbols]
+    cols_w = [{} for _ in symbols]
+    cols_k = [{} for _ in symbols]
+
+    def contribute(cols, wire_id, d):
+        wire = circuit.wires[wire_id]
+        if wire.kind == "const":
+            col = cols[one_pos]
+            col[d] = (col.get(d, 0) + wire.value) % p
+        elif wire.kind == "one":
+            col = cols[one_pos]
+            col[d] = (col.get(d, 0) + 1) % p
+        else:
+            col = cols[position[wire_id]]
+            col[d] = (col.get(d, 0) + 1) % p
+
+    for gate in circuit.gates:
+        d = gate.index
+        if gate.op == "Times":
+            contribute(cols_v, gate.left, d)
+            contribute(cols_w, gate.right, d)
+        else:
+            contribute(cols_v, gate.left, d)
+            contribute(cols_v, gate.right, d)
+            cols_w[one_pos][d] = 1
+        cols_k[position[gate.out]][d] = 1
+    return cols_v, cols_w, cols_k
+
+
+def assert_columns_match_oracle(circuit):
+    qap = build_qap(circuit)
+    assert len(qap.rows) == qap.n_gates
+    assert (qap.v, qap.w, qap.k) == columns_oracle(circuit)
+
+
+def test_columns_match_oracle_on_coloring5(coloring_circuit):
+    assert_columns_match_oracle(coloring_circuit)
+
+
+@pytest.mark.parametrize("links", [1, 2, 5, 22, 99, 399])
+def test_columns_match_oracle_on_squaring_chains(links, ctx, ctx97):
+    assert_columns_match_oracle(flatten(chain_program(links), ctx))
+    if 2 * (2 * links + 3) < 97:
+        assert_columns_match_oracle(flatten(chain_program(links), ctx97))
+
+
+def test_columns_keep_zero_and_doubled_plus_entries(ctx17):
+    # 5 + 12 = 0 on the one-wire, and a + a = 2a: one entry each
+    wires = [
+        Wire(kind="one"),
+        Wire(kind="input", name="a"),
+        Wire(kind="const", value=5),
+        Wire(kind="const", value=12),
+        Wire(kind="gate"),
+        Wire(kind="gate"),
+    ]
+    gates = [Gate("Plus", 2, 3, 4, 1), Gate("Plus", 1, 1, 5, 2)]
+    circuit = Circuit(
+        ctx=ctx17, wires=wires, gates=gates, outputs=[], inputs=["a"], names={"a": 1},
+    )
+    assert build_qap(circuit).rows == [
+        (((0, 0),), ((0, 1),), ((2, 1),)),
+        (((1, 2),), ((0, 1),), ((3, 1),)),
+    ]
+    assert_columns_match_oracle(circuit)
+
+
+try:
+    from hypothesis import given, settings
+
+    from conftest import programs
+except ImportError:  # hypothesis is a test extra; the drawn programs skip
+    given = None
+
+if given is not None:
+
+    @pytest.mark.filterwarnings("ignore:integer constant")  # constants at or above p
+    @settings(derandomize=True, deadline=None, max_examples=80, database=None)
+    @given(source=programs())
+    def test_columns_match_oracle_on_generated_programs(ctx, ctx97, source):
+        program = parse_program(source)
+        assert_columns_match_oracle(flatten(program, ctx))
+        circuit = flatten(program, ctx97)
+        if 2 * circuit.n_gates < 97:
+            assert_columns_match_oracle(circuit)
