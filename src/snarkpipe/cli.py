@@ -188,8 +188,15 @@ def _write_json(files: dict) -> None:
     _write_files({path: json_bytes(data) for path, data in files.items()})
 
 
+# The write buffer of each staged file. A chunked payload (a transcript, one
+# chunk per round and one per separator) then reaches the file in a few
+# writes, not one per chunk; a payload written whole bypasses it.
+_WRITE_BUFFER = 1 << 18
+
+
 def _write_files(payloads: dict) -> None:
-    """Write each path's bytes, or on failure leave every path as it was.
+    """Write each path's payload, bytes or a sequence of byte chunks, or on
+    failure leave every path as it was.
 
     Each payload first goes to a temporary file beside its path; only once
     all are written are they renamed over their paths. A path that is a
@@ -203,14 +210,17 @@ def _write_files(payloads: dict) -> None:
         for path, payload in payloads.items():
             temp = f"{path}.{os.getpid()}.tmp"
             try:
-                fh = open(temp, "xb")
+                fh = open(temp, "xb", buffering=_WRITE_BUFFER)
             except FileExistsError:  # a stale temporary: name it
                 raise
             except OSError as exc:  # name the path asked for, not the temporary
                 raise type(exc)(exc.errno, exc.strerror, path) from None
             with fh:
                 staged.append(temp)
-                fh.write(payload)
+                if isinstance(payload, bytes):
+                    fh.write(payload)
+                else:
+                    fh.writelines(payload)
         for path in payloads:
             os.replace(staged.pop(0), path)
     finally:
@@ -420,6 +430,8 @@ def cmd_interactive(args) -> int:
         raise ValueError("--repeat must be at least 1")
     if args.transcript is not None and args.repeat > 1:
         raise ValueError("--transcript records a single session; drop it or --repeat")
+    if args.transcript == "":
+        raise ValueError("--transcript needs a path")
     raw = bundled.resolve_source(args.problem, ".json")
     problem, solution = interactive.load_problem(_parse_json(raw, args.problem))
     if not args.cheat and solution is None:
@@ -427,19 +439,24 @@ def cmd_interactive(args) -> int:
     seed = _seed_bytes(args)
 
     if args.repeat == 1:
-        result = interactive.run_session(
-            problem,
-            solution,
-            rounds=args.rounds,
-            seed=seed,
-            cheat=args.cheat,
-            collect_transcript=True,
-        )
-        path = args.transcript or "transcript.json"
-        _write_json({path: result.to_json_dict()})
+        # Each round is encoded as soon as it is judged, so the session holds
+        # its transcript as the file's bytes, never as records: the rounds,
+        # comma-separated, fill the empty list of the session's own record.
+        pieces = []
+        for rounds_run, played in enumerate(
+            interactive.session_rounds(problem, solution, args.rounds, seed, args.cheat), 1
+        ):
+            encoded = json_bytes(interactive.round_record(*played), end="")
+            pieces += (b"," if pieces else b"[", encoded)
+        accepted = played[-1]
+        head, tail = json_bytes(
+            interactive.SessionResult(accepted, rounds_run, []).to_json_dict()
+        ).split(b"[]")
+        path = args.transcript if args.transcript is not None else "transcript.json"
+        _write_files({path: [head, *pieces, b"]" + tail]})
         print(f"wrote {path}")
-        print("accept" if result.accepted else "reject")
-        return EXIT_OK if result.accepted else EXIT_REJECT
+        print("accept" if accepted else "reject")
+        return EXIT_OK if accepted else EXIT_REJECT
 
     accepted = 0
     for i in range(args.repeat):

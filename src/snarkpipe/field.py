@@ -33,14 +33,20 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _FORMAT = "snarkpipe-{kind}/2"
 
 
-def json_bytes(data) -> bytes:
+# json.dumps(data, separators=(",", ":")) builds an encoder on every call;
+# a transcript encodes each of its rounds, so the encoder is built once.
+_encode_json = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def json_bytes(data, end: str = "\n") -> bytes:
     """Encode an artifact: compact JSON in insertion order plus a newline.
 
     Every file the pipeline writes goes through here, so equal artifacts are
     equal bytes. Field and group values inside are canonical decimal
-    strings (see parse_decimal).
+    strings (see parse_decimal). A file written in pieces encodes each
+    piece with end="".
     """
-    return (json.dumps(data, separators=(",", ":")) + "\n").encode()
+    return (_encode_json(data) + end).encode()
 
 
 def parse_decimal(text, below: int | None = None, what: str = "value") -> int:

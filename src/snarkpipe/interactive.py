@@ -40,7 +40,9 @@ __all__ = [
     "cipher_round",
     "forge_round",
     "load_problem",
+    "round_record",
     "run_session",
+    "session_rounds",
     "verify_round",
 ]
 
@@ -435,28 +437,27 @@ class SessionResult(
         }
 
 
-def run_session(
-    problem,
-    solution=None,
-    rounds: int = 10,
-    seed: bytes = b"",
-    cheat: bool = False,
-    collect_transcript: bool = True,
-) -> SessionResult:
-    """Loop commit -> coin-flip challenge -> response -> check.
+def session_rounds(
+    problem, solution=None, rounds: int = 10, seed: bytes = b"", cheat: bool = False
+):
+    """Loop commit -> coin-flip challenge -> response -> check, yielding
+    (commitment, challenge, response, verdict) for each round.
 
-    Rejects at the first failed round. The prover and verifier draw from
+    Stops after the first rejected round. The prover and verifier draw from
     independent streams derived from the session seed, so transcripts are
-    reproducible.
+    reproducible. The arguments are checked here, before the first round.
     """
     if rounds < 1:
         raise ValueError("at least one round is required")
     if not cheat and solution is None:
         raise ValueError("honest sessions need the private solution")
+    return _rounds(problem, solution, rounds, seed, cheat)
+
+
+def _rounds(problem, solution, rounds, seed, cheat):
     prover_rng = Sha256Rng(derive_seed(seed, "prover"))
     verifier_rng = Sha256Rng(derive_seed(seed, "verifier"))
-    transcript: list | None = [] if collect_transcript else None
-    for rounds_run in range(1, rounds + 1):
+    for _ in range(rounds):
         if cheat:
             commitment, state = forge_round(problem, prover_rng)
         else:
@@ -468,18 +469,36 @@ def run_session(
         )
         response = state.respond(challenge)
         verdict = verify_round(problem, commitment, challenge, response)
-        if transcript is not None:
-            transcript.append(
-                {
-                    "commitments": commitment.hex_digests(),
-                    "challenge": challenge.value,
-                    "response": response.to_json_dict(),
-                    "verdict": verdict,
-                }
-            )
+        yield commitment, challenge, response, verdict
         if not verdict:
-            return SessionResult(False, rounds_run, transcript)
-    return SessionResult(True, rounds, transcript)
+            return
+
+
+def round_record(commitment, challenge, response, verdict) -> dict:
+    """A round as its transcript entry."""
+    return {
+        "commitments": commitment.hex_digests(),
+        "challenge": challenge.value,
+        "response": response.to_json_dict(),
+        "verdict": verdict,
+    }
+
+
+def run_session(
+    problem,
+    solution=None,
+    rounds: int = 10,
+    seed: bytes = b"",
+    cheat: bool = False,
+    collect_transcript: bool = True,
+) -> SessionResult:
+    """Run session_rounds to the end; the transcript holds each round's
+    record, or is None when not collected."""
+    transcript: list | None = [] if collect_transcript else None
+    for rounds_run, played in enumerate(session_rounds(problem, solution, rounds, seed, cheat), 1):
+        if transcript is not None:
+            transcript.append(round_record(*played))
+    return SessionResult(played[-1], rounds_run, transcript)
 
 
 # --- problem files -----------------------------------------------------------

@@ -4,7 +4,12 @@ The generator hashes label || seed into a key and then streams
 SHA-256(key || counter) blocks. Identical seed and label always reproduce
 the identical stream, which makes randomized protocol runs replayable, and
 the output is as unpredictable as SHA-256 for anyone without the seed.
-Subclassing random.Random keeps shuffle/randrange/randbytes available.
+Subclassing random.Random keeps randrange, sample and the rest available,
+each drawing through getrandbits. shuffle and randbytes are overridden to
+read the stream in bulk: randbytes is one slice of it, and shuffle reads
+every position of its permutation from one draw, consuming exactly the
+bytes random.Random.shuffle's getrandbits calls would, so both give the
+same results and leave the stream at the same point.
 """
 
 from __future__ import annotations
@@ -68,6 +73,35 @@ class Sha256Rng(random.Random):
 
     def randbytes(self, n: int) -> bytes:
         return self._take(n)
+
+    def shuffle(self, x) -> None:
+        """random.Random.shuffle from one draw. Position i swaps with
+        randbelow(i + 1): a k-bit getrandbits, k = (i + 1).bit_length(),
+        is ceil(k/8) bytes little-endian shifted right to k bits, drawn
+        again while it is at least i + 1. The bytes left over go back to
+        the front of the pool."""
+        n = len(x)
+        # Two draws per position: rejection needs fewer on average.
+        width = (n.bit_length() + 7) // 8
+        drawn, pos = self._take(2 * width * n), 0
+        for i in reversed(range(1, n)):
+            k = (i + 1).bit_length()
+            nbytes = (k + 7) // 8
+            shift = nbytes * 8 - k
+            while True:
+                end = pos + nbytes
+                if end > len(drawn):  # rejections outran the draw
+                    drawn, pos = drawn[pos:] + self._take(2 * nbytes * (i + 1)), 0
+                    end = nbytes
+                if nbytes == 1:
+                    j = drawn[pos] >> shift
+                else:
+                    j = int.from_bytes(drawn[pos:end], "little") >> shift
+                pos = end
+                if j <= i:
+                    break
+            x[i], x[j] = x[j], x[i]
+        self._pool = drawn[pos:] + self._pool
 
     def random(self) -> float:
         return self.getrandbits(53) * (2.0**-53)

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from snarkpipe import cli
+from snarkpipe import cli, interactive
 from snarkpipe.bundled import load_bundled_text
 from snarkpipe.circuit import Circuit, solve
 from snarkpipe.cli import _parse_input_map, main, parse_args
@@ -709,6 +709,64 @@ def test_interactive_refuses_transcript_with_repeat(workdir, capsys):
     ])
     assert_usage_error(code, capsys, "--transcript")
     assert not (workdir / "t.json").exists()
+
+
+def test_interactive_refuses_an_empty_transcript_path(workdir, capsys, monkeypatch):
+    def no_round(*args):
+        raise AssertionError("a round ran")
+
+    monkeypatch.setattr(interactive, "cipher_round", no_round)
+    code = main(["--seed", "01", "interactive", "--problem", "triangle", "--transcript", ""])
+    assert_usage_error(code, capsys, "--transcript needs a path")
+    assert os.listdir(workdir) == []
+
+
+# Each way a write can fail before any path is replaced: the path names a
+# directory, its directory is missing, or a temporary from an earlier run of
+# this process id is in the way (named as itself).
+WRITE_FAILURES = {
+    "directory": ("adir", "adir"),
+    "missing_parent": ("nodir/out.json", "nodir/out.json"),
+    "stale_temporary": ("out.json", f"out.json.{os.getpid()}.tmp"),
+}
+
+
+def prepare_write_failure(workdir, failure):
+    path, named = WRITE_FAILURES[failure]
+    if failure == "directory":
+        (workdir / path).mkdir()
+    elif failure == "stale_temporary":
+        (workdir / named).write_bytes(b"left by an earlier run\n")
+    return path, named, sorted(os.listdir(workdir))
+
+
+PAYLOADS = {"bytes": b'{"a":[1,2]}\n', "chunks": [b'{"a":', b"[1", b",", b"2]", b"}\n"]}
+
+
+@pytest.mark.parametrize("form", PAYLOADS)
+def test_write_files_takes_bytes_or_chunks(workdir, form):
+    cli._write_files({"one.json": PAYLOADS[form], "two.json": iter(PAYLOADS["chunks"])})
+    assert (workdir / "one.json").read_bytes() == (workdir / "two.json").read_bytes()
+    assert (workdir / "one.json").read_bytes() == b'{"a":[1,2]}\n'
+    assert sorted(os.listdir(workdir)) == ["one.json", "two.json"]
+
+
+@pytest.mark.parametrize("form", PAYLOADS)
+@pytest.mark.parametrize("failure", WRITE_FAILURES)
+def test_write_files_writes_nothing_on_failure(workdir, failure, form):
+    path, named, before = prepare_write_failure(workdir, failure)
+    with pytest.raises(OSError) as exc:
+        cli._write_files({"first.json": PAYLOADS[form], path: PAYLOADS[form]})
+    assert exc.value.filename == named
+    assert sorted(os.listdir(workdir)) == before
+
+
+@pytest.mark.parametrize("failure", WRITE_FAILURES)
+def test_interactive_failed_transcript_write_writes_nothing(workdir, capsys, failure):
+    path, named, before = prepare_write_failure(workdir, failure)
+    code = main(["--seed", "01", "interactive", "--problem", "sat_demo", "--transcript", path])
+    assert_usage_error(code, capsys, repr(named))
+    assert sorted(os.listdir(workdir)) == before
 
 
 def mutate_circuit(data, edit):

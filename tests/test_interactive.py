@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -16,6 +17,7 @@ from snarkpipe import (
     verify_round,
 )
 from snarkpipe.bundled import load_bundled_text
+from snarkpipe.cli import main
 from snarkpipe.field import json_bytes
 from snarkpipe.interactive import MAX_VARIABLES, RoundCommitment, load_problem
 from snarkpipe.rng import derive_seed
@@ -428,6 +430,86 @@ def test_scale_transcript_bytes_pinned(name, cheat, seed, outcome, digest):
     )
     assert (result.accepted, result.rounds_run) == outcome
     assert hashlib.sha256(json_bytes(result.to_json_dict())).hexdigest() == digest
+
+
+# --- the CLI's transcript file -------------------------------------------------
+
+
+def problem_argument(name: str, directory) -> tuple:
+    """(problem, solution, --problem argument): a bundled name, or a file
+    written for a scale problem."""
+    if name not in SCALE_PROBLEMS:
+        return (*load_problem(json.loads(load_bundled_text(f"{name}.json"))), name)
+    problem, solution = SCALE_PROBLEMS[name]
+    if isinstance(problem, HamiltonianCycleProblem):
+        data = {"type": "hamiltonian-cycle", "adjacency": problem.adjacency, "cycle": solution}
+    else:
+        data = {"type": "sat3", "variables": problem.n_vars, "clauses": problem.clauses,
+                "assignment": solution}
+    path = directory / f"{name}.json"
+    path.write_text(json.dumps(data))
+    return problem, solution, str(path)
+
+
+# Honest and cheating sessions, accepted and rejected before the last round,
+# and single rounds, on every bundled and scale problem.
+CLI_SESSIONS = [
+    ("triangle", False, b"pinned-triangle", 8, (True, 8)),
+    ("triangle", True, b"cheat-0", 1, (True, 1)),
+    ("sat_demo", False, b"pinned-sat_demo", 8, (True, 8)),
+    ("sat_demo", True, b"cheat-0", 1, (False, 1)),
+    ("path4", True, b"pinned-4", 8, (False, 5)),
+    ("path4", True, b"cheat-2", 3, (True, 3)),
+    ("sat_unsat", True, b"pinned-39", 8, (False, 6)),
+    ("sat_unsat", True, b"cheat-2", 1, (True, 1)),
+    ("hc24", False, b"scale-hc", 20, (True, 20)),
+    ("hc24", False, b"scale-hc", 1, (True, 1)),
+    ("hc24", True, b"scale-hc-cheat-3", 20, (False, 4)),
+    ("hc24", True, b"cheat-5", 3, (True, 3)),
+    ("hc24", True, b"cheat-0", 1, (False, 1)),
+    ("sat100", False, b"scale-sat", 20, (True, 20)),
+    ("sat100", False, b"scale-sat", 1, (True, 1)),
+    ("sat100", True, b"scale-sat-cheat-13", 20, (False, 7)),
+    ("sat100", True, b"cheat-4", 3, (True, 3)),
+    ("sat100", True, b"cheat-0", 1, (False, 1)),
+]
+
+
+@pytest.mark.parametrize(
+    "name, cheat, seed, rounds, outcome", CLI_SESSIONS,
+    ids=[f"{c[0]}-{'cheat' if c[1] else 'honest'}-{c[3]}-{c[4][1]}" for c in CLI_SESSIONS],
+)
+def test_cli_transcript_is_the_encoded_session(tmp_path, name, cheat, seed, rounds, outcome):
+    problem, solution, argument = problem_argument(name, tmp_path)
+    result = run_session(
+        problem, None if cheat else solution, rounds=rounds, seed=seed, cheat=cheat
+    )
+    assert (result.accepted, result.rounds_run) == outcome
+    path = tmp_path / "transcript.json"
+    argv = ["--seed", seed.hex(), "interactive", "--problem", argument,
+            "--rounds", str(rounds), "--transcript", str(path)] + ["--cheat"] * cheat
+    assert main(argv) == (0 if outcome[0] else 2)
+    assert path.read_bytes() == json_bytes(result.to_json_dict())
+
+
+@pytest.mark.parametrize("name", ["hc24", "sat100"])
+def test_cli_session_memory_stays_near_the_transcript_size(tmp_path, name):
+    # Each round is encoded once judged, so the peak is the file's bytes plus
+    # one round. Keeping every round's record and encoding the session at the
+    # end peaked at 5.2x (hc24) and 6.7x (sat100).
+    _, _, argument = problem_argument(name, tmp_path)
+    path = tmp_path / "transcript.json"
+    argv = ["--seed", "5e", "interactive", "--problem", argument, "--rounds", "20",
+            "--transcript", str(path)]
+    assert main(argv) == 0  # imports and first-use caches outside the measurement
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * path.stat().st_size
+
 
 def reshaped(commitment, kind=None, size=None, extra=0):
     return RoundCommitment(

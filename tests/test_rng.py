@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 
@@ -163,3 +164,42 @@ def test_bulk_take_matches_block_at_a_time():
         slow.shuffle(b)
         assert a == b
     assert fast.random() == slow.random()
+
+
+# --- shuffle ---------------------------------------------------------------------
+
+# Around one-byte positions, the two-byte boundary at 256 and a long list.
+SHUFFLE_SIZES = (0, 1, 2, 17, 100, 255, 256, 257, 1000)
+
+
+@pytest.mark.parametrize("size", SHUFFLE_SIZES)
+def test_shuffle_matches_random_shuffle_on_a_twin(size):
+    # random.Random.shuffle makes one getrandbits call per position and per
+    # rejection; the one-draw shuffle must read exactly those bytes. At sizes
+    # 2 and 17 some offsets reject often enough to outrun the first draw.
+    for offset in range(41):
+        seed = b"shuffle-%d-%d" % (size, offset)
+        fast, twin = Sha256Rng(seed), Sha256Rng(seed)
+        assert fast.randbytes(offset) == twin.randbytes(offset)
+        x, y = list(range(size)), list(range(size))
+        fast.shuffle(x)
+        random.Random.shuffle(twin, y)
+        assert x == y
+        assert fast.randbytes(64) == twin.randbytes(64)  # the streams stay level
+
+
+def test_shuffle_reads_its_positions_from_one_draw(monkeypatch):
+    takes = []
+    original = Sha256Rng._take
+
+    def recording(self, n):
+        takes.append(n)
+        return original(self, n)
+
+    def per_position_draw(self, k):
+        raise AssertionError("shuffle drew through getrandbits")
+
+    monkeypatch.setattr(Sha256Rng, "_take", recording)
+    monkeypatch.setattr(Sha256Rng, "getrandbits", per_position_draw)
+    Sha256Rng(b"one draw").shuffle(list(range(100)))
+    assert takes == [200]  # two bytes per position: room for the rejections
