@@ -10,6 +10,9 @@ only if it also satisfies every asserted output condition:
                                            f^(p-2), which is 0 when f is 0)
     assert f == 0   ->   f * 1      = 0
 
+A pinned output is a constant wire like any other: it carries no witness
+value, so the QAP holds it to its constant through the one-wire.
+
 Gate indices d run 1..N in topological order and count Plus and Times gates
 alike, condition gates included.
 """
@@ -110,21 +113,11 @@ class Circuit:
     def n_gates(self) -> int:
         return len(self.gates)
 
-    def input_wires(self) -> list:
-        return [self.names[name] for name in self.inputs]
-
     def symbol_wires(self) -> list:
-        """Wires that carry witness values: one, inputs, hints, gate outputs.
-
-        Constant wires that only feed gates are excluded; they fold onto the
-        one-wire downstream. Pinned constant outputs of condition gates are
-        gate outputs and therefore included.
-        """
-        ids = {WIRE_ONE}
-        ids.update(self.input_wires())
-        ids.update(i for i, w in enumerate(self.wires) if w.kind == "inverse")
-        ids.update(g.out for g in self.gates)
-        return sorted(ids)
+        """Wires that carry witness values, in id order: every wire but the
+        constants. A constant wire, an operand or a condition gate's pinned
+        output alike, folds onto the one-wire with its value."""
+        return [i for i, wire in enumerate(self.wires) if wire.kind != "const"]
 
     def wire_labels(self, wire_ids) -> list:
         """Stable human-readable symbol names, one per wire id: the first
@@ -173,8 +166,9 @@ class Circuit:
     def from_json_dict(cls, data) -> "Circuit":
         """Load a circuit file, refusing with a ValueError that names the
         entry any structure flatten cannot produce: a bad header (see
-        read_header), an unknown wire kind or op, a key that the entry's kind
-        does not take, a wire id out of range, an inverse hint whose 'of' is
+        read_header), an unknown wire kind or op, a wire 0 that is not the
+        one-wire or a one-wire elsewhere, a key that the entry's kind does
+        not take, a wire id out of range, an inverse hint whose 'of' is
         not an earlier input or gate wire, an operand that is not an earlier
         wire than its gate's output, gate outputs that do not increase with d
         (so no wire is two gates' output), a gate index d other than the gate's
@@ -185,12 +179,16 @@ class Circuit:
         ctx = read_header(data, "circuit")
         entries = _objects(data, "wires")
         count = len(entries)
+        if not count:
+            raise ValueError("circuit 'wires' must start with the one-wire")
 
         wires = []
         for i, entry in enumerate(entries):
             kind = entry.get("kind")
             if not isinstance(kind, str) or kind not in WIRE_KEYS:
                 raise ValueError(f"wire {i} has unknown kind {_quote(kind)}")
+            if (kind == "one") != (i == WIRE_ONE):
+                raise ValueError(f"wire {i} has kind {kind!r}; only wire 0 is the one-wire")
             if kind == "const":
                 try:
                     value = parse_decimal(entry.get("value"), ctx.p)
@@ -310,15 +308,10 @@ class _Builder:
             self.const_cache[value] = self.new_wire(Wire(kind="const", value=value))
         return self.const_cache[value]
 
-    def add_gate(self, op: str, left: int, right: int) -> int:
-        out = self.new_wire(Wire(kind="gate"))
-        self.gates.append(Gate(op, left, right, out, len(self.gates) + 1))
-        return out
-
-    def add_pinned_gate(self, op: str, left: int, right: int, pinned: int) -> int:
-        # Condition gates pin their output to a fresh constant wire created
-        # here so wire ids stay topological.
-        out = self.new_wire(Wire(kind="const", value=pinned))
+    def add_gate(self, op: str, left: int, right: int, pinned: int | None = None) -> int:
+        # A condition gate pins its output to a fresh constant wire, created
+        # here so that wire ids stay topological.
+        out = self.new_wire(Wire("gate") if pinned is None else Wire("const", value=pinned))
         self.gates.append(Gate(op, left, right, out, len(self.gates) + 1))
         return out
 
@@ -374,9 +367,9 @@ def flatten(program: Program, ctx: FieldContext) -> Circuit:
         target = env[name]
         if relation is Relation.NOT_EQUAL_ZERO:
             inv = builder.new_wire(Wire(kind="inverse", of=target))
-            builder.add_pinned_gate(TIMES, target, inv, 1)
+            builder.add_gate(TIMES, target, inv, pinned=1)
         else:
-            builder.add_pinned_gate(TIMES, target, WIRE_ONE, 0)
+            builder.add_gate(TIMES, target, WIRE_ONE, pinned=0)
         outputs.append((target, relation))
     return Circuit(
         ctx=ctx,

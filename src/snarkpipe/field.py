@@ -3,7 +3,7 @@
 A field is its prime modulus p and nothing else. Every artifact file starts
 with the same header, written by write_header and checked by read_header:
 
-    {"format": "snarkpipe-<kind>/2", "field": {"p": "<p as a decimal>"}, ...}
+    {"format": "snarkpipe-<kind>/3", "field": {"p": "<p as a decimal>"}, ...}
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ DEFAULT_MODULUS = 2**64 - 2**32 + 1
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # The one versioned artifact format; a change to any file's layout bumps it.
-_FORMAT = "snarkpipe-{kind}/2"
+_FORMAT = "snarkpipe-{kind}/3"
 
 
 # json.dumps(data, separators=(",", ":")) builds an encoder on every call;

@@ -1,19 +1,20 @@
 """Turn a gate circuit into a quadratic program over interpolation nodes 1..N.
 
-Every witness-carrying wire (the one-wire, each input, each hint, each gate
-output) gets a triple of polynomials, kept as their values at the nodes. The
-QAP stores them as the rows of the constraint matrices: per gate d, the
-(symbol, coefficient) entries of v, w and k at node d, which encode gate d:
+Every wire that is not a constant (the one-wire, each input, each hint and
+each unpinned gate output) is a symbol with a triple of polynomials, kept as
+their values at the nodes. The QAP stores them as the rows of the constraint
+matrices: per gate d, the (symbol, coefficient) entries of v, w and k at
+node d, which encode gate d:
 
     Times gate  l * r = o:  the left operand's v entry, the right operand's
-                            w entry, and the output's k entry 1.
+                            w entry, and the output's k entry.
     Plus gate   l + r = o:  both operands' v entries, the one-wire's w
-                            entry 1, the output's k entry 1, so
+                            entry 1, the output's k entry, so
                             (t_l + t_r) * 1 = t_o.
 
-Constant operands contribute value-many units to the one-wire's entry
-instead of owning symbols. An assignment t then satisfies every gate exactly
-when the combined polynomial
+A symbol's entry is itself with coefficient 1; a constant wire's, operand or
+pinned output alike, is the one-wire with the constant. An assignment t with
+t_one = 1 then satisfies every gate exactly when the combined polynomial
 
     F = (sum_i t_i v_i) * (sum_i t_i w_i) - (sum_i t_i k_i)
 
@@ -58,7 +59,7 @@ class QAP:
     ):
         self.ctx = ctx
         self.n_gates = n_gates
-        self.symbols = symbols  # wire ids, ordered: one, inputs, then remaining by id
+        self.symbols = symbols  # wire ids in increasing order, the one-wire first
         self.symbol_names = symbol_names
         # rows[d - 1] = (v, w, k) at node d, each a tuple of (symbol index,
         # coefficient); a symbol absent from an entry tuple holds 0 there
@@ -217,18 +218,16 @@ def build_qap(circuit: Circuit) -> QAP:
     symbols = tuple(circuit.symbol_wires())
     position = {wire: i for i, wire in enumerate(symbols)}
     one = (position[WIRE_ONE], 1)
-    # an operand's (symbol, coefficient) entry: constants count on the one-wire
+    # a wire's (symbol, coefficient) entry: constants count on the one-wire
     entry = {wire: (i, 1) for wire, i in position.items()}
     for wire_id, wire in enumerate(circuit.wires):
         if wire.kind == "const":
             entry[wire_id] = (one[0], wire.value % p)
-        elif wire.kind == "one":
-            entry[wire_id] = one
 
     rows = []
     for gate in circuit.gates:
         left, right = entry[gate.left], entry[gate.right]
-        k = ((position[gate.out], 1),)
+        k = (entry[gate.out],)
         if gate.op == TIMES:
             rows.append(((left,), (right,), k))
         elif left[0] == right[0]:  # one symbol, or two constants

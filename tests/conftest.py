@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from snarkpipe import FieldContext, Sha256Rng, assemble, build_qap, flatten, parse_program
+from snarkpipe import FieldContext, Sha256Rng, assemble, build_qap, flatten, parse_program, solve
 from snarkpipe.bundled import load_bundled_text
 from snarkpipe.field import DEFAULT_MODULUS
 from snarkpipe.pinocchio import EvaluationKey, Trapdoor, VerificationKey, verification_key_to_dict
@@ -15,6 +15,18 @@ BAD_COLORING = {"c1": 1, "c2": 1, "c3": 2, "c4": 1, "c5": 2}
 # Edge list of the bundled 5-vertex graph, 1-based vertex labels.
 COLORING_EDGES = ((1, 2), (1, 3), (1, 4), (1, 5), (2, 5), (2, 3), (3, 4), (4, 5))
 
+
+def forward_assignment(circuit, inputs) -> dict:
+    """The assignment of a prover that evaluates every gate forward instead
+    of running solve: each condition gate's pinned output takes the value
+    its gate computes, not its constant, so it differs from solve's exactly
+    where a condition fails."""
+    p = circuit.ctx.p
+    values = solve(circuit, inputs)
+    for gate in circuit.gates:
+        left, right = values[gate.left], values[gate.right]
+        values[gate.out] = (left * right if gate.op == "Times" else left + right) % p
+    return values
 
 
 def soundness_scan(qap, assignment, trials=None, seed=b"soundness-scan") -> Fraction:
@@ -111,7 +123,7 @@ def setup_oracle(qap, group, seed, public=("one",)) -> tuple:
         ],
     )
     ek_dict = {
-        "format": "snarkpipe-evaluation-key/2",
+        "format": "snarkpipe-evaluation-key/3",
         "field": {"p": str(p)},
         "backend": "transparent",
         "n_gates": qap.n_gates,

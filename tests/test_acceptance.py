@@ -116,9 +116,13 @@ def test_criterion_3_structural_scan(corpus_programs, ctx):
                 operands.add(0 if wire.kind in ("const", "one") else wire_id)
             if gate.op == "Plus":
                 operands.add(0)  # the one-wire is the Plus row's multiplier
+            # the k row is the output's entry: a pinned constant's is the
+            # one-wire with that constant, any other output's is itself with 1
+            out = circuit.wires[gate.out]
+            k_symbol, k_value = (0, out.value) if out.kind == "const" else (gate.out, 1)
             for i, wire in enumerate(qap.symbols):
                 scanned += 1
-                k_ok = (qap.k[i].get(d, 0) == 1) == (gate.out == wire)
+                k_ok = qap.k[i].get(d, 0) == (k_value if wire == k_symbol else 0)
                 vw_ok = (
                     qap.v[i].get(d, 0) != 0 or qap.w[i].get(d, 0) != 0
                 ) == (wire in operands)

@@ -84,7 +84,7 @@ def test_compile_prints_sizes(workdir, capsys):
     assert main(["compile", "coloring5"]) == 0
     out = capsys.readouterr().out
     assert "N=69" in out
-    assert "symbols=76" in out
+    assert "symbols=74" in out
 
 
 def test_compile_emit_qap(workdir):
@@ -147,7 +147,7 @@ def test_compile_checks_the_field_without_building_the_qap(workdir, capsys, monk
     assert_usage_error(code, capsys, "modulus 101 must exceed 2N = 138")
     assert sorted(os.listdir(workdir)) == []
     assert main(["compile", "coloring5", "-o", "c.json"]) == 0
-    assert capsys.readouterr().out.splitlines()[0] == "N=69 symbols=76"
+    assert capsys.readouterr().out.splitlines()[0] == "N=69 symbols=74"
 
 
 def test_compile_too_small_field_keeps_existing_output(workdir, capsys):
@@ -185,7 +185,7 @@ def test_compile_unusable_output_path_keeps_existing_qap(workdir, capsys):
 
 def test_compile_to_one_path_twice_keeps_the_circuit(workdir):
     assert main(["compile", "cubic", "-o", "c.json", "--emit-qap", "c.json"]) == 0
-    assert json.loads((workdir / "c.json").read_text())["format"] == "snarkpipe-circuit/2"
+    assert json.loads((workdir / "c.json").read_text())["format"] == "snarkpipe-circuit/3"
     assert os.listdir(workdir) == ["c.json"]
 
 
@@ -549,31 +549,33 @@ def test_determinism_byte_identical(workdir):
 
 
 # SHA-256 of every Pinocchio artifact the CLI writes at seed 5eed, recorded
-# when the header became format version 2 with the field reduced to p. Every
-# entry but "format" and "field" equals the version 1 artifacts, which were
-# pinned in turn before field values became plain ints end to end: circuits,
-# QAPs and keys must stay byte for byte the same.
+# at format version 3, when a condition gate's pinned output stopped being a
+# symbol and its k entry moved onto the one-wire. Against version 2 a
+# circuit changes only its "format"; the QAP and the evaluation key lose the
+# pinned symbols; and a verification or witness key changes beyond its header
+# only where a pinned 1 (an `!=` assertion) now counts in the one-wire's k.
+# Circuits, QAPs and keys must otherwise stay byte for byte the same.
 PINNED_ARTIFACTS = {
     "coloring5": (GOOD_INPUTS, {
-        "circuit": "1b158ec3b261aa800b925003536572f0ab5ee6f22c386aa0efddf6ed58ef858c",
-        "qap": "a7a1d3003fd4b488095dde8293c3a8e56e917eef28a27ccb374f259f887c1776",
-        "ek": "f311257415745516720f606f9edd9fe9121a2f3d1c3072b3f72df57206b231d9",
-        "vk": "b1b50cce3d5057dd874644203ee539a925ba4a253968d2d13d8617c710d14b85",
-        "wk": "ca334fc278198d91aed59334ab06a8862ac9b923876dd213e6f3f2e84a8be9ed",
+        "circuit": "6eeb05328e608565e49cdcc69453a6de36d3b21505fe4622d75b8a4f4552f7cf",
+        "qap": "fe79782fab6563b6753559ad4801a1ae594c3569d2c70d07a99c3e333a994cdb",
+        "ek": "e32a1e2d96bd1fafe5b3fe8538de6e2a9c5c8e999623dc5256b1d60f1e2447c4",
+        "vk": "34dbe6175a6f12feed2e0be9cea765b04724348fa9d6dcdb1393560370a36406",
+        "wk": "0d063ee89157badfae404da3cd59d2648111757de27adbaf734eb4032c12f8ef",
     }),
     "cubic": ({"x": "3", "y": "35"}, {
-        "circuit": "08f0fc3d2ac2b95db1ac0b66820528d67f22c95915d34697b2b33d7c3f37d0b2",
-        "qap": "ab1d6d9e9b64de94ac4a42ed88187ffa377c0b1868217160cf9411a5f21223c7",
-        "ek": "41f62e3ae752c30a3eb3679237658161facec87e2aa06286e02ef6b3dcf9ba06",
-        "vk": "4a6c011480b820346a24b68fae2c11f925e15593facae9914595f7d1df8e8549",
-        "wk": "0442f705f42b5573e6ac3322a93cd9cec0e6fd66675cda1aee79daf6c0b8a195",
+        "circuit": "a585c68fae7320112e505f7bb3eb46033513f143ecf7bd83016813196bfa3f41",
+        "qap": "4d1341e6c51049ddb636f2a738589c4a8e236352a440c749c0deeea2fd4b8294",
+        "ek": "d07e463d37e302f283028bd8dff69afee2d559967ddd776bfcce798d068e1c09",
+        "vk": "07f77b1f41049afc2cc98feb4dc10c4c66dcedf72bc79b38934e991f43ccc327",
+        "wk": "927c52a2587aeec59c75339a1612ec83e74749786cacfde907026af739fdc3dc",
     }),
     "product": ({"x": "0", "y": "5"}, {
-        "circuit": "f3b8d8a250386f062546b480df909e7efb5a6807de8547031751c86791d10ed1",
-        "qap": "65ac3219dc27d53bbe6a6001c680ce097fb22dca741b714b0d3b8bfb8a417b25",
-        "ek": "8b4066f73eb35b51faec6e243de79912436f16691878dc88aae47217728ca83a",
-        "vk": "7a0d4b6cfc98bf5300e249e6028b13ae7a084bcb255d896983d01c6e4dad2e7e",
-        "wk": "bf6392e0093517fdc6a8d9c85411c9e8b73b32e38da2a57ab99b4efde019aa6b",
+        "circuit": "c5d1c4c7a71299692f869c5b886ba5f4193f422159b3ab98c0525d9b3dad488f",
+        "qap": "fad3f2c3c6498307a823c719059bc1dae5d99cdfff29082cccf6c08d0df24ecc",
+        "ek": "2e9f8201d0d0e44be41b237196c5ff5578d5e47b09b3e3a998ff85265a6125ad",
+        "vk": "cad9ebfe68f5252e9778898d95c94a825cdec57a5aabb82d7408e3b500758876",
+        "wk": "58f36651c4f9f535530ef4af6e62507fefa8b0aa60dfdf3d9faa36fac5582b3f",
     }),
 }
 
@@ -809,7 +811,7 @@ CIRCUIT_EDITS = {
     "not_object": (lambda d: [d], "JSON object"),
     "format": (
         lambda d: d.update(format="snarkpipe-circuit/1"),
-        "format='snarkpipe-circuit/1'; this version reads 'snarkpipe-circuit/2'",
+        "format='snarkpipe-circuit/1'; this version reads 'snarkpipe-circuit/3'",
     ),
     "inverse_of_itself": (
         lambda d: d["wires"][first_inverse(d)].update(of=first_inverse(d)),
@@ -852,6 +854,15 @@ CIRCUIT_EDITS = {
     "input_names_swapped": (
         lambda d: d["names"].update(c1=d["names"]["c2"], c2=d["names"]["c1"]),
         "input 'c1' names wire 2",
+    ),
+    # build_qap takes wire 0 as the one-wire and every other wire by its kind
+    "no_wires": (lambda d: d.update(wires=[]), "'wires' must start with the one-wire"),
+    "wire_0_const": (
+        lambda d: d["wires"][0].update(kind="const", value="1"),
+        "wire 0 has kind 'const'; only wire 0 is the one-wire",
+    ),
+    "second_one_wire": (
+        lambda d: d["wires"].append({"kind": "one"}), "has kind 'one'; only wire 0"
     ),
 }
 
@@ -910,7 +921,7 @@ def test_setup_refuses_non_canonical_circuit_header(
     assert_usage_error(code, capsys, f"field entry {entry!r}")
 
 
-# A file of the previous format version, and the command that reads it.
+# A file of an earlier format version, and the command that reads it.
 OLD_FORMAT = {
     "circuit": ("circuit", ["setup", "--circuit", "{f}", "--evaluation-key", "{o}/ek.json",
                             "--verification-key", "{o}/vk.json"]),
@@ -924,19 +935,23 @@ OLD_FORMAT = {
 @pytest.mark.parametrize("name", sorted(OLD_FORMAT))
 def test_refuses_previous_format_version_by_name(artifacts, tmp_path, capsys, name):
     kind, argv = OLD_FORMAT[name]
-    old = {
-        **artifacts[name][1],
-        "format": f"snarkpipe-{kind}/1",
-        "field": {**artifacts[name][1]["field"], "generator": "7"},
-    }
-    target = write_json(tmp_path / "old.json", old)
-    code = main(fill(argv, artifacts, tmp_path, target))
-    assert_usage_error(
-        code, capsys,
-        f"not a {kind} file (format='snarkpipe-{kind}/1';"
-        f" this version reads 'snarkpipe-{kind}/2')",
-    )
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["inputs.json", "old.json"]
+    # Version 1 also put a generator in 'field'. Version 2 keys gave each
+    # condition gate's pinned output a private symbol that nothing tied to
+    # its constant, so they encode a weaker relation than version 3's.
+    for version, field in ((1, {"generator": "7"}), (2, {})):
+        old = {
+            **artifacts[name][1],
+            "format": f"snarkpipe-{kind}/{version}",
+            "field": {**artifacts[name][1]["field"], **field},
+        }
+        target = write_json(tmp_path / "old.json", old)
+        code = main(fill(argv, artifacts, tmp_path, target))
+        assert_usage_error(
+            code, capsys,
+            f"not a {kind} file (format='snarkpipe-{kind}/{version}';"
+            f" this version reads 'snarkpipe-{kind}/3')",
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["inputs.json", "old.json"]
 
 
 # --- unusable paths ---------------------------------------------------------------

@@ -100,21 +100,21 @@ def test_context_json_round_trip(ctx, ctx101):
     for c in (ctx, ctx101):
         assert read_header(write_header("circuit", c), "circuit") == c
     # decimal strings, not numbers, so 64-bit values survive JSON consumers
-    assert write_header("qap", ctx) == {"format": "snarkpipe-qap/2", "field": {"p": str(ctx.p)}}
+    assert write_header("qap", ctx) == {"format": "snarkpipe-qap/3", "field": {"p": str(ctx.p)}}
 
 
 @pytest.mark.parametrize(
     "header, needle",
     [
         ([], "JSON object, not list"),
-        ({"format": "snarkpipe-qap/2", "field": {"p": "101"}}, "not a circuit file"),
+        ({"format": "snarkpipe-qap/3", "field": {"p": "101"}}, "not a circuit file"),
         ({"format": "snarkpipe-circuit/1", "field": {"p": "101"}}, "this version reads"),
-        ({"format": "snarkpipe-circuit/2"}, "'field' must be a JSON object"),
-        ({"format": "snarkpipe-circuit/2", "field": "101"}, "'field' must be a JSON object"),
-        ({"format": "snarkpipe-circuit/2", "field": {}}, "field entry 'p'"),
-        ({"format": "snarkpipe-circuit/2", "field": {"p": "0101"}}, "canonical decimal"),
-        ({"format": "snarkpipe-circuit/2", "field": {"p": "15"}}, "not prime"),
-        ({"format": "snarkpipe-circuit/2", "field": {"p": "101", "g": "2"}}, "field entry 'g'"),
+        ({"format": "snarkpipe-circuit/3"}, "'field' must be a JSON object"),
+        ({"format": "snarkpipe-circuit/3", "field": "101"}, "'field' must be a JSON object"),
+        ({"format": "snarkpipe-circuit/3", "field": {}}, "field entry 'p'"),
+        ({"format": "snarkpipe-circuit/3", "field": {"p": "0101"}}, "canonical decimal"),
+        ({"format": "snarkpipe-circuit/3", "field": {"p": "15"}}, "not prime"),
+        ({"format": "snarkpipe-circuit/3", "field": {"p": "101", "g": "2"}}, "field entry 'g'"),
     ],
 )
 def test_read_header_refuses_by_name(header, needle):

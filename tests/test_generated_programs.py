@@ -11,7 +11,18 @@ survive `format_program` and `parse_program` unchanged, the parser's gate
 count must equal the flattened circuit's, and every column of the emitted
 QAP file must take its node values at 1..N, with the target vanishing there.
 
-Budget: each field's run must finish within BUDGET_S seconds.
+The QAP must also encode exactly the relation `check_solution` enforces.
+The prover picks only the symbol wires; the circuit fixes the one-wire to 1
+and every constant wire, a condition gate's pinned output included, to its
+constant. So over assignments with free symbol wires, `assemble(...).divisible`
+must equal `check_solution` on the same symbols with the fixed wires restored.
+The assignments come from `solve`, from a prover that evaluates every gate
+forward (each pinned output takes its gate's value), and from either with one
+symbol other than the one-wire changed. Over arbitrary values on every wire
+the two would differ for want of the fixed wires: an all-zero assignment, or
+a changed constant that no gate reads, is divisible but no solution.
+
+Budget: each field's run of each test must finish within BUDGET_S seconds.
 """
 
 import time
@@ -38,12 +49,14 @@ from snarkpipe import (  # noqa: E402
     solve,
     verify,
 )
+from snarkpipe.circuit import WIRE_ONE  # noqa: E402
 from snarkpipe.frontend import _Parser, format_program  # noqa: E402
 
-from conftest import CONSTANTS, programs  # noqa: E402
+from conftest import CONSTANTS, forward_assignment, programs  # noqa: E402
 
 BUDGET_S = 10.0
 EXAMPLES = 60
+RELATION_EXAMPLES = 100
 
 
 def emitted_columns_hold_their_node_values(qap) -> None:
@@ -110,3 +123,38 @@ def test_generated_programs_agree_at_every_stage(modulus):
     run()
     elapsed = time.perf_counter() - started
     assert elapsed < BUDGET_S, f"{EXAMPLES} programs took {elapsed:.1f} s"
+
+
+@pytest.mark.filterwarnings("ignore:integer constant")  # constants at or above p
+@pytest.mark.parametrize("modulus", [97, None], ids=["p97", "default"])
+def test_divisibility_is_the_relation_over_free_symbols(modulus):
+    ctx = FieldContext(modulus) if modulus else FieldContext()
+
+    @settings(derandomize=True, deadline=None, max_examples=RELATION_EXAMPLES, database=None)
+    @given(
+        source=programs(),
+        values=st.lists(st.integers(0, 200) | CONSTANTS, min_size=3, max_size=3),
+        forward=st.booleans(),
+        change=st.none() | st.tuples(st.integers(0, 2**16), st.integers(1, ctx.p - 1)),
+    )
+    def run(source, values, forward, change):
+        program = parse_program(source)
+        circuit = flatten(program, ctx)
+        assume(0 < circuit.n_gates and 2 * circuit.n_gates < ctx.p)
+        inputs = dict(zip(program.inputs, values))
+        assignment = (forward_assignment if forward else solve)(circuit, inputs)
+        qap = build_qap(circuit)
+        if change is not None:
+            index, delta = change
+            wire = qap.symbols[1 + index % (len(qap.symbols) - 1)]  # not the one-wire
+            assignment[wire] = (assignment[wire] + delta) % ctx.p
+        fixed = {i: wire.value for i, wire in enumerate(circuit.wires) if wire.kind == "const"}
+        fixed[WIRE_ONE] = 1
+        assert assemble(qap, assignment).divisible == check_solution(
+            circuit, {**assignment, **fixed}
+        )
+
+    started = time.perf_counter()
+    run()
+    elapsed = time.perf_counter() - started
+    assert elapsed < BUDGET_S, f"{RELATION_EXAMPLES} assignments took {elapsed:.1f} s"

@@ -143,8 +143,12 @@ def test_output_rows_select_exactly_the_gate_output(name, corpus_programs, ctx):
     qap = build_qap(circuit)
     out_by_index = {g.index: g.out for g in circuit.gates}
     for d in range(1, qap.n_gates + 1):
+        # the output's entry: its own symbol with 1, or, for a condition
+        # gate's pinned output, the one-wire with the pinned constant
+        out = circuit.wires[out_by_index[d]]
+        symbol, value = (0, out.value) if out.kind == "const" else (out_by_index[d], 1)
         for i, wire in enumerate(qap.symbols):
-            expected = 1 if out_by_index[d] == wire else 0
+            expected = value if wire == symbol else 0
             assert qap.k[i].get(d, 0) == expected
 
 
@@ -323,7 +327,8 @@ def test_scan_trial_sampling_is_seeded(ctx101):
 
 def columns_oracle(circuit):
     """(v, w, k) per-symbol columns {d: value}, the way build_qap made them
-    before it stored the rows of the constraint matrices."""
+    before it stored the rows of the constraint matrices, with the gate
+    output's k entry made as an operand's (a pinned output on the one-wire)."""
     p = circuit.ctx.p
     symbols = circuit.symbol_wires()
     position = {wire: idx for idx, wire in enumerate(symbols)}
@@ -353,7 +358,7 @@ def columns_oracle(circuit):
             contribute(cols_v, gate.left, d)
             contribute(cols_v, gate.right, d)
             cols_w[one_pos][d] = 1
-        cols_k[position[gate.out]][d] = 1
+        contribute(cols_k, gate.out, d)
     return cols_v, cols_w, cols_k
 
 
