@@ -21,7 +21,15 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .field import FieldContext, _quote, json_bytes, parse_decimal, read_header, write_header
+from .field import (
+    FieldContext,
+    _quote,
+    json_bytes,
+    parse_decimal,
+    read_header,
+    stray_key,
+    write_header,
+)
 from .frontend import (
     Add,
     Constant,
@@ -60,6 +68,7 @@ WIRE_KEYS = {
     "gate": frozenset({"kind"}),
     "inverse": frozenset({"kind", "of"}),
 }
+CIRCUIT_KEYS = frozenset({"format", "field", "inputs", "names", "wires", "gates", "outputs"})
 GATE_KEYS = frozenset({"op", "l", "r", "o", "d"})
 OUTPUT_KEYS = frozenset({"wire", "rel"})
 RELATIONS = {relation.value: relation for relation in Relation}  # by file spelling
@@ -166,17 +175,20 @@ class Circuit:
     def from_json_dict(cls, data) -> "Circuit":
         """Load a circuit file, refusing with a ValueError that names the
         entry any structure flatten cannot produce: a bad header (see
-        read_header), an unknown wire kind or op, a wire 0 that is not the
-        one-wire or a one-wire elsewhere, a key that the entry's kind does
-        not take, a wire id out of range, an inverse hint whose 'of' is
-        not an earlier input or gate wire, an operand that is not an earlier
-        wire than its gate's output, gate outputs that do not increase with d
-        (so no wire is two gates' output), a gate index d other than the gate's
+        read_header), a key that the file or the entry's kind does not take,
+        an unknown wire kind or op, a wire 0 that is not the one-wire or a
+        one-wire elsewhere, a wire id out of range, an inverse hint whose
+        'of' is not an earlier input or gate wire, a gate that drives an
+        input, inverse or one wire, an operand that is not an earlier wire
+        than its gate's output, gate outputs that do not increase with d (so
+        no wire is two gates' output), a gate index d other than the gate's
         1-based position, a constant that is not a canonical decimal below p,
         a gate wire that no gate drives, or input wires other than the ones
         'names' gives the declared inputs. Error text is built only for the
         check that fails."""
         ctx = read_header(data, "circuit")
+        if not data.keys() <= CIRCUIT_KEYS:
+            raise stray_key("circuit file", data, CIRCUIT_KEYS)
         entries = _objects(data, "wires")
         count = len(entries)
         if not count:
@@ -215,7 +227,7 @@ class Circuit:
         last = -1  # the previous gate's output wire
         for d, e in enumerate(_objects(data, "gates"), 1):
             if not e.keys() <= GATE_KEYS:
-                raise _stray_key(f"gate {d}", e, GATE_KEYS)
+                raise stray_key(f"gate {d}", e, GATE_KEYS)
             op, left, right, out = e.get("op"), e.get("l"), e.get("r"), e.get("o")
             if op not in (PLUS, TIMES):
                 raise ValueError(f"gate {d} has unknown op {_quote(op)}")
@@ -223,6 +235,11 @@ class Circuit:
                 raise ValueError(f"gate {d} must have d={d}, not {_quote(e.get('d'))}")
             if type(out) is not int or not 0 <= out < count:
                 raise _not_wire_id(f"gate {d} 'o'", out, count)
+            if wires[out].kind not in ("gate", "const"):
+                raise ValueError(
+                    f"gate {d} drives wire {out} of kind {wires[out].kind!r};"
+                    " a gate drives only a 'gate' or 'const' wire"
+                )
             if type(left) is not int or not 0 <= left < out:
                 raise _not_wire_id(f"gate {d} 'l'", left, out)
             if type(right) is not int or not 0 <= right < out:
@@ -235,7 +252,7 @@ class Circuit:
         outputs = []
         for i, e in enumerate(_objects(data, "outputs")):
             if not e.keys() <= OUTPUT_KEYS:
-                raise _stray_key(f"output {i}", e, OUTPUT_KEYS)
+                raise stray_key(f"output {i}", e, OUTPUT_KEYS)
             wire, rel = e.get("wire"), e.get("rel")
             if type(wire) is not int or not 0 <= wire < count:
                 raise _not_wire_id(f"output {i}", wire, count)
@@ -261,7 +278,7 @@ class Circuit:
             if wire.kind == "input" and i not in input_wires:
                 raise ValueError(f"wire {i} is an input wire that no declared input names")
             if not entry.keys() <= WIRE_KEYS[wire.kind]:
-                raise _stray_key(f"wire {i} of kind {wire.kind!r}", entry, WIRE_KEYS[wire.kind])
+                raise stray_key(f"wire {i} of kind {wire.kind!r}", entry, WIRE_KEYS[wire.kind])
         for name in inputs:
             i = names.get(name)
             if i is None or wires[i].kind != "input" or wires[i].name != name:
@@ -276,11 +293,6 @@ class Circuit:
 
 def _not_wire_id(where: str, value, below: int) -> ValueError:
     return ValueError(f"{where} must be a wire id below {below}, not {_quote(value)}")
-
-
-def _stray_key(where: str, entry: dict, keys) -> ValueError:
-    key = next(key for key in entry if key not in keys)
-    return ValueError(f"{where} takes no key {_quote(key)}")
 
 
 def _objects(data: dict, key: str) -> list:

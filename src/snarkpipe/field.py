@@ -19,6 +19,7 @@ __all__ = [
     "json_bytes",
     "parse_decimal",
     "read_header",
+    "stray_key",
     "write_header",
 ]
 
@@ -77,6 +78,15 @@ def _quote(value) -> str:
         return text
     size = f" ({len(value)} characters)" if isinstance(value, str) else ""
     return f"{text[:40]}...{size}"
+
+
+def stray_key(where: str, entry: dict, keys) -> ValueError:
+    """The refusal of an object holding a key outside `keys`, the keys its
+    writer writes: it names the first such key. Callers test
+    `entry.keys() <= keys` themselves, so that text is built only for an
+    object that fails."""
+    key = next(key for key in entry if key not in keys)
+    return ValueError(f"{where} takes no key {_quote(key)}")
 
 
 class DivisionByZero(ZeroDivisionError):

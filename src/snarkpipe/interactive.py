@@ -239,8 +239,10 @@ def _hc_entries(matrix) -> list:
 
 
 def _sat_entries(clauses) -> list:
+    """Pack clauses whose literals are already sorted, as `transform` and a
+    doctored instance give them."""
     pack = _CLAUSE.pack
-    return [pack(*sorted(clause)) for clause in clauses]
+    return [pack(*clause) for clause in clauses]
 
 
 def _committed_round(rng, kind, size, entries, opened, cipher, solution) -> tuple:
@@ -396,9 +398,10 @@ def _check_solution_sat(problem, commitment, response) -> bool:
         return False
     opened = SatProblem(problem.n_vars, tuple(clauses))
     opened.validate()  # a ValueError rejects the round
-    return _opens(
-        _sat_entries(opened.clauses), response.salts, commitment.digests
-    ) and opened.is_solution(assignment)
+    # the prover's clauses are untrusted: sort each before packing it
+    entries = _sat_entries([sorted(clause) for clause in opened.clauses])
+    opens = _opens(entries, response.salts, commitment.digests)
+    return opens and opened.is_solution(assignment)
 
 
 def verify_round(problem, commitment, challenge: Challenge, response) -> bool:

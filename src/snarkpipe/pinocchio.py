@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .field import read_header, write_header
+from .field import read_header, stray_key, write_header
 from .groups import GroupElement, TransparentGroup
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
@@ -361,6 +361,16 @@ def verify(
 
 # --- key serialization -------------------------------------------------------
 
+# The keys each writer below writes, the header's included; a loader takes
+# exactly these.
+_HEADER_KEYS = ("format", "field", "backend")
+_EVALUATION_KEY_KEYS = frozenset(
+    (*_HEADER_KEYS, "n_gates", "symbols", "public", *EvaluationKey.LISTS)
+)
+_VERIFICATION_KEY_KEYS = frozenset((*_HEADER_KEYS, *VerificationKey.ELEMENTS, "public"))
+_PUBLIC_ENTRY_KEYS = frozenset(("name", "v", "w", "k"))
+_WITNESS_KEY_KEYS = frozenset((*_HEADER_KEYS, *WitnessKey.FIELDS))
+
 
 def _header(group: TransparentGroup, kind: str) -> dict:
     return {**write_header(kind, group.ctx), "backend": group.name}
@@ -393,9 +403,13 @@ def witness_key_to_dict(wk: WitnessKey) -> dict:
     return data
 
 
-def _load_group(data, kind: str) -> TransparentGroup:
+def _load_group(data, kind: str, keys) -> TransparentGroup:
+    """The group a key file's header names, once the file is known to hold
+    only `keys`."""
     try:
         ctx = read_header(data, kind)
+        if not data.keys() <= keys:
+            raise stray_key(f"{kind} file", data, keys)
     except ValueError as exc:
         raise MalformedKey(str(exc)) from None
     if data.get("backend") != TransparentGroup.name:
@@ -451,7 +465,7 @@ def _check_public(public, where: str, symbols=None) -> None:
 
 
 def load_evaluation_key(data: dict) -> EvaluationKey:
-    group = _load_group(data, "evaluation-key")
+    group = _load_group(data, "evaluation-key", _EVALUATION_KEY_KEYS)
     try:
         n_gates = data["n_gates"]
         if type(n_gates) is not int or n_gates < 0:
@@ -480,7 +494,7 @@ def load_evaluation_key(data: dict) -> EvaluationKey:
 
 
 def load_verification_key(data: dict) -> VerificationKey:
-    group = _load_group(data, "verification-key")
+    group = _load_group(data, "verification-key", _VERIFICATION_KEY_KEYS)
 
     def entry(holder: dict, name: str, where: str) -> GroupElement:
         return _decode(group, holder[name], f"verification-key entry {where}")
@@ -488,6 +502,8 @@ def load_verification_key(data: dict) -> VerificationKey:
     def public_name(item, i: int) -> str:
         if not isinstance(item, dict) or not isinstance(item.get("name"), str):
             raise MalformedKey(f"verification-key entry public[{i}].name must be a string")
+        if not item.keys() <= _PUBLIC_ENTRY_KEYS:
+            raise stray_key(f"public[{i}]", item, _PUBLIC_ENTRY_KEYS)
         return item["name"]
 
     try:
@@ -510,7 +526,7 @@ def load_verification_key(data: dict) -> VerificationKey:
 
 
 def load_witness_key(data: dict) -> WitnessKey:
-    group = _load_group(data, "witness-key")
+    group = _load_group(data, "witness-key", _WITNESS_KEY_KEYS)
     try:
         return WitnessKey(
             **{

@@ -45,11 +45,6 @@ class Polynomial:
         return cls(ctx, ())
 
     @classmethod
-    def from_roots(cls, ctx: FieldContext, roots) -> "Polynomial":
-        """Monic product of (x - r) over the given roots."""
-        return cls(ctx, SubproductTree(ctx, roots).root())
-
-    @classmethod
     def weighted_sum(cls, ctx: FieldContext, terms) -> "Polynomial":
         """sum(weight * poly) over the (weight, poly) pairs; no pairs give 0."""
         acc = []
@@ -65,14 +60,6 @@ class Polynomial:
                 acc.extend([0] * (n - len(acc)))
             acc[:n] = [a + weight * c for a, c in zip(acc, coeffs)]
         return cls(ctx, acc)
-
-    @classmethod
-    def interpolate(cls, ctx: FieldContext, points) -> "Polynomial":
-        """Lagrange interpolation; the result has degree < len(points) and
-        passes through every (x, y) pair."""
-        points = list(points)
-        basis = lagrange_basis(ctx, [x for x, _ in points])
-        return cls.weighted_sum(ctx, zip((y for _, y in points), basis))
 
     @property
     def degree(self) -> int:
@@ -341,7 +328,7 @@ def lagrange_basis(ctx: FieldContext, nodes) -> list[Polynomial]:
     xs = [x % p for x in nodes]
     if len(set(xs)) != len(xs):
         raise DuplicateNode("repeated node in basis construction")
-    top = Polynomial.from_roots(ctx, xs).coeffs[:0:-1]  # master's x^N down to x^1
+    top = SubproductTree(ctx, xs).root()[:0:-1]  # master's x^N down to x^1
     basis = []
     for i, x in enumerate(xs):
         den = 1

@@ -20,14 +20,16 @@ t_one = 1 then satisfies every gate exactly when the combined polynomial
 
 vanishes on 1..N, i.e. when the target product T(x) = prod(x - d) divides F.
 Since T has the N distinct roots 1..N, that is one test per gate on the
-weighted row sums: V(d) * W(d) = K(d). Coefficient form is derived only where
-it is needed: for the emitted QAP file, from the per-symbol columns {d: value}
-of the rows, and for the prover's V and W, whose product's quotient by T is
-the quotient H of F.
+weighted row sums: V(d) * W(d) = K(d). Node data, rows and values alike, are
+lists indexed d - 1. Coefficient form is derived only where it is needed: for
+the emitted QAP file, each symbol's sum of value * L_d gathered from the rows,
+and for the prover's V and W, whose product's quotient by T is the quotient H
+of F.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cached_property
 
 from .circuit import TIMES, WIRE_ONE, Circuit, IncompleteAssignment
@@ -65,27 +67,6 @@ class QAP:
         # coefficient); a symbol absent from an entry tuple holds 0 there
         self.rows = rows
 
-    def _columns(self, family: int) -> list:
-        columns: list = [{} for _ in self.symbols]
-        for d, row in enumerate(self.rows, 1):
-            for i, value in row[family]:
-                columns[i][d] = value
-        return columns
-
-    @cached_property
-    def v(self) -> list:
-        """Per-symbol columns {node d: value}, absent nodes holding 0: the
-        emitted QAP file's view of the rows (and w, k likewise)."""
-        return self._columns(0)
-
-    @cached_property
-    def w(self) -> list:
-        return self._columns(1)
-
-    @cached_property
-    def k(self) -> list:
-        return self._columns(2)
-
     @cached_property
     def tree(self) -> SubproductTree:
         """Subproduct tree of the factors (x - d) over the nodes 1..N."""
@@ -116,13 +97,11 @@ class QAP:
             (-1) ** (n - d) * inv_fact[d - 1] * inv_fact[n - d] % p for d in range(1, n + 1)
         ]
 
-    def interpolate(self, column: dict) -> Polynomial:
-        """Coefficient form of the polynomial taking column[d] at each node d,
-        combined up the tree from the leaves column[d] * weights[d - 1]."""
-        scales = [0] * self.n_gates
-        weights = self.weights
-        for d, value in column.items():
-            scales[d - 1] = value * weights[d - 1]
+    def interpolate(self, values: list) -> Polynomial:
+        """Coefficient form of the polynomial taking values[d - 1] at each
+        node d, combined up the tree from the leaves values[d - 1] *
+        weights[d - 1]."""
+        scales = [value * weight for value, weight in zip(values, self.weights)]
         return Polynomial(self.ctx, self.tree.combine(scales))
 
     def lagrange_at(self, s: int) -> tuple:
@@ -143,8 +122,9 @@ class QAP:
         return suffix[0], values
 
     def to_json_dict(self) -> dict:
-        """The QAP in coefficient form: a column is sum_d column[d] * L_d(x),
-        over one Lagrange basis of the nodes built for every column."""
+        """The QAP in coefficient form: a symbol's polynomial in each family
+        is sum_d value * L_d(x) over its entries in the rows, with one
+        Lagrange basis of the nodes built for every symbol."""
         basis = lagrange_basis(self.ctx, range(1, self.n_gates + 1))
         # basis[0] is T / (x - 1) times its leading coefficient, so T needs no
         # second product of the (x - d)
@@ -156,53 +136,36 @@ class QAP:
                 self.ctx, [(a - b) * scale for a, b in zip((0, *quotient), (*quotient, 0))]
             )
 
-        def coeffs(col) -> list:
-            terms = ((value, basis[d - 1]) for d, value in col.items())
-            return [str(c) for c in Polynomial.weighted_sum(self.ctx, terms).coeffs]
+        # terms[family][i]: symbol i's (value, L_d) pairs in that family
+        terms: dict = {family: [[] for _ in self.symbols] for family in "vwk"}
+        for l_d, row in zip(basis, self.rows):
+            for family, entries in zip("vwk", row):
+                for i, value in entries:
+                    terms[family][i].append((value, l_d))
+
+        def coeffs(pairs) -> list:
+            return [str(c) for c in Polynomial.weighted_sum(self.ctx, pairs).coeffs]
 
         return {
             **write_header("qap", self.ctx),
             "n_gates": self.n_gates,
             "symbols": list(self.symbol_names),
-            **{family: [coeffs(col) for col in getattr(self, family)] for family in "vwk"},
+            **{family: [coeffs(pairs) for pairs in terms[family]] for family in "vwk"},
             "target": [str(c) for c in target.coeffs],
         }
 
 
-class AssembledInstance:
-    """An assignment's weighted sums over a QAP, with the verdict eager and
-    the coefficient forms of V, W, K and F made from the node values on
-    first use."""
+class AssembledInstance(namedtuple("AssembledInstance", "weights nodes failing_gate h")):
+    """An assignment over a QAP: its residue per symbol in QAP order (the
+    weights), V, W and K at the nodes (each a list indexed d - 1), the
+    first node d where V(d) * W(d) != K(d) or None, and, when there is
+    none, the quotient H of V*W by T."""
 
-    def __init__(self, qap: QAP, weights: list, nodes: tuple):
-        self.qap = qap
-        self.weights = weights  # the assignment's residue per symbol, in QAP order
-        self.nodes = nodes  # V, W and K at the nodes, each {d: residue}
-        p = qap.ctx.p
-        at_v, at_w, at_k = nodes
-        self.failing_gate = next(  # the first node d where V(d) * W(d) != K(d)
-            (d for d in at_v if (at_v[d] * at_w[d] - at_k[d]) % p), None
-        )
-        self.divisible = self.failing_gate is None
-        # deg K < N = deg T, so K is the remainder of V*W by T and H its quotient
-        self.h = (self.v * self.w) // qap.target if self.divisible else None
+    __slots__ = ()
 
-    @cached_property
-    def v(self) -> Polynomial:
-        return self.qap.interpolate(self.nodes[0])
-
-    @cached_property
-    def w(self) -> Polynomial:
-        return self.qap.interpolate(self.nodes[1])
-
-    @cached_property
-    def k(self) -> Polynomial:
-        return self.qap.interpolate(self.nodes[2])
-
-    @cached_property
-    def f(self) -> Polynomial:
-        """v*w - k"""
-        return self.v * self.w - self.k
+    @property
+    def divisible(self) -> bool:
+        return self.failing_gate is None
 
 
 def check_field(circuit: Circuit) -> None:
@@ -262,20 +225,25 @@ def assemble(qap: QAP, assignment: dict) -> AssembledInstance:
     """
     p = qap.ctx.p
     t = _weights(qap, assignment)
-    at_v: dict = {}
-    at_w: dict = {}
-    at_k: dict = {}
-    for d, (v, w, k) in enumerate(qap.rows, 1):
+    at_v, at_w, at_k = [], [], []
+    for v, w, k in qap.rows:
         total = 0
         for i, c in v:
             total += t[i] * c
-        at_v[d] = total % p
+        at_v.append(total % p)
         total = 0
         for i, c in w:
             total += t[i] * c
-        at_w[d] = total % p
+        at_w.append(total % p)
         total = 0
         for i, c in k:
             total += t[i] * c
-        at_k[d] = total % p
-    return AssembledInstance(qap, t, (at_v, at_w, at_k))
+        at_k.append(total % p)
+    failing_gate = next(
+        (d for d, (a, b, c) in enumerate(zip(at_v, at_w, at_k), 1) if (a * b - c) % p), None
+    )
+    h = None
+    if failing_gate is None:
+        # deg K < N = deg T, so K is the remainder of V*W by T and H its quotient
+        h = (qap.interpolate(at_v) * qap.interpolate(at_w)) // qap.target
+    return AssembledInstance(t, (at_v, at_w, at_k), failing_gate, h)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -29,6 +30,24 @@ def forward_assignment(circuit, inputs) -> dict:
     return values
 
 
+def derived(qap, instance=None) -> SimpleNamespace:
+    """The forms that QAP and AssembledInstance do not keep, rebuilt from
+    what they do. `columns` is (v, w, k), the rows transposed to per-symbol
+    columns {node d: value}, a node absent from a column holding 0. Given an
+    instance, `v`, `w` and `k` are V, W and K in coefficient form, each
+    qap.interpolate of the instance's node values, and `f` is V*W - K."""
+    columns = tuple([{} for _ in qap.symbols] for _ in range(3))
+    for d, row in enumerate(qap.rows, 1):
+        for family, entries in zip(columns, row):
+            for i, value in entries:
+                family[i][d] = value
+    forms = SimpleNamespace(columns=columns)
+    if instance is not None:
+        forms.v, forms.w, forms.k = (qap.interpolate(values) for values in instance.nodes)
+        forms.f = forms.v * forms.w - forms.k
+    return forms
+
+
 def soundness_scan(qap, assignment, trials=None, seed=b"soundness-scan") -> Fraction:
     """Fraction of evaluation points where a forged quotient survives.
 
@@ -40,8 +59,8 @@ def soundness_scan(qap, assignment, trials=None, seed=b"soundness-scan") -> Frac
     uniformly at random.
     """
     p = qap.ctx.p
-    inst = assemble(qap, assignment)
-    forged_quotient = inst.f // qap.target
+    f = derived(qap, assemble(qap, assignment)).f
+    forged_quotient = f // qap.target
 
     if trials is None:
         points = range(p)
@@ -52,7 +71,7 @@ def soundness_scan(qap, assignment, trials=None, seed=b"soundness-scan") -> Frac
         total = trials
 
     hits = sum(
-        inst.f.eval_int(x) == forged_quotient.eval_int(x) * qap.target.eval_int(x) % p
+        f.eval_int(x) == forged_quotient.eval_int(x) * qap.target.eval_int(x) % p
         for x in points
     )
     return Fraction(hits, total)
@@ -92,7 +111,7 @@ def setup_oracle(qap, group, seed, public=("one",)) -> tuple:
             for col in columns
         ]
 
-    v_at_s, w_at_s, k_at_s = at_s(qap.v), at_s(qap.w), at_s(qap.k)
+    v_at_s, w_at_s, k_at_s = map(at_s, derived(qap).columns)
     lists = {
         "powers_of_s": powers,
         "v": [g_v**x for x in v_at_s],

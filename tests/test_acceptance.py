@@ -21,6 +21,7 @@ from snarkpipe import (
     build_qap,
     check_solution,
     flatten,
+    lagrange_basis,
     parse_program,
     prove,
     setup,
@@ -34,7 +35,7 @@ from snarkpipe.interactive import HamiltonianCycleProblem, run_session
 from snarkpipe.pinocchio import WitnessKey
 from snarkpipe.rng import derive_seed
 
-from conftest import BAD_COLORING, CORPUS, GOOD_COLORING, soundness_scan
+from conftest import BAD_COLORING, CORPUS, GOOD_COLORING, derived, soundness_scan
 
 GOOD_INPUTS_JSON = {k: str(v) for k, v in GOOD_COLORING.items()}
 BAD_INPUTS_JSON = {k: str(v) for k, v in BAD_COLORING.items()}
@@ -108,6 +109,7 @@ def test_criterion_3_structural_scan(corpus_programs, ctx):
         circuit = flatten(corpus_programs[name], ctx)
         qap = build_qap(circuit)
         gates = {g.index: g for g in circuit.gates}
+        v, w, k = derived(qap).columns
         for d in range(1, qap.n_gates + 1):
             gate = gates[d]
             operands = set()
@@ -122,10 +124,8 @@ def test_criterion_3_structural_scan(corpus_programs, ctx):
             k_symbol, k_value = (0, out.value) if out.kind == "const" else (gate.out, 1)
             for i, wire in enumerate(qap.symbols):
                 scanned += 1
-                k_ok = qap.k[i].get(d, 0) == (k_value if wire == k_symbol else 0)
-                vw_ok = (
-                    qap.v[i].get(d, 0) != 0 or qap.w[i].get(d, 0) != 0
-                ) == (wire in operands)
+                k_ok = k[i].get(d, 0) == (k_value if wire == k_symbol else 0)
+                vw_ok = (v[i].get(d, 0) != 0 or w[i].get(d, 0) != 0) == (wire in operands)
                 if not (k_ok and vw_ok):
                     violations += 1
     verdict(
@@ -252,7 +252,8 @@ def test_criterion_7_kernel_properties(ctx):
         while len(xs) < size:
             xs.add(rng.randrange(ctx.p))
         points = [(x, rng.randrange(ctx.p)) for x in sorted(xs)]
-        poly = Polynomial.interpolate(ctx, points)
+        basis = lagrange_basis(ctx, [x for x, _ in points])
+        poly = Polynomial.weighted_sum(ctx, zip((y for _, y in points), basis))
         checks += 1
         failures += not poly.degree < size
         for x, y in points:

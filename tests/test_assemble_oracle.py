@@ -30,7 +30,7 @@ from snarkpipe import (  # noqa: E402
 )
 from snarkpipe.circuit import Circuit, Wire  # noqa: E402
 
-from conftest import BAD_COLORING, GOOD_COLORING, chain_program  # noqa: E402
+from conftest import BAD_COLORING, GOOD_COLORING, chain_program, derived  # noqa: E402
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=80, database=None)
 
@@ -40,15 +40,15 @@ def assemble_oracle(qap, assignment):
     p = qap.ctx.p
     weights = [assignment[wire] % p for wire in qap.symbols]
 
-    def at_nodes(columns) -> dict:
-        values: dict = {}
+    def at_nodes(columns) -> list:
+        values = [0] * qap.n_gates
         for weight, col in zip(weights, columns):
             if weight:
                 for d, value in col.items():
-                    values[d] = values.get(d, 0) + weight * value
-        return {d: value % p for d, value in values.items()}
+                    values[d - 1] += weight * value
+        return [value % p for value in values]
 
-    v, w, k = (qap.interpolate(at_nodes(cols)) for cols in (qap.v, qap.w, qap.k))
+    v, w, k = (qap.interpolate(at_nodes(cols)) for cols in derived(qap).columns)
     f = v * w - k
     quotient, remainder = divmod(f, qap.target)
     divisible = remainder.is_zero()
@@ -62,7 +62,7 @@ def assert_matches_oracle(qap, assignment):
     assert instance.h == h  # the same field and coefficients, or both None
     failing = next((d for d in range(1, qap.n_gates + 1) if f.eval_int(d)), None)
     assert instance.failing_gate == failing
-    assert instance.f == f
+    assert derived(qap, instance).f == f
     return instance
 
 
@@ -168,9 +168,9 @@ def test_honest_prove_interpolates_two_families_and_divides_once(
     interpolated = []
     interpolate = QAP.interpolate
 
-    def counting(self, column):
-        interpolated.append(column)
-        return interpolate(self, column)
+    def counting(self, values):
+        interpolated.append(values)
+        return interpolate(self, values)
 
     def refuse(*args):
         raise AssertionError("prove needs no remainder and no F")

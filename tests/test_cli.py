@@ -455,6 +455,23 @@ KEY_EDITS = {
     ),
     "vk_public_name_number": ("vk", public_name(1), "public[0].name"),
     "vk_public_name_null": ("vk", public_name(None), "public[0].name"),
+    # each key file takes exactly the keys its writer writes
+    "ek_stray_key": (
+        "ek", lambda k: k.update(note="x"), "evaluation-key file takes no key 'note'"
+    ),
+    "ek_stray_key_before_lists": (
+        "ek", lambda k: k.update(note="x", v="not a list"),
+        "evaluation-key file takes no key 'note'",
+    ),
+    "vk_stray_key": (
+        "vk", lambda k: k.update(note="x"), "verification-key file takes no key 'note'"
+    ),
+    "vk_public_stray_key": (
+        "vk", lambda k: k["public"][0].update(note="x"), "public[0] takes no key 'note'"
+    ),
+    "wk_stray_key": (
+        "wk", lambda k: k.update(note="x"), "witness-key file takes no key 'note'"
+    ),
 }
 
 
@@ -463,8 +480,8 @@ def test_refuses_malformed_key_scalar(artifacts, tmp_path, capsys, edit):
     key, change, name = KEY_EDITS[edit]
     data = json.loads(json.dumps(artifacts[key][1]))
     change(data)
-    if key == "vk":
-        code = verify_with(artifacts, tmp_path, vk=data)
+    if key in ("vk", "wk"):
+        code = verify_with(artifacts, tmp_path, **{key: data})
     else:
         code = main([
             "prove", "--circuit", artifacts["circuit"][0],
@@ -790,6 +807,14 @@ def first_inverse(data):
     return next(i for i, w in enumerate(data["wires"]) if w["kind"] == "inverse")
 
 
+def drive_input(data):
+    """Gate 1's output wire becomes a declared input, which gate 1 drives."""
+    out = data["gates"][0]["o"]
+    data["wires"][out] = {"kind": "input", "name": "zzz"}
+    data["inputs"].append("zzz")
+    data["names"]["zzz"] = out
+
+
 def inverse_of_hint(data):
     """The wire after the inverse hint becomes a second hint that inverts it."""
     first = first_inverse(data)
@@ -864,6 +889,7 @@ CIRCUIT_EDITS = {
     "second_one_wire": (
         lambda d: d["wires"].append({"kind": "one"}), "has kind 'one'; only wire 0"
     ),
+    "top_level_key": (lambda d: d.update(note="x"), "circuit file takes no key 'note'"),
 }
 
 
@@ -1364,6 +1390,13 @@ HOSTILE_CIRCUIT_EDITS = {
     "wire_key": (lambda d: d["wires"][0].update({LONG: 1}), "wire 0 of kind 'one' takes no key"),
     "gate_key": (lambda d: d["gates"][0].update({LONG: 1}), "gate 1 takes no key 'yyyy"),
     "output_key": (lambda d: d["outputs"][0].update({LONG: 1}), "output 0 takes no key 'yyyy"),
+    # a gate drives a gate wire or a pinned constant, nothing else
+    "gate_drives_input": (drive_input, "gate 1 drives wire 7 of kind 'input'"),
+    "gate_drives_inverse": (
+        lambda d: d["wires"].__setitem__(d["gates"][0]["o"], {"kind": "inverse", "of": 1}),
+        "gate 1 drives wire 7 of kind 'inverse'",
+    ),
+    "top_level_key": (lambda d: d.update({LONG: 1}), "circuit file takes no key 'yyyy"),
 }
 
 

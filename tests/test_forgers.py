@@ -43,7 +43,7 @@ from snarkpipe import (
 )
 from snarkpipe.bundled import load_bundled_text
 
-from conftest import BAD_COLORING, GOOD_COLORING, forward_assignment
+from conftest import BAD_COLORING, GOOD_COLORING, derived, forward_assignment
 
 SEED = b"forgers"
 MERSENNE_61 = 2**61 - 1
@@ -87,7 +87,8 @@ def fold(ek, weights, h_coeffs, swap=False) -> WitnessKey:
 def quotient(qap, v_assignment, w_assignment) -> list:
     """The coefficients of V*W // T for the weights the forger gives the v
     and the w family, computed from the public program."""
-    v, w = assemble(qap, v_assignment).v, assemble(qap, w_assignment).w
+    v = derived(qap, assemble(qap, v_assignment)).v
+    w = derived(qap, assemble(qap, w_assignment)).w
     return ((v * w) // qap.target).coeffs
 
 

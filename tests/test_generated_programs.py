@@ -52,7 +52,7 @@ from snarkpipe import (  # noqa: E402
 from snarkpipe.circuit import WIRE_ONE  # noqa: E402
 from snarkpipe.frontend import _Parser, format_program  # noqa: E402
 
-from conftest import CONSTANTS, forward_assignment, programs  # noqa: E402
+from conftest import CONSTANTS, derived, forward_assignment, programs  # noqa: E402
 
 BUDGET_S = 10.0
 EXAMPLES = 60
@@ -62,8 +62,8 @@ RELATION_EXAMPLES = 100
 def emitted_columns_hold_their_node_values(qap) -> None:
     emitted = qap.to_json_dict()
     ctx, n = qap.ctx, qap.n_gates
-    for family in "vwk":
-        for col, coeffs in zip(getattr(qap, family), emitted[family], strict=True):
+    for family, columns in zip("vwk", derived(qap).columns):
+        for col, coeffs in zip(columns, emitted[family], strict=True):
             poly = Polynomial(ctx, [int(c) for c in coeffs])
             assert len(poly.coeffs) == len(coeffs) <= n
             assert [poly.eval_int(d) for d in range(1, n + 1)] == [

@@ -548,6 +548,16 @@ def test_sat_cipher_opening_with_extra_digest_and_salt_rejected():
     assert not verify_round(SAT1, longer, Challenge.REVEAL_CIPHER, padded)
 
 
+def test_sat_solution_opening_sorts_each_opened_clause():
+    # A committed clause is its literals sorted; the verifier sorts what the
+    # prover opens, so the literal order inside a clause is not part of it.
+    commitment, state = cipher_round(SAT1, SAT1_ASSIGNMENT, Sha256Rng(b"order"))
+    response = state.respond(Challenge.REVEAL_SOLUTION)
+    assert all(list(clause) == sorted(clause) for clause in response.clauses)
+    reordered = response._replace(clauses=tuple(clause[::-1] for clause in response.clauses))
+    assert verify_round(SAT1, commitment, Challenge.REVEAL_SOLUTION, reordered)
+
+
 def test_sat_solution_opening_refuses_malformed_clause():
     commitment, state = cipher_round(SAT1, SAT1_ASSIGNMENT, Sha256Rng(b"clause"))
     response = state.respond(Challenge.REVEAL_SOLUTION)

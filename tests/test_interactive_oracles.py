@@ -187,8 +187,14 @@ def test_transform_and_is_solution_match_oracle(data):
 
 
 @SETTINGS
-@given(clauses=st.lists(st.lists(st.integers(-2**31, 2**31 - 1), min_size=3, max_size=3)))
+@given(
+    clauses=st.lists(
+        st.lists(st.integers(-2**31, 2**31 - 1), min_size=3, max_size=3).map(sorted)
+    )
+)
 def test_clause_entries_match_oracle(clauses):
+    # _sat_entries packs literals in the order given: the prover's clauses
+    # come sorted from transform, and the verifier sorts the ones it opens
     assert _sat_entries(clauses) == [clause_entry(c) for c in clauses]
 
 

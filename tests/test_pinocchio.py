@@ -27,7 +27,7 @@ from snarkpipe.pinocchio import (
     witness_key_to_dict,
 )
 
-from conftest import BAD_COLORING, GOOD_COLORING
+from conftest import BAD_COLORING, GOOD_COLORING, derived
 
 SEED = bytes([1])
 
@@ -200,8 +200,7 @@ def test_witness_key_exponents_match_recomputation(
         ) % p
 
     wk = coloring_witness_key
-    v_s, w_s, k_s = (private_sum(x) for x in (coloring_qap.v, coloring_qap.w,
-                                              coloring_qap.k))
+    v_s, w_s, k_s = (private_sum(x) for x in derived(coloring_qap).columns)
     assert wk.v.value == td.r_v * v_s % p
     assert wk.w.value == td.r_w * w_s % p
     assert wk.k.value == td.r_k * k_s % p

@@ -79,12 +79,16 @@ def test_divmod_reconstruction_property(ctx):
         assert r.degree < denominator.degree
 
 
+# Interpolation through arbitrary nodes is lagrange_basis weighted by the
+# values (basis_interpolation below), the way the emitted QAP file builds it.
+
+
 def test_interpolate_constant(ctx17):
-    assert Polynomial.interpolate(ctx17, [(1, 5), (2, 5)]).coeffs == (5,)
+    assert basis_interpolation(ctx17, [5, 5]).coeffs == (5,)
 
 
 def test_interpolate_line(ctx17):
-    poly = Polynomial.interpolate(ctx17, [(1, 2), (2, 4), (3, 6)])
+    poly = basis_interpolation(ctx17, [2, 4, 6])
     assert poly.coeffs == (0, 2)  # 2x
     for x, y in [(1, 2), (2, 4), (3, 6)]:
         assert poly.eval_int(x) == y
@@ -93,14 +97,16 @@ def test_interpolate_line(ctx17):
 def test_interpolate_selector_shape(ctx17):
     # One at the first node, zero at the second: the selector shape used per
     # gate output.
-    poly = Polynomial.interpolate(ctx17, [(1, 1), (2, 0)])
+    poly = basis_interpolation(ctx17, [1, 0])
     assert poly.eval_int(1) == 1
     assert poly.eval_int(2) == 0
 
 
 def test_interpolate_duplicate_node(ctx17):
     with pytest.raises(DuplicateNode):
-        Polynomial.interpolate(ctx17, [(1, 5), (1, 6)])
+        lagrange_basis(ctx17, [1, 1])
+    with pytest.raises(DuplicateNode):  # equal as residues
+        lagrange_basis(ctx17, [3, 20])
 
 
 def test_interpolation_round_trip_up_to_128_nodes(ctx):
@@ -111,7 +117,7 @@ def test_interpolation_round_trip_up_to_128_nodes(ctx):
             xs.add(rng.randrange(ctx.p))
         xs = sorted(xs)
         ys = [rng.randrange(ctx.p) for _ in range(size)]
-        poly = Polynomial.interpolate(ctx, list(zip(xs, ys)))
+        poly = basis_interpolation(ctx, ys, xs)
         assert poly.degree < size
         for x, y in zip(xs, ys):
             assert poly.eval_int(x) == y
@@ -137,7 +143,8 @@ def test_lagrange_basis_is_indicator(ctx17):
 
 
 def test_from_roots_vanishes_exactly_there(ctx17):
-    poly = Polynomial.from_roots(ctx17, [1, 2, 3])
+    # the product of (x - r) over the roots, the subproduct tree's root
+    poly = Polynomial(ctx17, SubproductTree(ctx17, [1, 2, 3]).root())
     assert poly.degree == 3
     assert poly.coeffs[-1] == 1  # monic
     roots = {x for x in range(17) if poly.eval_int(x) == 0}
@@ -172,7 +179,8 @@ def test_mixed_moduli_rejected(ctx17, ctx101):
 
 # --- the fast kernels against the schoolbook oracle -----------------------------
 #
-# These are the quadratic bodies that __mul__, __divmod__ and from_roots had
+# These are the quadratic bodies that __mul__, __divmod__ and the product of
+# linear factors had
 # before Kronecker substitution, Newton division and the product tree took
 # their place; every fast kernel must give exactly their residues. The whole
 # section runs in about 3 s.
@@ -271,7 +279,7 @@ def test_from_roots_matches_schoolbook(modulus):
         # roots at or above p, and repeats once they outnumber the field
         cases.append([rng.randrange(3 * p) for _ in range(random_length(rng))])
     for roots in cases:
-        assert Polynomial.from_roots(ctx, roots).coeffs == tuple(
+        assert Polynomial(ctx, SubproductTree(ctx, roots).root()).coeffs == tuple(
             schoolbook_from_roots(roots, p)
         ), roots
 
@@ -281,8 +289,10 @@ def node_qap(ctx, n):
     return QAP(ctx=ctx, n_gates=n, symbols=(), symbol_names=(), rows=[((), (), ())] * n)
 
 
-def basis_interpolation(ctx, values):
-    basis = lagrange_basis(ctx, range(1, len(values) + 1))
+def basis_interpolation(ctx, values, nodes=None):
+    """The polynomial of degree < len(values) taking values[i] at nodes[i],
+    the nodes 1..len(values) by default."""
+    basis = lagrange_basis(ctx, range(1, len(values) + 1) if nodes is None else nodes)
     return Polynomial.weighted_sum(ctx, zip(values, basis))
 
 
@@ -299,8 +309,7 @@ def test_tree_interpolation_matches_lagrange_basis(modulus, sizes):
         qap = node_qap(ctx, n)
         values = random_coeffs(rng, p, n)
         values[rng.randrange(n)] = 0  # absent nodes hold 0
-        column = {d: y for d, y in enumerate(values, start=1) if y}
-        assert qap.interpolate(column) == basis_interpolation(ctx, values), n
+        assert qap.interpolate(values) == basis_interpolation(ctx, values), n
         assert qap.target.coeffs == tuple(schoolbook_from_roots(range(1, n + 1), p))
 
 
@@ -329,7 +338,7 @@ def test_sparse_columns_match_lagrange_basis(ctx):
                 poly = Polynomial(ctx, [int(c) for c in coeffs])
                 assert [str(c) for c in poly.coeffs] == coeffs  # canonical, no trailing zero
                 values = [col.get(d, 0) for d in range(1, n + 1)]
-                assert poly == basis_interpolation(ctx, values) == qap.interpolate(col)
+                assert poly == basis_interpolation(ctx, values) == qap.interpolate(values)
 
 
 @pytest.mark.parametrize("modulus", (97, None), ids=["p97", "default"])
@@ -350,7 +359,7 @@ def test_subproduct_tree_combines_over_arbitrary_roots(ctx97):
     for size in (1, 2, 3, 5, 16, 33):
         roots = rng.sample(range(97), size)
         tree = SubproductTree(ctx97, roots)
-        assert Polynomial(ctx97, tree.root()) == Polynomial.from_roots(ctx97, roots)
+        assert tree.root() == schoolbook_from_roots(roots, 97)
         ys = [rng.randrange(97) for _ in roots]
         scales = []
         for r, y in zip(roots, ys):
@@ -359,9 +368,7 @@ def test_subproduct_tree_combines_over_arbitrary_roots(ctx97):
                 if other != r:
                     den = den * (r - other) % 97
             scales.append(y * pow(den, 95, 97))
-        assert Polynomial(ctx97, tree.combine(scales)) == Polynomial.interpolate(
-            ctx97, zip(roots, ys)
-        )
+        assert Polynomial(ctx97, tree.combine(scales)) == basis_interpolation(ctx97, ys, roots)
 
 
 # --- the product tree against the body it replaced ---------------------------------

@@ -17,7 +17,7 @@ from snarkpipe import (
 )
 from snarkpipe.circuit import Circuit, Gate, Wire
 
-from conftest import GOOD_COLORING, chain_program, soundness_scan
+from conftest import GOOD_COLORING, chain_program, derived, soundness_scan
 
 
 def hand_circuit_single_times(ctx):
@@ -74,13 +74,14 @@ def test_single_times_gate_rows(ctx17):
     assert qap.n_gates == 1
     assert qap.symbols == (0, 1, 2, 3)
     by_name = dict(zip(qap.symbol_names, range(len(qap.symbols))))
-    assert qap.v[by_name["a"]] == {1: 1}
-    assert qap.w[by_name["b"]] == {1: 1}
-    assert qap.k[by_name["c"]] == {1: 1}
+    v, w, k = derived(qap).columns
+    assert v[by_name["a"]] == {1: 1}
+    assert w[by_name["b"]] == {1: 1}
+    assert k[by_name["c"]] == {1: 1}
     assert qap.target == Polynomial(ctx17, [-1, 1])  # x - 1
     # every other entry is the zero polynomial
-    assert qap.v[by_name["one"]] == {}
-    assert qap.w[by_name["a"]] == {}
+    assert v[by_name["one"]] == {}
+    assert w[by_name["a"]] == {}
     emitted = qap.to_json_dict()
     assert emitted["v"][by_name["a"]] == ["1"]  # the constant polynomial 1
     assert emitted["v"][by_name["one"]] == []
@@ -89,10 +90,11 @@ def test_single_times_gate_rows(ctx17):
 def test_single_plus_gate_rows(ctx17):
     qap = build_qap(hand_circuit_single_plus(ctx17))
     by_name = dict(zip(qap.symbol_names, range(len(qap.symbols))))
-    assert qap.v[by_name["a"]] == {1: 1}
-    assert qap.v[by_name["b"]] == {1: 1}
-    assert qap.w[by_name["one"]] == {1: 1}
-    assert qap.k[by_name["c"]] == {1: 1}
+    v, w, k = derived(qap).columns
+    assert v[by_name["a"]] == {1: 1}
+    assert v[by_name["b"]] == {1: 1}
+    assert w[by_name["one"]] == {1: 1}
+    assert k[by_name["c"]] == {1: 1}
     # (t_a + t_b) * 1 = t_c at the single node
     t = {0: 1, 1: 4, 2: 5, 3: 9}
     assert assemble(qap, t).divisible
@@ -107,7 +109,7 @@ def test_field_too_small(coloring_program, ctx101):
 
 def test_degree_bounds(coloring_qap):
     n = coloring_qap.n_gates
-    for columns in (coloring_qap.v, coloring_qap.w, coloring_qap.k):
+    for columns in derived(coloring_qap).columns:
         assert all(1 <= d <= n for col in columns for d in col)
     emitted = coloring_qap.to_json_dict()
     for family in ("v", "w", "k"):
@@ -118,8 +120,7 @@ def test_degree_bounds(coloring_qap):
 
 def test_emitted_coefficients_interpolate_the_columns(coloring_qap):
     emitted = coloring_qap.to_json_dict()
-    for family in ("v", "w", "k"):
-        columns = getattr(coloring_qap, family)
+    for family, columns in zip(("v", "w", "k"), derived(coloring_qap).columns):
         for coeffs, col in zip(emitted[family], columns):
             poly = Polynomial(coloring_qap.ctx, [int(c) for c in coeffs])
             for d in range(1, coloring_qap.n_gates + 1):
@@ -142,6 +143,7 @@ def test_output_rows_select_exactly_the_gate_output(name, corpus_programs, ctx):
     circuit = flatten(corpus_programs[name], ctx)
     qap = build_qap(circuit)
     out_by_index = {g.index: g.out for g in circuit.gates}
+    _, _, k = derived(qap).columns
     for d in range(1, qap.n_gates + 1):
         # the output's entry: its own symbol with 1, or, for a condition
         # gate's pinned output, the one-wire with the pinned constant
@@ -149,7 +151,7 @@ def test_output_rows_select_exactly_the_gate_output(name, corpus_programs, ctx):
         symbol, value = (0, out.value) if out.kind == "const" else (out_by_index[d], 1)
         for i, wire in enumerate(qap.symbols):
             expected = value if wire == symbol else 0
-            assert qap.k[i].get(d, 0) == expected
+            assert k[i].get(d, 0) == expected
 
 
 @pytest.mark.parametrize("name", ["coloring5.zkp", "cubic.zkp", "product.zkp"])
@@ -157,10 +159,11 @@ def test_operand_rows_nonzero_exactly_for_gate_inputs(name, corpus_programs, ctx
     circuit = flatten(corpus_programs[name], ctx)
     qap = build_qap(circuit)
     gates = {g.index: g for g in circuit.gates}
+    v, w, _ = derived(qap).columns
     for d in range(1, qap.n_gates + 1):
         operands = gate_operand_symbols(circuit, gates[d])
         for i, wire in enumerate(qap.symbols):
-            touched = qap.v[i].get(d, 0) != 0 or qap.w[i].get(d, 0) != 0
+            touched = v[i].get(d, 0) != 0 or w[i].get(d, 0) != 0
             assert touched == (wire in operands)
 
 
@@ -171,8 +174,9 @@ def test_assemble_valid_solution(coloring_circuit, coloring_qap):
     instance = assemble(coloring_qap, solve(coloring_circuit, GOOD_COLORING))
     assert instance.divisible
     assert instance.h is not None
-    assert instance.h * coloring_qap.target == instance.f
-    assert instance.f == instance.v * instance.w - instance.k
+    forms = derived(coloring_qap, instance)
+    assert instance.h * coloring_qap.target == forms.f
+    assert forms.f == forms.v * forms.w - forms.k
 
 
 def test_assemble_tampered_solution(coloring_circuit, coloring_qap):
@@ -192,10 +196,11 @@ def test_assemble_single_gate_zero_f(ctx17):
     qap = build_qap(hand_circuit_single_times(ctx17))
     t = {0: 1, 1: 2, 2: 3, 3: 6}
     instance = assemble(qap, t)
-    assert instance.f.eval_int(1) == 0
+    f = derived(qap, instance).f
+    assert f.eval_int(1) == 0
     assert instance.divisible
     # 2*3 - 6 = 0 identically: F is the zero polynomial here
-    assert instance.f.is_zero()
+    assert f.is_zero()
     assert instance.h.is_zero()
 
 
@@ -211,8 +216,8 @@ def test_assembled_polynomials_take_the_weighted_column_sums_at_every_node(
     if tampered:
         assignment[circuit.gates[0].out] += 1
     weights = [assignment[wire] for wire in qap.symbols]
-    instance = assemble(qap, assignment)
-    for poly, columns in ((instance.v, qap.v), (instance.w, qap.w), (instance.k, qap.k)):
+    forms = derived(qap, assemble(qap, assignment))
+    for poly, columns in zip((forms.v, forms.w, forms.k), forms.columns):
         assert poly.degree < qap.n_gates
         for d in range(1, qap.n_gates + 1):
             expected = sum(t * col.get(d, 0) for t, col in zip(weights, columns)) % ctx.p
@@ -225,10 +230,11 @@ def test_zero_gate_qap_assembles_to_zero_polynomials(ctx):
         outputs=[], inputs=["a"], names={"a": 1},
     )
     qap = build_qap(circuit)
-    assert (qap.n_gates, qap.v, qap.w, qap.k) == (0, [{}, {}], [{}, {}], [{}, {}])
+    assert (qap.n_gates, derived(qap).columns) == (0, ([{}, {}], [{}, {}], [{}, {}]))
     instance = assemble(qap, {0: 1, 1: 5})
     assert instance.divisible
-    for poly in (instance.v, instance.w, instance.k, instance.f, instance.h):
+    forms = derived(qap, instance)
+    for poly in (forms.v, forms.w, forms.k, forms.f, instance.h):
         assert poly.is_zero()
 
 
@@ -365,7 +371,7 @@ def columns_oracle(circuit):
 def assert_columns_match_oracle(circuit):
     qap = build_qap(circuit)
     assert len(qap.rows) == qap.n_gates
-    assert (qap.v, qap.w, qap.k) == columns_oracle(circuit)
+    assert derived(qap).columns == columns_oracle(circuit)
 
 
 def test_columns_match_oracle_on_coloring5(coloring_circuit):

@@ -72,3 +72,17 @@ def test_emit_qap_builds_its_basis_through_qap_module_global(tmp_path, monkeypat
     assert main(["compile", "coloring5", "--emit-qap", "q.json"]) == 0
     assert calls == [list(range(1, 70))]
     assert json.loads((tmp_path / "q.json").read_text())["n_gates"] == 69
+
+
+def test_traced_prove_records_the_quotient_degree(tmp_path, monkeypatch):
+    # The tracer's "quotient" mode reads .divisible and .h.degree from what
+    # assemble returns; coloring5's H has degree N - 2 = 67.
+    tracer = load_tracer().Tracer()
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in.json").write_text(json.dumps({"c1": 3, "c2": 1, "c3": 2, "c4": 1, "c5": 2}))
+    with tracer.installed():
+        assert main(["compile", "coloring5"]) == 0
+        assert main(["--seed", "01", "setup"]) == 0
+        assert main(["prove", "--inputs", "in.json"]) == 0
+    assert tracer.deg_h == 67
+    assert tracer.calls["qap.assemble"] == 1
