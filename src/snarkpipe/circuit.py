@@ -22,6 +22,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .field import (
+    MAX_GATES,
     FieldContext,
     _quote,
     json_bytes,
@@ -176,16 +177,16 @@ class Circuit:
         """Load a circuit file, refusing with a ValueError that names the
         entry any structure flatten cannot produce: a bad header (see
         read_header), a key that the file or the entry's kind does not take,
-        an unknown wire kind or op, a wire 0 that is not the one-wire or a
-        one-wire elsewhere, a wire id out of range, an inverse hint whose
-        'of' is not an earlier input or gate wire, a gate that drives an
-        input, inverse or one wire, an operand that is not an earlier wire
-        than its gate's output, gate outputs that do not increase with d (so
-        no wire is two gates' output), a gate index d other than the gate's
-        1-based position, a constant that is not a canonical decimal below p,
-        a gate wire that no gate drives, or input wires other than the ones
-        'names' gives the declared inputs. Error text is built only for the
-        check that fails."""
+        more than MAX_GATES gates, an unknown wire kind or op, a wire 0 that
+        is not the one-wire or a one-wire elsewhere, a wire id out of range,
+        an inverse hint whose 'of' is not an earlier input or gate wire, a
+        gate that drives an input, inverse or one wire, an operand that is
+        not an earlier wire than its gate's output, gate outputs that do not
+        increase with d (so no wire is two gates' output), a gate index d
+        other than the gate's 1-based position, a constant that is not a
+        canonical decimal below p, a gate wire that no gate drives, or input
+        wires other than the ones 'names' gives the declared inputs. Error
+        text is built only for the check that fails."""
         ctx = read_header(data, "circuit")
         if not data.keys() <= CIRCUIT_KEYS:
             raise stray_key("circuit file", data, CIRCUIT_KEYS)
@@ -223,9 +224,14 @@ class Circuit:
             else:
                 wires.append(Wire(kind))
 
+        gate_entries = _objects(data, "gates")
+        if len(gate_entries) > MAX_GATES:
+            raise ValueError(
+                f"circuit 'gates' must list at most {MAX_GATES} gates, not {len(gate_entries)}"
+            )
         gates = []
         last = -1  # the previous gate's output wire
-        for d, e in enumerate(_objects(data, "gates"), 1):
+        for d, e in enumerate(gate_entries, 1):
             if not e.keys() <= GATE_KEYS:
                 raise stray_key(f"gate {d}", e, GATE_KEYS)
             op, left, right, out = e.get("op"), e.get("l"), e.get("r"), e.get("o")

@@ -84,15 +84,27 @@ def _terminal_columns() -> int:
 class _Formatter(argparse.RawDescriptionHelpFormatter):
     """argparse's help layout, descriptions and epilogs kept as written.
 
-    argparse builds a formatter for every argument a parser adds, and its
-    own formatter imports shutil for the terminal width, with zlib, bz2,
-    lzma and fnmatch behind it; this one reads the width itself.
+    argparse builds a formatter for every argument a parser adds, only to
+    check its metavar, and its own formatter looks up the terminal width in
+    each, importing shutil, with zlib, bz2, lzma and fnmatch behind it. This
+    one looks the width up when it lays out a text: every help, usage and
+    error text goes through format_help.
     """
 
     def __init__(self, prog, indent_increment=2, max_help_position=24, width=None, **kwargs):
+        super().__init__(prog, indent_increment, max_help_position, 0, **kwargs)
+        self._layout = (max_help_position, width)
+
+    def format_help(self):
+        max_help_position, width = self._layout
         if width is None:
             width = _terminal_columns() - 2
-        super().__init__(prog, indent_increment, max_help_position, width, **kwargs)
+        # the two attributes HelpFormatter.__init__ derives from the width
+        self._width = width
+        self._max_help_position = min(
+            max_help_position, max(width - 20, self._indent_increment * 2)
+        )
+        return super().format_help()
 
 
 class _Parser(argparse.ArgumentParser):
@@ -115,25 +127,29 @@ def _decimal(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not a canonical decimal: {_quote(text)}") from None
 
 
-def _add_global_flags(parser) -> None:
-    # Both the top-level parser and the command's parser take these flags.
-    # The command's parser reads into the namespace the top-level one filled,
-    # and argparse sets no default over an attribute already there, so a
-    # command-level flag overrides the top-level value and an absent one
-    # keeps it. --field is only parsed: the field is built by the command.
-    parser.add_argument(
-        "--field",
+# The flags both the top-level parser and each command's parser take. The
+# command's parser reads into the namespace the top-level one filled, and
+# argparse sets no default over an attribute already there, so a
+# command-level flag overrides the top-level value and an absent one keeps
+# it. --field is only parsed: the field is built by the command.
+_GLOBAL_FLAGS = {
+    "field": dict(
         type=_decimal,
         metavar="DECIMAL",
         default=DEFAULT_MODULUS,
         help="prime modulus (decimal); default 2^64 - 2^32 + 1",
-    )
-    parser.add_argument(
-        "--seed",
+    ),
+    "seed": dict(
         metavar="HEX",
         default=None,
         help="hex seed for all randomized steps (default: fresh entropy)",
-    )
+    ),
+}
+
+
+def _add_global_flags(parser) -> None:
+    for dest, options in _GLOBAL_FLAGS.items():
+        parser.add_argument(f"--{dest}", **options)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -172,14 +188,24 @@ def _command_parser(name: str) -> argparse.ArgumentParser:
 def parse_args(argv=None) -> argparse.Namespace:
     """Parse in two stages, building only the parser of the command run.
 
-    Arguments neither parser knows are reported by the top-level parser,
-    as one list in command-line order."""
-    parser = build_parser()
-    args, extras = parser.parse_known_args(argv)
-    args.command, *rest = args.command
+    When the command comes first, the top-level parser would read nothing:
+    its command positional takes that string and every later one, "-h",
+    "--" and "--field=97" included. So it is built only when something
+    precedes the command, or to report arguments neither parser knows, as
+    one list in command-line order."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    extras = []
+    if argv and argv[0] in _COMMANDS:
+        args = argparse.Namespace(
+            **{dest: options["default"] for dest, options in _GLOBAL_FLAGS.items()}
+        )
+        args.command, *rest = argv
+    else:
+        args, extras = build_parser().parse_known_args(argv)
+        args.command, *rest = args.command
     args, more = _command_parser(args.command).parse_known_args(rest, args)
     if extras or more:
-        parser.error(f"unrecognized arguments: {' '.join(extras + more)}")
+        build_parser().error(f"unrecognized arguments: {' '.join(extras + more)}")
     return args
 
 

@@ -14,6 +14,7 @@ __all__ = [
     "DEFAULT_MODULUS",
     "DivisionByZero",
     "FieldContext",
+    "MAX_GATES",
     "inverse",
     "is_probable_prime",
     "json_bytes",
@@ -26,6 +27,10 @@ __all__ = [
 # 2^64 - 2^32 + 1: every residue fits in 64 bits, and a forged assignment
 # survives the random evaluation point with probability at most 2N/p.
 DEFAULT_MODULUS = 2**64 - 2**32 + 1
+
+# The most gates a circuit has: the frontend refuses a program that flattens
+# to more, and the circuit and evaluation-key loaders a file that lists more.
+MAX_GATES = 1 << 16
 
 # Deterministic Miller-Rabin witness set, sound for every n < 3.3 * 10^24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

@@ -29,7 +29,7 @@ import enum
 import warnings
 from collections import namedtuple
 
-from .field import FieldContext, _quote
+from .field import MAX_GATES, FieldContext, _quote
 
 __all__ = [
     "Add",
@@ -52,7 +52,6 @@ __all__ = [
 
 RESERVED_NAMES = frozenset({"one", "inputs", "assert"})
 MAX_NESTING = 32
-MAX_GATES = 1 << 16
 MAX_LITERAL_DIGITS = 4300
 
 

@@ -26,7 +26,7 @@ import hashlib
 import struct
 from collections import namedtuple
 
-from .field import _quote
+from .field import _quote, stray_key
 from .rng import Sha256Rng, derive_seed
 
 __all__ = [
@@ -47,7 +47,13 @@ __all__ = [
 ]
 
 SALT_BYTES = 16
-MAX_VARIABLES = 4096  # each round costs O(variables) whatever the clause count
+# A round salts, hashes and sends one commitment per entry of its instance: a
+# clause, or one of a graph's n² matrix entries. It commits at most 2^16 of
+# them, so a problem has at most 65536 clauses or 256 vertices; a round also
+# draws a permutation and flips of the variables, so their count is bounded.
+MAX_ROUND_ENTRIES = 1 << 16
+MAX_VERTICES = 1 << 8  # its square is MAX_ROUND_ENTRIES
+MAX_VARIABLES = 4096
 
 
 class RoundConsumed(RuntimeError):
@@ -518,35 +524,51 @@ def _json_array(values, item_type: type, field: str) -> tuple:
     )
 
 
+# The keys of each problem type: those load_problem reads, and no others.
+PROBLEM_KEYS = {
+    "hamiltonian-cycle": frozenset({"type", "adjacency", "cycle"}),
+    "sat3": frozenset({"type", "variables", "clauses", "assignment"}),
+}
+
+
 def load_problem(data) -> tuple:
     """Parse a problem description; returns (problem, solution or None).
 
     Every field must already have its JSON type; anything else is a
-    ValueError naming the field, never a conversion.
+    ValueError naming the field, never a conversion. A file holds only the
+    keys of its type, and the size of a round is bounded before the problem
+    is validated.
     """
     if not isinstance(data, dict):
         raise ValueError(f"a problem file holds a JSON object, not {type(data).__name__}")
     kind = data.get("type")
+    keys = PROBLEM_KEYS.get(kind) if isinstance(kind, str) else None
+    if keys is None:
+        raise ValueError(f"unknown problem type {_quote(kind)}")
+    if not data.keys() <= keys:
+        raise stray_key(f"{kind} problem file", data, keys)
     if kind == "hamiltonian-cycle":
         rows = _json_array(data["adjacency"], list, "adjacency")
+        if len(rows) > MAX_VERTICES:
+            raise ValueError(f"adjacency must have at most {MAX_VERTICES} rows, not {len(rows)}")
         problem = HamiltonianCycleProblem(
             tuple(_json_array(row, int, f"adjacency row {i}") for i, row in enumerate(rows))
         )
         solution_field, solution_type = "cycle", int
-    elif kind == "sat3":
+    else:
         n_vars = data["variables"]
         if type(n_vars) is not int:
             raise ValueError(f"variables must be a JSON integer, not {_quote(n_vars)}")
         if n_vars > MAX_VARIABLES:
             raise ValueError(f"variables must be at most {MAX_VARIABLES}, not {n_vars}")
         clauses = _json_array(data["clauses"], list, "clauses")
+        if len(clauses) > MAX_ROUND_ENTRIES:
+            raise ValueError(f"clauses must hold at most {MAX_ROUND_ENTRIES}, not {len(clauses)}")
         problem = SatProblem(
             n_vars,
             tuple(_json_array(c, int, f"clause {i}") for i, c in enumerate(clauses)),
         )
         solution_field, solution_type = "assignment", bool
-    else:
-        raise ValueError(f"unknown problem type {_quote(kind)}")
     problem.validate()
     solution = data.get(solution_field)
     if solution is not None:

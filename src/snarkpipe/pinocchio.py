@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .field import read_header, stray_key, write_header
+from .field import MAX_GATES, _quote, read_header, stray_key, write_header
 from .groups import GroupElement, TransparentGroup
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
@@ -468,9 +468,10 @@ def load_evaluation_key(data: dict) -> EvaluationKey:
     group = _load_group(data, "evaluation-key", _EVALUATION_KEY_KEYS)
     try:
         n_gates = data["n_gates"]
-        if type(n_gates) is not int or n_gates < 0:
+        if type(n_gates) is not int or not 0 <= n_gates <= MAX_GATES:
             raise MalformedKey(
-                f"evaluation-key entry 'n_gates' must be a JSON integer >= 0, not {n_gates!r}"
+                f"evaluation-key entry 'n_gates' must be a JSON integer from 0 to {MAX_GATES},"
+                f" not {_quote(n_gates)}"
             )
         symbols = _names(data, "symbols")
         public = _names(data, "public")

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -9,6 +10,8 @@ from snarkpipe import cli, interactive
 from snarkpipe.bundled import load_bundled_text
 from snarkpipe.circuit import Circuit, solve
 from snarkpipe.cli import _parse_input_map, main, parse_args
+from snarkpipe.field import MAX_GATES
+from snarkpipe.interactive import MAX_ROUND_ENTRIES, MAX_VERTICES
 from snarkpipe.pinocchio import EvaluationKey
 
 GOOD_INPUTS = {"c1": "3", "c2": "1", "c3": "2", "c4": "1", "c5": "2"}
@@ -472,6 +475,15 @@ KEY_EDITS = {
     "wk_stray_key": (
         "wk", lambda k: k.update(note="x"), "witness-key file takes no key 'note'"
     ),
+    # n_gates is bounded before any list is decoded
+    "n_gates_over_bound": (
+        "ek", lambda k: k.update(n_gates=MAX_GATES + 1, v="not a list"),
+        f"'n_gates' must be a JSON integer from 0 to {MAX_GATES}, not {MAX_GATES + 1}",
+    ),
+    "n_gates_at_bound": (
+        "ek", lambda k: k.update(n_gates=MAX_GATES),
+        f"'powers_of_s' must list {MAX_GATES + 1} elements",
+    ),
 }
 
 
@@ -707,11 +719,24 @@ SAT_DEMO = {"type": "sat3", "variables": 3, "clauses": [[1, 2, -3], [-1, 2, 3]],
         ({**SAT_DEMO, "variables": 3.0}, "variables"),
         ({**SAT_DEMO, "clauses": [[1, 2, -3.0]]}, "clause 0"),
         ({"type": "sat3", "variables": 10**6, "clauses": [[1, 2, 3]]}, "variables"),
+        # a file holds exactly the keys of its type
+        ({**SAT_DEMO, "cycle": [0, 1, 2]}, "sat3 problem file takes no key 'cycle'"),
+        ({**SAT_DEMO, "note": "x"}, "sat3 problem file takes no key 'note'"),
+        ({**TRIANGLE, "assignment": [True] * 3},
+         "hamiltonian-cycle problem file takes no key 'assignment'"),
+        ({**TRIANGLE, "variables": 3}, "hamiltonian-cycle problem file takes no key 'variables'"),
+        # a round commits at most 2^16 entries, refused before validation
+        ({**SAT_DEMO, "clauses": [[1, 1, 1]] * (MAX_ROUND_ENTRIES + 1)},
+         f"clauses must hold at most {MAX_ROUND_ENTRIES}, not {MAX_ROUND_ENTRIES + 1}"),
+        ({**TRIANGLE, "adjacency": [[0]] * (MAX_VERTICES + 1)},
+         f"adjacency must have at most {MAX_VERTICES} rows, not {MAX_VERTICES + 1}"),
     ],
     ids=[
         "array", "assignment_strings", "assignment_ints", "cycle_float",
         "adjacency_bool", "adjacency_string", "adjacency_two", "adjacency_ragged",
         "adjacency_not_array", "variables_float", "literal_float", "variables_million",
+        "sat_cycle", "sat_note", "hc_assignment", "hc_variables",
+        "clauses_over_bound", "vertices_over_bound",
     ],
 )
 def test_interactive_refuses_malformed_problem(workdir, capsys, problem, name):
@@ -890,6 +915,11 @@ CIRCUIT_EDITS = {
         lambda d: d["wires"].append({"kind": "one"}), "has kind 'one'; only wire 0"
     ),
     "top_level_key": (lambda d: d.update(note="x"), "circuit file takes no key 'note'"),
+    # the gate count is bounded before any gate is read
+    "too_many_gates": (
+        lambda d: d["gates"].extend([{}] * (MAX_GATES + 1 - len(d["gates"]))),
+        f"circuit 'gates' must list at most {MAX_GATES} gates, not {MAX_GATES + 1}",
+    ),
 }
 
 
@@ -1161,7 +1191,7 @@ MINIMAL_ARGV = {
 }
 
 
-def test_each_run_builds_two_parsers(monkeypatch):
+def test_each_run_builds_only_the_parsers_it_reads(monkeypatch):
     assert sorted(MINIMAL_ARGV) == sorted(cli._COMMANDS)
     built = []
 
@@ -1174,11 +1204,69 @@ def test_each_run_builds_two_parsers(monkeypatch):
     for name, argv in MINIMAL_ARGV.items():
         _, summary, add_arguments = cli._COMMANDS[name]
         monkeypatch.setitem(cli._COMMANDS, name, (lambda args: 0, summary, add_arguments))
-        for _ in range(2):  # nothing built is kept for the next run
-            built.clear()
-            assert main(argv) == 0
-            assert [parser.prog for parser in built] == ["snarkpipe", f"snarkpipe {name}"]
-            assert sum(len(parser._actions) for parser in built) <= 13
+        # with the command first the top-level parser would read nothing;
+        # with a global flag first it reads that flag
+        for line, progs in [
+            (argv, [f"snarkpipe {name}"]),
+            (["--seed", "01", *argv], ["snarkpipe", f"snarkpipe {name}"]),
+        ]:
+            for _ in range(2):  # nothing built is kept for the next run
+                built.clear()
+                assert main(line) == 0
+                assert [parser.prog for parser in built] == progs
+                assert sum(len(parser._actions) for parser in built) <= 13
+
+
+def two_stage_parse(argv):
+    """The parse of every command line before the top-level parser was
+    skipped: that parser first, then the command's, whatever comes first."""
+    parser = cli.build_parser()
+    args, extras = parser.parse_known_args(argv)
+    args.command, *rest = args.command
+    args, more = cli._command_parser(args.command).parse_known_args(rest, args)
+    if extras or more:
+        parser.error(f"unrecognized arguments: {' '.join(extras + more)}")
+    return args
+
+
+def parse_outcome(parse, argv, capsys):
+    """The namespace or exit code of one parse, with what it printed."""
+    try:
+        result = vars(parse(argv))
+    except SystemExit as exc:
+        result = exc.code
+    return result, capsys.readouterr()
+
+
+COMMAND_FIRST_ARGV = [
+    *([name] for name in sorted(cli._COMMANDS)),
+    *([name, "-h"] for name in sorted(cli._COMMANDS)),
+    ["verify", "--help", "--bogus"],
+    ["verify", "--witness-key", "wk.json", "--seed", "01", "--field", "97"],
+    ["setup", "--field=97"],
+    ["setup", "--fi", "97", "--se", "0a"],
+    ["setup", "--field", "abc"],
+    ["compile", "--", "-x.zkp"],
+    ["compile", "cubic", "--", "--field"],
+    ["compile", "cubic", "--emit-qap", "--", "-o"],
+    ["verify", "--bogus"],
+    ["verify", "--bogus", "x", "--seed", "01"],
+    ["compile", "cubic", "extra"],
+    ["compile", "cubic", "--", "--bogus"],
+    ["interactive", "--problem"],
+    ["interactive", "--problem", "triangle", "--rounds", "x"],
+    ["prove", "--inputs", "in.json", "-o"],
+    ["selftest", "--field", "101", "--seed", "0b"],
+    ["selftest", "--seed", "-1"],
+]
+
+
+@pytest.mark.parametrize("argv", COMMAND_FIRST_ARGV, ids=" ".join)
+def test_command_first_parse_matches_the_two_stage_parse(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert parse_outcome(parse_args, argv, capsys) == parse_outcome(
+        two_stage_parse, argv, capsys
+    )
 
 
 USAGE_ERRORS = {
@@ -1310,6 +1398,39 @@ def test_command_help_shows_only_its_own_arguments(capsys, monkeypatch):
     assert out.replace("optional arguments:", "options:") == VERIFY_HELP
 
 
+def every_parser():
+    return [cli.build_parser(), *(cli._command_parser(name) for name in cli._COMMANDS)]
+
+
+@pytest.mark.parametrize("columns", ["40", "80", "100", None])
+def test_help_is_laid_out_as_argparse_lays_it_out(monkeypatch, columns):
+    """Help and usage, at each width, equal the text of argparse's own
+    formatter, which looks the width up when it is built."""
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    texts = [(parser.format_help(), parser.format_usage()) for parser in every_parser()]
+    monkeypatch.setattr(cli, "_Formatter", argparse.RawDescriptionHelpFormatter)
+    assert texts == [(parser.format_help(), parser.format_usage()) for parser in every_parser()]
+
+
+def test_terminal_width_is_looked_up_only_to_lay_out_text(monkeypatch, capsys):
+    calls = []
+    columns = cli._terminal_columns
+    monkeypatch.setattr(cli, "_terminal_columns", lambda: calls.append(1) or columns())
+    for argv in MINIMAL_ARGV.values():
+        parse_args(argv)
+        parse_args(["--seed", "01", *argv])
+    assert calls == []
+    for argv in [["verify", "--help"], ["--help"], ["prove"], ["verify", "--bogus"]]:
+        calls.clear()
+        with pytest.raises(SystemExit):
+            parse_args(argv)
+        assert calls == [1], argv
+    assert capsys.readouterr().err.count("usage: ") == 2
+
+
 # --- hostile values are quoted in part ------------------------------------------
 
 LONG = "y" * 5000
@@ -1422,8 +1543,9 @@ def test_setup_quotes_hostile_circuit_values(artifacts, tmp_path, capsys, edit):
         ({**TRIANGLE, "cycle": [LONG]}, "cycle must be an array"),
         ({**SAT_DEMO, "variables": LONG}, "variables must be a JSON integer"),
         ({**SAT_DEMO, "clauses": [[1, 2, LONG]]}, "clause 0 must be an array"),
+        ({**TRIANGLE, LONG: 1}, "hamiltonian-cycle problem file takes no key 'yyyy"),
     ],
-    ids=["type", "adjacency", "adjacency_row", "cycle", "variables", "clause"],
+    ids=["type", "adjacency", "adjacency_row", "cycle", "variables", "clause", "key"],
 )
 def test_interactive_quotes_hostile_problem_values(workdir, capsys, problem, name):
     path = write_json(workdir / "problem.json", problem)

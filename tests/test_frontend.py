@@ -11,6 +11,8 @@ from snarkpipe import (
     format_program,
     parse_program,
 )
+from snarkpipe import field
+from snarkpipe.circuit import Circuit
 from snarkpipe.frontend import (
     MAX_GATES,
     MAX_LITERAL_DIGITS,
@@ -154,7 +156,11 @@ def test_bounds_admit_programs_at_the_limit():
     program = parse_program(f"inputs x; y := {nested}; assert y == 0;")
     assert parse_program(format_program(program)) == program
     at_budget = parse_program(OVER_BUDGET_SOURCE.removesuffix(" assert y != 0;"))
-    assert flatten(at_budget, FieldContext()).n_gates == MAX_GATES
+    circuit = flatten(at_budget, FieldContext())
+    # one bound for programs, circuit files and evaluation keys
+    assert MAX_GATES is field.MAX_GATES
+    assert circuit.n_gates == MAX_GATES
+    assert Circuit.from_json_dict(circuit.to_json_dict()).n_gates == MAX_GATES
     longest = parse_program(f"inputs x; y := x + {'9' * MAX_LITERAL_DIGITS}; assert y == 0;")
     assert dict(longest.definitions)["y"].terms[1] == Constant(int("9" * MAX_LITERAL_DIGITS))
 

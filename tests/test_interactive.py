@@ -1,7 +1,10 @@
 import hashlib
+import importlib.util
 import json
 import random
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +22,14 @@ from snarkpipe import (
 from snarkpipe.bundled import load_bundled_text
 from snarkpipe.cli import main
 from snarkpipe.field import json_bytes
-from snarkpipe.interactive import MAX_VARIABLES, RoundCommitment, load_problem
+from snarkpipe.interactive import (
+    MAX_ROUND_ENTRIES,
+    MAX_VARIABLES,
+    MAX_VERTICES,
+    PROBLEM_KEYS,
+    RoundCommitment,
+    load_problem,
+)
 from snarkpipe.rng import derive_seed
 
 K3 = HamiltonianCycleProblem(((0, 1, 1), (1, 0, 1), (1, 1, 0)))
@@ -336,6 +346,45 @@ def test_load_problem_bounds_variables():
     assert problem.n_vars == MAX_VARIABLES
     with pytest.raises(ValueError, match="variables"):
         load_problem({**sat, "variables": MAX_VARIABLES + 1})
+
+
+def test_load_problem_bounds_the_entries_of_a_round():
+    assert MAX_VERTICES**2 == MAX_ROUND_ENTRIES == 1 << 16
+    sat = {"type": "sat3", "variables": 3}
+    problem, _ = load_problem({**sat, "clauses": [[1, 2, -3]] * MAX_ROUND_ENTRIES})
+    assert len(problem.clauses) == MAX_ROUND_ENTRIES
+    with pytest.raises(ValueError, match="^clauses must hold at most 65536, not 65537$"):
+        load_problem({**sat, "clauses": [[1, 2, -3]] * (MAX_ROUND_ENTRIES + 1)})
+    n = MAX_VERTICES
+    ring = [[int((i - j) % n in (1, n - 1)) for j in range(n)] for i in range(n)]
+    graph = {"type": "hamiltonian-cycle", "adjacency": ring, "cycle": list(range(n))}
+    problem, cycle = load_problem(graph)
+    assert problem.n == n and cycle == tuple(range(n))
+    # one row too many is refused before the matrix is checked for squareness
+    with pytest.raises(ValueError, match="^adjacency must have at most 256 rows, not 257$"):
+        load_problem({**graph, "adjacency": ring + [[0] * n]})
+
+
+BENCHMARK_WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def test_benchmark_problem_files_hold_exactly_the_keys_of_their_type():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", BENCHMARK_WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses looks the module up
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    rng = random.Random(1)
+    for workload in workloads.WORKLOADS.values():
+        for problem in (
+            workloads.hamiltonian_problem(workload.hc_vertices, workload.hc_chord_rate, rng),
+            workloads.sat_problem(workload.sat_vars, workload.sat_clauses, rng),
+        ):
+            assert problem.keys() == PROBLEM_KEYS[problem["type"]]
+            _, solution = load_problem(problem)
+            assert solution is not None
 
 
 # --- pinned transcripts and commitment shape --------------------------------------
