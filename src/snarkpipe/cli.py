@@ -465,24 +465,12 @@ def cmd_interactive(args) -> int:
     seed = _seed_bytes(args)
 
     if args.repeat == 1:
-        # Each round is encoded as soon as it is judged, so the session holds
-        # its transcript as the file's bytes, never as records: the rounds,
-        # comma-separated, fill the empty list of the session's own record.
-        pieces = []
-        for rounds_run, played in enumerate(
-            interactive.session_rounds(problem, solution, args.rounds, seed, args.cheat), 1
-        ):
-            encoded = json_bytes(interactive.round_record(*played), end="")
-            pieces += (b"," if pieces else b"[", encoded)
-        accepted = played[-1]
-        head, tail = json_bytes(
-            interactive.SessionResult(accepted, rounds_run, []).to_json_dict()
-        ).split(b"[]")
+        result = interactive.run_session(problem, solution, args.rounds, seed, args.cheat)
         path = args.transcript if args.transcript is not None else "transcript.json"
-        _write_files({path: [head, *pieces, b"]" + tail]})
+        _write_files({path: result.chunks()})
         print(f"wrote {path}")
-        print("accept" if accepted else "reject")
-        return EXIT_OK if accepted else EXIT_REJECT
+        print("accept" if result.accepted else "reject")
+        return EXIT_OK if result.accepted else EXIT_REJECT
 
     accepted = 0
     for i in range(args.repeat):

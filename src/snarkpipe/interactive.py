@@ -17,6 +17,9 @@ Two problem flavours are supported:
 Commitments are SHA-256 over the entry's canonical little-endian encoding
 followed by a fresh 16-byte salt, so they bind (any post-hoc edit changes
 the digest) and hide (the salt blinds the entry value).
+
+A session's transcript is its rounds, each encoded by encode_round as soon
+as it is judged; SessionResult.chunks lays them out as the file's bytes.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import hashlib
 import struct
 from collections import namedtuple
 
-from .field import _quote, stray_key
+from .field import _quote, json_bytes, stray_key
 from .rng import Sha256Rng, derive_seed
 
 __all__ = [
@@ -38,15 +41,16 @@ __all__ = [
     "SatProblem",
     "SessionResult",
     "cipher_round",
+    "encode_round",
     "forge_round",
     "load_problem",
-    "round_record",
     "run_session",
     "session_rounds",
     "verify_round",
 ]
 
 SALT_BYTES = 16
+DIGEST_BYTES = 32
 # A round salts, hashes and sends one commitment per entry of its instance: a
 # clause, or one of a graph's n² matrix entries. It commits at most 2^16 of
 # them, so a problem has at most 65536 clauses or 256 vertices; a round also
@@ -54,6 +58,12 @@ SALT_BYTES = 16
 MAX_ROUND_ENTRIES = 1 << 16
 MAX_VERTICES = 1 << 8  # its square is MAX_ROUND_ENTRIES
 MAX_VARIABLES = 4096
+# A session holds its transcript until the file is written, so a session is
+# bounded as well: its rounds send at most 2^20 entries in all, counting
+# each round's commitments and the vertices or variables it permutes. A
+# transcript takes at most about 125 bytes per entry; 15 rounds of a
+# 256-vertex graph fit, 16 do not.
+MAX_SESSION_ENTRIES = 1 << 20
 
 
 class RoundConsumed(RuntimeError):
@@ -69,6 +79,11 @@ class Challenge(enum.Enum):
 # literals, sorted, as little-endian int32s.
 _MATRIX_ENTRY = (b"\x00", b"\x01")
 _CLAUSE = struct.Struct("<3i")
+
+# A matrix entry is one of two bytes, so its commitment hashes the salt from
+# a SHA-256 state already fed that byte: copying a state costs less than a
+# new hash object. The states are only ever copied, never fed.
+_MATRIX_STATE = {entry: hashlib.sha256(entry) for entry in _MATRIX_ENTRY}
 
 # Byte value -> its top bit. Sha256Rng.getrandbits(1) draws one byte and
 # keeps its top bit, so translating one n-byte draw gives the same n coins.
@@ -187,9 +202,6 @@ class RoundCommitment(namedtuple("RoundCommitment", "kind size digests")):
 
     __slots__ = ()
 
-    def hex_digests(self) -> list:
-        return [d.hex() for d in self.digests]
-
 
 class Response(
     namedtuple(
@@ -208,14 +220,16 @@ class Response(
 
     __slots__ = ()
 
-    def to_json_dict(self) -> dict:
+    def json_fields(self) -> dict:
+        """The revealed fields in transcript order, as JSON values but for
+        the salts, which stay bytes: encode_round writes them as one hex run."""
         data: dict = {"challenge": self.challenge.value}
         if self.permutation is not None:
             data["permutation"] = list(self.permutation)
         if self.flips is not None:
             data["flips"] = [int(b) for b in self.flips]
         if self.salts is not None:
-            data["salts"] = [s.hex() for s in self.salts]
+            data["salts"] = self.salts
         if self.cycle is not None:
             data["cycle"] = list(self.cycle)
         if self.clauses is not None:
@@ -251,6 +265,21 @@ def _sat_entries(clauses) -> list:
     return [pack(*clause) for clause in clauses]
 
 
+def _digests(entries, salts) -> list:
+    """SHA-256 of each entry followed by its salt: the commitments a prover
+    makes and a verifier recomputes. The entries of one call are all matrix
+    entries or all clauses."""
+    if entries and entries[0] in _MATRIX_STATE:
+        digests = []
+        for entry, salt in zip(entries, salts):
+            state = _MATRIX_STATE[entry].copy()
+            state.update(salt)
+            digests.append(state.digest())
+        return digests
+    sha256 = hashlib.sha256
+    return [sha256(entry + salt).digest() for entry, salt in zip(entries, salts)]
+
+
 def _committed_round(rng, kind, size, entries, opened, cipher, solution) -> tuple:
     """Salt and commit every entry, then prepare both responses.
 
@@ -259,13 +288,10 @@ def _committed_round(rng, kind, size, entries, opened, cipher, solution) -> tupl
     other fields of each response.
     """
     # One draw for every salt: the stream is counter-mode, so its slices are
-    # the bytes a draw per salt would give.
-    drawn = rng.randbytes(SALT_BYTES * len(entries))
-    salts = tuple([drawn[i : i + SALT_BYTES] for i in range(0, len(drawn), SALT_BYTES)])
-    sha256 = hashlib.sha256
-    commitment = RoundCommitment(
-        kind, size, tuple([sha256(entry + salt).digest() for entry, salt in zip(entries, salts)])
-    )
+    # the bytes a draw per salt would give. One unpack cuts them in one call.
+    count = len(entries)
+    salts = struct.Struct(f"{SALT_BYTES}s" * count).unpack(rng.randbytes(SALT_BYTES * count))
+    commitment = RoundCommitment(kind, size, tuple(_digests(entries, salts)))
     responses = {
         Challenge.REVEAL_CIPHER: Response(Challenge.REVEAL_CIPHER, salts=salts, **cipher),
         Challenge.REVEAL_SOLUTION: Response(
@@ -363,10 +389,9 @@ def forge_round(problem, rng) -> tuple:
 def _opens(entries, salts, digests) -> bool:
     """True iff there are as many salts and digests as entries and each
     entry, salted, hashes to its digest."""
-    sha256 = hashlib.sha256
-    return len(entries) == len(salts) == len(digests) and [
-        sha256(entry + salt).digest() for entry, salt in zip(entries, salts)
-    ] == list(digests)
+    if not len(entries) == len(salts) == len(digests):
+        return False
+    return _digests(entries, salts) == list(digests)
 
 
 def _check_cipher_hc(problem, commitment, response) -> bool:
@@ -433,17 +458,65 @@ def verify_round(problem, commitment, challenge: Challenge, response) -> bool:
 # --- sessions ----------------------------------------------------------------
 
 
+def _hex_run(items, size: int) -> bytes:
+    """A JSON list of the hex strings of `items`, each `size` bytes long,
+    written in one pass over their concatenation."""
+    if not items:
+        return b"[]"
+    return b'["' + b"".join(items).hex(",", size).encode().replace(b",", b'","') + b'"]'
+
+
+def encode_round(commitment, challenge, response, verdict) -> bytes:
+    """A round as its transcript entry, compact JSON in this key order:
+    {"commitments": [hex digest, ...], "challenge": ..., "response": {...},
+    "verdict": ...}. The digests and the response's salts are hex runs;
+    every other value goes through json_bytes."""
+    fields = []
+    for name, value in response.json_fields().items():
+        fields += (
+            b"," if fields else b"",
+            json_bytes(name, end=""),
+            b":",
+            _hex_run(value, SALT_BYTES) if name == "salts" else json_bytes(value, end=""),
+        )
+    return b"".join([
+        b'{"commitments":', _hex_run(commitment.digests, DIGEST_BYTES),
+        b',"challenge":', json_bytes(challenge.value, end=""),
+        b',"response":{', *fields,
+        b'},"verdict":', json_bytes(verdict, end=""), b"}",
+    ])
+
+
 class SessionResult(
     namedtuple("SessionResult", "accepted rounds_run transcript", defaults=(None,))
 ):
+    """transcript holds each round's encode_round bytes, or is None when not
+    collected."""
+
     __slots__ = ()
 
-    def to_json_dict(self) -> dict:
-        return {
-            "accepted": self.accepted,
-            "rounds_run": self.rounds_run,
-            "rounds": self.transcript if self.transcript is not None else [],
-        }
+    def chunks(self) -> list:
+        """The transcript file's bytes as chunks, in order: the record
+        {"accepted": ..., "rounds_run": ..., "rounds": [...]} with the encoded
+        rounds, comma-separated, in its rounds list, and a newline. Written
+        chunk by chunk, the rounds are never copied into one more buffer."""
+        head, tail = json_bytes(
+            {"accepted": self.accepted, "rounds_run": self.rounds_run, "rounds": []}
+        ).split(b"[]")
+        rounds = self.transcript or []
+        body = [b","] * (2 * len(rounds) - 1)
+        body[::2] = rounds
+        return [head + b"[", *body, b"]" + tail]
+
+
+def _round_entries(problem) -> int:
+    """What a round sends, counted against MAX_SESSION_ENTRIES: its
+    commitments and the vertices or variables it permutes."""
+    if isinstance(problem, HamiltonianCycleProblem):
+        return problem.n * problem.n + problem.n
+    if isinstance(problem, SatProblem):
+        return len(problem.clauses) + problem.n_vars
+    raise TypeError(f"unsupported problem type {type(problem)!r}")
 
 
 def session_rounds(
@@ -458,6 +531,13 @@ def session_rounds(
     """
     if rounds < 1:
         raise ValueError("at least one round is required")
+    per_round = _round_entries(problem)
+    if rounds * per_round > MAX_SESSION_ENTRIES:
+        raise ValueError(
+            f"a session sends at most {MAX_SESSION_ENTRIES} entries, and {rounds} rounds"
+            f" of {per_round} send {rounds * per_round}; at most"
+            f" {MAX_SESSION_ENTRIES // per_round} rounds fit"
+        )
     if not cheat and solution is None:
         raise ValueError("honest sessions need the private solution")
     return _rounds(problem, solution, rounds, seed, cheat)
@@ -483,16 +563,6 @@ def _rounds(problem, solution, rounds, seed, cheat):
             return
 
 
-def round_record(commitment, challenge, response, verdict) -> dict:
-    """A round as its transcript entry."""
-    return {
-        "commitments": commitment.hex_digests(),
-        "challenge": challenge.value,
-        "response": response.to_json_dict(),
-        "verdict": verdict,
-    }
-
-
 def run_session(
     problem,
     solution=None,
@@ -502,11 +572,11 @@ def run_session(
     collect_transcript: bool = True,
 ) -> SessionResult:
     """Run session_rounds to the end; the transcript holds each round's
-    record, or is None when not collected."""
+    encode_round bytes, or is None when not collected."""
     transcript: list | None = [] if collect_transcript else None
     for rounds_run, played in enumerate(session_rounds(problem, solution, rounds, seed, cheat), 1):
         if transcript is not None:
-            transcript.append(round_record(*played))
+            transcript.append(encode_round(*played))
     return SessionResult(played[-1], rounds_run, transcript)
 
 

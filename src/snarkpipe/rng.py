@@ -1,7 +1,8 @@
 """Seedable deterministic randomness: SHA-256 in counter mode.
 
 The generator hashes label || seed into a key and then streams
-SHA-256(key || counter) blocks. Identical seed and label always reproduce
+SHA-256(key || counter) blocks, each hashed from a copy of one SHA-256
+state already fed the key. Identical seed and label always reproduce
 the identical stream, which makes randomized protocol runs replayable, and
 the output is as unpredictable as SHA-256 for anyone without the seed.
 Subclassing random.Random keeps randrange, sample and the rest available,
@@ -40,12 +41,21 @@ def _require_bytes(role: str, value) -> bytes:
 
 
 class Sha256Rng(random.Random):
+    def __new__(cls, *args, **kwargs):
+        # random.Random.__new__ would seed from the arguments, and on Python
+        # 3.10 it hashes a seed it cannot take (a bytearray) before seed()
+        # can refuse it by type. __init__ seeds through seed() alone.
+        return super().__new__(cls)
+
     def __init__(self, seed: bytes, label: bytes = b""):
         self._label = _require_bytes("label", label)
         super().__init__(seed)
 
     def seed(self, a=None, version=2):
         self._key = hashlib.sha256(self._label + b"\x00" + _require_bytes("seed", a)).digest()
+        # A copy of a state already fed the key costs less than a new hash
+        # object, and hashing the counter into it gives SHA-256(key || counter).
+        self._keyed = hashlib.sha256(self._key)
         self._counter = 0
         self._pool = b""
 
@@ -53,12 +63,13 @@ class Sha256Rng(random.Random):
         pool = self._pool
         if len(pool) < n:
             # Exactly the 32-byte counter blocks the shortfall needs, in order.
-            start, key, sha256 = self._counter, self._key, hashlib.sha256
+            start, copy, blocks = self._counter, self._keyed.copy, [pool]
             self._counter = start + (n - len(pool) + 31) // 32
-            pool += b"".join(
-                sha256(key + i.to_bytes(8, "little")).digest()
-                for i in range(start, self._counter)
-            )
+            for i in range(start, self._counter):
+                block = copy()
+                block.update(i.to_bytes(8, "little"))
+                blocks.append(block.digest())
+            pool = b"".join(blocks)
         self._pool = pool[n:]
         return pool[:n]
 

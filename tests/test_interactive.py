@@ -21,14 +21,15 @@ from snarkpipe import (
 )
 from snarkpipe.bundled import load_bundled_text
 from snarkpipe.cli import main
-from snarkpipe.field import json_bytes
 from snarkpipe.interactive import (
     MAX_ROUND_ENTRIES,
+    MAX_SESSION_ENTRIES,
     MAX_VARIABLES,
     MAX_VERTICES,
     PROBLEM_KEYS,
     RoundCommitment,
     load_problem,
+    session_rounds,
 )
 from snarkpipe.rng import derive_seed
 
@@ -264,18 +265,19 @@ def test_session_transcript_shape():
     result = run_session(K3, K3_CYCLE, rounds=3, seed=b"t")
     assert result.accepted and result.rounds_run == 3
     assert len(result.transcript) == 3
-    for entry in result.transcript:
+    for entry in map(json.loads, result.transcript):
         assert set(entry) == {"commitments", "challenge", "response", "verdict"}
         assert entry["verdict"] is True
         assert len(entry["commitments"]) == K3.n * K3.n
-    # transcripts serialize
-    json.dumps(result.to_json_dict())
+    # the chunks are the transcript file's JSON
+    rounds = json.loads(b"".join(result.chunks()))["rounds"]
+    assert rounds == list(map(json.loads, result.transcript))
 
 
 def test_sessions_are_reproducible():
     a = run_session(K3, K3_CYCLE, rounds=5, seed=b"repro")
     b = run_session(K3, K3_CYCLE, rounds=5, seed=b"repro")
-    assert a.to_json_dict() == b.to_json_dict()
+    assert a.chunks() == b.chunks()
 
 
 def test_cheater_single_round_rate_near_half():
@@ -365,10 +367,56 @@ def test_load_problem_bounds_the_entries_of_a_round():
         load_problem({**graph, "adjacency": ring + [[0] * n]})
 
 
+# A SAT problem whose rounds send 8 entries: 5 clauses and 3 variables.
+SAT8 = SatProblem(3, ((1, 2, 3), (1, -2, 3), (1, 2, -3), (-1, 2, 3), (1, -2, -3)))
+SAT8_ASSIGNMENT = (True, True, True)
+
+
+def test_session_rounds_are_bounded_before_the_first_round():
+    assert MAX_SESSION_ENTRIES == 1 << 20
+    at_limit = MAX_SESSION_ENTRIES // 8
+    assert at_limit * 8 == MAX_SESSION_ENTRIES
+    rounds = session_rounds(SAT8, SAT8_ASSIGNMENT, rounds=at_limit, seed=b"bound")
+    assert next(rounds)[-1] is True
+    for cheat in (False, True):
+        with pytest.raises(ValueError) as refused:
+            session_rounds(SAT8, SAT8_ASSIGNMENT, rounds=at_limit + 1, cheat=cheat)
+        assert str(refused.value) == (
+            "a session sends at most 1048576 entries, and 131073 rounds of 8 send"
+            " 1048584; at most 131072 rounds fit"
+        )
+    # A round of one variable and no clause sends one entry: the bound is
+    # exact to the entry.
+    one = SatProblem(1, ())
+    session_rounds(one, (True,), rounds=MAX_SESSION_ENTRIES)
+    with pytest.raises(ValueError, match="send 1048577; at most 1048576 rounds fit$"):
+        session_rounds(one, (True,), rounds=MAX_SESSION_ENTRIES + 1)
+    # A round of a 256-vertex graph sends 65536 commitments and 256 vertices.
+    n = MAX_VERTICES
+    ring = HamiltonianCycleProblem(
+        tuple(tuple(int((i - j) % n in (1, n - 1)) for j in range(n)) for i in range(n))
+    )
+    session_rounds(ring, tuple(range(n)), rounds=15)
+    with pytest.raises(ValueError, match="at most 15 rounds fit$"):
+        session_rounds(ring, tuple(range(n)), rounds=16)
+
+
+def test_cli_refuses_a_session_past_the_bound(tmp_path, capsys):
+    # triangle's rounds send 12 entries: 9 commitments and 3 vertices
+    path = tmp_path / "t.json"
+    argv = ["--seed", "01", "interactive", "--problem", "triangle", "--transcript", str(path)]
+    assert main([*argv, "--rounds", "87382"]) == 1
+    assert capsys.readouterr().err == (
+        "error: a session sends at most 1048576 entries, and 87382 rounds of 12 send"
+        " 1048584; at most 87381 rounds fit\n"
+    )
+    assert not path.exists()
+
+
 BENCHMARK_WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
-def test_benchmark_problem_files_hold_exactly_the_keys_of_their_type():
+def benchmark_workloads():
     spec = importlib.util.spec_from_file_location("perfbench_workloads", BENCHMARK_WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = workloads  # dataclasses looks the module up
@@ -376,6 +424,25 @@ def test_benchmark_problem_files_hold_exactly_the_keys_of_their_type():
         spec.loader.exec_module(workloads)
     finally:
         del sys.modules[spec.name]
+    return workloads
+
+
+def test_session_bound_admits_the_benchmark_and_readme_sessions():
+    workloads = benchmark_workloads()
+    rng = random.Random(1)
+    for workload in workloads.WORKLOADS.values():
+        for problem in (
+            workloads.hamiltonian_problem(workload.hc_vertices, workload.hc_chord_rate, rng),
+            workloads.sat_problem(workload.sat_vars, workload.sat_clauses, rng),
+        ):
+            session_rounds(*load_problem(problem), rounds=workloads.SESSION_ROUNDS)
+    for name in ("triangle", "path4"):
+        problem, _ = load_problem(json.loads(load_bundled_text(f"{name}.json")))
+        session_rounds(problem, rounds=10, cheat=True)
+
+
+def test_benchmark_problem_files_hold_exactly_the_keys_of_their_type():
+    workloads = benchmark_workloads()
     rng = random.Random(1)
     for workload in workloads.WORKLOADS.values():
         for problem in (
@@ -389,9 +456,9 @@ def test_benchmark_problem_files_hold_exactly_the_keys_of_their_type():
 
 # --- pinned transcripts and commitment shape --------------------------------------
 
-# SHA-256 of json_bytes(run_session(...).to_json_dict()), recorded before the
-# commit path was shared between problem kinds and provers: the salts, digests
-# and responses of every round must stay byte for byte the same.
+# SHA-256 of the transcript file, b"".join(run_session(...).chunks()), recorded
+# before the commit path was shared between problem kinds and provers: the
+# salts, digests and responses of every round must stay byte for byte the same.
 PINNED_TRANSCRIPTS = [
     ("triangle.json", False, b"pinned-triangle", (True, 8),
      "34616e13dc3a0d79fe8df545203b2a427913ebf4a4200dfca38ea727dfe65bc5"),
@@ -414,7 +481,7 @@ def test_transcript_bytes_pinned(name, cheat, seed, outcome, digest):
         problem, None if cheat else solution, rounds=8, seed=seed, cheat=cheat
     )
     assert (result.accepted, result.rounds_run) == outcome
-    assert hashlib.sha256(json_bytes(result.to_json_dict())).hexdigest() == digest
+    assert hashlib.sha256(b"".join(result.chunks())).hexdigest() == digest
 
 
 
@@ -478,7 +545,7 @@ def test_scale_transcript_bytes_pinned(name, cheat, seed, outcome, digest):
         problem, None if cheat else solution, rounds=20, seed=seed, cheat=cheat
     )
     assert (result.accepted, result.rounds_run) == outcome
-    assert hashlib.sha256(json_bytes(result.to_json_dict())).hexdigest() == digest
+    assert hashlib.sha256(b"".join(result.chunks())).hexdigest() == digest
 
 
 # --- the CLI's transcript file -------------------------------------------------
@@ -538,7 +605,7 @@ def test_cli_transcript_is_the_encoded_session(tmp_path, name, cheat, seed, roun
     argv = ["--seed", seed.hex(), "interactive", "--problem", argument,
             "--rounds", str(rounds), "--transcript", str(path)] + ["--cheat"] * cheat
     assert main(argv) == (0 if outcome[0] else 2)
-    assert path.read_bytes() == json_bytes(result.to_json_dict())
+    assert path.read_bytes() == b"".join(result.chunks())
 
 
 @pytest.mark.parametrize("name", ["hc24", "sat100"])

@@ -3,10 +3,13 @@
 Each oracle below is the body the fast path replaced: salts drawn one
 `randbytes(16)` at a time, coins one `getrandbits(1)` at a time, literals
 mapped and tested one call each, clause entries packed one literal at a
-time. Hypothesis generates the problems; every comparison is exact.
+time, stream blocks and commitments hashed one-shot, and transcript rounds
+built as dicts of hex strings and encoded by `json.dumps`. Hypothesis
+generates the problems; every comparison is exact.
 """
 
 import hashlib
+import json
 import struct
 
 import pytest
@@ -22,9 +25,15 @@ from snarkpipe import (  # noqa: E402
     Sha256Rng,
     cipher_round,
     forge_round,
+    run_session,
     verify_round,
 )
-from snarkpipe.interactive import _hc_entries, _sat_entries  # noqa: E402
+from snarkpipe.interactive import (  # noqa: E402
+    _hc_entries,
+    _sat_entries,
+    encode_round,
+    session_rounds,
+)
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=60, database=None)
 
@@ -98,6 +107,33 @@ def shuffled(rng, n) -> tuple:
 
 def commit(entries, salts_) -> tuple:
     return tuple(hashlib.sha256(e + s).digest() for e, s in zip(entries, salts_))
+
+
+def round_record(commitment, challenge, response, verdict) -> dict:
+    """A round's transcript entry, every digest and salt hexed on its own."""
+    fields = {"challenge": response.challenge.value}
+    if response.permutation is not None:
+        fields["permutation"] = list(response.permutation)
+    if response.flips is not None:
+        fields["flips"] = [int(b) for b in response.flips]
+    if response.salts is not None:
+        fields["salts"] = [salt.hex() for salt in response.salts]
+    if response.cycle is not None:
+        fields["cycle"] = list(response.cycle)
+    if response.clauses is not None:
+        fields["clauses"] = [list(clause) for clause in response.clauses]
+    if response.assignment is not None:
+        fields["assignment"] = [bool(b) for b in response.assignment]
+    return {
+        "commitments": [digest.hex() for digest in commitment.digests],
+        "challenge": challenge.value,
+        "response": fields,
+        "verdict": verdict,
+    }
+
+
+def compact(data) -> bytes:
+    return json.dumps(data, separators=(",", ":")).encode()
 
 
 def honest_sat_round(problem, assignment, rng):
@@ -305,3 +341,82 @@ def test_relabel_and_hc_round_match_oracle(data, seed):
     assert commitment.digests == digests
     response = state.respond(Challenge.REVEAL_CIPHER)
     assert (response.permutation, response.salts) == (perm, drawn)
+
+
+# --- the stream ---------------------------------------------------------------------
+
+
+def test_stream_blocks_across_pool_refills_are_one_shot_hashes():
+    key = hashlib.sha256(b"refill\x00seed").digest()
+    blocks = b"".join(hashlib.sha256(key + i.to_bytes(8, "little")).digest() for i in range(12))
+    rng, pos = Sha256Rng(b"seed", label=b"refill"), 0
+    # 20 leaves 12 bytes pooled; 50 refills across two blocks; 1 and 31
+    # end at a block edge, 0 draws nothing, 200 refills seven blocks.
+    for size in (20, 50, 1, 31, 0, 200, 64):
+        assert rng.randbytes(size) == blocks[pos : pos + size]
+        pos += size
+
+
+# --- transcript rounds ----------------------------------------------------------------
+
+GRAPH = HamiltonianCycleProblem(((0, 1, 1, 1), (1, 0, 1, 0), (1, 1, 0, 1), (1, 0, 1, 0)))
+GRAPH_CYCLE = (0, 1, 2, 3)
+PATH = HamiltonianCycleProblem(((0, 1, 0), (1, 0, 1), (0, 1, 0)))
+CLAUSES = SatProblem(3, ((1, 2, -3), (-1, 2, 3), (1, -2, -3)))
+CLAUSES_ASSIGNMENT = (True, True, False)
+# One clause, so a solution response opens exactly one salt.
+ONE_CLAUSE = SatProblem(2, ((1, -2, 2),))
+UNSAT = SatProblem(1, ((1, 1, 1), (-1, -1, -1)))
+
+# (problem, solution or None to forge) for each kind, honest and cheating.
+ROUND_CASES = {
+    "hc-honest": (GRAPH, GRAPH_CYCLE),
+    "hc-cheat": (PATH, None),
+    "sat-honest": (CLAUSES, CLAUSES_ASSIGNMENT),
+    "sat-one-salt": (ONE_CLAUSE, (True, False)),
+    "sat-no-clauses": (SatProblem(2, ()), (False, True)),
+    "sat-cheat": (UNSAT, None),
+}
+
+
+def played_round(problem, solution, challenge, seed):
+    rng = Sha256Rng(seed)
+    if solution is None:
+        commitment, state = forge_round(problem, rng)
+    else:
+        commitment, state = cipher_round(problem, solution, rng)
+    response = state.respond(challenge)
+    return commitment, challenge, response, verify_round(problem, commitment, challenge, response)
+
+
+@pytest.mark.parametrize("challenge", list(Challenge), ids=[c.value for c in Challenge])
+@pytest.mark.parametrize("case", list(ROUND_CASES))
+def test_encoded_round_is_the_compact_json_of_its_record(case, challenge):
+    problem, solution = ROUND_CASES[case]
+    verdicts = set()
+    for i in range(8):  # a forger's guess differs between seeds
+        played = played_round(problem, solution, challenge, b"encode-%d" % i)
+        assert encode_round(*played) == compact(round_record(*played))
+        verdicts.add(played[-1])
+    # an honest round is accepted; a forger is caught on some seeds, not all
+    assert verdicts == ({True} if solution is not None else {True, False})
+
+
+def test_round_cases_open_one_salt_and_none():
+    for case, opened in (("sat-one-salt", 1), ("sat-no-clauses", 0)):
+        problem, solution = ROUND_CASES[case]
+        played = played_round(problem, solution, Challenge.REVEAL_SOLUTION, b"open")
+        assert len(played[2].salts) == opened and played[-1] is True
+
+
+@pytest.mark.parametrize("case", list(ROUND_CASES))
+def test_session_chunks_are_the_compact_json_of_the_session(case):
+    problem, solution = ROUND_CASES[case]
+    cheat = solution is None
+    for seed in (b"chunks-0", b"chunks-1", b"chunks-2"):
+        records = [round_record(*played) for played in
+                   session_rounds(problem, solution, rounds=6, seed=seed, cheat=cheat)]
+        result = run_session(problem, solution, rounds=6, seed=seed, cheat=cheat)
+        session = {"accepted": records[-1]["verdict"], "rounds_run": len(records),
+                   "rounds": records}
+        assert b"".join(result.chunks()) == compact(session) + b"\n"
