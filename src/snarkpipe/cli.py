@@ -472,17 +472,21 @@ def cmd_interactive(args) -> int:
         print("accept" if result.accepted else "reject")
         return EXIT_OK if result.accepted else EXIT_REJECT
 
+    # A session past its own bound is left to session_rounds, which names it.
+    per_session = args.rounds * problem.round_entries()
+    limit = interactive.MAX_REPEAT_ENTRIES
+    if per_session <= interactive.MAX_SESSION_ENTRIES and args.repeat * per_session > limit:
+        raise ValueError(
+            f"--repeat sends at most {limit} entries in all, and {args.repeat} sessions"
+            f" of {per_session} send {args.repeat * per_session}; at most --repeat"
+            f" {limit // per_session} fits"
+        )
     accepted = 0
     for i in range(args.repeat):
-        result = interactive.run_session(
-            problem,
-            solution,
-            rounds=args.rounds,
-            seed=derive_seed(seed, f"session-{i}"),
-            cheat=args.cheat,
-            collect_transcript=False,
+        session = interactive.session_rounds(
+            problem, solution, args.rounds, derive_seed(seed, f"session-{i}"), args.cheat
         )
-        accepted += result.accepted
+        accepted += all(verdict for *_, verdict in session)
     rate = accepted / args.repeat
     print(
         f"sessions={args.repeat} rounds={args.rounds}"
@@ -496,6 +500,7 @@ def cmd_selftest(args) -> int:
     import time
 
     from . import interactive
+    from .circuit import _gate_value
     from .polynomial import Polynomial
     from .rng import Sha256Rng, derive_seed, parse_seed
 
@@ -553,8 +558,7 @@ def cmd_selftest(args) -> int:
     # a prover that skips solve: pinned outputs take their gates' values
     bad = solve(circuit, {**witness, "c2": 3})
     for gate in circuit.gates:
-        left, right = bad[gate.left], bad[gate.right]
-        bad[gate.out] = (left * right if gate.op == "Times" else left + right) % ctx.p
+        bad[gate.out] = _gate_value(gate, bad, ctx.p)
     try:
         pinocchio.prove(ek, qap, bad)
         report("prover refuses an invalid coloring", False)
@@ -581,17 +585,11 @@ def cmd_selftest(args) -> int:
     path_problem, _ = interactive.load_problem(
         json.loads(bundled.load_bundled_text("path4.json"))
     )
-    hits = sum(
-        interactive.run_session(
-            path_problem,
-            None,
-            rounds=1,
-            seed=derive_seed(seed, f"cheat-{i}"),
-            cheat=True,
-            collect_transcript=False,
-        ).accepted
+    cheats = (
+        interactive.session_rounds(path_problem, None, 1, derive_seed(seed, f"cheat-{i}"), True)
         for i in range(400)
     )
+    hits = sum(all(verdict for *_, verdict in session) for session in cheats)
     report("interactive cheater lands near 1/2 per round", 140 <= hits <= 260)
 
     elapsed = time.perf_counter() - started

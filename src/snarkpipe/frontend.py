@@ -522,19 +522,19 @@ def format_program(program: Program) -> str:
 # --- evaluation -------------------------------------------------------------
 
 
-def reduce_constant(value: int, ctx: FieldContext, warned: set | None = None) -> int:
-    """Map a source integer into the field, warning once per oversized value."""
+def reduce_constant(value: int, ctx: FieldContext, warned: set) -> int:
+    """Map a source integer into the field, warning once per oversized value;
+    `warned` holds the values already warned about."""
     if 0 <= value < ctx.p:
         return value
-    if warned is None or value not in warned:
+    if value not in warned:
         warnings.warn(
             f"integer constant {value} exceeds the field modulus {ctx.p}"
             " and was reduced",
             FieldReductionWarning,
             stacklevel=3,
         )
-        if warned is not None:
-            warned.add(value)
+        warned.add(value)
     return value % ctx.p
 
 

@@ -64,6 +64,11 @@ MAX_VARIABLES = 4096
 # transcript takes at most about 125 bytes per entry; 15 rounds of a
 # 256-vertex graph fit, 16 do not.
 MAX_SESSION_ENTRIES = 1 << 20
+# A run of sessions (the CLI's --repeat) keeps only their verdicts, so its
+# memory stays small, but its time grows with what the rounds send: the
+# sessions of one run send at most 2^24 entries in all, rounds ×
+# round_entries() each.
+MAX_REPEAT_ENTRIES = 1 << 24
 
 
 class RoundConsumed(RuntimeError):
@@ -93,6 +98,12 @@ _TOP_BIT = bytes(b >> 7 for b in range(256))
 def _coins(rng, n: int) -> tuple:
     """n fair 0/1 coins from one draw."""
     return tuple(rng.randbytes(n).translate(_TOP_BIT))
+
+
+def _sample_perm(rng, n: int) -> tuple:
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return tuple(perm)
 
 
 # --- public problems ---------------------------------------------------------
@@ -135,6 +146,16 @@ class HamiltonianCycleProblem(namedtuple("HamiltonianCycleProblem", "adjacency")
             self.adjacency[cycle[t]][cycle[(t + 1) % n]] == 1 for t in range(n)
         )
 
+    def round_entries(self) -> int:
+        """What a round sends, counted against the session bounds: its n²
+        commitments and the n vertices it permutes."""
+        return self.n * self.n + self.n
+
+    def reshuffle(self, rng) -> tuple:
+        """Draw a round's reshuffling: (perm, None, relabelled matrix)."""
+        perm = _sample_perm(rng, self.n)
+        return perm, None, self.relabel(perm)
+
     def relabel(self, perm) -> tuple:
         """Adjacency matrix after renaming vertex i to perm[i]."""
         # Entry (a, b) of the result is entry (i, j) of the original, where
@@ -171,6 +192,17 @@ class SatProblem(namedtuple("SatProblem", "n_vars clauses")):
         # A clause fails exactly when it shares no literal with the true ones.
         return not any(map(self._true_literals(assignment).isdisjoint, self.clauses))
 
+    def round_entries(self) -> int:
+        """What a round sends, counted against the session bounds: its
+        clause commitments and the variables it permutes."""
+        return len(self.clauses) + self.n_vars
+
+    def reshuffle(self, rng) -> tuple:
+        """Draw a round's reshuffling: (perm, flips, transformed clauses)."""
+        perm = _sample_perm(rng, self.n_vars)
+        flips = _coins(rng, self.n_vars)
+        return perm, flips, self.transform(perm, flips)
+
     @staticmethod
     def _true_literals(assignment) -> set:
         """The literals an assignment makes true: k or -k for variable k."""
@@ -196,9 +228,9 @@ class SatProblem(namedtuple("SatProblem", "n_vars clauses")):
 # --- round data --------------------------------------------------------------
 
 
-class RoundCommitment(namedtuple("RoundCommitment", "kind size digests")):
-    """kind is "hamiltonian-cycle" or "sat3", size the vertices or variables,
-    digests a tuple of 32-byte digests."""
+class RoundCommitment(namedtuple("RoundCommitment", "digests")):
+    """A round's commitments: a tuple of 32-byte digests, one per entry of
+    the reshuffled instance, in the order encode_round writes them."""
 
     __slots__ = ()
 
@@ -243,8 +275,7 @@ class ProverRound:
     """One committed round held prover-side: both responses are prepared at
     commit time, and the round is consumed by handing out one of them."""
 
-    def __init__(self, commitment: RoundCommitment, responses: dict):
-        self.commitment = commitment
+    def __init__(self, responses: dict):
         self._responses = responses  # Challenge -> Response; None once consumed
 
     def respond(self, challenge: Challenge) -> Response:
@@ -280,7 +311,7 @@ def _digests(entries, salts) -> list:
     return [sha256(entry + salt).digest() for entry, salt in zip(entries, salts)]
 
 
-def _committed_round(rng, kind, size, entries, opened, cipher, solution) -> tuple:
+def _committed_round(rng, entries, opened, cipher, solution) -> tuple:
     """Salt and commit every entry, then prepare both responses.
 
     The cipher response opens every entry; the solution response opens the
@@ -291,14 +322,14 @@ def _committed_round(rng, kind, size, entries, opened, cipher, solution) -> tupl
     # the bytes a draw per salt would give. One unpack cuts them in one call.
     count = len(entries)
     salts = struct.Struct(f"{SALT_BYTES}s" * count).unpack(rng.randbytes(SALT_BYTES * count))
-    commitment = RoundCommitment(kind, size, tuple(_digests(entries, salts)))
+    commitment = RoundCommitment(tuple(_digests(entries, salts)))
     responses = {
         Challenge.REVEAL_CIPHER: Response(Challenge.REVEAL_CIPHER, salts=salts, **cipher),
         Challenge.REVEAL_SOLUTION: Response(
             Challenge.REVEAL_SOLUTION, salts=tuple(salts[i] for i in opened), **solution
         ),
     }
-    return commitment, ProverRound(commitment, responses)
+    return commitment, ProverRound(responses)
 
 
 def _cycle_positions(cycle, n: int) -> list:
@@ -307,49 +338,29 @@ def _cycle_positions(cycle, n: int) -> list:
 
 
 def _hc_round(rng, perm, matrix, cycle) -> tuple:
-    n = len(matrix)
     return _committed_round(
-        rng, "hamiltonian-cycle", n, _hc_entries(matrix), _cycle_positions(cycle, n),
+        rng, _hc_entries(matrix), _cycle_positions(cycle, len(matrix)),
         {"permutation": perm}, {"cycle": cycle},
     )
 
 
-def _sat_round(rng, n_vars, perm, flips, instance, assignment) -> tuple:
+def _sat_round(rng, perm, flips, instance, assignment) -> tuple:
     return _committed_round(
-        rng, "sat3", n_vars, _sat_entries(instance), range(len(instance)),
+        rng, _sat_entries(instance), range(len(instance)),
         {"permutation": perm, "flips": flips},
         {"clauses": instance, "assignment": assignment},
     )
 
 
-def _reshuffle(problem, rng) -> tuple:
-    """Draw a round's reshuffling: (perm, flips, reshuffled instance), with
-    flips None for a graph."""
-    if isinstance(problem, HamiltonianCycleProblem):
-        perm = _sample_perm(rng, problem.n)
-        return perm, None, problem.relabel(perm)
-    if isinstance(problem, SatProblem):
-        perm = _sample_perm(rng, problem.n_vars)
-        flips = _coins(rng, problem.n_vars)
-        return perm, flips, problem.transform(perm, flips)
-    raise TypeError(f"unsupported problem type {type(problem)!r}")
-
-
-def _sample_perm(rng, n: int) -> tuple:
-    perm = list(range(n))
-    rng.shuffle(perm)
-    return tuple(perm)
-
-
 def cipher_round(problem, solution, rng) -> tuple:
     """Honest round: reshuffle, commit, and prepare both responses."""
-    perm, flips, instance = _reshuffle(problem, rng)
+    perm, flips, instance = problem.reshuffle(rng)
     if not problem.is_solution(solution):
         raise ValueError("refusing to start a round without a valid solution")
     if isinstance(problem, HamiltonianCycleProblem):
         return _hc_round(rng, perm, instance, tuple(perm[v] for v in solution))
     assignment = problem.transform_assignment(solution, perm, flips)
-    return _sat_round(rng, problem.n_vars, perm, flips, instance, assignment)
+    return _sat_round(rng, perm, flips, instance, assignment)
 
 
 def forge_round(problem, rng) -> tuple:
@@ -361,7 +372,7 @@ def forge_round(problem, rng) -> tuple:
     without a solution each round survives with probability 1/2.
     """
     doctor = rng.getrandbits(1) == 1  # guessed Challenge.REVEAL_SOLUTION
-    perm, flips, instance = _reshuffle(problem, rng)
+    perm, flips, instance = problem.reshuffle(rng)
     if isinstance(problem, HamiltonianCycleProblem):
         n = problem.n
         planted = _sample_perm(rng, n)
@@ -380,7 +391,7 @@ def forge_round(problem, rng) -> tuple:
             tuple(sorted((-clause[0],) + clause[1:])) if true.isdisjoint(clause) else clause
             for clause in instance
         )
-    return _sat_round(rng, problem.n_vars, perm, flips, instance, claimed)
+    return _sat_round(rng, perm, flips, instance, claimed)
 
 
 # --- verifier ----------------------------------------------------------------
@@ -439,16 +450,16 @@ def verify_round(problem, commitment, challenge: Challenge, response) -> bool:
     """Recompute the revealed branch against the commitments; False on any
     mismatch, never an exception for dishonest data."""
     if isinstance(problem, HamiltonianCycleProblem):
-        shape = ("hamiltonian-cycle", problem.n, problem.n * problem.n)
+        count = problem.n * problem.n
         checks = _check_cipher_hc, _check_solution_hc
     elif isinstance(problem, SatProblem):
-        shape = ("sat3", problem.n_vars, len(problem.clauses))
+        count = len(problem.clauses)
         checks = _check_cipher_sat, _check_solution_sat
     else:
         raise TypeError(f"unsupported problem type {type(problem)!r}")
     check = checks[0] if challenge is Challenge.REVEAL_CIPHER else checks[1]
     try:
-        if (commitment.kind, commitment.size, len(commitment.digests)) != shape:
+        if len(commitment.digests) != count:
             return False
         return response.challenge is challenge and check(problem, commitment, response)
     except (IndexError, TypeError, ValueError, struct.error):
@@ -487,11 +498,8 @@ def encode_round(commitment, challenge, response, verdict) -> bytes:
     ])
 
 
-class SessionResult(
-    namedtuple("SessionResult", "accepted rounds_run transcript", defaults=(None,))
-):
-    """transcript holds each round's encode_round bytes, or is None when not
-    collected."""
+class SessionResult(namedtuple("SessionResult", "accepted rounds_run transcript")):
+    """transcript holds each round's encode_round bytes."""
 
     __slots__ = ()
 
@@ -503,20 +511,9 @@ class SessionResult(
         head, tail = json_bytes(
             {"accepted": self.accepted, "rounds_run": self.rounds_run, "rounds": []}
         ).split(b"[]")
-        rounds = self.transcript or []
-        body = [b","] * (2 * len(rounds) - 1)
-        body[::2] = rounds
+        body = [b","] * (2 * len(self.transcript) - 1)
+        body[::2] = self.transcript
         return [head + b"[", *body, b"]" + tail]
-
-
-def _round_entries(problem) -> int:
-    """What a round sends, counted against MAX_SESSION_ENTRIES: its
-    commitments and the vertices or variables it permutes."""
-    if isinstance(problem, HamiltonianCycleProblem):
-        return problem.n * problem.n + problem.n
-    if isinstance(problem, SatProblem):
-        return len(problem.clauses) + problem.n_vars
-    raise TypeError(f"unsupported problem type {type(problem)!r}")
 
 
 def session_rounds(
@@ -531,7 +528,7 @@ def session_rounds(
     """
     if rounds < 1:
         raise ValueError("at least one round is required")
-    per_round = _round_entries(problem)
+    per_round = problem.round_entries()
     if rounds * per_round > MAX_SESSION_ENTRIES:
         raise ValueError(
             f"a session sends at most {MAX_SESSION_ENTRIES} entries, and {rounds} rounds"
@@ -564,20 +561,15 @@ def _rounds(problem, solution, rounds, seed, cheat):
 
 
 def run_session(
-    problem,
-    solution=None,
-    rounds: int = 10,
-    seed: bytes = b"",
-    cheat: bool = False,
-    collect_transcript: bool = True,
+    problem, solution=None, rounds: int = 10, seed: bytes = b"", cheat: bool = False
 ) -> SessionResult:
-    """Run session_rounds to the end; the transcript holds each round's
-    encode_round bytes, or is None when not collected."""
-    transcript: list | None = [] if collect_transcript else None
-    for rounds_run, played in enumerate(session_rounds(problem, solution, rounds, seed, cheat), 1):
-        if transcript is not None:
-            transcript.append(encode_round(*played))
-    return SessionResult(played[-1], rounds_run, transcript)
+    """Run session_rounds to the end, encoding each round as it is judged.
+    A caller that needs only the verdict reads it off session_rounds:
+    all(verdict for *_, verdict in session_rounds(...))."""
+    transcript = []
+    for played in session_rounds(problem, solution, rounds, seed, cheat):
+        transcript.append(encode_round(*played))
+    return SessionResult(played[-1], len(transcript), transcript)
 
 
 # --- problem files -----------------------------------------------------------

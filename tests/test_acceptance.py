@@ -31,7 +31,7 @@ from snarkpipe import (
 from snarkpipe.bundled import load_bundled_text
 from snarkpipe.cli import main
 from snarkpipe.field import inverse
-from snarkpipe.interactive import HamiltonianCycleProblem, run_session
+from snarkpipe.interactive import HamiltonianCycleProblem, session_rounds
 from snarkpipe.pinocchio import WitnessKey
 from snarkpipe.rng import derive_seed
 
@@ -178,23 +178,19 @@ def test_criterion_5_witness_tampering(coloring_circuit, coloring_qap, ctx):
 def test_criterion_6_interactive_soundness_decay():
     sessions = 10**4
 
+    def accepted(problem, solution, rounds, seed, cheat=False) -> bool:
+        session = session_rounds(problem, solution, rounds, seed, cheat)
+        return all(verdict for *_, verdict in session)
+
     honest = sum(
-        run_session(
-            K3, (0, 1, 2), rounds=1, seed=derive_seed(b"honest", f"s{i}"),
-            collect_transcript=False,
-        ).accepted
-        for i in range(sessions)
+        accepted(K3, (0, 1, 2), 1, derive_seed(b"honest", f"s{i}")) for i in range(sessions)
     )
 
     def cheat_rate(rounds, label):
-        hits = sum(
-            run_session(
-                PATH4, None, rounds=rounds, seed=derive_seed(label, f"s{i}"),
-                cheat=True, collect_transcript=False,
-            ).accepted
+        return sum(
+            accepted(PATH4, None, rounds, derive_seed(label, f"s{i}"), cheat=True)
             for i in range(sessions)
         )
-        return hits
 
     hits1 = cheat_rate(1, b"k1")
     hits5 = cheat_rate(5, b"k5")

@@ -650,6 +650,34 @@ def test_interactive_cheat_repeat_rate(workdir, capsys):
     assert abs(rate - 0.5) < 0.05
 
 
+def test_interactive_repeat_is_bounded_before_the_first_session(workdir, capsys, monkeypatch):
+    # path4's rounds send 20 entries, so 50000 rounds are 10^6 entries a
+    # session: 16 sessions fit in MAX_REPEAT_ENTRIES = 2^24 and 17 do not. A
+    # cheater is caught within a few rounds, so the sessions that run are cheap.
+    argv = ["--seed", "01", "interactive", "--problem", "path4", "--cheat",
+            "--rounds", "50000", "--repeat"]
+    assert main([*argv, "16"]) == 0
+    assert capsys.readouterr().out == "sessions=16 rounds=50000 accepted=0 rate=0.0000\n"
+    # a session past its own bound is refused by that bound, as with one session
+    assert main([*argv[:-3], "--rounds", "60000", "--repeat", "14"]) == 1
+    assert capsys.readouterr().err.startswith("error: a session sends at most 1048576 entries")
+
+    def no_session(*args):
+        raise AssertionError("a session ran")
+
+    monkeypatch.setattr(interactive, "session_rounds", no_session)
+    assert main([*argv, "17"]) == 1
+    assert capsys.readouterr().err == (
+        "error: --repeat sends at most 16777216 entries in all, and 17 sessions of"
+        " 1000000 send 17000000; at most --repeat 16 fits\n"
+    )
+    # a run that went on until it was killed
+    code = main(["--seed", "01", "interactive", "--problem", "triangle", "--cheat",
+                 "--rounds", "1", "--repeat", "100000000"])
+    assert_usage_error(code, capsys, "100000000 sessions of 12 send 1200000000",
+                       "at most --repeat 1398101 fits")
+
+
 def test_interactive_requires_solution_unless_cheating(workdir, capsys):
     assert main(["--seed", "01", "interactive", "--problem", "path4"]) == 1
     assert "solution" in capsys.readouterr().err

@@ -22,6 +22,7 @@ from snarkpipe import (
 from snarkpipe.bundled import load_bundled_text
 from snarkpipe.cli import main
 from snarkpipe.interactive import (
+    MAX_REPEAT_ENTRIES,
     MAX_ROUND_ENTRIES,
     MAX_SESSION_ENTRIES,
     MAX_VARIABLES,
@@ -176,7 +177,7 @@ def test_commitment_binding():
         commitment, state = cipher_round(K3, K3_CYCLE, Sha256Rng(b"bind"))
         digests = list(commitment.digests)
         digests[4] = bytes(32)
-        broken = type(commitment)(commitment.kind, commitment.size, tuple(digests))
+        broken = RoundCommitment(tuple(digests))
         response = state.respond(challenge)
         if challenge is Challenge.REVEAL_CIPHER:
             assert not verify_round(K3, broken, challenge, response)
@@ -189,9 +190,7 @@ def test_commitment_binding():
             }
             digests = list(commitment.digests)
             digests[next(iter(opened_positions))] = bytes(32)
-            broken = type(commitment)(
-                commitment.kind, commitment.size, tuple(digests)
-            )
+            broken = RoundCommitment(tuple(digests))
             assert not verify_round(K3, broken, challenge, response)
 
 
@@ -280,13 +279,36 @@ def test_sessions_are_reproducible():
     assert a.chunks() == b.chunks()
 
 
+def accepted(problem, solution, rounds, seed, cheat=False) -> bool:
+    """A session's verdict, read off its rounds without encoding them."""
+    return all(verdict for *_, verdict in session_rounds(problem, solution, rounds, seed, cheat))
+
+
+@pytest.mark.parametrize(
+    "problem, solution, cheat",
+    [
+        (K3, K3_CYCLE, False), (PATH4, None, True),
+        (SAT1, SAT1_ASSIGNMENT, False), (UNSAT, None, True),
+    ],
+    ids=["hc-honest", "hc-cheat", "sat-honest", "sat-cheat"],
+)
+def test_session_verdict_agrees_with_run_session(problem, solution, cheat):
+    # The verdict-only path (--repeat, selftest) and the transcript path
+    # (run_session, --transcript) run the same rounds to the same verdict.
+    verdicts = set()
+    for i in range(40):
+        seed = derive_seed(b"agree", f"s{i}")
+        result = run_session(problem, solution, rounds=3, seed=seed, cheat=cheat)
+        assert accepted(problem, solution, 3, seed, cheat) == result.accepted
+        verdicts.add(result.accepted)
+    # a cheater on an unsolvable problem meets both verdicts
+    assert verdicts == ({True, False} if cheat else {True})
+
+
 def test_cheater_single_round_rate_near_half():
     trials = 10000
     hits = sum(
-        run_session(
-            PATH4, None, rounds=1, seed=derive_seed(b"rate", f"s{i}"),
-            cheat=True, collect_transcript=False,
-        ).accepted
+        accepted(PATH4, None, 1, derive_seed(b"rate", f"s{i}"), cheat=True)
         for i in range(trials)
     )
     assert abs(hits / trials - 0.5) <= 0.02
@@ -295,10 +317,7 @@ def test_cheater_single_round_rate_near_half():
 def test_cheater_decay_with_rounds():
     trials = 2000
     hits = sum(
-        run_session(
-            PATH4, None, rounds=5, seed=derive_seed(b"decay", f"s{i}"),
-            cheat=True, collect_transcript=False,
-        ).accepted
+        accepted(PATH4, None, 5, derive_seed(b"decay", f"s{i}"), cheat=True)
         for i in range(trials)
     )
     expected = trials / 32
@@ -435,10 +454,15 @@ def test_session_bound_admits_the_benchmark_and_readme_sessions():
             workloads.hamiltonian_problem(workload.hc_vertices, workload.hc_chord_rate, rng),
             workloads.sat_problem(workload.sat_vars, workload.sat_clauses, rng),
         ):
-            session_rounds(*load_problem(problem), rounds=workloads.SESSION_ROUNDS)
+            problem, solution = load_problem(problem)
+            session_rounds(problem, solution, rounds=workloads.SESSION_ROUNDS)
+            # its cheating sessions, one round each, run through --repeat
+            assert workload.cheat_sessions * problem.round_entries() <= MAX_REPEAT_ENTRIES
     for name in ("triangle", "path4"):
         problem, _ = load_problem(json.loads(load_bundled_text(f"{name}.json")))
         session_rounds(problem, rounds=10, cheat=True)
+    # README's `--problem path4 --cheat --rounds 10 --repeat 10000`
+    assert 10_000 * 10 * problem.round_entries() <= MAX_REPEAT_ENTRIES
 
 
 def test_benchmark_problem_files_hold_exactly_the_keys_of_their_type():
@@ -627,28 +651,19 @@ def test_cli_session_memory_stays_near_the_transcript_size(tmp_path, name):
     assert peak <= 2 * path.stat().st_size
 
 
-def reshaped(commitment, kind=None, size=None, extra=0):
-    return RoundCommitment(
-        kind or commitment.kind,
-        commitment.size if size is None else size,
-        commitment.digests + (bytes(32),) * extra,
-    )
-
-
 @pytest.mark.parametrize("challenge", list(Challenge))
 @pytest.mark.parametrize(
     "problem, solution", [(K3, K3_CYCLE), (SAT1, SAT1_ASSIGNMENT)], ids=["hc", "sat"]
 )
-@pytest.mark.parametrize(
-    "change",
-    [{"kind": "other"}, {"size": 99}, {"extra": 1}],
-    ids=["kind", "size", "extra_digest"],
-)
+@pytest.mark.parametrize("change", ["extra_digest"])
 def test_commitment_shape_must_match_problem(problem, solution, challenge, change):
+    # A commitment is its digests: one per entry of the problem's instance.
+    assert RoundCommitment._fields == ("digests",)
     commitment, state = cipher_round(problem, solution, Sha256Rng(b"shape"))
     response = state.respond(challenge)
     assert verify_round(problem, commitment, challenge, response)
-    assert not verify_round(problem, reshaped(commitment, **change), challenge, response)
+    longer = RoundCommitment(commitment.digests + (bytes(32),))
+    assert not verify_round(problem, longer, challenge, response)
 
 
 def test_sat_cipher_opening_with_extra_digest_and_salt_rejected():
@@ -656,11 +671,7 @@ def test_sat_cipher_opening_with_extra_digest_and_salt_rejected():
     response = state.respond(Challenge.REVEAL_CIPHER)
     salt = bytes(16)
     padded = response._replace(salts=response.salts + (salt,))
-    longer = RoundCommitment(
-        commitment.kind,
-        commitment.size,
-        commitment.digests + (hashlib.sha256(b"\0" * 12 + salt).digest(),),
-    )
+    longer = RoundCommitment(commitment.digests + (hashlib.sha256(b"\0" * 12 + salt).digest(),))
     assert not verify_round(SAT1, longer, Challenge.REVEAL_CIPHER, padded)
 
 
