@@ -13,11 +13,12 @@ parties; all field and group values travel as decimal strings. Exit codes:
 
 from __future__ import annotations
 
-import argparse
 import errno
 import json
 import os
 import sys
+from collections import namedtuple
+from types import SimpleNamespace
 
 from . import bundled, pinocchio
 from .field import DEFAULT_MODULUS, FieldContext, _quote, inverse, json_bytes, parse_decimal
@@ -26,6 +27,8 @@ from .pinocchio import InvalidWitness, MalformedKey
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
 if TYPE_CHECKING:
+    import argparse
+
     from .circuit import Circuit
     from .frontend import Program
     from .qap import QAP
@@ -66,102 +69,66 @@ def build_qap(circuit: Circuit) -> QAP:
     return build_qap(circuit)
 
 
-def _terminal_columns() -> int:
-    """shutil.get_terminal_size().columns, fallback 80 included: COLUMNS if
-    it is a positive integer, else the width of the terminal on stdout."""
-    try:
-        columns = int(os.environ["COLUMNS"])
-    except (KeyError, ValueError):
-        columns = 0
-    if columns <= 0:
-        try:
-            columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
-        except (AttributeError, ValueError, OSError):
-            columns = 0
-    return columns or 80
-
-
-class _Formatter(argparse.RawDescriptionHelpFormatter):
-    """argparse's help layout, descriptions and epilogs kept as written.
-
-    argparse builds a formatter for every argument a parser adds, only to
-    check its metavar, and its own formatter looks up the terminal width in
-    each, importing shutil, with zlib, bz2, lzma and fnmatch behind it. This
-    one looks the width up when it lays out a text: every help, usage and
-    error text goes through format_help.
-    """
-
-    def __init__(self, prog, indent_increment=2, max_help_position=24, width=None, **kwargs):
-        super().__init__(prog, indent_increment, max_help_position, 0, **kwargs)
-        self._layout = (max_help_position, width)
-
-    def format_help(self):
-        max_help_position, width = self._layout
-        if width is None:
-            width = _terminal_columns() - 2
-        # the two attributes HelpFormatter.__init__ derives from the width
-        self._width = width
-        self._max_help_position = min(
-            max_help_position, max(width - 20, self._indent_increment * 2)
-        )
-        return super().format_help()
-
-
-class _Parser(argparse.ArgumentParser):
-    def __init__(self, **kwargs):
-        super().__init__(formatter_class=_Formatter, **kwargs)
-
-    # Usage problems exit 1; plain argparse would exit 2, which this tool
-    # reserves for verification rejects.
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-
-
-def _decimal(text: str) -> int:
-    """argparse type of every numeric flag: one canonical decimal."""
-    try:
-        return parse_decimal(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a canonical decimal: {_quote(text)}") from None
-
+# The command line, one table for argparse and the reader alike. A flag has
+# its option strings (none for a positional), its dest and default, and its
+# kind: VALUE takes the next string, DECIMAL one canonical decimal, SWITCH
+# stores True, and OPTIONAL takes the next string or, when none follows,
+# stands alone for its const. The rest is argparse's: required, help and
+# metavar.
+VALUE, DECIMAL, SWITCH, OPTIONAL = "value", "decimal", "switch", "optional"
+_Flag = namedtuple(
+    "_Flag",
+    "options dest default kind required help metavar const",
+    defaults=(None, VALUE, False, None, None, None),
+)
 
 # The flags both the top-level parser and each command's parser take. The
 # command's parser reads into the namespace the top-level one filled, and
 # argparse sets no default over an attribute already there, so a
 # command-level flag overrides the top-level value and an absent one keeps
-# it. --field is only parsed: the field is built by the command.
-_GLOBAL_FLAGS = {
-    "field": dict(
-        type=_decimal,
-        metavar="DECIMAL",
-        default=DEFAULT_MODULUS,
-        help="prime modulus (decimal); default 2^64 - 2^32 + 1",
-    ),
-    "seed": dict(
-        metavar="HEX",
-        default=None,
-        help="hex seed for all randomized steps (default: fresh entropy)",
-    ),
-}
+# it; the reader does the same. --field is only parsed: the field is built
+# by the command.
+_GLOBAL_FLAGS = (
+    _Flag(("--field",), "field", DEFAULT_MODULUS, DECIMAL, metavar="DECIMAL",
+          help="prime modulus (decimal); default 2^64 - 2^32 + 1"),
+    _Flag(("--seed",), "seed", metavar="HEX",
+          help="hex seed for all randomized steps (default: fresh entropy)"),
+)
 
 
-def _add_global_flags(parser) -> None:
-    for dest, options in _GLOBAL_FLAGS.items():
-        parser.add_argument(f"--{dest}", **options)
+def _add_flags(parser, flags) -> None:
+    from .usage import canonical_decimal
+
+    for flag in flags:
+        kwargs = {"default": flag.default, "help": flag.help}
+        if flag.kind == SWITCH:
+            kwargs["action"] = "store_true"
+        else:
+            kwargs["metavar"] = flag.metavar
+        if flag.kind == DECIMAL:
+            kwargs["type"] = canonical_decimal
+        elif flag.kind == OPTIONAL:
+            kwargs.update(nargs="?", const=flag.const)
+        if flag.options:
+            parser.add_argument(*flag.options, dest=flag.dest, required=flag.required, **kwargs)
+        else:
+            parser.add_argument(flag.dest, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
     """The top-level parser: the global flags, then the command name and
     every argument after it, which the command's own parser reads."""
+    import argparse
+
+    from .usage import Parser
+
     listing = "".join(f"\n  {name:<13}{summary}" for name, (_, summary, _) in _COMMANDS.items())
-    parser = _Parser(
+    parser = Parser(
         prog="snarkpipe",
         description="compile polynomial programs and run the proof pipeline",
         epilog="commands:" + listing,
     )
-    _add_global_flags(parser)
+    _add_flags(parser, _GLOBAL_FLAGS)
     # PARSER is the nargs argparse gives its own subcommand action: the first
     # string must be a command, and every later one, a "--" included, is kept
     # for the command's parser. (A one-string positional followed by a
@@ -177,15 +144,60 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _command_parser(name: str) -> argparse.ArgumentParser:
     """The parser of one command: the global flags and its own arguments."""
-    parser = _Parser(prog=f"snarkpipe {name}")
-    _add_global_flags(parser)
-    _, _, add_arguments = _COMMANDS[name]
-    if add_arguments is not None:
-        add_arguments(parser)
+    from .usage import Parser
+
+    parser = Parser(prog=f"snarkpipe {name}")
+    _add_flags(parser, _GLOBAL_FLAGS + _COMMANDS[name][2])
     return parser
 
 
-def parse_args(argv=None) -> argparse.Namespace:
+def _read_command_line(argv: list) -> SimpleNamespace | None:
+    """Read a plain command line from the flag table, without argparse;
+    None for any other line, which argparse then parses.
+
+    A plain line is --field and --seed pairs, the command, then the
+    command's full option strings each followed by one value that does not
+    start with "-", its switches and compile's one positional; a repeated
+    flag's last value wins, as in argparse. Help, "--", "--x=v", an
+    abbreviation, an unknown or "-"-prefixed string, a missing required
+    flag, a decimal that is not canonical and --emit-qap are argparse's.
+    Every such line takes argparse's route, so every help, usage and error
+    text is argparse's."""
+    start = 0
+    while start < len(argv) and argv[start] in _GLOBAL_OPTIONS:
+        start += 2
+    if start >= len(argv) or argv[start] not in _COMMANDS:
+        return None
+    command = argv[start]
+    options, positional, defaults, required = _READERS[command]
+    values = dict(defaults)
+    given = set()
+    tokens = iter(argv[:start] + argv[start + 1 :])
+    for token in tokens:
+        flag = options.get(token)
+        if flag is None:
+            flag, value = positional, token
+            if flag is None or token.startswith("-") or flag.dest in given:
+                return None
+        elif flag.kind == SWITCH:
+            value = True
+        else:
+            value = next(tokens, "-")  # a missing value is argparse's to name
+            if value.startswith("-"):
+                return None
+            if flag.kind == DECIMAL:
+                try:
+                    value = parse_decimal(value)
+                except ValueError:
+                    return None
+        values[flag.dest] = value
+        given.add(flag.dest)
+    if not required <= given:
+        return None
+    return SimpleNamespace(command=command, **values)
+
+
+def _argparse_parse(argv: list) -> SimpleNamespace:
     """Parse in two stages, building only the parser of the command run.
 
     When the command comes first, the top-level parser would read nothing:
@@ -193,20 +205,25 @@ def parse_args(argv=None) -> argparse.Namespace:
     "--" and "--field=97" included. So it is built only when something
     precedes the command, or to report arguments neither parser knows, as
     one list in command-line order."""
-    argv = sys.argv[1:] if argv is None else list(argv)
     extras = []
     if argv and argv[0] in _COMMANDS:
-        args = argparse.Namespace(
-            **{dest: options["default"] for dest, options in _GLOBAL_FLAGS.items()}
-        )
+        args = SimpleNamespace(**{flag.dest: flag.default for flag in _GLOBAL_FLAGS})
         args.command, *rest = argv
     else:
-        args, extras = build_parser().parse_known_args(argv)
+        args, extras = build_parser().parse_known_args(argv, SimpleNamespace())
         args.command, *rest = args.command
     args, more = _command_parser(args.command).parse_known_args(rest, args)
     if extras or more:
         build_parser().error(f"unrecognized arguments: {' '.join(extras + more)}")
     return args
+
+
+def parse_args(argv=None) -> SimpleNamespace:
+    """The namespace of a command line: read from the flag table when it is
+    plain, else parsed by argparse, which prints help and usage errors."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_command_line(argv)
+    return _argparse_parse(argv) if args is None else args
 
 
 def _write_json(files: dict) -> None:
@@ -252,6 +269,15 @@ def _write_files(payloads: dict) -> None:
     finally:
         for temp in staged:
             os.unlink(temp)
+
+
+def _distinct_outputs(first: tuple, second: tuple) -> None:
+    """Refuse two outputs of one command, each a (flag, path), that name one
+    file, before anything is written: one payload would silently replace
+    the other, or the second temporary would collide with the first."""
+    (flag, path), (other_flag, other) = first, second
+    if other and os.path.realpath(path) == os.path.realpath(other):
+        raise ValueError(f"{flag} {_quote(path)} and {other_flag} {_quote(other)} name one file")
 
 
 def _parse_json(text: str, path: str):
@@ -304,25 +330,11 @@ def _parse_input_map(data) -> dict:
     return out
 
 
-def _compile_arguments(parser) -> None:
-    parser.add_argument("source", help="path to a .zkp file or a bundled name")
-    parser.add_argument(
-        "-o", "--output", default="circuit.json", help="circuit file to write"
-    )
-    parser.add_argument(
-        "--emit-qap",
-        nargs="?",
-        const="qap.json",
-        default=None,
-        metavar="PATH",
-        help="also dump the interpolated polynomial families",
-    )
-
-
 def cmd_compile(args) -> int:
     from .frontend import ParseError
     from .qap import check_field
 
+    _distinct_outputs(("--output", args.output), ("--emit-qap", args.emit_qap))
     source = bundled.resolve_source(args.source, ".zkp")
     try:
         program = parse_program(source)
@@ -333,10 +345,9 @@ def cmd_compile(args) -> int:
     # Every check runs before the first output is opened, and both files
     # are written together, so a failed compile leaves no file behind.
     check_field(circuit)
-    payloads = {}
+    payloads = {args.output: circuit.to_json_bytes()}
     if args.emit_qap:
         payloads[args.emit_qap] = json_bytes(build_qap(circuit).to_json_dict())
-    payloads[args.output] = circuit.to_json_bytes()  # wins if both name one path
     _write_files(payloads)
     print(f"N={circuit.n_gates} symbols={len(circuit.symbol_wires())}")
     print(f"wrote {args.output}")
@@ -345,18 +356,10 @@ def cmd_compile(args) -> int:
     return EXIT_OK
 
 
-def _setup_arguments(parser) -> None:
-    parser.add_argument("--circuit", default="circuit.json")
-    parser.add_argument(
-        "--public",
-        default="one",
-        help="comma-separated public symbol names (default: one)",
-    )
-    parser.add_argument("--evaluation-key", default="evaluation_key.json")
-    parser.add_argument("--verification-key", default="verification_key.json")
-
-
 def cmd_setup(args) -> int:
+    _distinct_outputs(
+        ("--evaluation-key", args.evaluation_key), ("--verification-key", args.verification_key)
+    )
     circuit = _load_circuit(args.circuit)
     qap = build_qap(circuit)
     group = TransparentGroup(circuit.ctx)
@@ -369,15 +372,6 @@ def cmd_setup(args) -> int:
     print(f"wrote {args.evaluation_key}")
     print(f"wrote {args.verification_key}")
     return EXIT_OK
-
-
-def _prove_arguments(parser) -> None:
-    parser.add_argument("--circuit", default="circuit.json")
-    parser.add_argument("--evaluation-key", default="evaluation_key.json")
-    parser.add_argument(
-        "--inputs", required=True, help="JSON file mapping input names to decimals"
-    )
-    parser.add_argument("-o", "--output", default="witness_key.json")
 
 
 def cmd_prove(args) -> int:
@@ -397,16 +391,6 @@ def cmd_prove(args) -> int:
     return EXIT_OK
 
 
-def _verify_arguments(parser) -> None:
-    parser.add_argument("--verification-key", default="verification_key.json")
-    parser.add_argument("--witness-key", default="witness_key.json")
-    parser.add_argument(
-        "--public-inputs",
-        default=None,
-        help="JSON file mapping public symbol names to decimals",
-    )
-
-
 def cmd_verify(args) -> int:
     vk = pinocchio.load_verification_key(_read_json(args.verification_key))
     wk = pinocchio.load_witness_key(_read_json(args.witness_key))
@@ -420,30 +404,6 @@ def cmd_verify(args) -> int:
         return EXIT_OK
     print("reject")
     return EXIT_REJECT
-
-
-def _interactive_arguments(parser) -> None:
-    parser.add_argument(
-        "--problem", required=True, help="problem JSON file or bundled name"
-    )
-    parser.add_argument("--rounds", type=_decimal, default=10)
-    parser.add_argument(
-        "--cheat",
-        action="store_true",
-        help="run a prover that has no solution and guesses each challenge",
-    )
-    parser.add_argument(
-        "--repeat",
-        type=_decimal,
-        default=1,
-        help="run this many sessions and report the acceptance rate",
-    )
-    parser.add_argument(
-        "--transcript",
-        default=None,
-        metavar="PATH",
-        help="write the session transcript (single sessions only)",
-    )
 
 
 def cmd_interactive(args) -> int:
@@ -504,7 +464,7 @@ def cmd_selftest(args) -> int:
     from .polynomial import Polynomial
     from .rng import Sha256Rng, derive_seed, parse_seed
 
-    seed = parse_seed(args.seed) if args.seed else b"selftest"
+    seed = b"selftest" if args.seed is None else parse_seed(args.seed)
     ctx = _context(args)
     failures = []
 
@@ -600,15 +560,60 @@ def cmd_selftest(args) -> int:
     return EXIT_OK
 
 
-# Each command: its handler, its one-line help and the function that adds
-# its own arguments. A run builds the parser of its command only.
+# Each command: its handler, its one-line help and its own flags.
 _COMMANDS = {
-    "compile": (cmd_compile, "compile a .zkp source file into a circuit", _compile_arguments),
-    "setup": (cmd_setup, "run the trusted setup for a circuit", _setup_arguments),
-    "prove": (cmd_prove, "produce a witness key from inputs", _prove_arguments),
-    "verify": (cmd_verify, "check a witness key", _verify_arguments),
-    "interactive": (cmd_interactive, "run the commit-and-reveal protocol", _interactive_arguments),
-    "selftest": (cmd_selftest, "run the bundled pipeline and quick checks", None),
+    "compile": (cmd_compile, "compile a .zkp source file into a circuit", (
+        _Flag((), "source", required=True, help="path to a .zkp file or a bundled name"),
+        _Flag(("-o", "--output"), "output", "circuit.json", help="circuit file to write"),
+        _Flag(("--emit-qap",), "emit_qap", None, OPTIONAL, const="qap.json", metavar="PATH",
+              help="also dump the interpolated polynomial families"),
+    )),
+    "setup": (cmd_setup, "run the trusted setup for a circuit", (
+        _Flag(("--circuit",), "circuit", "circuit.json"),
+        _Flag(("--public",), "public", "one",
+              help="comma-separated public symbol names (default: one)"),
+        _Flag(("--evaluation-key",), "evaluation_key", "evaluation_key.json"),
+        _Flag(("--verification-key",), "verification_key", "verification_key.json"),
+    )),
+    "prove": (cmd_prove, "produce a witness key from inputs", (
+        _Flag(("--circuit",), "circuit", "circuit.json"),
+        _Flag(("--evaluation-key",), "evaluation_key", "evaluation_key.json"),
+        _Flag(("--inputs",), "inputs", required=True,
+              help="JSON file mapping input names to decimals"),
+        _Flag(("-o", "--output"), "output", "witness_key.json"),
+    )),
+    "verify": (cmd_verify, "check a witness key", (
+        _Flag(("--verification-key",), "verification_key", "verification_key.json"),
+        _Flag(("--witness-key",), "witness_key", "witness_key.json"),
+        _Flag(("--public-inputs",), "public_inputs",
+              help="JSON file mapping public symbol names to decimals"),
+    )),
+    "interactive": (cmd_interactive, "run the commit-and-reveal protocol", (
+        _Flag(("--problem",), "problem", required=True, help="problem JSON file or bundled name"),
+        _Flag(("--rounds",), "rounds", 10, DECIMAL),
+        _Flag(("--cheat",), "cheat", False, SWITCH,
+              help="run a prover that has no solution and guesses each challenge"),
+        _Flag(("--repeat",), "repeat", 1, DECIMAL,
+              help="run this many sessions and report the acceptance rate"),
+        _Flag(("--transcript",), "transcript", metavar="PATH",
+              help="write the session transcript (single sessions only)"),
+    )),
+    "selftest": (cmd_selftest, "run the bundled pipeline and quick checks", ()),
+}
+
+# What the reader looks up, per command: each option string it takes, the
+# global ones included, and its flag; the positional, if any; every dest's
+# default; and the dests that must be given. --emit-qap, whose value is
+# optional, is left to argparse.
+_GLOBAL_OPTIONS = {option for flag in _GLOBAL_FLAGS for option in flag.options}
+_READERS = {
+    name: (
+        {o: f for f in _GLOBAL_FLAGS + flags if f.kind != OPTIONAL for o in f.options},
+        next((f for f in flags if not f.options), None),
+        {f.dest: f.default for f in _GLOBAL_FLAGS + flags},
+        {f.dest for f in flags if f.required},
+    )
+    for name, (_, _, flags) in _COMMANDS.items()
 }
 
 

@@ -177,7 +177,6 @@ def read_header(data, kind: str) -> FieldContext:
     field = data.get("field")
     if not isinstance(field, dict):
         raise ValueError(f"{kind} 'field' must be a JSON object, not {type(field).__name__}")
-    for entry in field:
-        if entry != "p":
-            raise ValueError(f"field entry {entry!r} is not allowed; the field holds only 'p'")
+    if not field.keys() <= {"p"}:
+        raise stray_key(f"{kind} field", field, {"p"})
     return FieldContext(parse_decimal(field.get("p"), what="field entry 'p'"))

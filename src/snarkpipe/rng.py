@@ -22,11 +22,16 @@ __all__ = ["Sha256Rng", "derive_seed", "parse_seed"]
 
 
 def parse_seed(text: str) -> bytes:
-    """Hex string to seed bytes; raises ValueError on bad hex."""
+    """Hex string to seed bytes; raises ValueError on bad hex, and on a seed
+    of no bytes ("" or spaces, as an unset variable gives), which would
+    seed every run with the one stream anyone can derive."""
     try:
-        return bytes.fromhex(text)
+        seed = bytes.fromhex(text)
     except ValueError:
         raise ValueError(f"seed must be hexadecimal, got {text!r}") from None
+    if not seed:
+        raise ValueError(f"seed must hold at least one byte, got {text!r}")
+    return seed
 
 
 def derive_seed(seed: bytes, label: str) -> bytes:

@@ -1,18 +1,28 @@
 import argparse
+import contextlib
 import hashlib
+import importlib.util
+import io
 import json
 import os
 import re
+import shlex
+import subprocess
+import sys
+from collections import defaultdict
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from snarkpipe import cli, interactive
+from snarkpipe import bundled, cli, field, frontend, interactive, usage
 from snarkpipe.bundled import load_bundled_text
 from snarkpipe.circuit import Circuit, solve
 from snarkpipe.cli import _parse_input_map, main, parse_args
 from snarkpipe.field import MAX_GATES
 from snarkpipe.interactive import MAX_ROUND_ENTRIES, MAX_VERTICES
 from snarkpipe.pinocchio import EvaluationKey
+from snarkpipe.rng import parse_seed
 
 GOOD_INPUTS = {"c1": "3", "c2": "1", "c3": "2", "c4": "1", "c5": "2"}
 BAD_INPUTS = {"c1": "1", "c2": "1", "c3": "2", "c4": "1", "c5": "2"}
@@ -186,10 +196,36 @@ def test_compile_unusable_output_path_keeps_existing_qap(workdir, capsys):
     assert sorted(os.listdir(workdir)) == ["adir", "q.json"]
 
 
-def test_compile_to_one_path_twice_keeps_the_circuit(workdir):
-    assert main(["compile", "cubic", "-o", "c.json", "--emit-qap", "c.json"]) == 0
-    assert json.loads((workdir / "c.json").read_text())["format"] == "snarkpipe-circuit/3"
-    assert os.listdir(workdir) == ["c.json"]
+# Two outputs of one command that name one file, spelled alike or not: the
+# refusal names both flags, and nothing is written.
+ONE_FILE_TWICE = {
+    "compile": (["compile", "cubic", "-o", "{a}", "--emit-qap", "{b}"], "--output", "--emit-qap"),
+    "setup": (["--seed", "01", "setup", "--evaluation-key", "{a}", "--verification-key", "{b}"],
+              "--evaluation-key", "--verification-key"),
+}
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+@pytest.mark.parametrize("second", ["x.json", "./x.json", "{dir}/sub/../x.json"],
+                         ids=["alike", "dot_slash", "through_sub"])
+@pytest.mark.parametrize("command", sorted(ONE_FILE_TWICE))
+def test_two_outputs_naming_one_file_are_refused(workdir, capsys, command, second, existing):
+    if command == "setup":
+        assert main(["compile", "cubic"]) == 0
+    (workdir / "sub").mkdir()
+    old = b"an earlier file\n"
+    if existing:
+        (workdir / "x.json").write_bytes(old)
+    before = {name: (workdir / name).read_bytes() for name in os.listdir(workdir)
+              if (workdir / name).is_file()}
+    template, flag, other_flag = ONE_FILE_TWICE[command]
+    argv = [arg.format(a="x.json", b=second.format(dir=workdir)) for arg in template]
+    code = main(argv)
+    assert_usage_error(code, capsys, f"error: {flag} 'x.json' and {other_flag} ")
+    after = {name: (workdir / name).read_bytes() for name in os.listdir(workdir)
+             if (workdir / name).is_file()}
+    assert after == before
+    assert os.listdir(workdir / "sub") == []
 
 
 @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
@@ -693,6 +729,39 @@ def test_bad_seed_is_usage_error(workdir, capsys):
     assert main(["--seed", "zz", "setup", "--circuit", "nope.json"]) == 1
 
 
+# An unset variable in `--seed "$SEED"` gives "", which decodes to no bytes:
+# every randomized step would draw the one stream anyone can derive.
+@pytest.mark.parametrize("seed", ["", " "], ids=["empty", "space"])
+@pytest.mark.parametrize("argv", [
+    ["setup"],
+    ["interactive", "--problem", "triangle"],
+    ["selftest"],
+], ids=["setup", "interactive", "selftest"])
+def test_seed_of_no_bytes_is_refused_by_name(workdir, capsys, argv, seed):
+    if argv[0] == "setup":
+        assert main(["compile", "cubic"]) == 0
+    before = sorted(os.listdir(workdir))
+    code = main(["--seed", seed, *argv])
+    assert_usage_error(code, capsys, f"error: seed must hold at least one byte, got {seed!r}")
+    assert sorted(os.listdir(workdir)) == before
+
+
+def test_documented_seeds_parse():
+    """Every --seed the README's and the CI workflow's snarkpipe command
+    lines pass names some bytes (perfbench's --seed is an integer)."""
+    root = Path(__file__).resolve().parents[1]
+    lines = [
+        line
+        for path in ("README.md", ".github/workflows/tests.yml")
+        for line in (root / path).read_text().splitlines()
+        if "snarkpipe " in line and "perfbench" not in line
+    ]
+    seeds = {seed for line in lines for seed in re.findall(r"--seed[ =]([0-9A-Za-z]+)", line)}
+    assert {"0102", "0a", "0b", "ff", "01"} <= seeds
+    for seed in seeds:
+        assert len(parse_seed(seed)) >= 1, seed
+
+
 def test_public_symbol_pipeline(workdir, capsys):
     source = workdir / "pub.zkp"
     source.write_text("inputs x, y; out := x*y - 6; assert out == 0;\n")
@@ -713,9 +782,6 @@ def test_selftest(workdir, capsys):
 
 
 def test_console_entrypoint_runs():
-    import subprocess
-    import sys
-
     proc = subprocess.run(
         [sys.executable, "-m", "snarkpipe.cli", "--help"],
         capture_output=True, text=True,
@@ -973,6 +1039,11 @@ NON_CANONICAL_HEADER = {
 }
 
 
+def field_header_refusal(kind, entry):
+    """What a loader names: p in a non-canonical encoding, or the stray entry."""
+    return "field entry 'p'" if entry == "p" else f"{kind} field takes no key {entry!r}"
+
+
 def edit_field_header(header, entry, encoding):
     """p in a non-canonical encoding, or an entry beside p (the field header
     holds only p, so any other entry is refused whatever its encoding)."""
@@ -988,7 +1059,9 @@ def test_verify_refuses_non_canonical_key_header(
 ):
     vk = edit_field_header(artifacts["vk"][1], entry, encoding)
     code = verify_with(artifacts, tmp_path, vk=vk)
-    assert_usage_error(code, capsys, "malformed key", f"field entry {entry!r}")
+    assert_usage_error(
+        code, capsys, "malformed key", field_header_refusal("verification-key", entry)
+    )
 
 
 @pytest.mark.parametrize("encoding", sorted(NON_CANONICAL_HEADER))
@@ -1002,7 +1075,7 @@ def test_setup_refuses_non_canonical_circuit_header(
         "--evaluation-key", str(tmp_path / "ek.json"),
         "--verification-key", str(tmp_path / "vk.json"),
     ])
-    assert_usage_error(code, capsys, f"field entry {entry!r}")
+    assert_usage_error(code, capsys, field_header_refusal("circuit", entry))
 
 
 # A file of an earlier format version, and the command that reads it.
@@ -1223,20 +1296,24 @@ def test_each_run_builds_only_the_parsers_it_reads(monkeypatch):
     assert sorted(MINIMAL_ARGV) == sorted(cli._COMMANDS)
     built = []
 
-    class CountingParser(cli._Parser):
+    class CountingParser(usage.Parser):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             built.append(self)
 
-    monkeypatch.setattr(cli, "_Parser", CountingParser)
+    monkeypatch.setattr(usage, "Parser", CountingParser)
     for name, argv in MINIMAL_ARGV.items():
-        _, summary, add_arguments = cli._COMMANDS[name]
-        monkeypatch.setitem(cli._COMMANDS, name, (lambda args: 0, summary, add_arguments))
-        # with the command first the top-level parser would read nothing;
-        # with a global flag first it reads that flag
+        _, summary, flags = cli._COMMANDS[name]
+        monkeypatch.setitem(cli._COMMANDS, name, (lambda args: 0, summary, flags))
+        # The reader takes a plain line, global flags before the command
+        # included, and builds no parser. An "=" form is argparse's: with
+        # the command first the top-level parser would read nothing; with a
+        # global flag first it reads that flag.
         for line, progs in [
-            (argv, [f"snarkpipe {name}"]),
-            (["--seed", "01", *argv], ["snarkpipe", f"snarkpipe {name}"]),
+            (argv, []),
+            (["--seed", "01", *argv], []),
+            ([*argv, "--seed=01"], [f"snarkpipe {name}"]),
+            (["--seed=01", *argv], ["snarkpipe", f"snarkpipe {name}"]),
         ]:
             for _ in range(2):  # nothing built is kept for the next run
                 built.clear()
@@ -1295,6 +1372,174 @@ def test_command_first_parse_matches_the_two_stage_parse(capsys, monkeypatch, ar
     assert parse_outcome(parse_args, argv, capsys) == parse_outcome(
         two_stage_parse, argv, capsys
     )
+
+
+# --- the reader against argparse ---------------------------------------------
+
+# Every option string of the table, and strings argparse reads but the reader
+# leaves to it: help, "--", abbreviations, "=" forms, attached values and
+# unknown options.
+TABLE_OPTIONS = sorted(
+    {option for flag in cli._GLOBAL_FLAGS for option in flag.options}
+    | {option for _, _, flags in cli._COMMANDS.values() for f in flags for option in f.options}
+)
+ARGPARSE_OPTIONS = [
+    "-h", "--help", "--", "--fi", "--se", "--out", "--emit", "--verif", "--wit", "--pub",
+    "--ch", "--rep", "--rou", "--tr", "--prob", "--inp", "--circ", "--eval",
+    "--seed=0a", "--field=97", "--rounds=3", "-oc.json", "--emit-qap=q.json", "--bogus", "-x",
+]
+# Values: plain ones, decimals canonical or not, "-"-prefixed and negative
+# ones, empty strings and command names.
+VALUES = [
+    "01", "97", "3", "c.json", "cubic", "0a", "0101", "+101", "1_01", " 1", "", " ",
+    "-1", "-x.zkp", "-", *cli._COMMANDS,
+]
+
+
+# What each command needs besides its defaults.
+REQUIRED = {"compile": ["cubic"], "prove": ["--inputs", "in.json"],
+            "interactive": ["--problem", "triangle"]}
+
+
+def edited(argv, edits):
+    """argv with each (kind, position, string) edit applied in turn."""
+    argv = list(argv)
+    for kind, at, string in edits:
+        at %= len(argv) + 1
+        if kind == "insert":
+            argv.insert(at, string)
+        elif at < len(argv):
+            if kind == "replace":
+                argv[at] = string
+            else:
+                del argv[at]
+    return argv
+
+
+def command_lines(st):
+    """(plain, argv): a plain line, which the reader must read, or one with
+    one to three strings inserted, replaced or deleted, which it may leave
+    to argparse. A plain line has global flag pairs, the command, what it
+    requires, then its own options and the global ones, each with a value
+    of its kind, and its switches."""
+
+    def plain(name):
+        _, _, flags = cli._COMMANDS[name]
+        decimal = st.sampled_from(["1", "3", "97", "101"])
+        text = st.sampled_from(["01", "97", "c.json", "triangle", "cubic", "", " "])
+
+        def given(flag):
+            if flag.kind == cli.SWITCH:
+                return st.just(flag.options[-1:])
+            return st.tuples(st.sampled_from(flag.options),
+                             decimal if flag.kind == cli.DECIMAL else text)
+
+        before = st.one_of([given(flag) for flag in cli._GLOBAL_FLAGS])
+        after = st.one_of([given(f) for f in cli._GLOBAL_FLAGS + flags
+                           if f.options and f.kind != cli.OPTIONAL])
+        return st.builds(
+            lambda pairs, rest: [s for pair in pairs for s in pair] + [name]
+            + REQUIRED.get(name, []) + [s for item in rest for s in item],
+            st.lists(before, max_size=2), st.lists(after, max_size=4),
+        )
+
+    noise = st.one_of([st.sampled_from(TABLE_OPTIONS), st.sampled_from(ARGPARSE_OPTIONS),
+                       st.sampled_from(VALUES)])
+    edit = st.tuples(st.sampled_from(["insert", "replace", "delete"]), st.integers(0, 15), noise)
+    lines = [plain(name) for name in sorted(cli._COMMANDS)]
+    return st.one_of(
+        [line.map(lambda argv: (True, argv)) for line in lines]
+        + [st.builds(lambda argv, edits: (False, edited(argv, edits)),
+                     line, st.lists(edit, min_size=1, max_size=3)) for line in lines]
+    )
+
+
+def quiet_two_stage_parse(argv):
+    """vars() of the two-stage argparse parse, or its exit code; its help and
+    usage texts go nowhere."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(two_stage_parse(argv))
+        except SystemExit as exc:
+            return exc.code
+
+
+def test_reader_returns_nothing_or_the_argparse_namespace():
+    hypothesis = pytest.importorskip("hypothesis")
+    from hypothesis import strategies as st
+
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=1000, database=None)
+    @hypothesis.given(line=command_lines(st))
+    # a bare --emit-qap before compile's one positional, and "-"-prefixed values
+    @hypothesis.example(line=(False, ["compile", "--emit-qap", "cubic"]))
+    @hypothesis.example(line=(False, ["--seed", "-x", "verify"]))
+    @hypothesis.example(line=(False, ["verify", "--witness-key", "-o"]))
+    def check(line):
+        plain, argv = line
+        args = cli._read_command_line(list(argv))
+        assert args is not None or not plain
+        if args is not None:
+            assert vars(args) == quiet_two_stage_parse(argv)
+
+    check()
+
+
+def readme_command_lines():
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    return [
+        shlex.split(line.split(" #")[0])[1:] for line in lines if line.startswith("snarkpipe ")
+    ]
+
+
+def test_readme_command_lines_are_read_by_the_reader():
+    argvs = readme_command_lines()
+    assert len(argvs) >= 9
+    for argv in argvs:
+        if "--emit-qap" in argv:  # an optional value is argparse's to read
+            assert cli._read_command_line(argv) is None
+            continue
+        assert vars(cli._read_command_line(argv)) == quiet_two_stage_parse(argv), argv
+
+
+def test_benchmark_command_lines_are_read_by_the_reader(tmp_path, monkeypatch):
+    """One pass of perfbench's coloring5 workload, each command line taken
+    as perfbench passes it, the cold verify's included."""
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.setattr(sys, "path", list(sys.path))  # run.py puts perfbench first
+    spec = importlib.util.spec_from_file_location("perfbench_run", perfbench / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(run)
+    finally:  # the names run.py imports its neighbours under
+        for name in ("workloads", "tracer"):
+            sys.modules.pop(name, None)
+    monkeypatch.setattr(run, "OUT", tmp_path)
+
+    lines = []
+
+    def recording_main(argv):
+        lines.append(list(argv))
+        return main(argv)
+
+    def recording_run(argv, **kwargs):
+        lines.append(argv[3:])  # python -m snarkpipe.cli ...
+        return real_run(argv, **kwargs)
+
+    real_run = subprocess.run
+    monkeypatch.setattr(run.subprocess, "run", recording_run)
+    package = SimpleNamespace(cli=SimpleNamespace(main=recording_main), bundled=bundled,
+                              field=field, frontend=frontend)
+    bench = run.Bench(run.wl.WORKLOADS["coloring5"], 1, package)
+    try:
+        bench.run_pass(0, defaultdict(list))
+    finally:
+        bench.close()
+    assert bench.failures == []
+    commands = {next(arg for arg in argv if arg in cli._COMMANDS) for argv in lines}
+    assert commands == {"compile", "setup", "prove", "verify", "interactive"}
+    for argv in lines:
+        args = cli._read_command_line(argv)
+        assert args is not None and vars(args) == quiet_two_stage_parse(argv), argv
 
 
 USAGE_ERRORS = {
@@ -1426,6 +1671,18 @@ def test_command_help_shows_only_its_own_arguments(capsys, monkeypatch):
     assert out.replace("optional arguments:", "options:") == VERIFY_HELP
 
 
+def test_cold_command_help_is_argparse_text(tmp_path):
+    # A fresh interpreter loads argparse only on this route; the text is the
+    # same as in process.
+    proc = subprocess.run(
+        [sys.executable, "-S", "-m", "snarkpipe.cli", "verify", "--help"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, COLUMNS="80", PYTHONPATH=str(Path(cli.__file__).parents[1])),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.replace("optional arguments:", "options:") == VERIFY_HELP
+
+
 def every_parser():
     return [cli.build_parser(), *(cli._command_parser(name) for name in cli._COMMANDS)]
 
@@ -1439,17 +1696,20 @@ def test_help_is_laid_out_as_argparse_lays_it_out(monkeypatch, columns):
     else:
         monkeypatch.setenv("COLUMNS", columns)
     texts = [(parser.format_help(), parser.format_usage()) for parser in every_parser()]
-    monkeypatch.setattr(cli, "_Formatter", argparse.RawDescriptionHelpFormatter)
+    monkeypatch.setattr(usage, "Formatter", argparse.RawDescriptionHelpFormatter)
     assert texts == [(parser.format_help(), parser.format_usage()) for parser in every_parser()]
 
 
 def test_terminal_width_is_looked_up_only_to_lay_out_text(monkeypatch, capsys):
     calls = []
-    columns = cli._terminal_columns
-    monkeypatch.setattr(cli, "_terminal_columns", lambda: calls.append(1) or columns())
+    columns = usage._terminal_columns
+    monkeypatch.setattr(usage, "_terminal_columns", lambda: calls.append(1) or columns())
     for argv in MINIMAL_ARGV.values():
+        # the reader's lines, then argparse's ("=" forms) on both routes
         parse_args(argv)
         parse_args(["--seed", "01", *argv])
+        parse_args([*argv, "--seed=01"])
+        parse_args(["--seed=01", *argv])
     assert calls == []
     for argv in [["verify", "--help"], ["--help"], ["prove"], ["verify", "--bogus"]]:
         calls.clear()

@@ -17,6 +17,10 @@ from snarkpipe.cli import main
 
 SRC = str(Path(snarkpipe.__file__).resolve().parents[1])
 
+# A plain command line is read from the CLI's flag table: argparse, with its
+# gettext and locale lookups, is loaded only for help and usage errors.
+NO_PARSER = ("argparse", "gettext", "locale", "snarkpipe.usage")
+
 # Modules a verify has no use for; each cost a measurable share of a cold start.
 NOT_ON_VERIFY_PATH = (
     "snarkpipe.frontend",
@@ -35,6 +39,7 @@ NOT_ON_VERIFY_PATH = (
     "bz2",
     "lzma",
     "fnmatch",
+    *NO_PARSER,
 )
 
 
@@ -94,8 +99,9 @@ def cold_modules(argv, cwd) -> list:
     return modules
 
 
-# Loaded only for dataclass records, which no pipeline command has.
-NOT_ON_ANY_PIPELINE_PATH = ("dataclasses", "inspect")
+# Loaded only for dataclass records, which no pipeline command has, or to
+# parse a command line that is not plain.
+NOT_ON_ANY_PIPELINE_PATH = ("dataclasses", "inspect", *NO_PARSER)
 # Drawn on only by setup's trapdoor and the interactive baseline.
 NOT_ON_COMPILE_OR_PROVE_PATH = ("fractions", "snarkpipe.rng", "hashlib")
 
@@ -120,7 +126,8 @@ NOT_ON_BUNDLED_PATH = ("importlib.resources", "inspect", "zipfile", "tempfile")
 ], ids=["compile-coloring5", "interactive-triangle"])
 def test_cold_bundled_name_loads_no_resource_machinery(argv, tmp_path):
     modules = cold_modules(argv, tmp_path)
-    assert [name for name in NOT_ON_BUNDLED_PATH if name in modules] == []
+    unwanted = NOT_ON_BUNDLED_PATH + NO_PARSER
+    assert [name for name in unwanted if name in modules] == []
     assert "snarkpipe.bundled" in modules
 
 
@@ -143,6 +150,17 @@ def test_cold_prove_loads_no_dataclasses_or_rng(keys, tmp_path):
     unwanted = NOT_ON_ANY_PIPELINE_PATH + NOT_ON_COMPILE_OR_PROVE_PATH
     assert [name for name in unwanted if name in modules] == []
     assert Path(tmp_path, "wk.json").read_bytes() == Path(keys["wk"]).read_bytes()
+
+
+def test_cold_argparse_route_still_parses(keys, tmp_path):
+    # The "=" form is argparse's: it loads argparse and writes the same key.
+    modules = cold_modules(
+        ["setup", "--seed=0102", "--circuit", keys["circuit"],
+         "--evaluation-key", "ek.json", "--verification-key", "vk.json"],
+        tmp_path,
+    )
+    assert {"argparse", "snarkpipe.usage"} <= set(modules)
+    assert Path(tmp_path, "ek.json").read_bytes() == Path(keys["ek"]).read_bytes()
 
 
 def test_bare_package_import_loads_no_submodule(tmp_path):

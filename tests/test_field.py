@@ -114,7 +114,7 @@ def test_context_json_round_trip(ctx, ctx101):
         ({"format": "snarkpipe-circuit/3", "field": {}}, "field entry 'p'"),
         ({"format": "snarkpipe-circuit/3", "field": {"p": "0101"}}, "canonical decimal"),
         ({"format": "snarkpipe-circuit/3", "field": {"p": "15"}}, "not prime"),
-        ({"format": "snarkpipe-circuit/3", "field": {"p": "101", "g": "2"}}, "field entry 'g'"),
+        ({"format": "snarkpipe-circuit/3", "field": {"p": "101", "g": "2"}}, "circuit field takes no key 'g'"),
     ],
 )
 def test_read_header_refuses_by_name(header, needle):

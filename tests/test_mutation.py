@@ -5,7 +5,8 @@ files (the bundled cubic circuit, both keys, a witness key, an inputs file
 and the bundled problems), each example replaces one node with another JSON
 value, deletes it, or re-encodes it under another JSON type, and runs the
 command that reads the file. The run must end in exit 0, 1 or 2 and print
-no traceback.
+no traceback. An example that inserts a key into one JSON object must end
+in exit 1, refused by name: each loader takes exactly its writer's keys.
 """
 
 import contextlib
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 
 from snarkpipe.bundled import load_bundled_text
 from snarkpipe.cli import main
+from snarkpipe.field import _quote
 
 VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
@@ -101,7 +103,16 @@ def retyped(node) -> list:
     return out
 
 
-def mutate(doc, path, kind: str, value, choice: int):
+def mutate(doc, path, kind: str, value, choice):
+    """doc with the node at path replaced by value, deleted, retyped (the
+    choice-th other form), or, for an object, given value under the new key
+    choice."""
+    if kind == "insert":
+        doc = copy.deepcopy(doc)
+        node = reduce(lambda node, key: node[key], path, doc)
+        assert choice not in node
+        node[choice] = value
+        return doc
     if not path:
         return value if kind != "retype" else retyped(doc)[choice % 3]
     doc = copy.deepcopy(doc)
@@ -138,3 +149,36 @@ def test_mutated_artifact_ends_in_an_exit_code(artifacts, name, data):
     code, err = run_quietly(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+
+
+# Objects whose keys are data, not a writer's: the circuit's map of source
+# names to wires, where a new name may be legal, and an inputs file, where
+# it is refused by its name, as an unexpected input or for its value.
+DATA_KEYED = {"circuit": {("names",)}, "inputs": {()}}
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(data=st.data())
+def test_inserted_key_is_refused_by_name(artifacts, name, data):
+    valid_dir, out_dir, docs = artifacts
+    doc, paths = docs[name]
+    objects = [path for path in paths if isinstance(reduce(lambda n, k: n[k], path, doc), dict)]
+    path = data.draw(st.sampled_from(objects), label="path")
+    node = reduce(lambda n, k: n[k], path, doc)
+    key = data.draw(st.text(max_size=4).filter(lambda key: key not in node), label="key")
+    mutated = mutate(doc, path, "insert", data.draw(VALUES, label="value"), key)
+    out = out_dir / f"inserted_{name}.json"
+    out.write_text(json.dumps(mutated))
+    argv = ["--seed", "5eed"] + [
+        arg.format(m=out, d=valid_dir, o=out_dir) for arg in COMMANDS[name]
+    ]
+    code, err = run_quietly(argv)
+    assert "Traceback" not in err
+    if name == "inputs":
+        assert code == 1 and _quote(key) in err, err
+    elif path in DATA_KEYED.get(name, ()):
+        assert code in (0, 1, 2)
+    else:
+        assert code == 1, err
+        assert f"takes no key {_quote(key)}" in err, err

@@ -51,6 +51,9 @@ def test_parse_seed():
     assert parse_seed("00ff") == b"\x00\xff"
     with pytest.raises(ValueError):
         parse_seed("zz")
+    for text in ("", " ", "  \t"):  # hex of no bytes
+        with pytest.raises(ValueError, match="seed must hold at least one byte"):
+            parse_seed(text)
 
 
 def test_derive_seed_is_stable_and_labelled():
