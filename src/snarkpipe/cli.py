@@ -198,23 +198,16 @@ def _read_command_line(argv: list) -> SimpleNamespace | None:
 
 
 def _argparse_parse(argv: list) -> SimpleNamespace:
-    """Parse in two stages, building only the parser of the command run.
-
-    When the command comes first, the top-level parser would read nothing:
-    its command positional takes that string and every later one, "-h",
-    "--" and "--field=97" included. So it is built only when something
-    precedes the command, or to report arguments neither parser knows, as
-    one list in command-line order."""
-    extras = []
-    if argv and argv[0] in _COMMANDS:
-        args = SimpleNamespace(**{flag.dest: flag.default for flag in _GLOBAL_FLAGS})
-        args.command, *rest = argv
-    else:
-        args, extras = build_parser().parse_known_args(argv, SimpleNamespace())
-        args.command, *rest = args.command
+    """Parse in two stages: the top-level parser reads the global flags and
+    the command name, then only the named command's parser is built, and it
+    reads the rest. Arguments neither parser knows are reported by the
+    top-level parser, as one list in command-line order."""
+    parser = build_parser()
+    args, extras = parser.parse_known_args(argv, SimpleNamespace())
+    args.command, *rest = args.command
     args, more = _command_parser(args.command).parse_known_args(rest, args)
     if extras or more:
-        build_parser().error(f"unrecognized arguments: {' '.join(extras + more)}")
+        parser.error(f"unrecognized arguments: {' '.join(extras + more)}")
     return args
 
 
@@ -295,14 +288,29 @@ def _context(args) -> FieldContext:
     return FieldContext(args.field)
 
 
-def _seed_bytes(args) -> bytes:
+def _given_seed(args) -> bytes | None:
+    """--seed's bytes or None; parsed before any file is read, so it is refused first."""
     from .rng import parse_seed
 
-    if args.seed is not None:
-        return parse_seed(args.seed)
+    return None if args.seed is None else parse_seed(args.seed)
+
+
+def _fresh_seed() -> bytes:
     seed = os.urandom(16)
-    print(f"seed: {seed.hex()}")
+    print(f"seed: {seed.hex()}")  # so that the run can be replayed
     return seed
+
+
+def _public_names(text: str) -> tuple:
+    """--public's names; an empty or repeated one is refused, never dropped."""
+    names = {}
+    for name in text.split(","):
+        if not name:
+            raise ValueError(f"--public {_quote(text)} holds an empty name")
+        if name in names:
+            raise ValueError(f"--public names {_quote(name)} twice")
+        names[name] = None
+    return tuple(names)
 
 
 def _load_circuit(path: str) -> Circuit:
@@ -357,14 +365,15 @@ def cmd_compile(args) -> int:
 
 
 def cmd_setup(args) -> int:
+    seed = _given_seed(args)
+    public = _public_names(args.public)
     _distinct_outputs(
         ("--evaluation-key", args.evaluation_key), ("--verification-key", args.verification_key)
     )
     circuit = _load_circuit(args.circuit)
     qap = build_qap(circuit)
     group = TransparentGroup(circuit.ctx)
-    public = tuple(name for name in args.public.split(",") if name)
-    ek, vk = pinocchio.setup(qap, group, _seed_bytes(args), public)
+    ek, vk = pinocchio.setup(qap, group, seed or _fresh_seed(), public)
     ek_data = pinocchio.evaluation_key_to_dict(ek)
     vk_data = pinocchio.verification_key_to_dict(vk)
     # One batch, so a key that cannot be written leaves the other unwritten.
@@ -410,6 +419,7 @@ def cmd_interactive(args) -> int:
     from . import interactive
     from .rng import derive_seed
 
+    seed = _given_seed(args)
     if args.rounds < 1:
         raise ValueError("--rounds must be at least 1")
     if args.repeat < 1:
@@ -422,7 +432,7 @@ def cmd_interactive(args) -> int:
     problem, solution = interactive.load_problem(_parse_json(raw, args.problem))
     if not args.cheat and solution is None:
         raise ValueError("problem file has no solution; add one or pass --cheat")
-    seed = _seed_bytes(args)
+    seed = seed or _fresh_seed()
 
     if args.repeat == 1:
         result = interactive.run_session(problem, solution, args.rounds, seed, args.cheat)
@@ -462,9 +472,9 @@ def cmd_selftest(args) -> int:
     from . import interactive
     from .circuit import _gate_value
     from .polynomial import Polynomial
-    from .rng import Sha256Rng, derive_seed, parse_seed
+    from .rng import Sha256Rng, derive_seed
 
-    seed = b"selftest" if args.seed is None else parse_seed(args.seed)
+    seed = _given_seed(args) or b"selftest"
     ctx = _context(args)
     failures = []
 

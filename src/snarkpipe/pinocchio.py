@@ -218,7 +218,7 @@ def setup(
         raise ValueError("empty quadratic program: nothing to set up")
     for name in public:
         if name not in qap.symbol_names:
-            raise ValueError(f"public symbol {name!r} is not in the program")
+            raise ValueError(f"public symbol {_quote(name)} is not in the program")
     public = tuple(dict.fromkeys(("one",) + tuple(public)))  # one is always public
 
     from .rng import Sha256Rng

@@ -126,16 +126,6 @@ class QAP:
         is sum_d value * L_d(x) over its entries in the rows, with one
         Lagrange basis of the nodes built for every symbol."""
         basis = lagrange_basis(self.ctx, range(1, self.n_gates + 1))
-        # basis[0] is T / (x - 1) times its leading coefficient, so T needs no
-        # second product of the (x - d)
-        target = Polynomial(self.ctx, [1])
-        if basis:
-            quotient = basis[0].coeffs
-            scale = inverse(quotient[-1], self.ctx.p)
-            target = Polynomial(
-                self.ctx, [(a - b) * scale for a, b in zip((0, *quotient), (*quotient, 0))]
-            )
-
         # terms[family][i]: symbol i's (value, L_d) pairs in that family
         terms: dict = {family: [[] for _ in self.symbols] for family in "vwk"}
         for l_d, row in zip(basis, self.rows):
@@ -151,7 +141,7 @@ class QAP:
             "n_gates": self.n_gates,
             "symbols": list(self.symbol_names),
             **{family: [coeffs(pairs) for pairs in terms[family]] for family in "vwk"},
-            "target": [str(c) for c in target.coeffs],
+            "target": [str(c) for c in self.target.coeffs],
         }
 
 

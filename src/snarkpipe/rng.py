@@ -18,6 +18,8 @@ from __future__ import annotations
 import hashlib
 import random
 
+from .field import _quote
+
 __all__ = ["Sha256Rng", "derive_seed", "parse_seed"]
 
 
@@ -28,9 +30,9 @@ def parse_seed(text: str) -> bytes:
     try:
         seed = bytes.fromhex(text)
     except ValueError:
-        raise ValueError(f"seed must be hexadecimal, got {text!r}") from None
+        raise ValueError(f"seed must be hexadecimal, got {_quote(text)}") from None
     if not seed:
-        raise ValueError(f"seed must hold at least one byte, got {text!r}")
+        raise ValueError(f"seed must hold at least one byte, got {_quote(text)}")
     return seed
 
 

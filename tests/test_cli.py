@@ -1,4 +1,3 @@
-import argparse
 import contextlib
 import hashlib
 import importlib.util
@@ -726,7 +725,13 @@ def test_interactive_rejects_malformed_problem(workdir, capsys):
 
 
 def test_bad_seed_is_usage_error(workdir, capsys):
-    assert main(["--seed", "zz", "setup", "--circuit", "nope.json"]) == 1
+    # The seed is parsed before any file is read, so the refusal names the
+    # seed, not the missing file.
+    for argv in [["setup", "--circuit", "nope.json"], ["interactive", "--problem", "nope.json"]]:
+        code = main(["--seed", "zz", *argv])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: seed must be hexadecimal, got 'zz'\n", argv
 
 
 # An unset variable in `--seed "$SEED"` gives "", which decodes to no bytes:
@@ -748,7 +753,8 @@ def test_seed_of_no_bytes_is_refused_by_name(workdir, capsys, argv, seed):
 
 def test_documented_seeds_parse():
     """Every --seed the README's and the CI workflow's snarkpipe command
-    lines pass names some bytes (perfbench's --seed is an integer)."""
+    lines pass names some bytes (perfbench's --seed is an integer), but the
+    one the CI passes to check that a bad seed is refused."""
     root = Path(__file__).resolve().parents[1]
     lines = [
         line
@@ -757,8 +763,8 @@ def test_documented_seeds_parse():
         if "snarkpipe " in line and "perfbench" not in line
     ]
     seeds = {seed for line in lines for seed in re.findall(r"--seed[ =]([0-9A-Za-z]+)", line)}
-    assert {"0102", "0a", "0b", "ff", "01"} <= seeds
-    for seed in seeds:
+    assert {"0102", "0a", "0b", "ff", "01", "zz"} <= seeds
+    for seed in seeds - {"zz"}:
         assert len(parse_seed(seed)) >= 1, seed
 
 
@@ -773,6 +779,22 @@ def test_public_symbol_pipeline(workdir, capsys):
     assert main(["verify", "--public-inputs", claims]) == 0
     wrong = write_json(workdir / "wrong.json", {"out": "1"})
     assert main(["verify", "--public-inputs", wrong]) == 2
+
+
+@pytest.mark.parametrize("public, refusal", [
+    ("c1,c1", "--public names 'c1' twice"),
+    ("one,out,one", "--public names 'one' twice"),
+    (",one,,c1", "--public ',one,,c1' holds an empty name"),
+    ("out,", "--public 'out,' holds an empty name"),
+    ("", "--public '' holds an empty name"),
+], ids=["repeated", "repeated_one", "empty_inside", "empty_last", "empty"])
+def test_setup_refuses_empty_and_repeated_public_names(workdir, capsys, public, refusal):
+    assert main(["compile", "coloring5"]) == 0
+    before = sorted(os.listdir(workdir))
+    for argv in (["--public", public], [f"--public={public}"]):  # reader and argparse
+        code = main(["--seed", "01", "setup", *argv])
+        assert_usage_error(code, capsys, f"error: {refusal}")
+        assert sorted(os.listdir(workdir)) == before
 
 
 def test_selftest(workdir, capsys):
@@ -1306,13 +1328,13 @@ def test_each_run_builds_only_the_parsers_it_reads(monkeypatch):
         _, summary, flags = cli._COMMANDS[name]
         monkeypatch.setitem(cli._COMMANDS, name, (lambda args: 0, summary, flags))
         # The reader takes a plain line, global flags before the command
-        # included, and builds no parser. An "=" form is argparse's: with
-        # the command first the top-level parser would read nothing; with a
-        # global flag first it reads that flag.
+        # included, and builds no parser. An "=" form is argparse's: the
+        # top-level parser reads the global flags and the command name, then
+        # the command's parser reads the rest.
         for line, progs in [
             (argv, []),
             (["--seed", "01", *argv], []),
-            ([*argv, "--seed=01"], [f"snarkpipe {name}"]),
+            ([*argv, "--seed=01"], ["snarkpipe", f"snarkpipe {name}"]),
             (["--seed=01", *argv], ["snarkpipe", f"snarkpipe {name}"]),
         ]:
             for _ in range(2):  # nothing built is kept for the next run
@@ -1683,42 +1705,6 @@ def test_cold_command_help_is_argparse_text(tmp_path):
     assert proc.stdout.replace("optional arguments:", "options:") == VERIFY_HELP
 
 
-def every_parser():
-    return [cli.build_parser(), *(cli._command_parser(name) for name in cli._COMMANDS)]
-
-
-@pytest.mark.parametrize("columns", ["40", "80", "100", None])
-def test_help_is_laid_out_as_argparse_lays_it_out(monkeypatch, columns):
-    """Help and usage, at each width, equal the text of argparse's own
-    formatter, which looks the width up when it is built."""
-    if columns is None:
-        monkeypatch.delenv("COLUMNS", raising=False)
-    else:
-        monkeypatch.setenv("COLUMNS", columns)
-    texts = [(parser.format_help(), parser.format_usage()) for parser in every_parser()]
-    monkeypatch.setattr(usage, "Formatter", argparse.RawDescriptionHelpFormatter)
-    assert texts == [(parser.format_help(), parser.format_usage()) for parser in every_parser()]
-
-
-def test_terminal_width_is_looked_up_only_to_lay_out_text(monkeypatch, capsys):
-    calls = []
-    columns = usage._terminal_columns
-    monkeypatch.setattr(usage, "_terminal_columns", lambda: calls.append(1) or columns())
-    for argv in MINIMAL_ARGV.values():
-        # the reader's lines, then argparse's ("=" forms) on both routes
-        parse_args(argv)
-        parse_args(["--seed", "01", *argv])
-        parse_args([*argv, "--seed=01"])
-        parse_args(["--seed=01", *argv])
-    assert calls == []
-    for argv in [["verify", "--help"], ["--help"], ["prove"], ["verify", "--bogus"]]:
-        calls.clear()
-        with pytest.raises(SystemExit):
-            parse_args(argv)
-        assert calls == [1], argv
-    assert capsys.readouterr().err.count("usage: ") == 2
-
-
 # --- hostile values are quoted in part ------------------------------------------
 
 LONG = "y" * 5000
@@ -1772,6 +1758,22 @@ def test_numeric_flag_quotes_a_hostile_value(workdir, capsys):
     assert lines[-1].startswith("snarkpipe: error: argument --field: not a canonical decimal")
     assert "(5000 characters)" in lines[-1]
     assert max(map(len, lines)) < 200
+
+
+def test_seed_quotes_a_hostile_value(workdir, capsys):
+    # The seed is parsed before anything is read, so no circuit or problem
+    # is needed.
+    for argv in [["setup"], ["interactive", "--problem", "triangle"], ["selftest"]]:
+        code = main(["--seed", LONG, *argv])
+        assert_one_short_line(code, capsys, "error: seed must be hexadecimal, got 'yyyy")
+    assert os.listdir(workdir) == []
+
+
+def test_public_quotes_a_hostile_name(workdir, capsys):
+    assert main(["compile", "cubic"]) == 0
+    capsys.readouterr()
+    code = main(["--seed", "01", "setup", "--public", LONG])
+    assert_one_short_line(code, capsys, "error: public symbol 'yyyy")
 
 
 HOSTILE_CIRCUIT_EDITS = {
