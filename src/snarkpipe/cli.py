@@ -16,6 +16,7 @@ from __future__ import annotations
 import errno
 import json
 import os
+import stat
 import sys
 from collections import namedtuple
 from types import SimpleNamespace
@@ -264,20 +265,48 @@ def _write_files(payloads: dict) -> None:
             os.unlink(temp)
 
 
-def _distinct_outputs(first: tuple, second: tuple) -> None:
-    """Refuse two outputs of one command, each a (flag, path), that name one
-    file, before anything is written: one payload would silently replace
-    the other, or the second temporary would collide with the first."""
-    (flag, path), (other_flag, other) = first, second
-    if other and os.path.realpath(path) == os.path.realpath(other):
-        raise ValueError(f"{flag} {_quote(path)} and {other_flag} {_quote(other)} name one file")
+def _file_stat(path: str):
+    """The os.stat of a file on disk at path, or None."""
+    try:
+        st = os.stat(path)
+    except (OSError, ValueError):  # ValueError: a NUL in the path
+        return None
+    return st if stat.S_ISREG(st.st_mode) else None
+
+
+def _distinct_outputs(outputs: tuple, inputs: tuple = ()) -> None:
+    """Refuse, before anything is written, an output of a command that names
+    one file, after os.path.realpath, with another of its outputs or with
+    one of its inputs on disk, each a (flag, path): one payload would
+    silently replace the other or the input, or the second temporary would
+    collide with the first. A bundled name with no file of that name on
+    disk is not an input.
+
+    Two paths can name one file only if both are one file on disk or
+    neither is a file, so only such pairs pay for realpath."""
+    named = [(flag, path, st) for flag, path in inputs if (st := _file_stat(path))]
+    for flag, path in outputs:
+        if not path:
+            continue
+        out = _file_stat(path)
+        for other_flag, other, st in named:
+            alike = os.path.samestat(st, out) if st and out else st is out
+            if alike and os.path.realpath(other) == os.path.realpath(path):
+                raise ValueError(
+                    f"{other_flag} {_quote(other)} and {flag} {_quote(path)} name one file"
+                )
+        named.append((flag, path, out))
+
+
+class BadJSON(ValueError):
+    """An input file that is not JSON the interpreter can read, named by path."""
 
 
 def _parse_json(text: str, path: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise json.JSONDecodeError(f"{path}: {exc.msg}", exc.doc, exc.pos) from None
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
+        raise BadJSON(f"{path}: {exc}") from None
 
 
 def _read_json(path: str) -> dict:
@@ -329,7 +358,10 @@ def _parse_input_map(data) -> dict:
         if isinstance(value, int) and not isinstance(value, bool):
             out[name] = value
         elif isinstance(value, str) and value.isascii() and value.removeprefix("-").isdigit():
-            out[name] = int(value)
+            try:
+                out[name] = int(value)
+            except ValueError as exc:  # past the interpreter's digit limit
+                raise ValueError(f"input {_quote(name)}: {exc}") from None
         else:
             raise ValueError(
                 f"input {_quote(name)} must be an integer or a decimal string,"
@@ -342,7 +374,9 @@ def cmd_compile(args) -> int:
     from .frontend import ParseError
     from .qap import check_field
 
-    _distinct_outputs(("--output", args.output), ("--emit-qap", args.emit_qap))
+    _distinct_outputs(
+        (("--output", args.output), ("--emit-qap", args.emit_qap)), (("source", args.source),)
+    )
     source = bundled.resolve_source(args.source, ".zkp")
     try:
         program = parse_program(source)
@@ -368,7 +402,8 @@ def cmd_setup(args) -> int:
     seed = _given_seed(args)
     public = _public_names(args.public)
     _distinct_outputs(
-        ("--evaluation-key", args.evaluation_key), ("--verification-key", args.verification_key)
+        (("--evaluation-key", args.evaluation_key), ("--verification-key", args.verification_key)),
+        (("--circuit", args.circuit),),
     )
     circuit = _load_circuit(args.circuit)
     qap = build_qap(circuit)
@@ -384,6 +419,11 @@ def cmd_setup(args) -> int:
 
 
 def cmd_prove(args) -> int:
+    _distinct_outputs(
+        (("--output", args.output),),
+        (("--circuit", args.circuit), ("--evaluation-key", args.evaluation_key),
+         ("--inputs", args.inputs)),
+    )
     circuit = _load_circuit(args.circuit)
     ek = pinocchio.load_evaluation_key(_read_json(args.evaluation_key))
     if ek.group.ctx != circuit.ctx:
@@ -428,6 +468,9 @@ def cmd_interactive(args) -> int:
         raise ValueError("--transcript records a single session; drop it or --repeat")
     if args.transcript == "":
         raise ValueError("--transcript needs a path")
+    transcript = "transcript.json" if args.transcript is None else args.transcript
+    if args.repeat == 1:
+        _distinct_outputs((("--transcript", transcript),), (("--problem", args.problem),))
     raw = bundled.resolve_source(args.problem, ".json")
     problem, solution = interactive.load_problem(_parse_json(raw, args.problem))
     if not args.cheat and solution is None:
@@ -436,9 +479,8 @@ def cmd_interactive(args) -> int:
 
     if args.repeat == 1:
         result = interactive.run_session(problem, solution, args.rounds, seed, args.cheat)
-        path = args.transcript if args.transcript is not None else "transcript.json"
-        _write_files({path: result.chunks()})
-        print(f"wrote {path}")
+        _write_files({transcript: result.chunks()})
+        print(f"wrote {transcript}")
         print("accept" if result.accepted else "reject")
         return EXIT_OK if result.accepted else EXIT_REJECT
 
@@ -466,13 +508,14 @@ def cmd_interactive(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    import contextlib
+    import io
+    import re
     import tempfile
     import time
 
-    from . import interactive
-    from .circuit import _gate_value
     from .polynomial import Polynomial
-    from .rng import Sha256Rng, derive_seed
+    from .rng import Sha256Rng
 
     seed = _given_seed(args) or b"selftest"
     ctx = _context(args)
@@ -500,67 +543,62 @@ def cmd_selftest(args) -> int:
         ok = ok and quotient * den + remainder == num
     report("polynomial division reconstructs (100 samples)", ok)
 
-    group = TransparentGroup(ctx)
-    g = group.generator()
+    g = TransparentGroup(ctx).generator()
     ok = True
     for _ in range(200):
         x, y = rng.randrange(ctx.p), rng.randrange(ctx.p)
         ok = ok and (g**x).pair(g**y) == g.pair(g) ** (x * y % ctx.p)
     report("pairing bilinearity (200 samples)", ok)
 
-    program = parse_program(bundled.load_bundled_text("coloring5.zkp"))
-    circuit = flatten(program, ctx)
-    qap = build_qap(circuit)
+    # The rest runs the commands themselves, on the bundled examples, in a
+    # temporary directory and with their output kept back. A command that
+    # fails where it should not stops selftest, with its own error.
+    class Stopped(Exception):
+        pass
+
+    def run(*argv, verdicts=(EXIT_OK,)) -> tuple:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["--field", str(ctx.p), "--seed", seed.hex(), *argv])
+        if code not in verdicts:
+            sys.stderr.write(err.getvalue())
+            raise Stopped
+        return code, out.getvalue()
+
+    def verdict(*argv) -> int:
+        return run(*argv, verdicts=(EXIT_OK, EXIT_REJECT))[0]
+
+    cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
-        ek_path = os.path.join(tmp, "evaluation_key.json")
-        vk_path = os.path.join(tmp, "verification_key.json")
-        ek, vk = pinocchio.setup(qap, group, seed)
-        _write_json({ek_path: pinocchio.evaluation_key_to_dict(ek)})
-        _write_json({vk_path: pinocchio.verification_key_to_dict(vk)})
-        ek = pinocchio.load_evaluation_key(_read_json(ek_path))
-        vk = pinocchio.load_verification_key(_read_json(vk_path))
-    witness = {"c1": 3, "c2": 1, "c3": 2, "c4": 1, "c5": 2}
-    assignment = solve(circuit, witness)
-    wk = pinocchio.prove(ek, qap, assignment)
-    result = pinocchio.verify(vk, wk)
-    report("bundled pipeline accepts a valid coloring", result.accepted)
+        os.chdir(tmp)
+        try:
+            witness = {"c1": 3, "c2": 1, "c3": 2, "c4": 1, "c5": 2}
+            _write_json({"in.json": witness, "bad.json": {**witness, "c2": 3}})
+            run("compile", "coloring5")
+            run("setup")
+            run("prove", "--inputs", "in.json")
+            report("bundled pipeline accepts a valid coloring", verdict("verify") == EXIT_OK)
 
-    # a prover that skips solve: pinned outputs take their gates' values
-    bad = solve(circuit, {**witness, "c2": 3})
-    for gate in circuit.gates:
-        bad[gate.out] = _gate_value(gate, bad, ctx.p)
-    try:
-        pinocchio.prove(ek, qap, bad)
-        report("prover refuses an invalid coloring", False)
-    except InvalidWitness:
-        report("prover refuses an invalid coloring", True)
+            refused = verdict("prove", "--inputs", "bad.json", "-o", "bad_key.json")
+            report("prover refuses an invalid coloring", refused == EXIT_REJECT)
 
-    tampered = pinocchio.WitnessKey(
-        **{
-            name: g**12345 if name == "h" else getattr(wk, name)
-            for name in pinocchio.WitnessKey.FIELDS
-        }
-    )
-    report(
-        "verifier rejects a tampered witness key",
-        not pinocchio.verify(vk, tampered).accepted,
-    )
+            tampered = {**_read_json("witness_key.json"), "h": str(12345 % ctx.p)}
+            _write_json({"tampered.json": tampered})
+            rejected = verdict("verify", "--witness-key", "tampered.json")
+            report("verifier rejects a tampered witness key", rejected == EXIT_REJECT)
 
-    problem, cycle = interactive.load_problem(
-        json.loads(bundled.load_bundled_text("triangle.json"))
-    )
-    honest = interactive.run_session(problem, cycle, rounds=10, seed=seed)
-    report("interactive honest session accepts", honest.accepted)
+            honest = verdict("interactive", "--problem", "triangle", "--rounds", "10")
+            report("interactive honest session accepts", honest == EXIT_OK)
 
-    path_problem, _ = interactive.load_problem(
-        json.loads(bundled.load_bundled_text("path4.json"))
-    )
-    cheats = (
-        interactive.session_rounds(path_problem, None, 1, derive_seed(seed, f"cheat-{i}"), True)
-        for i in range(400)
-    )
-    hits = sum(all(verdict for *_, verdict in session) for session in cheats)
-    report("interactive cheater lands near 1/2 per round", 140 <= hits <= 260)
+            _, out = run(
+                "interactive", "--problem", "path4", "--cheat", "--rounds", "1", "--repeat", "400"
+            )
+            hits = int(re.search(r"accepted=(\d+)", out)[1])
+            report("interactive cheater lands near 1/2 per round", 140 <= hits <= 260)
+        except Stopped:
+            return EXIT_USAGE
+        finally:
+            os.chdir(cwd)
 
     elapsed = time.perf_counter() - started
     print(f"selftest finished in {elapsed:.2f}s")
@@ -644,7 +682,7 @@ def main(argv=None) -> int:
     except OSError as exc:  # a directory, no permission, a failed write
         print(f"unusable file: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except json.JSONDecodeError as exc:
+    except BadJSON as exc:
         print(f"bad JSON input: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (KeyError, TypeError, ValueError) as exc:

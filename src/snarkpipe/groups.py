@@ -28,7 +28,10 @@ def _common_modulus(a, b) -> int:
 
 
 class GroupElement:
-    """An element g^a, stored as its discrete log a in [0, p)."""
+    """An element g^a, stored as its discrete log a in [0, p).
+
+    The law works on ``type(self)``, so a subclass is a group of its own:
+    its elements multiply and compare only with each other."""
 
     __slots__ = ("group", "value")
 
@@ -37,21 +40,21 @@ class GroupElement:
         self.value = value
 
     def __mul__(self, other):
-        if not isinstance(other, GroupElement):
+        if type(other) is not type(self):
             return NotImplemented
         p = _common_modulus(self, other)
-        return GroupElement(self.group, (self.value + other.value) % p)
+        return type(self)(self.group, (self.value + other.value) % p)
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
             return NotImplemented
-        return GroupElement(self.group, self.value * exponent % self.group.ctx.p)
+        return type(self)(self.group, self.value * exponent % self.group.ctx.p)
 
     def pair(self, other: "GroupElement") -> "TargetGroupElement":
         return self.group.pairing(self, other)
 
     def __eq__(self, other):
-        if isinstance(other, GroupElement):
+        if type(other) is type(self):
             return self.group.ctx.p == other.group.ctx.p and self.value == other.value
         return NotImplemented
 
@@ -59,39 +62,14 @@ class GroupElement:
         return hash((self.group.ctx.p, self.value))
 
     def __repr__(self):
-        return f"GroupElement({self.value} mod {self.group.ctx.p})"
+        return f"{type(self).__name__}({self.value} mod {self.group.ctx.p})"
 
 
-class TargetGroupElement:
-    """Output of the pairing; a multiplicative group in its own right."""
+class TargetGroupElement(GroupElement):
+    """Output of the pairing; a multiplicative group in its own right, with
+    the source law."""
 
-    __slots__ = ("group", "value")
-
-    def __init__(self, group: "TransparentGroup", value: int):
-        self.group = group
-        self.value = value
-
-    def __mul__(self, other):
-        if not isinstance(other, TargetGroupElement):
-            return NotImplemented
-        p = _common_modulus(self, other)
-        return TargetGroupElement(self.group, (self.value + other.value) % p)
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int):
-            return NotImplemented
-        return TargetGroupElement(self.group, self.value * exponent % self.group.ctx.p)
-
-    def __eq__(self, other):
-        if isinstance(other, TargetGroupElement):
-            return self.group.ctx.p == other.group.ctx.p and self.value == other.value
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(("target", self.group.ctx.p, self.value))
-
-    def __repr__(self):
-        return f"TargetGroupElement({self.value} mod {self.group.ctx.p})"
+    __slots__ = ()
 
 
 class TransparentGroup:
@@ -118,6 +96,11 @@ class TransparentGroup:
         return GroupElement(self, sum(map(mul, bases, scalars)) % self.ctx.p)
 
     def pairing(self, a: GroupElement, b: GroupElement) -> TargetGroupElement:
+        if type(a) is not GroupElement or type(b) is not GroupElement:
+            raise TypeError(
+                f"the pairing takes source elements, not {type(a).__name__}"
+                f" and {type(b).__name__}"
+            )
         p = _common_modulus(a, b)
         return TargetGroupElement(a.group, a.value * b.value % p)
 

@@ -227,6 +227,61 @@ def test_two_outputs_naming_one_file_are_refused(workdir, capsys, command, secon
     assert os.listdir(workdir / "sub") == []
 
 
+# An output that names one of its command's input files, the default
+# transcript path included: the refusal names both flags, and the input keeps
+# its bytes. {i} is the path as given, {o} the path spelled another way (the
+# default transcript path is the output that is not given).
+OUTPUT_OVER_INPUT = {
+    "compile": (["compile", "{i}", "-o", "{o}"], "my.zkp", "source", "--output"),
+    "compile_qap": (["compile", "{i}", "--emit-qap", "{o}"], "my.zkp", "source", "--emit-qap"),
+    "setup_ek": (["--seed", "01", "setup", "--circuit", "{i}", "--evaluation-key", "{o}"],
+                 "c.json", "--circuit", "--evaluation-key"),
+    "setup_vk": (["--seed", "01", "setup", "--circuit", "{i}", "--verification-key", "{o}"],
+                 "c.json", "--circuit", "--verification-key"),
+    "prove_inputs": (["prove", "--inputs", "{i}", "-o", "{o}"], "in.json", "--inputs", "--output"),
+    "prove_circuit": (["prove", "--circuit", "{i}", "--inputs", "in.json", "-o", "{o}"],
+                      "c.json", "--circuit", "--output"),
+    "prove_ek": (["prove", "--circuit", "c.json", "--evaluation-key", "{i}", "--inputs",
+                  "in.json", "-o", "{o}"], "evaluation_key.json", "--evaluation-key", "--output"),
+    "interactive": (["--seed", "01", "interactive", "--problem", "{i}", "--transcript", "{o}"],
+                    "tri.json", "--problem", "--transcript"),
+    "interactive_default": (["--seed", "01", "interactive", "--problem", "{o}"],
+                            "transcript.json", "--problem", "--transcript"),
+}
+
+
+@pytest.mark.parametrize("spelling", ["{i}", "./{i}", "{dir}/sub/../{i}"],
+                         ids=["alike", "dot_slash", "through_sub"])
+@pytest.mark.parametrize("case", sorted(OUTPUT_OVER_INPUT))
+def test_output_naming_an_input_is_refused(workdir, capsys, case, spelling):
+    (workdir / "my.zkp").write_text(load_bundled_text("cubic.zkp"))
+    (workdir / "tri.json").write_text(load_bundled_text("triangle.json"))
+    (workdir / "transcript.json").write_text(load_bundled_text("triangle.json"))
+    write_json(workdir / "in.json", {"x": "3", "y": "35"})
+    assert main(["compile", "cubic", "-o", "c.json"]) == 0
+    assert main(["--seed", "01", "setup", "--circuit", "c.json"]) == 0
+    (workdir / "sub").mkdir()
+    capsys.readouterr()
+    before = {path: path.read_bytes() for path in workdir.iterdir() if path.is_file()}
+    template, given, in_flag, out_flag = OUTPUT_OVER_INPUT[case]
+    output = spelling.format(i=given, dir=workdir)
+    argv = [arg.format(i=given, o=output) for arg in template]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith(f"error: {in_flag} ") and err.endswith(" name one file\n")
+    assert f" and {out_flag} " in err
+    assert {path: path.read_bytes() for path in workdir.iterdir() if path.is_file()} == before
+    assert os.listdir(workdir / "sub") == []
+
+
+def test_bundled_name_is_no_input_file(workdir, capsys):
+    # No file named "cubic" is on disk, so the source is the bundled copy
+    # and "-o cubic" replaces nothing.
+    assert main(["compile", "cubic", "-o", "cubic"]) == 0
+    assert Circuit.from_json_dict(json.loads((workdir / "cubic").read_text())).n_gates == 7
+
+
 @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
 @pytest.mark.parametrize("unusable", ["directory", "missing_parent"])
 def test_setup_writes_both_keys_or_neither(workdir, capsys, unusable, existing):
@@ -797,10 +852,63 @@ def test_setup_refuses_empty_and_repeated_public_names(workdir, capsys, public, 
         assert sorted(os.listdir(workdir)) == before
 
 
+SELFTEST_CHECKS = (
+    "field inverse identity (500 samples)",
+    "polynomial division reconstructs (100 samples)",
+    "pairing bilinearity (200 samples)",
+    "bundled pipeline accepts a valid coloring",
+    "prover refuses an invalid coloring",
+    "verifier rejects a tampered witness key",
+    "interactive honest session accepts",
+    "interactive cheater lands near 1/2 per round",
+)
+
+
 def test_selftest(workdir, capsys):
-    assert main(["--seed", "ff", "selftest"]) == 0
-    out = capsys.readouterr().out
-    assert "[FAIL]" not in out
+    for argv in [], ["--seed", "ff"], ["--field", "2305843009213693951"]:
+        assert main([*argv, "selftest"]) == 0
+        out, err = capsys.readouterr()
+        lines = out.splitlines()
+        assert lines[:-1] == [f"[PASS] {name}" for name in SELFTEST_CHECKS], argv
+        assert re.fullmatch(r"selftest finished in \d+\.\d\ds", lines[-1])
+        assert err == ""
+        assert os.listdir(workdir) == []
+
+
+def test_selftest_runs_the_commands_it_checks(workdir, capsys, monkeypatch):
+    ran = []
+    for name, (handler, summary, flags) in cli._COMMANDS.items():
+        def recording(args, handler=handler, name=name):
+            ran.append(name)
+            return handler(args)
+
+        monkeypatch.setitem(cli._COMMANDS, name, (recording, summary, flags))
+    assert main(["selftest"]) == 0
+    assert ran == ["selftest", "compile", "setup", "prove", "verify", "prove", "verify",
+                   "interactive", "interactive"]
+
+
+def test_selftest_reports_a_failed_check(workdir, capsys, monkeypatch):
+    # A verifier that accepts everything passes the pipeline check and
+    # fails the tampered-key one; the remaining checks still run.
+    accepting = cli.pinocchio.VerifyResult(True, True, True)
+    monkeypatch.setattr(cli.pinocchio, "verify", lambda *args: accepting)
+    assert main(["selftest"]) == 1
+    out, err = capsys.readouterr()
+    assert [line for line in out.splitlines() if line.startswith("[")] == [
+        f"[{'FAIL' if 'tampered' in name else 'PASS'}] {name}" for name in SELFTEST_CHECKS
+    ]
+    assert err == "1 check(s) failed\n"
+
+
+def test_selftest_stops_at_a_command_that_fails(workdir, capsys):
+    # The field is too small for the bundled 69-gate circuit: compile
+    # refuses it, and selftest stops there with compile's own error.
+    assert main(["--field", "101", "selftest"]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [f"[PASS] {name}" for name in SELFTEST_CHECKS[:3]]
+    assert err == "error: modulus 101 must exceed 2N = 138 for a 69-gate circuit\n"
+    assert os.listdir(workdir) == []
 
 
 def test_console_entrypoint_runs():
@@ -1741,6 +1849,46 @@ def test_prove_quotes_hostile_inputs(artifacts, tmp_path, capsys, inputs, name):
     code = prove_with_inputs(artifacts, tmp_path, inputs)
     assert_one_short_line(code, capsys, name)
     assert not (tmp_path / "wk.json").exists()
+
+
+DIGITS = "1" * 5000  # past the interpreter's 4300-digit limit on int(str)
+DIGIT_LIMIT = "Exceeds the limit (4300"  # 3.10 omits the word "digits"
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="this interpreter has no digit limit"
+)
+
+
+def with_integer(data, key) -> str:
+    """The JSON text of data with DIGITS, a bare JSON integer, at key."""
+    return json.dumps({**data, key: "@"}).replace('"@"', DIGITS)
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("case", ["inputs_integer", "inputs_string", "problem", "witness_key"])
+def test_integer_past_the_digit_limit_is_refused_by_name(artifacts, workdir, capsys, case):
+    # A JSON integer fails in the JSON parser and names the file; a decimal
+    # string fails in the inputs map and names the input.
+    prove = ["prove", "--circuit", artifacts["circuit"][0],
+             "--evaluation-key", artifacts["ek"][0], "--inputs", "in.json", "-o", "wk.json"]
+    if case == "inputs_integer":
+        (workdir / "in.json").write_text(with_integer(GOOD_INPUTS, "c1"))
+        argv, name = prove, f"bad JSON input: in.json: {DIGIT_LIMIT}"
+    elif case == "inputs_string":
+        write_json(workdir / "in.json", {**GOOD_INPUTS, "c1": DIGITS})
+        argv, name = prove, f"error: input 'c1': {DIGIT_LIMIT}"
+    elif case == "problem":
+        (workdir / "p.json").write_text(with_integer(SAT_DEMO, "variables"))
+        argv, name = ["interactive", "--problem", "p.json"], f"bad JSON input: p.json: {DIGIT_LIMIT}"
+    else:
+        (workdir / "wk.json").write_text(with_integer(artifacts["wk"][1], "h"))
+        argv = ["verify", "--verification-key", artifacts["vk"][0], "--witness-key", "wk.json"]
+        name = f"bad JSON input: wk.json: {DIGIT_LIMIT}"
+    before = sorted(os.listdir(workdir))
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith(name) and err.count("\n") == 1 and len(err) < 200, err[:300]
+    assert sorted(os.listdir(workdir)) == before
 
 
 def test_short_input_lists_are_named_whole(artifacts, tmp_path, capsys):

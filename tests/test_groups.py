@@ -2,8 +2,10 @@ import pytest
 
 from snarkpipe import (
     FieldContext,
+    GroupElement,
     MalformedKey,
     Sha256Rng,
+    TargetGroupElement,
     TransparentGroup,
 )
 from snarkpipe.field import write_header
@@ -77,6 +79,35 @@ def test_pairing_bilinearity_property(ctx):
         a = rng.randrange(ctx.p)
         b = rng.randrange(ctx.p)
         assert (g**a).pair(g**b) == t ** (a * b % ctx.p)
+
+
+def test_target_elements_share_the_source_law():
+    # The target group is a subclass with no method of its own; the tracer
+    # wraps the law where GroupElement defines it.
+    assert [name for name, value in vars(TargetGroupElement).items() if callable(value)] == []
+    assert {"__mul__", "__pow__"} <= set(vars(GroupElement))
+
+
+def test_target_elements_are_a_group_of_their_own(ctx17):
+    group = TransparentGroup(ctx17)
+    g = group.generator()
+    t = g.pair(g)
+    assert type(t * t) is type(t**5) is TargetGroupElement
+    assert t * t == t**2 and hash(t**18) == hash(t)
+    for k in range(17):
+        assert (g**k == t**k) is False
+        assert (t**k == g**k) is False
+    for left, right in ((g, t), (t, g)):
+        with pytest.raises(TypeError):
+            left * right
+        with pytest.raises(TypeError):
+            group.pairing(left, right)
+    with pytest.raises(TypeError, match="source elements"):
+        group.pairing(t, t)
+    with pytest.raises(TypeError):
+        t.pair(g)
+    with pytest.raises(TypeError):
+        g.pair(t)
 
 
 def test_mixed_context_rejected(ctx17, ctx101):

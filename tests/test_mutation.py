@@ -21,7 +21,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from snarkpipe import pinocchio
 from snarkpipe.bundled import load_bundled_text
+from snarkpipe.circuit import Circuit
 from snarkpipe.cli import main
 from snarkpipe.field import _quote
 
@@ -48,6 +50,32 @@ COMMANDS = {
     "triangle": ["interactive", "--problem", "{m}", "--rounds", "2",
                  "--transcript", "{o}/transcript.json"],
 }
+
+
+# Each artifact that has a writer: its loader and the writer's dump. An
+# accepted file must be the one JSON value its loaded object dumps to, so
+# that one object has exactly one accepted form.
+ROUND_TRIPS = {
+    "circuit": (Circuit.from_json_dict, Circuit.to_json_dict),
+    "ek": (pinocchio.load_evaluation_key, pinocchio.evaluation_key_to_dict),
+    "vk": (pinocchio.load_verification_key, pinocchio.verification_key_to_dict),
+    "wk": (pinocchio.load_witness_key, pinocchio.witness_key_to_dict),
+}
+
+
+def assert_canonical(name, text) -> None:
+    """If the loader of artifact `name` accepts the JSON text, dumping what it
+    loaded gives back the same JSON value: true is not 1, 1.0 is not 1, and
+    only the order of an object's keys may differ."""
+    if name not in ROUND_TRIPS:
+        return
+    load, dump = ROUND_TRIPS[name]
+    data = json.loads(text)
+    try:
+        loaded = load(data)
+    except (KeyError, TypeError, ValueError):  # refused, as the CLI reports it
+        return
+    assert json.dumps(dump(loaded), sort_keys=True) == json.dumps(data, sort_keys=True)
 
 
 def run_quietly(argv) -> tuple:
@@ -91,6 +119,10 @@ def node_paths(node, prefix=()):
         yield from node_paths(child, prefix + (key,))
 
 
+def node_at(doc, path):
+    return reduce(lambda node, key: node[key], path, doc)
+
+
 def retyped(node) -> list:
     """The node's content under other JSON types."""
     out = [[node], {"value": node}, json.dumps(node)]
@@ -109,14 +141,14 @@ def mutate(doc, path, kind: str, value, choice):
     choice."""
     if kind == "insert":
         doc = copy.deepcopy(doc)
-        node = reduce(lambda node, key: node[key], path, doc)
+        node = node_at(doc, path)
         assert choice not in node
         node[choice] = value
         return doc
     if not path:
         return value if kind != "retype" else retyped(doc)[choice % 3]
     doc = copy.deepcopy(doc)
-    parent = reduce(lambda node, key: node[key], path[:-1], doc)
+    parent = node_at(doc, path[:-1])
     key = path[-1]
     if kind == "delete":
         del parent[key]
@@ -138,11 +170,14 @@ def test_mutated_artifact_ends_in_an_exit_code(artifacts, name, data):
         doc,
         data.draw(st.sampled_from(paths), label="path"),
         data.draw(st.sampled_from(("replace", "delete", "retype")), label="kind"),
-        data.draw(VALUES, label="value"),
+        # An arbitrary value, or another node of the same file: that one is
+        # often well formed, so some files are accepted and must round-trip.
+        data.draw(VALUES | st.sampled_from(paths).map(lambda p: node_at(doc, p)), label="value"),
         data.draw(st.integers(0, 4), label="choice"),
     )
     path = out_dir / f"mutated_{name}.json"
     path.write_text(json.dumps(mutated))
+    assert_canonical(name, path.read_text())
     argv = ["--seed", "5eed"] + [
         arg.format(m=path, d=valid_dir, o=out_dir) for arg in COMMANDS[name]
     ]
@@ -163,13 +198,14 @@ DATA_KEYED = {"circuit": {("names",)}, "inputs": {()}}
 def test_inserted_key_is_refused_by_name(artifacts, name, data):
     valid_dir, out_dir, docs = artifacts
     doc, paths = docs[name]
-    objects = [path for path in paths if isinstance(reduce(lambda n, k: n[k], path, doc), dict)]
+    objects = [path for path in paths if isinstance(node_at(doc, path), dict)]
     path = data.draw(st.sampled_from(objects), label="path")
-    node = reduce(lambda n, k: n[k], path, doc)
+    node = node_at(doc, path)
     key = data.draw(st.text(max_size=4).filter(lambda key: key not in node), label="key")
     mutated = mutate(doc, path, "insert", data.draw(VALUES, label="value"), key)
     out = out_dir / f"inserted_{name}.json"
     out.write_text(json.dumps(mutated))
+    assert_canonical(name, out.read_text())
     argv = ["--seed", "5eed"] + [
         arg.format(m=out, d=valid_dir, o=out_dir) for arg in COMMANDS[name]
     ]
