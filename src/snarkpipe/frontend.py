@@ -16,16 +16,19 @@ Subtraction and unary minus are desugared to Add/Neg while parsing; powers
 survive as Pow nodes and melt into repeated multiplication later. The name
 ``one`` is reserved for the constant-one symbol of the compiled form.
 
-Integers are ASCII digits 0-9 only, at most MAX_LITERAL_DIGITS of them (the
-interpreter's own limit on decimal conversion). The parser bounds its work
-before any gate exists: parentheses nest at most MAX_NESTING deep, and a
-program may flatten to at most MAX_GATES gates, which it counts exactly as it
-reads (``x^k`` is k-1 gates).
+Names start with a letter (by str.isalpha) or "_" and continue by
+str.isalnum or "_". Integers are ASCII digits 0-9 only, at most
+MAX_LITERAL_DIGITS of them (the interpreter's own limit on decimal
+conversion). Whitespace is space, tab, CR and newline. The parser bounds
+its work before any gate exists: parentheses nest at most MAX_NESTING deep,
+and a program may flatten to at most MAX_GATES gates, which it counts
+exactly as it reads (``x^k`` is k-1 gates).
 """
 
 from __future__ import annotations
 
 import enum
+import re
 import warnings
 from collections import namedtuple
 
@@ -138,269 +141,266 @@ Program = namedtuple(
 
 # --- lexer -----------------------------------------------------------------
 
-_PAIRS = (":=", "==", "!=")
-_SINGLES = (",", ";", "+", "-", "*", "^", "(", ")")
+# Whitespace (space, tab, CR, newline) and comments before a token are
+# skipped; a token is an ASCII digit run, a run of word characters (those of
+# str.isalnum, and "_"), a two-character operator, any other character, which
+# _tokenize refuses, or the empty end of input.
+_TOKEN = re.compile(r"(?:[ \t\r\n]|#[^\n]*)*([0-9]+|\w+|:=|==|!=|.|\Z)")
+_PUNCTUATION = frozenset((":=", "==", "!=", ",", ";", "+", "-", "*", "^", "(", ")"))
 
-# kind is IDENT, INT, the punctuation itself or EOF
-_Token = namedtuple("_Token", "kind text line col")
+
+def _locate(source: str, index: int) -> tuple:
+    """Line and column of token `index`; columns count code points, a tab as one."""
+    for k, match in enumerate(_TOKEN.finditer(source)):
+        if k == index:
+            break
+    offset = match.start(1)
+    return source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
 
 
-def _tokenize(source: str) -> list:
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+def _tokenize(source: str) -> tuple:
+    """The token texts and their kinds, each IDENT, INT or the punctuation
+    itself, closed by an EOF token whose text is empty."""
+    texts = _TOKEN.findall(source)
+    if len(texts) > 1 and not texts[-2]:
+        del texts[-1]  # skipped text at the end matched once, and then nothing
+    kinds = []
+    for index, text in enumerate(texts):
+        if text in _PUNCTUATION:
+            kinds.append(text)
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if "0" <= ch <= "9":
-            start = i
-            while i < n and "0" <= source[i] <= "9":
-                i += 1
-            text = source[start:i]
+        first = text[:1]
+        if first.isalpha() or first == "_":
+            kinds.append("IDENT")
+        elif "0" <= first <= "9":
             if len(text) > MAX_LITERAL_DIGITS:
                 raise ParseError(
                     f"integer literal has {len(text)} digits,"
                     f" more than {MAX_LITERAL_DIGITS}",
-                    line,
-                    col,
+                    *_locate(source, index),
                     "too-long",
                 )
-            tokens.append(_Token("INT", text, line, col))
-            col += len(text)
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-            text = source[start:i]
-            tokens.append(_Token("IDENT", text, line, col))
-            col += len(text)
-            continue
-        two = source[i : i + 2]
-        if two in _PAIRS:
-            tokens.append(_Token(two, two, line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in _SINGLES:
-            tokens.append(_Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("EOF", "", line, col))
-    return tokens
+            kinds.append("INT")
+        elif text:
+            raise ParseError(f"unexpected character {first!r}", *_locate(source, index))
+        else:
+            kinds.append("EOF")
+    return texts, kinds
 
 
 # --- parser ----------------------------------------------------------------
 
+_RELATIONS = {"==": Relation.EQUAL_ZERO, "!=": Relation.NOT_EQUAL_ZERO}
+
 
 class _Parser:
+    """Walks the token lists by index; a name's position is kept as the index
+    of its token and turned into a line and column only for an error."""
+
     def __init__(self, source: str):
-        self.tokens = _tokenize(source)
+        self.source = source
+        self.texts, self.kinds = _tokenize(source)
         self.pos = 0
-        self._positions: dict = {}
+        self.defs: dict = {}  # name -> its last definition
+        self.conds: dict = {}  # name -> its last assertion
+        self.uses: dict = {}  # name -> its first use in an expression
         self.depth = 0
         self.gates = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def error(self, message: str, index: int, code: str = "syntax") -> ParseError:
+        return ParseError(message, *_locate(self.source, index), code)
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
-        return tok
+    def found(self, index: int) -> str:
+        return "end of input" if self.kinds[index] == "EOF" else repr(self.texts[index])
 
-    def expect(self, kind: str, what: str | None = None) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
+    def expect(self, kind: str, what: str | None = None) -> int:
+        pos = self.pos
+        if self.kinds[pos] != kind:
             want = what or f"'{kind}'"
-            got = "end of input" if tok.kind == "EOF" else f"{tok.text!r}"
-            raise ParseError(f"expected {want}, found {got}", tok.line, tok.col)
-        return self.advance()
+            raise self.error(f"expected {want}, found {self.found(pos)}", pos)
+        self.pos = pos + 1
+        return pos
 
-    def spend(self, gates: int, tok: _Token) -> None:
+    def spend(self, gates: int, index: int) -> None:
         """Count gates the flattened program will have, refusing past MAX_GATES."""
         self.gates += gates
         if self.gates > MAX_GATES:
-            raise ParseError(
-                f"program flattens to more than {MAX_GATES} gates",
-                tok.line,
-                tok.col,
-                "too-many-gates",
+            raise self.error(
+                f"program flattens to more than {MAX_GATES} gates", index, "too-many-gates"
             )
 
     def parse(self) -> Program:
+        texts, kinds = self.texts, self.kinds
         kw = self.expect("IDENT", "keyword 'inputs'")
-        if kw.text != "inputs":
-            raise ParseError(
-                f"program must start with 'inputs', found {kw.text!r}", kw.line, kw.col
-            )
-        inputs = [self._input_name()]
-        while self.peek().kind == ",":
-            self.advance()
-            inputs.append(self._input_name())
+        if texts[kw] != "inputs":
+            raise self.error(f"program must start with 'inputs', found {texts[kw]!r}", kw)
+        inputs = [self._name(self.expect("IDENT", "input name"))]
+        while kinds[self.pos] == ",":
+            self.pos += 1
+            inputs.append(self._name(self.expect("IDENT", "input name")))
         self.expect(";")
 
         definitions = []
         conditions = []
-        seen_assert = False
-        while self.peek().kind != "EOF":
-            tok = self.peek()
-            if tok.kind != "IDENT":
-                raise ParseError(
-                    f"expected a definition or assertion, found {tok.text!r}",
-                    tok.line,
-                    tok.col,
+        while kinds[self.pos] != "EOF":
+            pos = self.pos
+            if kinds[pos] != "IDENT":
+                raise self.error(
+                    f"expected a definition or assertion, found {texts[pos]!r}", pos
                 )
-            if tok.text == "assert":
-                seen_assert = True
+            if texts[pos] == "assert":
                 conditions.append(self._assertion())
-            elif seen_assert:
-                raise ParseError(
-                    "definitions must precede assertions", tok.line, tok.col
-                )
+            elif conditions:
+                raise self.error("definitions must precede assertions", pos)
             else:
                 definitions.append(self._definition())
         if not conditions:
-            tok = self.peek()
-            raise ParseError("program needs at least one assertion", tok.line, tok.col)
+            raise self.error("program needs at least one assertion", self.pos)
         program = Program(tuple(inputs), tuple(definitions), tuple(conditions))
-        _validate(program, self._positions)
+        self._validate(program)
         return program
 
-    def _input_name(self) -> str:
-        tok = self.expect("IDENT", "input name")
-        self._note_name(tok)
-        return tok.text
-
-    def _note_name(self, tok: _Token) -> None:
-        if tok.text in RESERVED_NAMES:
-            raise ParseError(
-                f"{tok.text!r} is a reserved name", tok.line, tok.col, "reserved-name"
-            )
-        self._positions.setdefault(("name", tok.text), (tok.line, tok.col))
+    def _name(self, index: int) -> str:
+        text = self.texts[index]
+        if text in RESERVED_NAMES:
+            raise self.error(f"{text!r} is a reserved name", index, "reserved-name")
+        return text
 
     def _definition(self):
-        name = self.expect("IDENT", "definition name")
-        self._note_name(name)
+        index = self.expect("IDENT", "definition name")
+        name = self._name(index)
         self.expect(":=")
         before = self.gates
         expr = self._expr()
         if self.gates == before and not any(_referenced(expr)):
-            self.spend(1, name)  # flatten wraps a constant in a gate
+            self.spend(1, index)  # flatten wraps a constant in a gate
         self.expect(";")
-        self._positions[("def", name.text)] = (name.line, name.col)
-        return (name.text, expr)
+        self.defs[name] = index
+        return (name, expr)
 
     def _assertion(self):
-        self.expect("IDENT")  # the 'assert' keyword, checked by caller
-        name = self.expect("IDENT", "polynomial name")
-        op = self.peek()
-        if op.kind not in ("==", "!="):
-            raise ParseError(
-                f"expected '==' or '!=', found {op.text!r}", op.line, op.col
-            )
-        self.advance()
+        self.pos += 1  # the 'assert' keyword, checked by caller
+        index = self.expect("IDENT", "polynomial name")
+        op = self.pos
+        relation = _RELATIONS.get(self.kinds[op])
+        if relation is None:
+            raise self.error(f"expected '==' or '!=', found {self.texts[op]!r}", op)
+        self.pos += 1
         zero = self.expect("INT", "literal 0")
-        if zero.text != "0":
-            raise ParseError(
-                "assertions compare against literal 0", zero.line, zero.col
-            )
+        if self.texts[zero] != "0":
+            raise self.error("assertions compare against literal 0", zero)
         self.expect(";")
-        self.spend(1, name)  # the condition gate
-        relation = Relation.EQUAL_ZERO if op.kind == "==" else Relation.NOT_EQUAL_ZERO
-        self._positions[("cond", name.text)] = (name.line, name.col)
-        self._positions.setdefault(("use", name.text), (name.line, name.col))
-        return (name.text, relation)
+        self.spend(1, index)  # the condition gate
+        name = self.texts[index]
+        self.conds[name] = index
+        return (name, relation)
 
     def _expr(self) -> Expression:
+        kinds = self.kinds
         terms = [self._term()]
-        while self.peek().kind in ("+", "-"):
-            op = self.advance()
-            self.spend(2 if op.kind == "-" else 1, op)  # Plus, and Times by -1
+        while kinds[self.pos] in ("+", "-"):
+            op = self.pos
+            self.pos += 1
+            minus = kinds[op] == "-"
+            self.spend(2 if minus else 1, op)  # Plus, and Times by -1
             term = self._term()
-            terms.append(Neg(term) if op.kind == "-" else term)
+            terms.append(Neg(term) if minus else term)
         return terms[0] if len(terms) == 1 else Add(tuple(terms))
 
     def _term(self) -> Expression:
+        kinds = self.kinds
         factors = [self._factor()]
-        while self.peek().kind == "*":
-            self.spend(1, self.advance())
+        while kinds[self.pos] == "*":
+            self.pos += 1
+            self.spend(1, self.pos - 1)
             factors.append(self._factor())
         return factors[0] if len(factors) == 1 else Mul(tuple(factors))
 
     def _factor(self) -> Expression:
-        negated = False
-        if self.peek().kind == "-":
-            self.spend(1, self.advance())
-            negated = True
-        tok = self.peek()
-        if tok.kind == "INT":
-            self.advance()
-            node: Expression = Constant(int(tok.text))
-        elif tok.kind == "IDENT":
-            if tok.text in ("assert", "inputs"):
-                raise ParseError(
-                    f"keyword {tok.text!r} cannot appear in an expression",
-                    tok.line,
-                    tok.col,
-                )
-            self.advance()
-            self._positions.setdefault(("use", tok.text), (tok.line, tok.col))
-            node = Variable(tok.text)
-        elif tok.kind == "(":
-            self.advance()
+        texts, kinds = self.texts, self.kinds
+        pos = self.pos
+        negated = kinds[pos] == "-"
+        if negated:
+            self.pos = pos + 1
+            self.spend(1, pos)
+            pos += 1
+        kind = kinds[pos]
+        if kind == "IDENT":
+            text = texts[pos]
+            if text in ("assert", "inputs"):
+                raise self.error(f"keyword {text!r} cannot appear in an expression", pos)
+            self.pos = pos + 1
+            self.uses.setdefault(text, pos)
+            node: Expression = Variable(text)
+        elif kind == "INT":
+            self.pos = pos + 1
+            node = Constant(int(texts[pos]))
+        elif kind == "(":
+            self.pos = pos + 1
             self.depth += 1
             if self.depth > MAX_NESTING:
-                raise ParseError(
-                    f"parentheses nest deeper than {MAX_NESTING}",
-                    tok.line,
-                    tok.col,
-                    "too-deep",
+                raise self.error(
+                    f"parentheses nest deeper than {MAX_NESTING}", pos, "too-deep"
                 )
             node = self._expr()
             self.expect(")")
             self.depth -= 1
         else:
-            got = "end of input" if tok.kind == "EOF" else f"{tok.text!r}"
-            raise ParseError(f"expected a value, found {got}", tok.line, tok.col)
-        if self.peek().kind == "^":
-            caret = self.advance()
-            exp_tok = self.peek()
-            if exp_tok.kind != "INT":
-                raise ParseError(
-                    "exponent must be a positive integer",
-                    caret.line,
-                    caret.col,
-                    "bad-exponent",
-                )
-            self.advance()
-            exponent = int(exp_tok.text)
+            raise self.error(f"expected a value, found {self.found(pos)}", pos)
+        if kinds[self.pos] == "^":
+            caret = self.pos
+            exp = caret + 1
+            if kinds[exp] != "INT":
+                raise self.error("exponent must be a positive integer", caret, "bad-exponent")
+            self.pos = exp + 1
+            exponent = int(texts[exp])
             if exponent < 1:
-                raise ParseError(
-                    "exponent must be at least 1",
-                    exp_tok.line,
-                    exp_tok.col,
-                    "bad-exponent",
-                )
-            self.spend(exponent - 1, exp_tok)
+                raise self.error("exponent must be at least 1", exp, "bad-exponent")
+            self.spend(exponent - 1, exp)
             node = Pow(node, exponent)
         return Neg(node) if negated else node
+
+    def _validate(self, program: Program) -> None:
+        seen = set()
+        for k, name in enumerate(program.inputs):
+            if name in seen:
+                # "inputs" is token 0, and the names and commas alternate after it
+                raise self.error(f"duplicate input {name!r}", 2 * k + 1, "duplicate-name")
+            seen.add(name)
+
+        all_defs = {name for name, _ in program.definitions}
+        known = set(program.inputs)
+        for name, expr in program.definitions:
+            if name in seen:
+                raise self.error(
+                    f"{name!r} is already defined", self.defs[name], "duplicate-name"
+                )
+            for ref in _referenced(expr):
+                if ref in known:
+                    continue
+                if ref in all_defs:
+                    raise self.error(
+                        f"{ref!r} is used before its definition",
+                        self.uses[ref],
+                        "forward-reference",
+                    )
+                raise self.error(
+                    f"unknown identifier {ref!r}", self.uses[ref], "unknown-identifier"
+                )
+            known.add(name)
+            seen.add(name)
+
+        for name, _relation in program.conditions:
+            if name not in all_defs:
+                if name in program.inputs:
+                    raise self.error(
+                        f"assertion target {name!r} is an input, not a definition",
+                        self.conds[name],
+                        "bad-assertion-target",
+                    )
+                raise self.error(
+                    f"unknown identifier {name!r}", self.conds[name], "unknown-identifier"
+                )
 
 
 def _referenced(expr: Expression):
@@ -417,59 +417,6 @@ def _referenced(expr: Expression):
             stack.append(node.operand)
         elif isinstance(node, Pow):
             stack.append(node.base)
-
-
-def _validate(program: Program, positions: dict) -> None:
-    def where(key, name):
-        return positions.get((key, name)) or positions.get(("use", name)) or (0, 0)
-
-    seen = set()
-    for name in program.inputs:
-        if name in seen:
-            line, col = where("name", name)
-            raise ParseError(
-                f"duplicate input {name!r}", line, col, "duplicate-name"
-            )
-        seen.add(name)
-
-    all_defs = {name for name, _ in program.definitions}
-    known = set(program.inputs)
-    for name, expr in program.definitions:
-        if name in seen:
-            line, col = where("def", name)
-            raise ParseError(
-                f"{name!r} is already defined", line, col, "duplicate-name"
-            )
-        for ref in _referenced(expr):
-            if ref in known:
-                continue
-            line, col = where("use", ref)
-            if ref in all_defs:
-                raise ParseError(
-                    f"{ref!r} is used before its definition",
-                    line,
-                    col,
-                    "forward-reference",
-                )
-            raise ParseError(
-                f"unknown identifier {ref!r}", line, col, "unknown-identifier"
-            )
-        known.add(name)
-        seen.add(name)
-
-    for name, _relation in program.conditions:
-        if name not in all_defs:
-            line, col = where("cond", name)
-            if name in program.inputs:
-                raise ParseError(
-                    f"assertion target {name!r} is an input, not a definition",
-                    line,
-                    col,
-                    "bad-assertion-target",
-                )
-            raise ParseError(
-                f"unknown identifier {name!r}", line, col, "unknown-identifier"
-            )
 
 
 def parse_program(source: str) -> Program:

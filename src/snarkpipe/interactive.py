@@ -632,9 +632,9 @@ def load_problem(data) -> tuple:
         )
         solution_field, solution_type = "assignment", bool
     problem.validate()
-    solution = data.get(solution_field)
-    if solution is not None:
-        solution = _json_array(solution, solution_type, solution_field)
+    solution = None
+    if solution_field in data:  # an explicit null is no second form of "absent"
+        solution = _json_array(data[solution_field], solution_type, solution_field)
         if not problem.is_solution(solution):
             raise ValueError(f"the supplied {solution_field} does not solve the problem")
     return problem, solution

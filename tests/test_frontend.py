@@ -110,12 +110,26 @@ def test_syntax_error_reports_position():
         ("inputs x;\ny := (", "line 2, col 7: expected a value, found end of input"),
         ("inputs x;\ny := (x)", "line 2, col 9: expected ';', found end of input"),
         ("inputs x;", "line 1, col 10: program needs at least one assertion"),
+        # a trailing comment counts its columns too
+        ("inputs x; # no assertions", "line 1, col 26: program needs at least one assertion"),
+        ("inputs x;\ny := x # c", "line 2, col 11: expected ';', found end of input"),
     ],
 )
 def test_end_of_input_is_one_column_past_the_last_character(source, message):
     with pytest.raises(ParseError) as err:
         parse_program(source)
     assert str(err.value) == message
+
+
+def test_duplicate_input_is_reported_where_it_repeats():
+    with pytest.raises(ParseError) as err:
+        parse_program("inputs x, y, x; z := x; assert z == 0;")
+    assert str(err.value) == "line 1, col 14: duplicate input 'x'"
+    assert err.value.code == "duplicate-name"
+    # as a second definition is
+    with pytest.raises(ParseError) as err:
+        parse_program("inputs x; y := x;\n  y := x; assert y == 0;")
+    assert str(err.value) == "line 2, col 3: 'y' is already defined"
 
 
 @pytest.mark.parametrize(

@@ -361,6 +361,17 @@ def test_load_problem_rejects_bad_data():
         )
 
 
+def test_load_problem_refuses_a_null_solution():
+    # Absent is the one form of "no solution": a null would be a second
+    # accepted form of the same file.
+    for name, field in (("triangle.json", "cycle"), ("sat_demo.json", "assignment")):
+        data = json.loads(load_bundled_text(name))
+        with pytest.raises(ValueError, match=f"{field} must be an array of JSON"):
+            load_problem({**data, field: None})
+        del data[field]
+        assert load_problem(data)[1] is None
+
+
 def test_load_problem_bounds_variables():
     sat = {"type": "sat3", "clauses": [[1, 2, -3]]}
     problem, _ = load_problem({**sat, "variables": MAX_VARIABLES})

@@ -26,6 +26,7 @@ from snarkpipe.bundled import load_bundled_text
 from snarkpipe.circuit import Circuit
 from snarkpipe.cli import main
 from snarkpipe.field import _quote
+from snarkpipe.interactive import HamiltonianCycleProblem, load_problem
 
 VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
@@ -52,14 +53,32 @@ COMMANDS = {
 }
 
 
-# Each artifact that has a writer: its loader and the writer's dump. An
-# accepted file must be the one JSON value its loaded object dumps to, so
-# that one object has exactly one accepted form.
+def problem_to_dict(loaded) -> dict:
+    """The one JSON form of a loaded problem and its solution. Problem files
+    have no writer in the program, so this dump stands in for one."""
+    problem, solution = loaded
+    if isinstance(problem, HamiltonianCycleProblem):
+        doc = {"type": "hamiltonian-cycle", "adjacency": [list(row) for row in problem.adjacency]}
+        solution_key = "cycle"
+    else:
+        doc = {"type": "sat3", "variables": problem.n_vars,
+               "clauses": [list(clause) for clause in problem.clauses]}
+        solution_key = "assignment"
+    if solution is not None:
+        doc[solution_key] = list(solution)
+    return doc
+
+
+# Each artifact and its loader and dump (the writer's, or for a problem file
+# the one above). An accepted file must be the one JSON value its loaded
+# object dumps to, so that one object has exactly one accepted form.
 ROUND_TRIPS = {
     "circuit": (Circuit.from_json_dict, Circuit.to_json_dict),
     "ek": (pinocchio.load_evaluation_key, pinocchio.evaluation_key_to_dict),
     "vk": (pinocchio.load_verification_key, pinocchio.verification_key_to_dict),
     "wk": (pinocchio.load_witness_key, pinocchio.witness_key_to_dict),
+    "sat_demo": (load_problem, problem_to_dict),
+    "triangle": (load_problem, problem_to_dict),
 }
 
 
