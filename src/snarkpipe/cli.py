@@ -372,7 +372,7 @@ def _parse_input_map(data) -> dict:
 
 def cmd_compile(args) -> int:
     from .frontend import ParseError
-    from .qap import check_field
+    from .qap import check_emit_size, check_field
 
     _distinct_outputs(
         (("--output", args.output), ("--emit-qap", args.emit_qap)), (("source", args.source),)
@@ -387,6 +387,8 @@ def cmd_compile(args) -> int:
     # Every check runs before the first output is opened, and both files
     # are written together, so a failed compile leaves no file behind.
     check_field(circuit)
+    if args.emit_qap:
+        check_emit_size(circuit)
     payloads = {args.output: circuit.to_json_bytes()}
     if args.emit_qap:
         payloads[args.emit_qap] = json_bytes(build_qap(circuit).to_json_dict())

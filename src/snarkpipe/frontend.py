@@ -201,8 +201,8 @@ class _Parser:
         self.source = source
         self.texts, self.kinds = _tokenize(source)
         self.pos = 0
-        self.defs: dict = {}  # name -> its last definition
-        self.conds: dict = {}  # name -> its last assertion
+        self.defs: list = []  # the name token of each definition, in order
+        self.conds: list = []  # the target token of each assertion, in order
         self.uses: dict = {}  # name -> its first use in an expression
         self.depth = 0
         self.gates = 0
@@ -275,7 +275,7 @@ class _Parser:
         if self.gates == before and not any(_referenced(expr)):
             self.spend(1, index)  # flatten wraps a constant in a gate
         self.expect(";")
-        self.defs[name] = index
+        self.defs.append(index)
         return (name, expr)
 
     def _assertion(self):
@@ -284,16 +284,15 @@ class _Parser:
         op = self.pos
         relation = _RELATIONS.get(self.kinds[op])
         if relation is None:
-            raise self.error(f"expected '==' or '!=', found {self.texts[op]!r}", op)
+            raise self.error(f"expected '==' or '!=', found {self.found(op)}", op)
         self.pos += 1
         zero = self.expect("INT", "literal 0")
         if self.texts[zero] != "0":
             raise self.error("assertions compare against literal 0", zero)
         self.expect(";")
         self.spend(1, index)  # the condition gate
-        name = self.texts[index]
-        self.conds[name] = index
-        return (name, relation)
+        self.conds.append(index)
+        return (self.texts[index], relation)
 
     def _expr(self) -> Expression:
         kinds = self.kinds
@@ -370,11 +369,9 @@ class _Parser:
 
         all_defs = {name for name, _ in program.definitions}
         known = set(program.inputs)
-        for name, expr in program.definitions:
+        for (name, expr), index in zip(program.definitions, self.defs):
             if name in seen:
-                raise self.error(
-                    f"{name!r} is already defined", self.defs[name], "duplicate-name"
-                )
+                raise self.error(f"{name!r} is already defined", index, "duplicate-name")
             for ref in _referenced(expr):
                 if ref in known:
                     continue
@@ -390,29 +387,28 @@ class _Parser:
             known.add(name)
             seen.add(name)
 
-        for name, _relation in program.conditions:
+        for (name, _relation), index in zip(program.conditions, self.conds):
             if name not in all_defs:
                 if name in program.inputs:
                     raise self.error(
                         f"assertion target {name!r} is an input, not a definition",
-                        self.conds[name],
+                        index,
                         "bad-assertion-target",
                     )
-                raise self.error(
-                    f"unknown identifier {name!r}", self.conds[name], "unknown-identifier"
-                )
+                raise self.error(f"unknown identifier {name!r}", index, "unknown-identifier")
 
 
 def _referenced(expr: Expression):
+    """The names an expression uses, in source order."""
     stack = [expr]
     while stack:
         node = stack.pop()
         if isinstance(node, Variable):
             yield node.name
         elif isinstance(node, Add):
-            stack.extend(node.terms)
+            stack.extend(reversed(node.terms))
         elif isinstance(node, Mul):
-            stack.extend(node.factors)
+            stack.extend(reversed(node.factors))
         elif isinstance(node, Neg):
             stack.append(node.operand)
         elif isinstance(node, Pow):

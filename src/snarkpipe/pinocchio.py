@@ -219,6 +219,18 @@ def setup(
     for name in public:
         if name not in qap.symbol_names:
             raise ValueError(f"public symbol {_quote(name)} is not in the program")
+    # A symbol that no row mentions has zero v, w and k polynomials, so its
+    # verification-key entries would accept any value of it.
+    unused = {qap.symbol_names.index(name): name for name in public if name != "one"}
+    for row in qap.rows if unused else ():
+        for entries in row:
+            for i, _ in entries:
+                unused.pop(i, None)
+    if unused:
+        name = next(iter(unused.values()))  # the first in the order given
+        raise ValueError(
+            f"public symbol {_quote(name)} enters no gate, so any value of it would verify"
+        )
     public = tuple(dict.fromkeys(("one",) + tuple(public)))  # one is always public
 
     from .rng import Sha256Rng

@@ -165,20 +165,84 @@ def _unpack(value: int, width: int, length: int, p: int) -> list[int]:
     return [from_bytes(data[i : i + width], "little") % p for i in range(0, len(data), width)]
 
 
-def _reduce(value: int, width: int, length: int, p: int, sign: int = 1) -> int:
-    """The packed value with each of its `length` slots c replaced by the
-    residue of sign * c: _pack(_unpack(...)) without the list in between."""
-    data = value.to_bytes(width * length, "little")
-    from_bytes = int.from_bytes
-    return from_bytes(
-        b"".join(
-            [
-                (sign * from_bytes(data[i : i + width], "little") % p).to_bytes(width, "little")
-                for i in range(0, len(data), width)
-            ]
-        ),
-        "little",
-    )
+# Barrett reduction (Barrett, CRYPTO 1986) of every slot at once. A slot of
+# B = 8 * width bits holds some c <= top, at first 2^B - 1. A round with
+# shifts s, r and the reciprocal m = floor(2^(s+r) / p) estimates each slot's
+# quotient as q = floor(h * m / 2^r) from its top bits h = floor(c / 2^s),
+# at most H = floor(top / 2^s), and subtracts q * p:
+#   - r is the largest shift with H * m < 2^B, so h * m stays in its slot:
+#     the packed h times m, shifted right by r and masked to each slot's low
+#     B - r bits, is the packed q, with no carry between slots;
+#   - q <= h * 2^s / p <= c / p, so q * p <= c and nothing borrows from the
+#     next slot;
+#   - with c = h * 2^s + l, q * p > h * 2^s - h * (p - 1) / 2^r - p, so
+#     c - q * p <= 2^s - 1 + p + floor(H * (p - 1) / 2^r), the next top.
+# s = max(0, bitlen(top) - B // 2) balances the two error terms, and since
+# B >= 2 * bitlen(p) + 1 the first round leaves about B / 2 bits and the
+# second a top below 2p; rounds run until top < 2p. Then each conditional
+# subtraction takes c <= top to at most max(p - 1, top - p): c + 2^(B-1) - p
+# is below 2^B, as c < 2p <= 2^(B-1) + p, and has bit B - 1 set exactly when
+# c >= p, so that bit of every slot is the packed flag to subtract p by.
+
+
+class _SlotReducer:
+    """Every slot of a packed value, of at most `length` slots of `width`
+    bytes, reduced mod p by a few whole-integer operations (see above).
+
+    The masks repeat one pattern per slot, so they are built once by the
+    object that owns the computation, a tree or one polynomial operation,
+    and go with it.
+    """
+
+    __slots__ = ("p", "width", "length", "rounds", "closing", "ones", "offset")
+
+    def __init__(self, p: int, width: int, length: int):
+        bits = 8 * width
+        ones = int.from_bytes((b"\1" + bytes(width - 1)) * length, "little")
+        k = p.bit_length()
+        rounds, top = [], (1 << bits) - 1
+        while top >= 2 * p:
+            s = max(0, top.bit_length() - bits // 2)
+            high = top >> s
+            r = bits - high.bit_length() - s + k - 1  # H * m < 2^B holds here
+            while high * ((2 << s + r) // p) >> bits == 0:
+                r += 1
+            low_s = ((1 << bits - s) - 1) * ones if s else None
+            rounds.append((s, low_s, (1 << s + r) // p, r, ((1 << bits - r) - 1) * ones))
+            top = (1 << s) - 1 + p + (high * (p - 1) >> r)
+        self.p, self.width, self.length = p, width, length
+        self.rounds, self.closing = rounds, top // p
+        self.ones, self.offset = ones, ((1 << bits - 1) - p) * ones
+
+    def reduce(self, value: int, negate: bool = False) -> int:
+        """The packed value with each slot c replaced by the residue of c,
+        or of -c when negating."""
+        p, bits = self.p, 8 * self.width
+        slots = -(-value.bit_length() // bits)
+        cut = bits * (self.length - slots)  # the masks' slots past the value's
+        for s, low_s, m, r, low_r in self.rounds:
+            high = (value >> s) & low_s if s else value
+            value -= ((high * m >> r) & low_r) * p
+        closing = self.closing
+        if negate:  # (closing + 1) * p exceeds every c: no slot borrows
+            closing += 1
+            value = (self.ones >> cut) * (closing * p) - value
+        offset, top_bit = self.offset >> cut, bits - 1
+        for _ in range(closing):
+            value -= (((value + offset) >> top_bit) & self.ones) * p
+        return value
+
+    def reduce_each(self, values, lengths) -> list[int]:
+        """Each value, of lengths[i] slots, reduced: one `reduce` of their
+        concatenation."""
+        sizes = [self.width * n for n in lengths]
+        joined = b"".join([v.to_bytes(size, "little") for v, size in zip(values, sizes)])
+        data = self.reduce(int.from_bytes(joined, "little")).to_bytes(len(joined), "little")
+        from_bytes, out, end = int.from_bytes, [], 0
+        for size in sizes:
+            out.append(from_bytes(data[end : end + size], "little"))
+            end += size
+        return out
 
 
 def _product(a, b, p: int) -> list[int]:
@@ -189,27 +253,27 @@ def _product(a, b, p: int) -> list[int]:
     return _unpack(_pack(a, width) * _pack(b, width), width, len(a) + len(b) - 1, p)
 
 
-def _inverse_series(h, size: int, p: int, width: int) -> int:
-    """The first `size` coefficients of 1/h as a power series, packed in
-    slots of `width` bytes (wide enough for sums of `size` products); h[0]
-    must be nonzero.
+def _inverse_series(h: int, size: int, slots: _SlotReducer) -> int:
+    """The first `size` coefficients of 1/h as a power series, packed like
+    h in the reducer's slots (wide enough for sums of `size` products); h is
+    a packed list of residues whose first one must be nonzero.
 
     Newton iteration doubles the precision each step: if h*g = 1 mod x^l,
     then h*g = 1 + x^l*e mod x^2l and g - x^l*(g*e) is the inverse mod x^2l.
     """
-    packed_h = _pack(h[:size], width)
+    p, width = slots.p, slots.width
+    bits = 8 * width
     steps = []  # the precisions to reach, largest first
     while size > 1:
         steps.append(size)
         size = (size + 1) // 2
-    bits = 8 * width
-    g, known = inverse(h[0], p), 1
+    g, known = inverse(h & (1 << bits) - 1, p), 1
     for target in reversed(steps):
         gained = target - known
-        error = _low(_low(packed_h, width, target) * g >> bits * known, width, gained)
-        error = _reduce(error, width, gained, p, sign=-1)
+        error = _low(_low(h, width, target) * g >> bits * known, width, gained)
+        error = slots.reduce(error, negate=True)
         fix = _low(_low(g, width, gained) * error, width, gained)
-        g += _reduce(fix, width, gained, p) << bits * known
+        g += slots.reduce(fix) << bits * known
         known = target
     return g
 
@@ -229,7 +293,7 @@ def _quotient(num, den, p: int) -> list[int]:
     if size <= 0:
         return []
     width = _slot_width(p, size)
-    inv = _inverse_series(den[::-1], size, p, width)
+    inv = _inverse_series(_pack(den[: -size - 1 : -1], width), size, _SlotReducer(p, width, size))
     rev_quot = _low(_pack(num[: -size - 1 : -1], width) * inv, width, size)
     return _unpack(rev_quot, width, size, p)[::-1]
 
@@ -240,37 +304,46 @@ class SubproductTree:
     A node holds U(y) = prod(y + r) over its roots r mod p, whose
     coefficients are all non-negative; T(x) = prod(x - r) is (-1)^m U(-x)
     for m roots, so `root` and `combine` negate alternate coefficients once
-    at the end. levels[0] holds the factors; each further level multiplies
-    neighbours pairwise, an odd one out moving up unchanged, so the last
-    level holds the one root. A node is (packed coefficients, number of
-    roots under it); every node uses the tree's one slot width, which holds
-    the sum of two products of residues of the tree's largest size.
+    at the end. Every node is packed in reverse, highest coefficient first
+    (a leaf y + r is 1 | r << 8 * width): the reversal of a product is the
+    product of the reversals, so the root holds rev(U), whose power-series
+    inverse gives quotients by T (see `quotient_of_product`), and `combine`
+    comes out reversed as well. levels[0] holds the factors; each further
+    level multiplies neighbours pairwise, an odd one out moving up
+    unchanged, so the last level holds the one root. A node is (packed
+    coefficients, number of roots under it); every node uses the tree's one
+    slot width, which holds the sum of two products of residues of the
+    tree's largest size.
 
     Nothing cancels in a product of non-negative coefficients: a node's
     coefficients sum to U(1), and U(1) of a product is the product of its
     factors' U(1). bounds[k] bounds U(1) on level k, and a level's products
-    are reduced only once that bound reaches p. Over the nodes 1..N the lower
-    levels are products of small integers and need no reduction at all.
+    are reduced only once that bound reaches p, all in one call of the
+    tree's reducer. Over the nodes 1..N the lower levels are products of
+    small integers and need no reduction at all.
     """
 
     def __init__(self, ctx: FieldContext, roots):
         p = ctx.p
         roots = [r % p for r in roots]
-        self.p, self.size = p, len(roots)
-        self.width = width = _slot_width(p, 2 * len(roots) + 2)
-        nodes = [(_pack([r, 1], width), 1) for r in roots]
+        n = len(roots)
+        self.p, self.size = p, n
+        self.width = width = _slot_width(p, 2 * n + 2)
+        # a level's products hold at most 3 slots per 2 roots
+        self.slots = _SlotReducer(p, width, n + n // 2 + 1)
+        bits = 8 * width
+        nodes = [(1 | r << bits, 1) for r in roots]
         bound = 1 + max(roots, default=0)  # U(1) = 1 + r of a leaf, at most
         self.levels, self.bounds = [nodes], [bound]
         while len(nodes) > 1:
             bound *= bound
-            paired = zip(nodes[::2], nodes[1::2])
-            if bound < p:
-                products = [(t_l * t_r, m_l + m_r) for (t_l, m_l), (t_r, m_r) in paired]
-            else:
-                products = [
-                    (_reduce(t_l * t_r, width, m_l + m_r + 1, p), m_l + m_r)
-                    for (t_l, m_l), (t_r, m_r) in paired
-                ]
+            products = [
+                (t_l * t_r, m_l + m_r) for (t_l, m_l), (t_r, m_r) in zip(nodes[::2], nodes[1::2])
+            ]
+            if bound >= p:
+                sizes = [m for _, m in products]
+                reduced = self.slots.reduce_each([t for t, _ in products], [m + 1 for m in sizes])
+                products = list(zip(reduced, sizes))
                 # U(1) on this level k: at most 2^k + 1 coefficients, each below p
                 bound = ((1 << len(self.levels)) + 1) * (p - 1)
             nodes = products + nodes[len(nodes) & ~1 :]
@@ -280,39 +353,67 @@ class SubproductTree:
     def root(self) -> list[int]:
         """Coefficients of prod(x - r); no roots give the constant 1."""
         n = self.size
-        coeffs = _unpack(self.levels[-1][0][0], self.width, n + 1, self.p) if n else [1]
+        coeffs = _unpack(self.levels[-1][0][0], self.width, n + 1, self.p)[::-1] if n else [1]
         # T(x) = (-1)^n U(-x): the coefficient of x^i changes sign when n - i is odd
         coeffs[(n + 1) % 2 :: 2] = [-c % self.p for c in coeffs[(n + 1) % 2 :: 2]]
         return coeffs
 
-    def combine(self, scales) -> list[int]:
-        """Coefficients of sum(scales[i] * root / (x - r_i)).
+    def _combined(self, scales) -> int:
+        """sum(scales[i] * U_i) packed in reverse (n slots, residues), U_i
+        the product of all the factors but y + r_i.
 
         A node's numerator is num_left * U_right + num_right * U_left with U
-        the products its children hold, so the sum comes out as (-1)^(n-1)
-        times sum(scales[i] * U_i(-x)), U_i the product without y + r_i.
-        A coefficient of num * U is at most max(num) * U(1), and the
-        numerators are reduced only when the next level's could overflow a
-        slot. With scales[i] = y_i / prod_{j != i} (r_i - r_j) this is the
-        polynomial of degree < len(roots) through every (r_i, y_i).
+        the products its children hold. A coefficient of num * U is at most
+        max(num) * U(1), and a level's numerators are reduced, in one call,
+        only when the next level's could overflow a slot.
         """
-        p, width, n = self.p, self.width, self.size
+        p, width = self.p, self.width
         limit = 1 << 8 * width  # every slot value stays below this
         nums, bound = [c % p for c in scales], p - 1  # bound: on every coefficient
         for nodes, node_bound in zip(self.levels[:-1], self.bounds):
             if 2 * bound * node_bound >= limit:
-                nums = [_reduce(num, width, m, p) for num, (_, m) in zip(nums, nodes)]
+                nums = self.slots.reduce_each(nums, [m for _, m in nodes])
                 bound = p - 1
             bound *= 2 * node_bound
             paired = zip(nums[::2], nums[1::2], nodes[::2], nodes[1::2])
             nums = [
                 n_l * t_r + n_r * t_l for n_l, n_r, (t_l, _), (t_r, _) in paired
             ] + nums[len(nums) & ~1 :]
-        if not nums:
-            return []
-        coeffs = _unpack(nums[0], width, n, p)
+        return self.slots.reduce(nums[0]) if nums else 0
+
+    def combine(self, scales) -> list[int]:
+        """Coefficients of sum(scales[i] * root / (x - r_i)).
+
+        The sum is (-1)^(n-1) times sum(scales[i] * U_i(-x)) (see
+        `_combined`). With scales[i] = y_i / prod_{j != i} (r_i - r_j) this
+        is the polynomial of degree < len(roots) through every (r_i, y_i).
+        """
+        n = self.size
+        coeffs = _unpack(self._combined(scales), self.width, n, self.p)[::-1]
         # the coefficient of x^j changes sign when n - 1 - j is odd
-        coeffs[n % 2 :: 2] = [-c % p for c in coeffs[n % 2 :: 2]]
+        coeffs[n % 2 :: 2] = [-c % self.p for c in coeffs[n % 2 :: 2]]
+        return coeffs
+
+    def quotient_of_product(self, a_scales, b_scales) -> list[int]:
+        """Coefficients of (A * B) // root, A and B the combinations of the
+        two scale lists (see `combine`), kept packed from the tree to the
+        quotient.
+
+        With A(x) = (-1)^(n-1) a(-x), B likewise and root = (-1)^n U(-x),
+        A * B = g(-x) for g = a * b, and the quotient is (-1)^n q(-x) for
+        q = g // U. Reversed, rev(q) = rev(g) * rev(U)^-1 mod x^(n-1): the
+        low n - 1 slots of the product of the two reversed combinations,
+        times the inverse series of the packed root.
+        """
+        n, p, width, slots = self.size, self.p, self.width, self.slots
+        size = n - 1  # deg (A * B) <= 2n - 2 and deg root = n
+        if size <= 0:
+            return []
+        rev_g = slots.reduce(_low(self._combined(a_scales) * self._combined(b_scales), width, size))
+        inv = _inverse_series(self.levels[-1][0][0], size, slots)
+        coeffs = _unpack(_low(rev_g * inv, width, size), width, size, p)[::-1]
+        # the coefficient of x^j changes sign when n + j is odd
+        coeffs[(n + 1) % 2 :: 2] = [-c % p for c in coeffs[(n + 1) % 2 :: 2]]
         return coeffs
 
 

@@ -40,14 +40,26 @@ __all__ = [
     "QAP",
     "AssembledInstance",
     "FieldTooSmall",
+    "MAX_EMITTED_COEFFICIENTS",
+    "QAPTooLarge",
     "assemble",
     "build_qap",
+    "check_emit_size",
     "check_field",
 ]
+
+# The most coefficients an emitted QAP file holds: v, w and k for each of S
+# symbols over N gates, 3 * S * N of them. Forming the file takes time and
+# memory quadratic in N; a 589-gate squaring chain fits.
+MAX_EMITTED_COEFFICIENTS = 1 << 20
 
 
 class FieldTooSmall(ValueError):
     """The modulus must exceed twice the gate count."""
+
+
+class QAPTooLarge(ValueError):
+    """The coefficient form of the QAP exceeds MAX_EMITTED_COEFFICIENTS."""
 
 
 class QAP:
@@ -97,12 +109,22 @@ class QAP:
             (-1) ** (n - d) * inv_fact[d - 1] * inv_fact[n - d] % p for d in range(1, n + 1)
         ]
 
+    def _scales(self, values: list) -> list:
+        return [value * weight for value, weight in zip(values, self.weights)]
+
     def interpolate(self, values: list) -> Polynomial:
         """Coefficient form of the polynomial taking values[d - 1] at each
         node d, combined up the tree from the leaves values[d - 1] *
         weights[d - 1]."""
-        scales = [value * weight for value, weight in zip(values, self.weights)]
-        return Polynomial(self.ctx, self.tree.combine(scales))
+        return Polynomial(self.ctx, self.tree.combine(self._scales(values)))
+
+    def quotient(self, at_v: list, at_w: list) -> Polynomial:
+        """V*W // T for V and W given by their node values: both are
+        interpolated, multiplied and divided in packed form, with no
+        coefficient list in between."""
+        return Polynomial(
+            self.ctx, self.tree.quotient_of_product(self._scales(at_v), self._scales(at_w))
+        )
 
     def lagrange_at(self, s: int) -> tuple:
         """(T(s), [L_1(s), ..., L_N(s)]) without any coefficient list.
@@ -163,6 +185,17 @@ def check_field(circuit: Circuit) -> None:
     p, n = circuit.ctx.p, circuit.n_gates
     if p <= 2 * n:
         raise FieldTooSmall(f"modulus {p} must exceed 2N = {2 * n} for a {n}-gate circuit")
+
+
+def check_emit_size(circuit: Circuit) -> None:
+    """Refuse, before anything is built, a QAP whose coefficient form would
+    exceed MAX_EMITTED_COEFFICIENTS."""
+    n, s = circuit.n_gates, len(circuit.symbol_wires())
+    if 3 * s * n > MAX_EMITTED_COEFFICIENTS:
+        raise QAPTooLarge(
+            f"an emitted QAP holds 3 * S * N = {3 * s * n} coefficients for S={s} symbols"
+            f" over N={n} gates; at most {MAX_EMITTED_COEFFICIENTS} are written"
+        )
 
 
 def build_qap(circuit: Circuit) -> QAP:
@@ -235,5 +268,5 @@ def assemble(qap: QAP, assignment: dict) -> AssembledInstance:
     h = None
     if failing_gate is None:
         # deg K < N = deg T, so K is the remainder of V*W by T and H its quotient
-        h = (qap.interpolate(at_v) * qap.interpolate(at_w)) // qap.target
+        h = qap.quotient(at_v, at_w)
     return AssembledInstance(t, (at_v, at_w, at_k), failing_gate, h)

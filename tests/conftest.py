@@ -77,6 +77,30 @@ def soundness_scan(qap, assignment, trials=None, seed=b"soundness-scan") -> Frac
     return Fraction(hits, total)
 
 
+def slot_reduce(value, width, length, p, sign=1):
+    """The per-slot reduction the packed kernels used before Barrett: the
+    packed value with each of its `length` slots c replaced by the residue
+    of sign * c, one slot at a time."""
+    data = value.to_bytes(width * length, "little")
+    from_bytes = int.from_bytes
+    return from_bytes(
+        b"".join(
+            [
+                (sign * from_bytes(data[i : i + width], "little") % p).to_bytes(width, "little")
+                for i in range(0, len(data), width)
+            ]
+        ),
+        "little",
+    )
+
+
+def enters_a_gate(qap, name: str) -> bool:
+    """Whether some row of the QAP has an entry for the named symbol; setup
+    refuses to make public a symbol that has none."""
+    i = qap.symbol_names.index(name)
+    return any(j == i for row in qap.rows for entries in row for j, _ in entries)
+
+
 def chain_program(links: int):
     """A squaring chain of N = 2 * links + 3 gates."""
     lines = ["inputs a, y;", "f1 := a*a + 7;"]

@@ -29,6 +29,7 @@ from snarkpipe import (  # noqa: E402
     solve,
 )
 from snarkpipe.circuit import Circuit, Wire  # noqa: E402
+from snarkpipe.polynomial import SubproductTree  # noqa: E402
 
 from conftest import BAD_COLORING, GOOD_COLORING, chain_program, derived  # noqa: E402
 
@@ -164,21 +165,31 @@ def test_refused_prove_builds_no_tree_and_interpolates_nothing(
 def test_honest_prove_interpolates_two_families_and_divides_once(
     fresh_coloring, coloring_circuit, monkeypatch
 ):
+    # V and W go from their node values to H packed: one quotient, two
+    # combinations up the tree, and no coefficient list, product, remainder
+    # or F in between.
     qap, ek = fresh_coloring
-    interpolated = []
-    interpolate = QAP.interpolate
+    quotients, combined = [], []
+    quotient, combine = QAP.quotient, SubproductTree._combined
 
-    def counting(self, values):
-        interpolated.append(values)
-        return interpolate(self, values)
+    def counting_quotient(self, at_v, at_w):
+        quotients.append((at_v, at_w))
+        return quotient(self, at_v, at_w)
+
+    def counting_combine(self, scales):
+        combined.append(scales)
+        return combine(self, scales)
 
     def refuse(*args):
-        raise AssertionError("prove needs no remainder and no F")
+        raise AssertionError("prove needs no remainder, no F and no coefficient list")
 
     assignment = solve(coloring_circuit, GOOD_COLORING)
     at_v, at_w, _ = assemble(qap, assignment).nodes
-    monkeypatch.setattr(QAP, "interpolate", counting)
-    monkeypatch.setattr(Polynomial, "__divmod__", refuse)
-    monkeypatch.setattr(Polynomial, "__sub__", refuse)
+    monkeypatch.setattr(QAP, "quotient", counting_quotient)
+    monkeypatch.setattr(SubproductTree, "_combined", counting_combine)
+    for name in ("__divmod__", "__floordiv__", "__mul__", "__sub__"):
+        monkeypatch.setattr(Polynomial, name, refuse)
+    monkeypatch.setattr(QAP, "interpolate", refuse)
     prove(ek, qap, assignment)
-    assert interpolated == [at_v, at_w]
+    assert quotients == [(at_v, at_w)]
+    assert combined == [qap._scales(at_v), qap._scales(at_w)]

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from snarkpipe import bundled, cli, field, frontend, interactive, usage
+from snarkpipe import bundled, cli, field, frontend, interactive, pinocchio, usage
 from snarkpipe.bundled import load_bundled_text
 from snarkpipe.circuit import Circuit, solve
 from snarkpipe.cli import _parse_input_map, main, parse_args
@@ -850,6 +850,57 @@ def test_setup_refuses_empty_and_repeated_public_names(workdir, capsys, public, 
         code = main(["--seed", "01", "setup", *argv])
         assert_usage_error(code, capsys, f"error: {refusal}")
         assert sorted(os.listdir(workdir)) == before
+
+
+def test_setup_refuses_a_public_symbol_that_enters_no_gate(workdir, capsys, monkeypatch):
+    # y is an input no gate reads: its v, w and k are zero, so a key that made
+    # it public would accept a witness key for any claimed y
+    source = workdir / "unused.zkp"
+    source.write_text("inputs x, y; z := x*x; assert z != 0;\n")
+    assert main(["compile", str(source)]) == 0
+    capsys.readouterr()
+    before = sorted(os.listdir(workdir))
+
+    def refuse(*args):
+        raise AssertionError("the trapdoor is drawn only for a statement that binds its names")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(pinocchio.Trapdoor, "sample", refuse)
+        for public in ("y", "x,y", "one,y"):
+            code = main(["--seed", "01", "setup", "--public", public])
+            assert_usage_error(
+                code,
+                capsys,
+                "error: public symbol 'y' enters no gate, so any value of it would verify",
+            )
+            assert sorted(os.listdir(workdir)) == before
+    assert main(["--seed", "01", "setup", "--public", "x"]) == 0
+
+
+def test_emit_qap_past_the_budget_is_refused_before_the_qap_is_built(workdir, capsys, monkeypatch):
+    # 294 links: N = 591 gates and S = 593 symbols, 3 * S * N = 1051389 > 2^20
+    links = 294
+    lines = ["inputs a, y;", "f1 := a*a + 7;"]
+    lines += [f"f{i} := f{i - 1}*f{i - 1} + a;" for i in range(2, links + 1)]
+    lines += [f"out := f{links} - y;", "assert out == 0;"]
+    source = workdir / "chain.zkp"
+    source.write_text("\n".join(lines) + "\n")
+
+    def refuse(*args):
+        raise AssertionError("the QAP is not built past the budget")
+
+    monkeypatch.setattr(cli, "build_qap", refuse)
+    code = main(["compile", str(source), "-o", "c.json", "--emit-qap", "q.json"])
+    assert_usage_error(
+        code,
+        capsys,
+        "error: an emitted QAP holds 3 * S * N = 1051389 coefficients for S=593 symbols"
+        " over N=591 gates; at most 1048576 are written",
+    )
+    assert sorted(os.listdir(workdir)) == ["chain.zkp"]
+    # without --emit-qap the same chain compiles
+    assert main(["compile", str(source), "-o", "c.json"]) == 0
+    assert "N=591 symbols=593" in capsys.readouterr().out
 
 
 SELFTEST_CHECKS = (

@@ -133,6 +133,43 @@ def test_duplicate_input_is_reported_where_it_repeats():
 
 
 @pytest.mark.parametrize(
+    "source,message",
+    [
+        # a third definition is not where the name first repeats
+        (
+            "inputs x; y := x; y := x;\ny := x; assert y == 0;",
+            "line 1, col 19: 'y' is already defined",
+        ),
+        # an unknown target asserted twice, at its first assert
+        (
+            "inputs x; y := x; assert z == 0;\nassert z != 0;",
+            "line 1, col 26: unknown identifier 'z'",
+        ),
+        (
+            "inputs x; y := x; assert x == 0;\nassert x != 0;",
+            "line 1, col 26: assertion target 'x' is an input, not a definition",
+        ),
+        # the first of several bad names in one definition, in source order
+        ("inputs x; y := a + b; assert y == 0;", "line 1, col 16: unknown identifier 'a'"),
+        ("inputs x; y := (a * c) + b; assert y == 0;", "line 1, col 17: unknown identifier 'a'"),
+        (
+            "inputs x; y := b - a; a := x; b := x; assert y == 0;",
+            "line 1, col 16: 'b' is used before its definition",
+        ),
+        # the end of input after an assertion target
+        (
+            "inputs x; y := x; assert y",
+            "line 1, col 27: expected '==' or '!=', found end of input",
+        ),
+    ],
+)
+def test_diagnostics_point_at_the_first_fault(source, message):
+    with pytest.raises(ParseError) as err:
+        parse_program(source)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
     "source,code",
     [
         ("inputs x; y := z + 1; assert y == 0;", "unknown-identifier"),

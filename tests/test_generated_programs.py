@@ -52,7 +52,7 @@ from snarkpipe import (  # noqa: E402
 from snarkpipe.circuit import WIRE_ONE  # noqa: E402
 from snarkpipe.frontend import _Parser, format_program  # noqa: E402
 
-from conftest import CONSTANTS, derived, forward_assignment, programs  # noqa: E402
+from conftest import CONSTANTS, derived, enters_a_gate, forward_assignment, programs  # noqa: E402
 
 BUDGET_S = 10.0
 EXAMPLES = 60
@@ -91,6 +91,11 @@ def check_program(ctx, source, values, public_a, seed) -> None:
     assert assemble(qap, assignment).divisible == verdict
     emitted_columns_hold_their_node_values(qap)
 
+    if public_a and not enters_a_gate(qap, "a"):
+        # no gate reads a, so a key with a public would accept any value of it
+        with pytest.raises(ValueError, match="^public symbol 'a' enters no gate"):
+            setup(qap, TransparentGroup(ctx), seed, ("one", "a"))
+        public_a = False
     public = ("one", "a") if public_a else ("one",)
     public_inputs = {"a": inputs["a"]} if public_a else {}
     ek, vk = setup(qap, TransparentGroup(ctx), seed, public)

@@ -10,7 +10,9 @@ from snarkpipe import (
     lagrange_basis,
 )
 from snarkpipe import polynomial
-from snarkpipe.polynomial import SubproductTree, _pack, _reduce, _slot_width, _unpack
+from snarkpipe.polynomial import SubproductTree, _pack, _slot_width, _unpack
+
+from conftest import slot_reduce
 
 
 def rand_poly(ctx, rng, max_degree):
@@ -388,7 +390,7 @@ class ReducingSubproductTree:
         self.levels = [nodes]
         while len(nodes) > 1:
             nodes = [
-                (_reduce(t_l * t_r, width, m_l + m_r + 1, p), m_l + m_r)
+                (slot_reduce(t_l * t_r, width, m_l + m_r + 1, p), m_l + m_r)
                 for (t_l, m_l), (t_r, m_r) in zip(nodes[::2], nodes[1::2])
             ] + nodes[len(nodes) & ~1 :]
             self.levels.append(nodes)
@@ -404,7 +406,7 @@ class ReducingSubproductTree:
         for nodes in self.levels[:-1]:
             paired = zip(nums[::2], nums[1::2], nodes[::2], nodes[1::2])
             nums = [
-                _reduce(n_l * t_r + n_r * t_l, width, m_l + m_r, p)
+                slot_reduce(n_l * t_r + n_r * t_l, width, m_l + m_r, p)
                 for n_l, n_r, (t_l, m_l), (t_r, m_r) in paired
             ] + nums[len(nums) & ~1 :]
         return _unpack(nums[0], width, self.size, p) if nums else []
@@ -443,11 +445,24 @@ def test_subproduct_tree_matches_the_reducing_tree(modulus):
 def test_tree_over_the_nodes_reduces_only_levels_whose_bound_reaches_p(monkeypatch):
     # Over the nodes 1..201 a node on level k has U(1) <= 202^(2^k), below the
     # default p up to level 3, so only the products of levels 4-8 are reduced:
-    # 13 + 6 + 3 + 2 + 1 of them, where reducing every product takes 200.
+    # 13 + 6 + 3 + 2 + 1 of them, one reduction per level, where reducing
+    # every product takes 200.
     ctx = FieldContext()
-    calls = []
-    monkeypatch.setattr(polynomial, "_reduce", lambda *args: calls.append(args) or _reduce(*args))
+    reduced, calls = [], []
+    reduce, reduce_each = polynomial._SlotReducer.reduce, polynomial._SlotReducer.reduce_each
+
+    def counting_each(self, values, lengths):
+        reduced.append(len(values))
+        return reduce_each(self, values, lengths)
+
+    def counting(self, value, negate=False):
+        calls.append(value)
+        return reduce(self, value, negate)
+
+    monkeypatch.setattr(polynomial._SlotReducer, "reduce_each", counting_each)
+    monkeypatch.setattr(polynomial._SlotReducer, "reduce", counting)
     tree = SubproductTree(ctx, range(1, 202))
     assert tree.bounds[3] == 202**8 < ctx.p <= tree.bounds[4]
-    assert len(calls) == 25
+    assert reduced == [13, 6, 3, 2, 1]
+    assert len(calls) == 5
     assert tree.root() == ReducingSubproductTree(ctx, range(1, 202)).root()
