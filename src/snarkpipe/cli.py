@@ -533,23 +533,24 @@ def cmd_selftest(args) -> int:
     rng = Sha256Rng(seed, label=b"selftest")
     ok = True
     for _ in range(500):
-        a = rng.randrange(1, ctx.p)
+        a = 1 + rng.randbelow(ctx.p - 1)
         ok = ok and inverse(a, ctx.p) * a % ctx.p == 1
     report("field inverse identity (500 samples)", ok)
 
     ok = True
     for _ in range(100):
-        num = Polynomial(ctx, [rng.randrange(ctx.p) for _ in range(12)])
-        den = Polynomial(ctx, [rng.randrange(ctx.p) for _ in range(4)] + [1])
+        num = Polynomial(ctx, [rng.randbelow(ctx.p) for _ in range(12)])
+        den = Polynomial(ctx, [rng.randbelow(ctx.p) for _ in range(4)] + [1])
         quotient, remainder = divmod(num, den)
         ok = ok and quotient * den + remainder == num
     report("polynomial division reconstructs (100 samples)", ok)
 
-    g = TransparentGroup(ctx).generator()
+    group = TransparentGroup(ctx)
+    g = group.generator()
     ok = True
     for _ in range(200):
-        x, y = rng.randrange(ctx.p), rng.randrange(ctx.p)
-        ok = ok and (g**x).pair(g**y) == g.pair(g) ** (x * y % ctx.p)
+        x, y = rng.randbelow(ctx.p), rng.randbelow(ctx.p)
+        ok = ok and group.pairing(g**x, g**y) == group.pairing(g, g) ** (x * y % ctx.p)
     report("pairing bilinearity (200 samples)", ok)
 
     # The rest runs the commands themselves, on the bundled examples, in a

@@ -50,9 +50,6 @@ class GroupElement:
             return NotImplemented
         return type(self)(self.group, self.value * exponent % self.group.ctx.p)
 
-    def pair(self, other: "GroupElement") -> "TargetGroupElement":
-        return self.group.pairing(self, other)
-
     def __eq__(self, other):
         if type(other) is type(self):
             return self.group.ctx.p == other.group.ctx.p and self.value == other.value

@@ -82,13 +82,12 @@ class Challenge(enum.Enum):
 
 # Entry encodings: a matrix entry is its bit as one byte, a clause its three
 # literals, sorted, as little-endian int32s.
-_MATRIX_ENTRY = (b"\x00", b"\x01")
 _CLAUSE = struct.Struct("<3i")
 
 # A matrix entry is one of two bytes, so its commitment hashes the salt from
-# a SHA-256 state already fed that byte: copying a state costs less than a
-# new hash object. The states are only ever copied, never fed.
-_MATRIX_STATE = {entry: hashlib.sha256(entry) for entry in _MATRIX_ENTRY}
+# a SHA-256 state already fed that byte, indexed by the bit: copying a state
+# costs less than a new hash object. The states are only ever copied.
+_MATRIX_STATE = (hashlib.sha256(b"\x00"), hashlib.sha256(b"\x01"))
 
 # Byte value -> its top bit. Sha256Rng.getrandbits(1) draws one byte and
 # keeps its top bit, so translating one n-byte draw gives the same n coins.
@@ -111,6 +110,9 @@ def _sample_perm(rng, n: int) -> tuple:
 
 # The records are named tuples: ``dataclasses`` would pull ``inspect`` and
 # ``ast`` into every cold ``interactive`` run for these few classes alone.
+# Each problem class owns its part of a round: its file's keys, the entries
+# it commits and their digests, the image of a solution under a reshuffle,
+# a cheater's instance, and the checks of both challenges.
 
 
 class HamiltonianCycleProblem(namedtuple("HamiltonianCycleProblem", "adjacency")):
@@ -118,6 +120,15 @@ class HamiltonianCycleProblem(namedtuple("HamiltonianCycleProblem", "adjacency")
     adjacency matrix is a tuple of tuples of 0/1."""
 
     __slots__ = ()
+    file_keys = frozenset({"type", "adjacency", "cycle"})
+    solution_field, solution_type = "cycle", int
+
+    @classmethod
+    def from_json(cls, data) -> "HamiltonianCycleProblem":
+        rows = _json_array(data["adjacency"], list, "adjacency")
+        if len(rows) > MAX_VERTICES:
+            raise ValueError(f"adjacency must have at most {MAX_VERTICES} rows, not {len(rows)}")
+        return cls(tuple(_json_array(row, int, f"adjacency row {i}") for i, row in enumerate(rows)))
 
     @property
     def n(self) -> int:
@@ -149,7 +160,10 @@ class HamiltonianCycleProblem(namedtuple("HamiltonianCycleProblem", "adjacency")
     def round_entries(self) -> int:
         """What a round sends, counted against the session bounds: its n²
         commitments and the n vertices it permutes."""
-        return self.n * self.n + self.n
+        return self.commitment_count() + self.n
+
+    def commitment_count(self) -> int:
+        return self.n * self.n
 
     def reshuffle(self, rng) -> tuple:
         """Draw a round's reshuffling: (perm, None, relabelled matrix)."""
@@ -166,12 +180,73 @@ class HamiltonianCycleProblem(namedtuple("HamiltonianCycleProblem", "adjacency")
         rows = self.adjacency
         return tuple([tuple(map(rows[i].__getitem__, source)) for i in source])
 
+    @staticmethod
+    def digests(bits, salts) -> list:
+        """The commitments to matrix entries, given as bits in row-major order."""
+        digests = []
+        for bit, salt in zip(bits, salts):
+            state = _MATRIX_STATE[bit].copy()
+            state.update(salt)
+            digests.append(state.digest())
+        return digests
+
+    def image(self, cycle, perm, flips) -> tuple:
+        return tuple(perm[v] for v in cycle)
+
+    def forged(self, rng, matrix, doctor: bool) -> tuple:
+        """A cheater's (instance, claimed cycle): a random vertex order,
+        whose edges the doctored instance gains."""
+        n = self.n
+        planted = _sample_perm(rng, n)
+        if doctor:
+            matrix = [list(row) for row in matrix]
+            for t in range(n):
+                a, b = planted[t], planted[(t + 1) % n]
+                matrix[a][b] = matrix[b][a] = 1
+        return matrix, planted
+
+    def committed_round(self, rng, perm, flips, matrix, cycle) -> tuple:
+        bits = [bit for row in matrix for bit in row]
+        return _committed_round(
+            self, rng, bits, _cycle_positions(cycle, self.n), {"permutation": perm}, {"cycle": cycle}
+        )
+
+    def check_cipher(self, commitment, response) -> bool:
+        perm = response.permutation
+        if perm is None or response.salts is None or sorted(perm) != list(range(self.n)):
+            return False
+        bits = [bit for row in self.relabel(perm) for bit in row]
+        return _opens(self, bits, response.salts, commitment.digests)
+
+    def check_solution(self, commitment, response) -> bool:
+        n, cycle = self.n, response.cycle
+        if cycle is None or response.salts is None or sorted(cycle) != list(range(n)):
+            return False
+        # Each opened entry must be a committed 1: a present edge of the
+        # committed instance.
+        digests = [commitment.digests[i] for i in _cycle_positions(cycle, n)]
+        return _opens(self, (1,) * n, response.salts, digests)
+
 
 class SatProblem(namedtuple("SatProblem", "n_vars clauses")):
     """Satisfy a conjunction of 3-literal clauses (a tuple of 3-tuples);
     literal k means variable |k| (1-based), negated when k < 0."""
 
     __slots__ = ()
+    file_keys = frozenset({"type", "variables", "clauses", "assignment"})
+    solution_field, solution_type = "assignment", bool
+
+    @classmethod
+    def from_json(cls, data) -> "SatProblem":
+        n_vars = data["variables"]
+        if type(n_vars) is not int:
+            raise ValueError(f"variables must be a JSON integer, not {_quote(n_vars)}")
+        if n_vars > MAX_VARIABLES:
+            raise ValueError(f"variables must be at most {MAX_VARIABLES}, not {n_vars}")
+        clauses = _json_array(data["clauses"], list, "clauses")
+        if len(clauses) > MAX_ROUND_ENTRIES:
+            raise ValueError(f"clauses must hold at most {MAX_ROUND_ENTRIES}, not {len(clauses)}")
+        return cls(n_vars, tuple(_json_array(c, int, f"clause {i}") for i, c in enumerate(clauses)))
 
     def validate(self) -> None:
         n = self.n_vars
@@ -195,7 +270,10 @@ class SatProblem(namedtuple("SatProblem", "n_vars clauses")):
     def round_entries(self) -> int:
         """What a round sends, counted against the session bounds: its
         clause commitments and the variables it permutes."""
-        return len(self.clauses) + self.n_vars
+        return self.commitment_count() + self.n_vars
+
+    def commitment_count(self) -> int:
+        return len(self.clauses)
 
     def reshuffle(self, rng) -> tuple:
         """Draw a round's reshuffling: (perm, flips, transformed clauses)."""
@@ -218,11 +296,56 @@ class SatProblem(namedtuple("SatProblem", "n_vars clauses")):
         image_of = image.__getitem__
         return tuple([tuple(sorted(map(image_of, clause))) for clause in self.clauses])
 
-    def transform_assignment(self, assignment, perm, flips) -> tuple:
+    def image(self, assignment, perm, flips) -> tuple:
         out = [False] * self.n_vars
         for i, value in enumerate(assignment):
             out[perm[i]] = bool(value) ^ bool(flips[i])
         return tuple(out)
+
+    @staticmethod
+    def digests(clauses, salts) -> list:
+        """The commitments to clauses whose literals are already sorted, as
+        `transform` and a doctored instance give them."""
+        pack, sha256 = _CLAUSE.pack, hashlib.sha256
+        return [sha256(pack(*clause) + salt).digest() for clause, salt in zip(clauses, salts)]
+
+    def forged(self, rng, clauses, doctor: bool) -> tuple:
+        """A cheater's (instance, claimed assignment): random coins, and the
+        doctored instance flips one literal's sign in each clause they fail."""
+        claimed = tuple(map(bool, _coins(rng, self.n_vars)))
+        if doctor:
+            true = self._true_literals(claimed)
+            clauses = tuple(
+                tuple(sorted((-clause[0],) + clause[1:])) if true.isdisjoint(clause) else clause
+                for clause in clauses
+            )
+        return clauses, claimed
+
+    def committed_round(self, rng, perm, flips, clauses, assignment) -> tuple:
+        return _committed_round(
+            self, rng, clauses, range(len(clauses)), {"permutation": perm, "flips": flips},
+            {"clauses": clauses, "assignment": assignment},
+        )
+
+    def check_cipher(self, commitment, response) -> bool:
+        perm, flips = response.permutation, response.flips
+        if perm is None or flips is None or response.salts is None:
+            return False
+        if sorted(perm) != list(range(self.n_vars)) or len(flips) != self.n_vars:
+            return False
+        return _opens(self, self.transform(perm, flips), response.salts, commitment.digests)
+
+    def check_solution(self, commitment, response) -> bool:
+        clauses, assignment = response.clauses, response.assignment
+        if clauses is None or assignment is None or response.salts is None:
+            return False
+        opened = SatProblem(self.n_vars, tuple(clauses))
+        opened.validate()  # a ValueError rejects the round
+        # the prover's clauses are untrusted: sort each before packing it
+        entries = [sorted(clause) for clause in opened.clauses]
+        return _opens(self, entries, response.salts, commitment.digests) and opened.is_solution(
+            assignment
+        )
 
 
 # --- round data --------------------------------------------------------------
@@ -285,33 +408,7 @@ class ProverRound:
         return responses[challenge]
 
 
-def _hc_entries(matrix) -> list:
-    return [_MATRIX_ENTRY[bit] for row in matrix for bit in row]
-
-
-def _sat_entries(clauses) -> list:
-    """Pack clauses whose literals are already sorted, as `transform` and a
-    doctored instance give them."""
-    pack = _CLAUSE.pack
-    return [pack(*clause) for clause in clauses]
-
-
-def _digests(entries, salts) -> list:
-    """SHA-256 of each entry followed by its salt: the commitments a prover
-    makes and a verifier recomputes. The entries of one call are all matrix
-    entries or all clauses."""
-    if entries and entries[0] in _MATRIX_STATE:
-        digests = []
-        for entry, salt in zip(entries, salts):
-            state = _MATRIX_STATE[entry].copy()
-            state.update(salt)
-            digests.append(state.digest())
-        return digests
-    sha256 = hashlib.sha256
-    return [sha256(entry + salt).digest() for entry, salt in zip(entries, salts)]
-
-
-def _committed_round(rng, entries, opened, cipher, solution) -> tuple:
+def _committed_round(problem, rng, entries, opened, cipher, solution) -> tuple:
     """Salt and commit every entry, then prepare both responses.
 
     The cipher response opens every entry; the solution response opens the
@@ -322,7 +419,7 @@ def _committed_round(rng, entries, opened, cipher, solution) -> tuple:
     # the bytes a draw per salt would give. One unpack cuts them in one call.
     count = len(entries)
     salts = struct.Struct(f"{SALT_BYTES}s" * count).unpack(rng.randbytes(SALT_BYTES * count))
-    commitment = RoundCommitment(tuple(_digests(entries, salts)))
+    commitment = RoundCommitment(tuple(problem.digests(entries, salts)))
     responses = {
         Challenge.REVEAL_CIPHER: Response(Challenge.REVEAL_CIPHER, salts=salts, **cipher),
         Challenge.REVEAL_SOLUTION: Response(
@@ -337,30 +434,13 @@ def _cycle_positions(cycle, n: int) -> list:
     return [cycle[t] * n + cycle[(t + 1) % n] for t in range(n)]
 
 
-def _hc_round(rng, perm, matrix, cycle) -> tuple:
-    return _committed_round(
-        rng, _hc_entries(matrix), _cycle_positions(cycle, len(matrix)),
-        {"permutation": perm}, {"cycle": cycle},
-    )
-
-
-def _sat_round(rng, perm, flips, instance, assignment) -> tuple:
-    return _committed_round(
-        rng, _sat_entries(instance), range(len(instance)),
-        {"permutation": perm, "flips": flips},
-        {"clauses": instance, "assignment": assignment},
-    )
-
-
 def cipher_round(problem, solution, rng) -> tuple:
     """Honest round: reshuffle, commit, and prepare both responses."""
     perm, flips, instance = problem.reshuffle(rng)
     if not problem.is_solution(solution):
         raise ValueError("refusing to start a round without a valid solution")
-    if isinstance(problem, HamiltonianCycleProblem):
-        return _hc_round(rng, perm, instance, tuple(perm[v] for v in solution))
-    assignment = problem.transform_assignment(solution, perm, flips)
-    return _sat_round(rng, perm, flips, instance, assignment)
+    image = problem.image(solution, perm, flips)
+    return problem.committed_round(rng, perm, flips, instance, image)
 
 
 def forge_round(problem, rng) -> tuple:
@@ -373,95 +453,30 @@ def forge_round(problem, rng) -> tuple:
     """
     doctor = rng.getrandbits(1) == 1  # guessed Challenge.REVEAL_SOLUTION
     perm, flips, instance = problem.reshuffle(rng)
-    if isinstance(problem, HamiltonianCycleProblem):
-        n = problem.n
-        planted = _sample_perm(rng, n)
-        if doctor:
-            matrix = [list(row) for row in instance]
-            for t in range(n):
-                a, b = planted[t], planted[(t + 1) % n]
-                matrix[a][b] = matrix[b][a] = 1
-            instance = matrix
-        return _hc_round(rng, perm, instance, planted)
-    claimed = tuple(map(bool, _coins(rng, problem.n_vars)))
-    if doctor:
-        # Doctor each unsatisfied clause by flipping one literal's sign.
-        true = SatProblem._true_literals(claimed)
-        instance = tuple(
-            tuple(sorted((-clause[0],) + clause[1:])) if true.isdisjoint(clause) else clause
-            for clause in instance
-        )
-    return _sat_round(rng, perm, flips, instance, claimed)
+    instance, claimed = problem.forged(rng, instance, doctor)
+    return problem.committed_round(rng, perm, flips, instance, claimed)
 
 
 # --- verifier ----------------------------------------------------------------
 
 
-def _opens(entries, salts, digests) -> bool:
+def _opens(problem, entries, salts, digests) -> bool:
     """True iff there are as many salts and digests as entries and each
     entry, salted, hashes to its digest."""
     if not len(entries) == len(salts) == len(digests):
         return False
-    return _digests(entries, salts) == list(digests)
-
-
-def _check_cipher_hc(problem, commitment, response) -> bool:
-    perm = response.permutation
-    if perm is None or response.salts is None or sorted(perm) != list(range(problem.n)):
-        return False
-    entries = _hc_entries(problem.relabel(perm))
-    return _opens(entries, response.salts, commitment.digests)
-
-
-def _check_solution_hc(problem, commitment, response) -> bool:
-    n = problem.n
-    cycle = response.cycle
-    if cycle is None or response.salts is None or sorted(cycle) != list(range(n)):
-        return False
-    # Each opened entry must be a committed 1: a present edge of the
-    # committed instance.
-    digests = [commitment.digests[i] for i in _cycle_positions(cycle, n)]
-    return _opens([_MATRIX_ENTRY[1]] * n, response.salts, digests)
-
-
-def _check_cipher_sat(problem, commitment, response) -> bool:
-    perm, flips = response.permutation, response.flips
-    if perm is None or flips is None or response.salts is None:
-        return False
-    if sorted(perm) != list(range(problem.n_vars)) or len(flips) != problem.n_vars:
-        return False
-    entries = _sat_entries(problem.transform(perm, flips))
-    return _opens(entries, response.salts, commitment.digests)
-
-
-def _check_solution_sat(problem, commitment, response) -> bool:
-    clauses, assignment = response.clauses, response.assignment
-    if clauses is None or assignment is None or response.salts is None:
-        return False
-    opened = SatProblem(problem.n_vars, tuple(clauses))
-    opened.validate()  # a ValueError rejects the round
-    # the prover's clauses are untrusted: sort each before packing it
-    entries = _sat_entries([sorted(clause) for clause in opened.clauses])
-    opens = _opens(entries, response.salts, commitment.digests)
-    return opens and opened.is_solution(assignment)
+    return problem.digests(entries, salts) == list(digests)
 
 
 def verify_round(problem, commitment, challenge: Challenge, response) -> bool:
     """Recompute the revealed branch against the commitments; False on any
     mismatch, never an exception for dishonest data."""
-    if isinstance(problem, HamiltonianCycleProblem):
-        count = problem.n * problem.n
-        checks = _check_cipher_hc, _check_solution_hc
-    elif isinstance(problem, SatProblem):
-        count = len(problem.clauses)
-        checks = _check_cipher_sat, _check_solution_sat
-    else:
-        raise TypeError(f"unsupported problem type {type(problem)!r}")
-    check = checks[0] if challenge is Challenge.REVEAL_CIPHER else checks[1]
+    cipher = challenge is Challenge.REVEAL_CIPHER
+    check = problem.check_cipher if cipher else problem.check_solution
     try:
-        if len(commitment.digests) != count:
+        if len(commitment.digests) != problem.commitment_count():
             return False
-        return response.challenge is challenge and check(problem, commitment, response)
+        return response.challenge is challenge and check(commitment, response)
     except (IndexError, TypeError, ValueError, struct.error):
         return False
 
@@ -586,11 +601,8 @@ def _json_array(values, item_type: type, field: str) -> tuple:
     )
 
 
-# The keys of each problem type: those load_problem reads, and no others.
-PROBLEM_KEYS = {
-    "hamiltonian-cycle": frozenset({"type", "adjacency", "cycle"}),
-    "sat3": frozenset({"type", "variables", "clauses", "assignment"}),
-}
+# Each problem type by its file's "type"; a file holds only its type's keys.
+PROBLEM_TYPES = {"hamiltonian-cycle": HamiltonianCycleProblem, "sat3": SatProblem}
 
 
 def load_problem(data) -> tuple:
@@ -604,37 +616,16 @@ def load_problem(data) -> tuple:
     if not isinstance(data, dict):
         raise ValueError(f"a problem file holds a JSON object, not {type(data).__name__}")
     kind = data.get("type")
-    keys = PROBLEM_KEYS.get(kind) if isinstance(kind, str) else None
-    if keys is None:
+    cls = PROBLEM_TYPES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
         raise ValueError(f"unknown problem type {_quote(kind)}")
-    if not data.keys() <= keys:
-        raise stray_key(f"{kind} problem file", data, keys)
-    if kind == "hamiltonian-cycle":
-        rows = _json_array(data["adjacency"], list, "adjacency")
-        if len(rows) > MAX_VERTICES:
-            raise ValueError(f"adjacency must have at most {MAX_VERTICES} rows, not {len(rows)}")
-        problem = HamiltonianCycleProblem(
-            tuple(_json_array(row, int, f"adjacency row {i}") for i, row in enumerate(rows))
-        )
-        solution_field, solution_type = "cycle", int
-    else:
-        n_vars = data["variables"]
-        if type(n_vars) is not int:
-            raise ValueError(f"variables must be a JSON integer, not {_quote(n_vars)}")
-        if n_vars > MAX_VARIABLES:
-            raise ValueError(f"variables must be at most {MAX_VARIABLES}, not {n_vars}")
-        clauses = _json_array(data["clauses"], list, "clauses")
-        if len(clauses) > MAX_ROUND_ENTRIES:
-            raise ValueError(f"clauses must hold at most {MAX_ROUND_ENTRIES}, not {len(clauses)}")
-        problem = SatProblem(
-            n_vars,
-            tuple(_json_array(c, int, f"clause {i}") for i, c in enumerate(clauses)),
-        )
-        solution_field, solution_type = "assignment", bool
+    if not data.keys() <= cls.file_keys:
+        raise stray_key(f"{kind} problem file", data, cls.file_keys)
+    problem = cls.from_json(data)
     problem.validate()
-    solution = None
-    if solution_field in data:  # an explicit null is no second form of "absent"
-        solution = _json_array(data[solution_field], solution_type, solution_field)
+    solution, field = None, cls.solution_field
+    if field in data:  # an explicit null is no second form of "absent"
+        solution = _json_array(data[field], cls.solution_type, field)
         if not problem.is_solution(solution):
-            raise ValueError(f"the supplied {solution_field} does not solve the problem")
+            raise ValueError(f"the supplied {field} does not solve the problem")
     return problem, solution

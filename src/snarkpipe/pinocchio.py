@@ -73,7 +73,7 @@ class Trapdoor(
     @classmethod
     def sample(cls, rng, p: int, n_gates: int) -> "Trapdoor":
         def nonzero() -> int:
-            return rng.randrange(1, p)
+            return 1 + rng.randbelow(p - 1)
 
         r_v, r_w = nonzero(), nonzero()
         s = nonzero()

@@ -5,18 +5,18 @@ SHA-256(key || counter) blocks, each hashed from a copy of one SHA-256
 state already fed the key. Identical seed and label always reproduce
 the identical stream, which makes randomized protocol runs replayable, and
 the output is as unpredictable as SHA-256 for anyone without the seed.
-Subclassing random.Random keeps randrange, sample and the rest available,
-each drawing through getrandbits. shuffle and randbytes are overridden to
-read the stream in bulk: randbytes is one slice of it, and shuffle reads
-every position of its permutation from one draw, consuming exactly the
-bytes random.Random.shuffle's getrandbits calls would, so both give the
-same results and leave the stream at the same point.
+Every draw is defined here, not by the random module: getrandbits(k) is
+the next ceil(k/8) bytes, little-endian, shifted right to k bits;
+randbelow(n) draws bitlen(n) bits until the value is below n; randbytes
+is one slice of the stream; and shuffle swaps position i with
+randbelow(i + 1), reading every position of its permutation from one draw.
+(These are the draws random.Random's randrange and shuffle make from a
+getrandbits on Python 3.10-3.13, so the streams are the same as theirs.)
 """
 
 from __future__ import annotations
 
 import hashlib
-import random
 
 from .field import _quote
 
@@ -47,19 +47,10 @@ def _require_bytes(role: str, value) -> bytes:
     return value
 
 
-class Sha256Rng(random.Random):
-    def __new__(cls, *args, **kwargs):
-        # random.Random.__new__ would seed from the arguments, and on Python
-        # 3.10 it hashes a seed it cannot take (a bytearray) before seed()
-        # can refuse it by type. __init__ seeds through seed() alone.
-        return super().__new__(cls)
-
+class Sha256Rng:
     def __init__(self, seed: bytes, label: bytes = b""):
-        self._label = _require_bytes("label", label)
-        super().__init__(seed)
-
-    def seed(self, a=None, version=2):
-        self._key = hashlib.sha256(self._label + b"\x00" + _require_bytes("seed", a)).digest()
+        label, seed = _require_bytes("label", label), _require_bytes("seed", seed)
+        self._key = hashlib.sha256(label + b"\x00" + seed).digest()
         # A copy of a state already fed the key costs less than a new hash
         # object, and hashing the counter into it gives SHA-256(key || counter).
         self._keyed = hashlib.sha256(self._key)
@@ -89,15 +80,26 @@ class Sha256Rng(random.Random):
         value = int.from_bytes(self._take(nbytes), "little")
         return value >> (nbytes * 8 - k)
 
+    def randbelow(self, n: int) -> int:
+        """Uniform in 0..n-1: bitlen(n) bits, drawn again while they are at
+        least n."""
+        if n < 1:
+            raise ValueError(f"randbelow needs n >= 1, got {n}")
+        k = n.bit_length()
+        value = self.getrandbits(k)
+        while value >= n:
+            value = self.getrandbits(k)
+        return value
+
     def randbytes(self, n: int) -> bytes:
         return self._take(n)
 
     def shuffle(self, x) -> None:
-        """random.Random.shuffle from one draw. Position i swaps with
-        randbelow(i + 1): a k-bit getrandbits, k = (i + 1).bit_length(),
-        is ceil(k/8) bytes little-endian shifted right to k bits, drawn
-        again while it is at least i + 1. The bytes left over go back to
-        the front of the pool."""
+        """Fisher-Yates from one draw. Position i, from the last down to 1,
+        swaps with randbelow(i + 1): with k = (i + 1).bit_length(), ceil(k/8)
+        bytes little-endian shifted right to k bits, drawn again while they
+        are at least i + 1. The bytes left over go back to the front of
+        the pool."""
         n = len(x)
         # Two draws per position: rejection needs fewer on average.
         width = (n.bit_length() + 7) // 8
@@ -120,12 +122,3 @@ class Sha256Rng(random.Random):
                     break
             x[i], x[j] = x[j], x[i]
         self._pool = drawn[pos:] + self._pool
-
-    def random(self) -> float:
-        return self.getrandbits(53) * (2.0**-53)
-
-    def getstate(self):
-        raise NotImplementedError("stream state is not exportable")
-
-    def setstate(self, state):
-        raise NotImplementedError("stream state is not exportable")

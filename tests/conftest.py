@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -15,6 +16,23 @@ BAD_COLORING = {"c1": 1, "c2": 1, "c3": 2, "c4": 1, "c5": 2}
 
 # Edge list of the bundled 5-vertex graph, 1-based vertex labels.
 COLORING_EDGES = ((1, 2), (1, 3), (1, 4), (1, 5), (2, 5), (2, 3), (3, 4), (4, 5))
+
+
+class StreamRandom(random.Random):
+    """random.Random drawing every bit from a Sha256Rng stream: its
+    randrange, sample, choice and shuffle then draw exactly what they drew
+    when Sha256Rng subclassed random.Random, so the values the tests
+    generate stay the same."""
+
+    def __init__(self, stream: Sha256Rng):
+        super().__init__(0)  # seeds the Mersenne Twister state, which goes unused
+        self.stream = stream
+
+    def getrandbits(self, k: int) -> int:
+        return self.stream.getrandbits(k)
+
+    def random(self) -> float:
+        return self.getrandbits(53) * 2.0**-53
 
 
 def forward_assignment(circuit, inputs) -> dict:
@@ -66,7 +84,7 @@ def soundness_scan(qap, assignment, trials=None, seed=b"soundness-scan") -> Frac
         points = range(p)
         total = p
     else:
-        rng = Sha256Rng(seed, label=b"scan")
+        rng = StreamRandom(Sha256Rng(seed, label=b"scan"))
         points = (rng.randrange(p) for _ in range(trials))
         total = trials
 

@@ -35,7 +35,7 @@ from snarkpipe.interactive import HamiltonianCycleProblem, session_rounds
 from snarkpipe.pinocchio import WitnessKey
 from snarkpipe.rng import derive_seed
 
-from conftest import BAD_COLORING, CORPUS, GOOD_COLORING, derived, soundness_scan
+from conftest import BAD_COLORING, CORPUS, GOOD_COLORING, StreamRandom, derived, soundness_scan
 
 GOOD_INPUTS_JSON = {k: str(v) for k, v in GOOD_COLORING.items()}
 BAD_INPUTS_JSON = {k: str(v) for k, v in BAD_COLORING.items()}
@@ -85,7 +85,7 @@ def test_criterion_2_divisibility_iff_solution(coloring_circuit, coloring_qap, c
             coloring_qap, assignment
         ).divisible:
             mismatches += 1
-    rng = Sha256Rng(b"criterion-2")
+    rng = StreamRandom(Sha256Rng(b"criterion-2"))
     for _ in range(100):
         env = {v: rng.randrange(ctx.p) for v in coloring_circuit.inputs}
         assignment = solve(coloring_circuit, env)
@@ -160,7 +160,7 @@ def test_criterion_5_witness_tampering(coloring_circuit, coloring_qap, ctx):
     group = TransparentGroup(ctx)
     ek, vk = setup(coloring_qap, group, bytes([5]))
     wk = prove(ek, coloring_qap, solve(coloring_circuit, GOOD_COLORING))
-    rng = Sha256Rng(b"criterion-5")
+    rng = StreamRandom(Sha256Rng(b"criterion-5"))
     rejections = 0
     for name in WitnessKey.FIELDS:
         for _ in range(20):
@@ -217,10 +217,10 @@ def test_criterion_6_interactive_soundness_decay():
 
 
 def test_criterion_7_kernel_properties(ctx):
-    rng = Sha256Rng(b"criterion-7")
+    rng = StreamRandom(Sha256Rng(b"criterion-7"))
     group = TransparentGroup(ctx)
     g = group.generator()
-    t = g.pair(g)
+    t = group.pairing(g, g)
     checks = 0
     failures = 0
     started = time.perf_counter()
@@ -260,7 +260,7 @@ def test_criterion_7_kernel_properties(ctx):
         a = rng.randrange(ctx.p)
         b = rng.randrange(ctx.p)
         checks += 1
-        failures += (g**a).pair(g**b) != t ** (a * b % ctx.p)
+        failures += group.pairing(g**a, g**b) != t ** (a * b % ctx.p)
 
     while checks < 100000:  # exponent laws top up the count
         a = rng.randrange(ctx.p)

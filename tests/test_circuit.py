@@ -17,7 +17,7 @@ from snarkpipe import (
 from snarkpipe.circuit import PLUS, TIMES, WIRE_ONE, Gate, Wire
 from snarkpipe.frontend import Add, Constant, Mul, Neg, Pow, Variable
 
-from conftest import BAD_COLORING, GOOD_COLORING
+from conftest import BAD_COLORING, GOOD_COLORING, StreamRandom
 
 
 # --- independent gate-count oracle ---------------------------------------------
@@ -229,7 +229,7 @@ def test_check_requires_total_assignment(coloring_circuit):
 
 
 def test_random_inputs_cross_check(corpus_programs, ctx):
-    rng = Sha256Rng(b"circuit-cross-check")
+    rng = StreamRandom(Sha256Rng(b"circuit-cross-check"))
     for name, program in corpus_programs.items():
         circuit = flatten(program, ctx)
         for _ in range(100):

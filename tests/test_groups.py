@@ -11,6 +11,8 @@ from snarkpipe import (
 from snarkpipe.field import write_header
 from snarkpipe.pinocchio import load_verification_key
 
+from conftest import StreamRandom
+
 
 def test_exp_zero_gives_identity(ctx17):
     g = TransparentGroup(ctx17).generator()
@@ -35,19 +37,20 @@ def test_inverse(ctx17):
 
 
 def test_exponent_must_be_int(ctx17):
-    g = TransparentGroup(ctx17).generator()
+    group = TransparentGroup(ctx17)
+    g = group.generator()
     for exponent in (6.0, "6", None):
         with pytest.raises(TypeError):
             g**exponent
         with pytest.raises(TypeError):
-            g.pair(g) ** exponent
+            group.pairing(g, g) ** exponent
 
 
 def test_msm_matches_exponent_products(ctx):
     # The bases are discrete logs, the form evaluation-key entries take.
     group = TransparentGroup(ctx)
     g = group.generator()
-    rng = Sha256Rng(b"msm")
+    rng = StreamRandom(Sha256Rng(b"msm"))
     bases = [rng.randrange(ctx.p) for _ in range(30)]
     scalars = [rng.randrange(ctx.p) for _ in range(30)]
     expected = g**0
@@ -59,26 +62,29 @@ def test_msm_matches_exponent_products(ctx):
 
 
 def test_pairing_examples(ctx17):
-    g = TransparentGroup(ctx17).generator()
-    t = g.pair(g)
-    assert (g**2).pair(g**3) == t**6
-    assert (g**0).pair(g**5) == t**0
-    assert (g**2).pair(g**3) * (g**2).pair(g**4) == (g**2).pair(g**7)
+    group = TransparentGroup(ctx17)
+    g, pair = group.generator(), group.pairing
+    t = pair(g, g)
+    assert pair(g**2, g**3) == t**6
+    assert pair(g**0, g**5) == t**0
+    assert pair(g**2, g**3) * pair(g**2, g**4) == pair(g**2, g**7)
 
 
 def test_pairing_nondegenerate(ctx17):
-    g = TransparentGroup(ctx17).generator()
-    assert g.pair(g) != g.pair(g) ** 0
+    group = TransparentGroup(ctx17)
+    g = group.generator()
+    assert group.pairing(g, g) != group.pairing(g, g) ** 0
 
 
 def test_pairing_bilinearity_property(ctx):
-    g = TransparentGroup(ctx).generator()
-    t = g.pair(g)
-    rng = Sha256Rng(b"bilinearity")
+    group = TransparentGroup(ctx)
+    g = group.generator()
+    t = group.pairing(g, g)
+    rng = StreamRandom(Sha256Rng(b"bilinearity"))
     for _ in range(1000):
         a = rng.randrange(ctx.p)
         b = rng.randrange(ctx.p)
-        assert (g**a).pair(g**b) == t ** (a * b % ctx.p)
+        assert group.pairing(g**a, g**b) == t ** (a * b % ctx.p)
 
 
 def test_target_elements_share_the_source_law():
@@ -91,7 +97,7 @@ def test_target_elements_share_the_source_law():
 def test_target_elements_are_a_group_of_their_own(ctx17):
     group = TransparentGroup(ctx17)
     g = group.generator()
-    t = g.pair(g)
+    t = group.pairing(g, g)
     assert type(t * t) is type(t**5) is TargetGroupElement
     assert t * t == t**2 and hash(t**18) == hash(t)
     for k in range(17):
@@ -104,19 +110,15 @@ def test_target_elements_are_a_group_of_their_own(ctx17):
             group.pairing(left, right)
     with pytest.raises(TypeError, match="source elements"):
         group.pairing(t, t)
-    with pytest.raises(TypeError):
-        t.pair(g)
-    with pytest.raises(TypeError):
-        g.pair(t)
 
 
 def test_mixed_context_rejected(ctx17, ctx101):
-    g17 = TransparentGroup(ctx17).generator()
-    g101 = TransparentGroup(ctx101).generator()
+    group17 = TransparentGroup(ctx17)
+    g17, g101 = group17.generator(), TransparentGroup(ctx101).generator()
     with pytest.raises(ValueError):
         g17 * g101
     with pytest.raises(ValueError):
-        g17.pair(g101)
+        group17.pairing(g17, g101)
 
 
 @pytest.mark.parametrize("text", ["0", "5", "16"])

@@ -27,7 +27,7 @@ from snarkpipe.interactive import (
     MAX_SESSION_ENTRIES,
     MAX_VARIABLES,
     MAX_VERTICES,
-    PROBLEM_KEYS,
+    PROBLEM_TYPES,
     RoundCommitment,
     load_problem,
     session_rounds,
@@ -102,7 +102,7 @@ def test_sat_transform_preserves_satisfaction():
     flips = (1, 0, 0)
     transformed = SAT1.transform(perm, flips)
     assert transformed == ((-2, -1, 3),)
-    moved = SAT1.transform_assignment(SAT1_ASSIGNMENT, perm, flips)
+    moved = SAT1.image(SAT1_ASSIGNMENT, perm, flips)
     carrier = SatProblem(3, transformed)
     assert carrier.is_solution(moved)
 
@@ -114,7 +114,7 @@ def test_sat_transform_round_trip_many(ctx17):
         rng.shuffle(perm)
         flips = tuple(rng.getrandbits(1) for _ in range(3))
         carrier = SatProblem(3, SAT1.transform(tuple(perm), flips))
-        moved = SAT1.transform_assignment(SAT1_ASSIGNMENT, tuple(perm), flips)
+        moved = SAT1.image(SAT1_ASSIGNMENT, tuple(perm), flips)
         assert carrier.is_solution(moved)
 
 
@@ -484,7 +484,7 @@ def test_benchmark_problem_files_hold_exactly_the_keys_of_their_type():
             workloads.hamiltonian_problem(workload.hc_vertices, workload.hc_chord_rate, rng),
             workloads.sat_problem(workload.sat_vars, workload.sat_clauses, rng),
         ):
-            assert problem.keys() == PROBLEM_KEYS[problem["type"]]
+            assert problem.keys() == PROBLEM_TYPES[problem["type"]].file_keys
             _, solution = load_problem(problem)
             assert solution is not None
 

@@ -28,12 +28,7 @@ from snarkpipe import (  # noqa: E402
     run_session,
     verify_round,
 )
-from snarkpipe.interactive import (  # noqa: E402
-    _hc_entries,
-    _sat_entries,
-    encode_round,
-    session_rounds,
-)
+from snarkpipe.interactive import encode_round, session_rounds  # noqa: E402
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=60, database=None)
 
@@ -141,7 +136,7 @@ def honest_sat_round(problem, assignment, rng):
     perm = shuffled(rng, problem.n_vars)
     flips = coins(rng, problem.n_vars)
     instance = transform(problem, perm, flips)
-    moved = problem.transform_assignment(assignment, perm, flips)
+    moved = problem.image(assignment, perm, flips)
     drawn = salts(rng, len(instance))
     digests = commit([clause_entry(c) for c in instance], drawn)
     return digests, (perm, flips, drawn), (instance, moved, drawn)
@@ -215,28 +210,40 @@ def test_transform_and_is_solution_match_oracle(data):
     moved_problem = SatProblem(problem.n_vars, problem.transform(perm, flips))
     assert moved_problem.clauses == transform(problem, perm, flips)
     assert problem.is_solution(assignment) == is_solution(problem, assignment)
-    moved = problem.transform_assignment(assignment, perm, flips)
+    moved = problem.image(assignment, perm, flips)
     assert moved_problem.is_solution(moved) == is_solution(moved_problem, moved)
     assert moved_problem.is_solution(moved) == problem.is_solution(assignment)
     short = assignment[:-1]
     assert problem.is_solution(short) is is_solution(problem, short) is False
 
 
+SALT = st.binary(min_size=16, max_size=16)
+
+
 @SETTINGS
 @given(
-    clauses=st.lists(
-        st.lists(st.integers(-2**31, 2**31 - 1), min_size=3, max_size=3).map(sorted)
+    clauses_and_salts=st.lists(
+        st.tuples(st.lists(st.integers(-2**31, 2**31 - 1), min_size=3, max_size=3).map(sorted),
+                  SALT)
     )
 )
-def test_clause_entries_match_oracle(clauses):
-    # _sat_entries packs literals in the order given: the prover's clauses
-    # come sorted from transform, and the verifier sorts the ones it opens
-    assert _sat_entries(clauses) == [clause_entry(c) for c in clauses]
+def test_clause_entries_match_oracle(clauses_and_salts):
+    # SatProblem.digests packs literals in the order given: the prover's
+    # clauses come sorted from transform, and the verifier sorts the ones it
+    # opens
+    clauses, drawn = [c for c, _ in clauses_and_salts], [s for _, s in clauses_and_salts]
+    assert SatProblem.digests(clauses, drawn) == list(
+        commit([clause_entry(c) for c in clauses], drawn)
+    )
 
 
 def test_matrix_entries_match_oracle():
     matrix = ((0, 1, 1), (1, 0, 0), (1, 0, 0))
-    assert _hc_entries(matrix) == [matrix_entry(bit) for row in matrix for bit in row]
+    drawn = [bytes([i]) * 16 for i in range(9)]
+    bits = [bit for row in matrix for bit in row]
+    assert HamiltonianCycleProblem.digests(bits, drawn) == list(
+        commit([matrix_entry(bit) for row in matrix for bit in row], drawn)
+    )
 
 
 @st.composite

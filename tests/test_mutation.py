@@ -211,14 +211,25 @@ def test_mutated_artifact_ends_in_an_exit_code(artifacts, name, data):
 DATA_KEYED = {"circuit": {("names",)}, "inputs": {()}}
 
 
+def object_kind(path) -> tuple:
+    """The path with each list index as "*": every gate of a circuit, say,
+    is one kind of object, and its root, its field and its names others."""
+    return tuple("*" if isinstance(key, int) else key for key in path)
+
+
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 @settings(derandomize=True, deadline=None, max_examples=40, database=None)
 @given(data=st.data())
 def test_inserted_key_is_refused_by_name(artifacts, name, data):
     valid_dir, out_dir, docs = artifacts
     doc, paths = docs[name]
+    # Draw the kind of object first, then one object of that kind, so that
+    # the few outputs of a circuit are drawn as often as its many wires.
     objects = [path for path in paths if isinstance(node_at(doc, path), dict)]
-    path = data.draw(st.sampled_from(objects), label="path")
+    kind = data.draw(st.sampled_from(sorted({object_kind(p) for p in objects})), label="kind")
+    path = data.draw(
+        st.sampled_from([p for p in objects if object_kind(p) == kind]), label="path"
+    )
     node = node_at(doc, path)
     key = data.draw(st.text(max_size=4).filter(lambda key: key not in node), label="key")
     mutated = mutate(doc, path, "insert", data.draw(VALUES, label="value"), key)

@@ -12,7 +12,7 @@ from snarkpipe import (
 from snarkpipe import polynomial
 from snarkpipe.polynomial import SubproductTree, _pack, _slot_width, _unpack
 
-from conftest import slot_reduce
+from conftest import StreamRandom, slot_reduce
 
 
 def rand_poly(ctx, rng, max_degree):
@@ -32,7 +32,7 @@ def test_degree_convention(ctx17):
 
 
 def test_degree_of_product_adds(ctx17):
-    rng = Sha256Rng(b"degrees")
+    rng = StreamRandom(Sha256Rng(b"degrees"))
     for _ in range(50):
         a = rand_poly(ctx17, rng, 6)
         b = rand_poly(ctx17, rng, 6)
@@ -68,7 +68,7 @@ def test_divmod_zero_denominator(ctx17):
 
 
 def test_divmod_reconstruction_property(ctx):
-    rng = Sha256Rng(b"divmod-property")
+    rng = StreamRandom(Sha256Rng(b"divmod-property"))
     for _ in range(300):
         numerator = rand_poly(ctx, rng, 32)
         denominator = Polynomial(
@@ -112,7 +112,7 @@ def test_interpolate_duplicate_node(ctx17):
 
 
 def test_interpolation_round_trip_up_to_128_nodes(ctx):
-    rng = Sha256Rng(b"interp-roundtrip")
+    rng = StreamRandom(Sha256Rng(b"interp-roundtrip"))
     for size in (1, 2, 3, 17, 64, 128):
         xs = set()
         while len(xs) < size:
@@ -164,7 +164,7 @@ def test_operator_algebra(ctx17):
 
 
 def test_eval_matches_naive_sum(ctx17):
-    rng = Sha256Rng(b"horner")
+    rng = StreamRandom(Sha256Rng(b"horner"))
     for _ in range(50):
         poly = rand_poly(ctx17, rng, 8)
         x = rng.randrange(17)
@@ -242,7 +242,7 @@ def random_length(rng):
 def test_product_matches_schoolbook(modulus):
     ctx = field_for(modulus)
     p = ctx.p
-    rng = Sha256Rng(b"kronecker-product", label=str(p).encode())
+    rng = StreamRandom(Sha256Rng(b"kronecker-product", label=str(p).encode()))
     cases = [([], []), ([], [1, 2]), ([p - 1] * 300, [p - 1] * 300)]
     cases += [
         (random_coeffs(rng, p, random_length(rng)), random_coeffs(rng, p, random_length(rng)))
@@ -257,7 +257,7 @@ def test_product_matches_schoolbook(modulus):
 def test_divmod_matches_schoolbook(modulus):
     ctx = field_for(modulus)
     p = ctx.p
-    rng = Sha256Rng(b"newton-division", label=str(p).encode())
+    rng = StreamRandom(Sha256Rng(b"newton-division", label=str(p).encode()))
     cases = [([], [3]), ([1, 2, 3], [5]), ([1, 2], [1, 2, 3, 4]), ([p - 1] * 300, [p - 1] * 150)]
     for _ in range(150):
         num = random_coeffs(rng, p, random_length(rng))
@@ -275,7 +275,7 @@ def test_divmod_matches_schoolbook(modulus):
 def test_from_roots_matches_schoolbook(modulus):
     ctx = field_for(modulus)
     p = ctx.p
-    rng = Sha256Rng(b"product-tree", label=str(p).encode())
+    rng = StreamRandom(Sha256Rng(b"product-tree", label=str(p).encode()))
     cases = [[], [0], [p], [5] * 9, list(range(1, 301)), [p + 1, 2 * p + 1, 1]]
     for _ in range(100):
         # roots at or above p, and repeats once they outnumber the field
@@ -306,7 +306,7 @@ def basis_interpolation(ctx, values, nodes=None):
 def test_tree_interpolation_matches_lagrange_basis(modulus, sizes):
     ctx = field_for(modulus)
     p = ctx.p
-    rng = Sha256Rng(b"tree-interpolation", label=str(p).encode())
+    rng = StreamRandom(Sha256Rng(b"tree-interpolation", label=str(p).encode()))
     for n in sizes:
         qap = node_qap(ctx, n)
         values = random_coeffs(rng, p, n)
@@ -318,7 +318,7 @@ def test_tree_interpolation_matches_lagrange_basis(modulus, sizes):
 def test_sparse_columns_match_lagrange_basis(ctx):
     # The emitted file's columns against the tree (QAP.interpolate) and a
     # basis interpolation of the dense node values.
-    rng = Sha256Rng(b"sparse-columns")
+    rng = StreamRandom(Sha256Rng(b"sparse-columns"))
     for n in (1, 2, 7, 69, 150):
         columns = [{}]
         for _ in range(12):
@@ -347,7 +347,7 @@ def test_sparse_columns_match_lagrange_basis(ctx):
 def test_closed_form_lagrange_values_match_horner(modulus):
     ctx = field_for(modulus)
     p = ctx.p
-    rng = Sha256Rng(b"lagrange-at-s", label=str(p).encode())
+    rng = StreamRandom(Sha256Rng(b"lagrange-at-s", label=str(p).encode()))
     for n in list(range(1, 49)) + ([100, 201] if modulus is None else []):
         s = rng.randrange(n + 1, p)  # setup's trapdoor rule: s > N
         qap = node_qap(ctx, n)
@@ -357,7 +357,7 @@ def test_closed_form_lagrange_values_match_horner(modulus):
 
 
 def test_subproduct_tree_combines_over_arbitrary_roots(ctx97):
-    rng = Sha256Rng(b"tree-any-roots")
+    rng = StreamRandom(Sha256Rng(b"tree-any-roots"))
     for size in (1, 2, 3, 5, 16, 33):
         roots = rng.sample(range(97), size)
         tree = SubproductTree(ctx97, roots)
@@ -421,7 +421,7 @@ TREE_SIZES = [0, 1, 2, 3] + [m for k in range(2, 9) for m in (2**k - 1, 2**k, 2*
 def test_subproduct_tree_matches_the_reducing_tree(modulus):
     ctx = field_for(modulus)
     p = ctx.p
-    rng = Sha256Rng(b"tree-bounds", label=str(p).encode())
+    rng = StreamRandom(Sha256Rng(b"tree-bounds", label=str(p).encode()))
     for n in TREE_SIZES:
         root_lists = [
             list(range(1, n + 1)),  # the QAP's nodes, repeating mod 97 past 96

@@ -17,7 +17,7 @@ from snarkpipe import (
 )
 from snarkpipe.circuit import Circuit, Gate, Wire
 
-from conftest import GOOD_COLORING, chain_program, derived, soundness_scan
+from conftest import GOOD_COLORING, StreamRandom, chain_program, derived, soundness_scan
 
 
 def hand_circuit_single_times(ctx):
@@ -264,7 +264,7 @@ def test_divisibility_iff_solution_exhaustive(coloring_program, coloring_circuit
 def test_divisibility_iff_solution_random(name, corpus_programs, ctx):
     circuit = flatten(corpus_programs[name], ctx)
     qap = build_qap(circuit)
-    rng = Sha256Rng(b"qap-equivalence")
+    rng = StreamRandom(Sha256Rng(b"qap-equivalence"))
     for _ in range(100):
         env = {v: rng.randrange(ctx.p) for v in circuit.inputs}
         assignment = solve(circuit, env)
@@ -274,7 +274,7 @@ def test_divisibility_iff_solution_random(name, corpus_programs, ctx):
 def test_divisibility_iff_solution_under_wire_tampering(
     coloring_circuit, coloring_qap
 ):
-    rng = Sha256Rng(b"tamper-equivalence")
+    rng = StreamRandom(Sha256Rng(b"tamper-equivalence"))
     base = solve(coloring_circuit, GOOD_COLORING)
     symbol_wires = list(coloring_qap.symbols)
     for _ in range(50):

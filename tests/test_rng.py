@@ -1,16 +1,18 @@
 import hashlib
-import random
 
 import pytest
 
+from snarkpipe.field import DEFAULT_MODULUS
 from snarkpipe.rng import Sha256Rng, derive_seed, parse_seed
+
+from conftest import StreamRandom
 
 
 def test_same_seed_same_stream():
     a = Sha256Rng(b"seed")
     b = Sha256Rng(b"seed")
-    assert [a.randrange(1000) for _ in range(20)] == [
-        b.randrange(1000) for _ in range(20)
+    assert [a.randbelow(1000) for _ in range(20)] == [
+        b.randbelow(1000) for _ in range(20)
     ]
     assert a.randbytes(32) == b.randbytes(32)
 
@@ -63,9 +65,10 @@ def test_derive_seed_is_stable_and_labelled():
 
 
 def test_state_export_unsupported():
-    rng = Sha256Rng(b"s")
-    with pytest.raises(NotImplementedError):
-        rng.getstate()
+    # The stream is no random.Random: there is no state to export or
+    # restore, no reseeding and no float draw.
+    for name in ("seed", "random", "getstate", "setstate"):
+        assert not hasattr(Sha256Rng, name)
 
 
 # --- seeds and labels are bytes ----------------------------------------------------
@@ -81,9 +84,6 @@ def test_non_bytes_seed_is_refused_by_type(seed):
 def test_missing_seed_is_refused():
     with pytest.raises(TypeError, match="seed"):
         Sha256Rng()
-    rng = Sha256Rng(b"s")
-    with pytest.raises(TypeError, match="seed must be bytes, not NoneType"):
-        rng.seed()  # random.Random's reseed-from-the-clock form
 
 
 @pytest.mark.parametrize("label", ["label", 7], ids=["str", "int"])
@@ -92,8 +92,9 @@ def test_non_bytes_label_is_refused_by_type(label):
         Sha256Rng(b"seed", label=label)
 
 
-# SHA-256 of 100 random bytes, a 77-bit draw and 20 randrange(256) draws,
-# recorded while the seed and label still accepted other types.
+# SHA-256 of 100 random bytes, a 77-bit draw and 20 randbelow(256) draws,
+# recorded while the seed and label still accepted other types, and the
+# draws were random.Random.randrange(256).
 PINNED_STREAMS = (
     (b"seed", b"", "2150ffc3390d484e32da3d77ced41143a2d0fb6f9d4300f4d308acb8ebee9ec4"),
     (b"seed", b"label", "a91dcadd4aa06cada5abecea2a89db5e51382606ee669c6c441fd345b9bdf0ce"),
@@ -106,7 +107,7 @@ PINNED_STREAMS = (
 def test_byte_streams_are_pinned(seed, label, digest):
     rng = Sha256Rng(seed, label=label)
     data = rng.randbytes(100) + rng.getrandbits(77).to_bytes(10, "little")
-    data += bytes([rng.randrange(256) for _ in range(20)])
+    data += bytes([rng.randbelow(256) for _ in range(20)])
     assert hashlib.sha256(data).hexdigest() == digest
 
 
@@ -166,7 +167,7 @@ def test_bulk_take_matches_block_at_a_time():
         fast.shuffle(a)
         slow.shuffle(b)
         assert a == b
-    assert fast.random() == slow.random()
+    assert StreamRandom(fast).random() == StreamRandom(slow).random()
 
 
 # --- shuffle ---------------------------------------------------------------------
@@ -177,16 +178,17 @@ SHUFFLE_SIZES = (0, 1, 2, 17, 100, 255, 256, 257, 1000)
 
 @pytest.mark.parametrize("size", SHUFFLE_SIZES)
 def test_shuffle_matches_random_shuffle_on_a_twin(size):
-    # random.Random.shuffle makes one getrandbits call per position and per
-    # rejection; the one-draw shuffle must read exactly those bytes. At sizes
-    # 2 and 17 some offsets reject often enough to outrun the first draw.
+    # random.Random.shuffle, here on a twin stream, makes one getrandbits
+    # call per position and per rejection; the one-draw shuffle must read
+    # exactly those bytes. At sizes 2 and 17 some offsets reject often
+    # enough to outrun the first draw.
     for offset in range(41):
         seed = b"shuffle-%d-%d" % (size, offset)
         fast, twin = Sha256Rng(seed), Sha256Rng(seed)
         assert fast.randbytes(offset) == twin.randbytes(offset)
         x, y = list(range(size)), list(range(size))
         fast.shuffle(x)
-        random.Random.shuffle(twin, y)
+        StreamRandom(twin).shuffle(y)
         assert x == y
         assert fast.randbytes(64) == twin.randbytes(64)  # the streams stay level
 
@@ -206,3 +208,31 @@ def test_shuffle_reads_its_positions_from_one_draw(monkeypatch):
     monkeypatch.setattr(Sha256Rng, "getrandbits", per_position_draw)
     Sha256Rng(b"one draw").shuffle(list(range(100)))
     assert takes == [200]  # two bytes per position: room for the rejections
+
+
+# --- randbelow -------------------------------------------------------------------
+
+# One bit, one byte on either side of the two-byte boundary, and the widest
+# range the protocol draws from: the trapdoor's 1..p-1 and selftest's 0..p-1.
+RANDBELOW_SIZES = (1, 2, 255, 256, 257, DEFAULT_MODULUS - 1, DEFAULT_MODULUS)
+
+
+@pytest.mark.parametrize("n", RANDBELOW_SIZES)
+def test_randbelow_matches_randrange_on_a_twin(n):
+    # random.Random.randrange(a, a + n) is a + _randbelow(n), drawn from
+    # getrandbits; randbelow must read the same bytes for the same values.
+    for offset in range(41):
+        seed = b"randbelow-%d" % offset
+        fast, twin = Sha256Rng(seed), StreamRandom(Sha256Rng(seed))
+        assert fast.randbytes(offset) == twin.stream.randbytes(offset)
+        for a in (0, 1, -3):
+            assert [a + fast.randbelow(n) for _ in range(20)] == [
+                twin.randrange(a, a + n) for _ in range(20)
+            ]
+        assert fast.randbytes(64) == twin.stream.randbytes(64)  # the streams stay level
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_randbelow_refuses_an_empty_range(n):
+    with pytest.raises(ValueError, match="randbelow needs n >= 1"):
+        Sha256Rng(b"empty").randbelow(n)
