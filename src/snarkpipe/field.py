@@ -32,8 +32,13 @@ DEFAULT_MODULUS = 2**64 - 2**32 + 1
 # to more, and the circuit and evaluation-key loaders a file that lists more.
 MAX_GATES = 1 << 16
 
-# Deterministic Miller-Rabin witness set, sound for every n < 3.3 * 10^24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin with the primes up to 41 as witnesses decides every n below
+# psi_13 = 3317044064679887385961981, the least composite that is a strong
+# probable prime to all of them (Sorenson and Webster, Math. Comp. 86, 2017);
+# the primes up to 37 alone pass psi_12 = 318665857834031151167461. From
+# psi_13 on, a strong Lucas test joins them (Baillie-PSW).
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
 
 # The one versioned artifact format; a change to any file's layout bumps it.
 _FORMAT = "snarkpipe-{kind}/3"
@@ -126,7 +131,61 @@ def is_probable_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _MR_EXACT_BELOW or _is_strong_lucas_probable_prime(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a / n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _is_strong_lucas_probable_prime(n: int) -> bool:
+    """The strong Lucas test with Selfridge's parameters (Baillie and
+    Wagstaff, Math. Comp. 35, 1980), for odd n > 2 with no factor below 43:
+    D is the first of 5, -7, 9, -11, ... with (D / n) = -1, P = 1 and
+    Q = (1 - D) / 4. With n + 1 = k * 2^s, k odd, a prime n has U_k = 0 or
+    V_(k * 2^r) = 0 mod n for some r < s."""
+    from math import isqrt  # here, not at the top: verify reads headers and needs no math
+
+    if isqrt(n) ** 2 == n:  # no D has (D / n) = -1
+        return False
+    d = 5
+    while (j := _jacobi(d, n)) != -1:
+        if j == 0:  # gcd(D, n) > 1, and |D| < n
+            return False
+        d = -d - 2 if d > 0 else 2 - d
+    q = (1 - d) // 4
+    k, s = n + 1, 0
+    while k % 2 == 0:
+        k //= 2
+        s += 1
+
+    def halved(x: int) -> int:  # x / 2 mod n, for odd n
+        return (x + n if x % 2 else x) // 2 % n
+
+    u, v, q_k = 1, 1, q % n  # U_1, V_1 and Q^1
+    for bit in bin(k)[3:]:
+        u, v, q_k = u * v % n, (v * v - 2 * q_k) % n, q_k * q_k % n  # index doubled
+        if bit == "1":  # index plus one
+            u, v, q_k = halved(u + v), halved(d * u + v), q_k * q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, q_k = (v * v - 2 * q_k) % n, q_k * q_k % n
+        if v == 0:
+            return True
+    return False
 
 
 class FieldContext:

@@ -10,7 +10,9 @@ division through Newton inversion of the reversed divisor, and products of
 many linear factors through a subproduct tree. Each gives exactly the
 residues of the schoolbook loops, which the tests keep as their oracle, at
 the cost of a few big-integer products instead of a double loop over
-coefficients.
+coefficients. On a large tree the prover's path holds every packed
+polynomial at two points instead (`TwoPointTree`), so that each of those
+products is two of half the size.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ __all__ = [
     "DuplicateNode",
     "Polynomial",
     "SubproductTree",
+    "TWO_POINT_CUTOFF",
+    "TwoPointTree",
     "lagrange_basis",
 ]
 
@@ -412,6 +416,221 @@ class SubproductTree:
         rev_g = slots.reduce(_low(self._combined(a_scales) * self._combined(b_scales), width, size))
         inv = _inverse_series(self.levels[-1][0][0], size, slots)
         coeffs = _unpack(_low(rev_g * inv, width, size), width, size, p)[::-1]
+        # the coefficient of x^j changes sign when n + j is odd
+        coeffs[(n + 1) % 2 :: 2] = [-c % p for c in coeffs[(n + 1) % 2 :: 2]]
+        return coeffs
+
+
+# Two-point Kronecker substitution (Harvey, "Faster polynomial multiplication
+# via multipoint Kronecker substitution", J. Symbolic Comput. 44, 2009). With
+# b half a slot, P = E(y^2) + y * O(y^2) takes the values P(2^b) = E + (O << b)
+# and P(-2^b) = E - (O << b) at y = +-2^b, E and O its even- and odd-indexed
+# coefficients packed in whole slots. Products and sums act on each value
+# alone, (P * Q)(+-2^b) = P(+-2^b) * Q(+-2^b), so one product of n slots
+# becomes two of about n / 2 slots. The halves come back exactly as
+# E = (P+ + P-) >> 1 and O = (P+ - P-) >> (b + 1); a bound that keeps the
+# slots of a packed product apart keeps the slots of its halves apart, since
+# they are the same coefficients.
+#
+# The halved products pay for the conversions between values and halves
+# only once they are large against the per-node work of a level. A sweep of
+# tree-plus-quotient time over the nodes 1..N at five moduli (README, "Where
+# prove spends its time") crossed over below N * width^2 = 40,000 at each,
+# width the slot in bytes, and not far below it: the two-point form is used
+# from N = 127 at the default modulus, 37 at 2^127 - 1 and 1112 at 2^16 + 1.
+TWO_POINT_CUTOFF = 40_000
+
+
+def _halves(plus: int, minus: int, half: int) -> tuple[int, int]:
+    """The packed even and odd halves of a polynomial from its two values."""
+    return (plus + minus) >> 1, (plus - minus) >> half + 1
+
+
+def _points(even: int, odd: int, half: int) -> tuple[int, int]:
+    """The two values of the polynomial with these packed halves."""
+    odd <<= half
+    return even + odd, even - odd
+
+
+def _cut(even: int, odd: int, width: int, length: int) -> tuple[int, int]:
+    """The halves of a polynomial taken mod y^length."""
+    return _low(even, width, (length + 1) // 2), _low(odd, width, length // 2)
+
+
+def _shift(even: int, odd: int, width: int, k: int) -> tuple[int, int]:
+    """The halves of a polynomial times y^k, or divided by y^-k (rounding
+    down) for k < 0: an odd k swaps the halves' roles."""
+    bits = 8 * width
+    if k % 2:
+        even, odd = odd, even
+        k_even, k_odd = (k + 1) // 2, (k - 1) // 2
+    else:
+        k_even = k_odd = k // 2
+    if k >= 0:
+        return even << bits * k_even, odd << bits * k_odd
+    return even >> -bits * k_even, odd >> -bits * k_odd
+
+
+class TwoPointTree:
+    """`SubproductTree`'s prover path with each packed polynomial held as its
+    two values at y = +-2^b, b half a slot (see above): the tree's nodes,
+    the numerators of both combinations, their product, the Newton inverse
+    of the root and the final product, each multiplied as two products of
+    half the size.
+
+    Nodes and bounds are those of `SubproductTree` over the same roots, and
+    a level is reduced where that tree reduces it: its halves are recovered,
+    reduced in the same one call of the tree's reducer and evaluated again.
+    Only the quotient is ever unpacked, by interleaving its halves. The
+    extra conversions cost more than the halved products save on small
+    trees (see `pays`).
+    """
+
+    @staticmethod
+    def pays(p: int, n: int) -> bool:
+        """Whether a tree over n roots mod p is faster in two-point form:
+        n * width^2 reaches TWO_POINT_CUTOFF."""
+        return n * _slot_width(p, 2 * n + 2) ** 2 >= TWO_POINT_CUTOFF
+
+    def __init__(self, ctx: FieldContext, roots):
+        p = ctx.p
+        roots = [r % p for r in roots]
+        n = len(roots)
+        self.p, self.size = p, n
+        self.width = width = _slot_width(p, 2 * n + 2)
+        self.half = half = 4 * width
+        # a level's halves hold at most 3 slots per 2 roots
+        self.slots = _SlotReducer(p, width, n + n // 2 + 1)
+        # leaf y + r packed in reverse (see SubproductTree): E = 1 and O = r
+        plus = [1 + (r << half) for r in roots]
+        minus = [1 - (r << half) for r in roots]
+        sizes = [1] * n
+        bound = 1 + max(roots, default=0)  # U(1) = 1 + r of a leaf, at most
+        self.levels, self.bounds = [(plus, minus, sizes)], [bound]
+        while len(sizes) > 1:
+            bound *= bound
+            rest = len(sizes) & ~1
+            plus_next = [a * b for a, b in zip(plus[::2], plus[1::2])]
+            minus_next = [a * b for a, b in zip(minus[::2], minus[1::2])]
+            sizes_next = [a + b for a, b in zip(sizes[::2], sizes[1::2])]
+            if bound >= p:
+                plus_next, minus_next = self._reduced(
+                    plus_next, minus_next, [m + 1 for m in sizes_next]
+                )
+                # U(1) on this level k: at most 2^k + 1 coefficients, each below p
+                bound = ((1 << len(self.levels)) + 1) * (p - 1)
+            plus, minus = plus_next + plus[rest:], minus_next + minus[rest:]
+            sizes = sizes_next + sizes[rest:]
+            self.levels.append((plus, minus, sizes))
+            self.bounds.append(bound)
+
+    def _reduced(self, plus, minus, lengths):
+        """The two values of each polynomial, of lengths[i] coefficients,
+        with every coefficient reduced: all their halves in one call."""
+        half = self.half
+        values, sizes = [], []
+        for a, b, m in zip(plus, minus, lengths):
+            values += _halves(a, b, half)
+            sizes += ((m + 1) // 2, m // 2)
+        reduced = self.slots.reduce_each(values, sizes)
+        evens, odds = reduced[::2], [o << half for o in reduced[1::2]]
+        return [e + o for e, o in zip(evens, odds)], [e - o for e, o in zip(evens, odds)]
+
+    def _reduced_halves(self, even, odd, length, negate=False):
+        """The halves cut to `length` coefficients and reduced (negated
+        first, if asked) by one `reduce` of the two side by side."""
+        width = self.width
+        even, odd = _cut(even, odd, width, length)
+        low = 8 * width * ((length + 1) // 2)
+        value = self.slots.reduce(even | odd << low, negate)
+        return value & (1 << low) - 1, value >> low
+
+    def _combined(self, scales) -> tuple[int, int]:
+        """The reduced halves of `SubproductTree._combined`'s sum, formed
+        up the tree in two-point form under the same bounds."""
+        p, half = self.p, self.half
+        limit = 1 << 8 * self.width  # every slot value stays below this
+        plus = [c % p for c in scales]  # constants: both values are c
+        minus, bound = plus, p - 1  # bound: on every coefficient
+        for (t_plus, t_minus, sizes), node_bound in zip(self.levels[:-1], self.bounds):
+            if 2 * bound * node_bound >= limit:
+                plus, minus = self._reduced(plus, minus, sizes)
+                bound = p - 1
+            bound *= 2 * node_bound
+            rest = len(plus) & ~1
+            plus = [
+                a * d + b * c
+                for a, b, c, d in zip(plus[::2], plus[1::2], t_plus[::2], t_plus[1::2])
+            ] + plus[rest:]
+            minus = [
+                a * d + b * c
+                for a, b, c, d in zip(minus[::2], minus[1::2], t_minus[::2], t_minus[1::2])
+            ] + minus[rest:]
+        if not plus:
+            return 0, 0
+        return self._reduced_halves(*_halves(plus[0], minus[0], half), self.size)
+
+    def _times(self, a, b) -> tuple[int, int]:
+        """The halves of the product of two polynomials given by theirs."""
+        half = self.half
+        a_plus, a_minus = _points(*a, half)
+        b_plus, b_minus = _points(*b, half)
+        return _halves(a_plus * b_plus, a_minus * b_minus, half)
+
+    def _inverse_series(self, h, size: int) -> tuple[int, int]:
+        """The halves of the first `size` coefficients of 1/h, h the reduced
+        halves of a polynomial whose constant term is nonzero (the module's
+        `_inverse_series` gives the Newton step)."""
+        width = self.width
+        steps = []  # the precisions to reach, largest first
+        while size > 1:
+            steps.append(size)
+            size = (size + 1) // 2
+        g, known = (inverse(h[0] & (1 << 8 * width) - 1, self.p), 0), 1
+        for target in reversed(steps):
+            gained = target - known
+            error = _shift(*self._times(_cut(*h, width, target), g), width, -known)
+            error = self._reduced_halves(*error, gained, negate=True)
+            fix = self._reduced_halves(*self._times(_cut(*g, width, gained), error), gained)
+            fix = _shift(*fix, width, known)
+            g, known = (g[0] | fix[0], g[1] | fix[1]), target
+        return g
+
+    def quotient_of_product(self, a_scales, b_scales) -> list[int]:
+        """`SubproductTree.quotient_of_product` over the same roots, each
+        product in two-point form.
+
+        The last Newton step and the product by the inverse are folded
+        into one (Karp and Markstein, ACM TOMS 23, 1997). With f the low
+        n - 1 coefficients of the reversed product and g the inverse of
+        rev(U) to half that precision, q = f * g to that precision, and
+        the rest of the quotient is g times the part of f - rev(U) * q
+        above it, so no product has two operands of the quotient's length.
+        """
+        n, p, width, half = self.size, self.p, self.width, self.half
+        size = n - 1  # deg (A * B) <= 2n - 2 and deg root = n
+        if size <= 0:
+            return []
+        f = self._times(self._combined(a_scales), self._combined(b_scales))
+        f = self._reduced_halves(*f, size)
+        plus, minus, _ = self.levels[-1]
+        h = _halves(plus[0], minus[0], half)  # every node holds residues
+        known = (size + 1) // 2
+        g = self._inverse_series(h, known)
+        q = self._reduced_halves(*self._times(_cut(*f, width, known), g), known)
+        rest = size - known
+        if rest:
+            error = _shift(*self._times(_cut(*h, width, size), q), width, -known)
+            error = self._reduced_halves(*error, rest, negate=True)
+            top = _cut(*_shift(*f, width, -known), width, rest)
+            error = (error[0] + top[0], error[1] + top[1])  # slots below 2p
+            fix = _cut(*self._times(_cut(*g, width, rest), error), width, rest)
+            fix = _shift(*fix, width, known)
+            q = (q[0] | fix[0], q[1] | fix[1])
+        coeffs = [0] * size
+        coeffs[::2] = _unpack(q[0], width, (size + 1) // 2, p)
+        coeffs[1::2] = _unpack(q[1], width, size // 2, p)
+        coeffs.reverse()
         # the coefficient of x^j changes sign when n + j is odd
         coeffs[(n + 1) % 2 :: 2] = [-c % p for c in coeffs[(n + 1) % 2 :: 2]]
         return coeffs

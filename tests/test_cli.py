@@ -324,6 +324,27 @@ def test_full_pipeline_over_a_safe_prime(workdir, capsys):
         assert json.loads((workdir / f"{name}.json").read_text())["field"] == {"p": p}
 
 
+@pytest.mark.parametrize(
+    "modulus",
+    # strong pseudoprimes to every prime base up to 37 and up to 41
+    ["318665857834031151167461", "3317044064679887385961981"],
+    ids=["psi12", "psi13"],
+)
+def test_composite_modulus_is_refused_by_flag_and_by_circuit_header(workdir, capsys, modulus):
+    assert main(["--field", modulus, "compile", "cubic"]) == 1
+    assert capsys.readouterr().err == f"error: modulus {modulus} is not prime\n"
+    assert not (workdir / "circuit.json").exists()
+    assert main(["compile", "cubic"]) == 0
+    circuit = json.loads((workdir / "circuit.json").read_text())
+    circuit["field"]["p"] = modulus
+    write_json(workdir / "circuit.json", circuit)
+    capsys.readouterr()
+    assert main(["--seed", "01", "setup"]) == 1
+    assert capsys.readouterr().err == f"error: modulus {modulus} is not prime\n"
+    assert not (workdir / "evaluation_key.json").exists()
+    assert not (workdir / "verification_key.json").exists()
+
+
 def small_field_pipeline(root):
     """cubic over p = 101: circuit, keys and witness key under root."""
     assert main(["--field", "101", "compile", "cubic", "-o", f"{root}/c101.json"]) == 0

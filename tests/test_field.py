@@ -3,7 +3,13 @@ import re
 import pytest
 
 from snarkpipe import DEFAULT_MODULUS, DivisionByZero, FieldContext, Sha256Rng, field
-from snarkpipe.field import inverse, is_probable_prime, read_header, write_header
+from snarkpipe.field import (
+    _is_strong_lucas_probable_prime,
+    inverse,
+    is_probable_prime,
+    read_header,
+    write_header,
+)
 
 from conftest import StreamRandom
 
@@ -67,6 +73,73 @@ def test_default_modulus_is_prime():
     assert is_probable_prime(DEFAULT_MODULUS)
     assert is_probable_prime(2**61 - 1)
     assert not is_probable_prime(DEFAULT_MODULUS - 2)
+
+
+# psi_12, the least strong pseudoprime to every prime base up to 37, and
+# psi_13, the least to every prime base up to 41 (Sorenson and Webster 2017).
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+STRONG_PSEUDOPRIMES = (PSI_12, PSI_13)
+LARGE_PRIMES = (DEFAULT_MODULUS, 2**61 - 1, 2**127 - 1, 2**521 - 1)
+
+
+def test_strong_pseudoprimes_to_the_small_bases_are_composite_and_refused():
+    assert PSI_12 == 399165290221 * 798330580441
+    assert PSI_13 == 1287836182261 * 2575672364521
+    for n in STRONG_PSEUDOPRIMES:
+        assert not is_probable_prime(n)
+        with pytest.raises(ValueError, match=f"^modulus {n} is not prime$"):
+            FieldContext(n)
+        header = {"format": "snarkpipe-circuit/3", "field": {"p": str(n)}}
+        with pytest.raises(ValueError, match=f"^modulus {n} is not prime$"):
+            read_header(header, "circuit")
+    # psi_13 passes every Miller-Rabin base; only the Lucas test refuses it
+    assert not _is_strong_lucas_probable_prime(PSI_13)
+
+
+def test_large_primes_are_accepted():
+    for p in LARGE_PRIMES:
+        assert is_probable_prime(p)
+        assert _is_strong_lucas_probable_prime(p)
+        assert FieldContext(p).p == p
+
+
+def test_is_probable_prime_agrees_with_trial_division_below_10_5():
+    limit = 10**5
+    sieve = bytearray([1]) * limit
+    sieve[0] = sieve[1] = 0
+    for i in range(2, int(limit**0.5) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, limit, i)))
+    assert [n for n in range(limit) if is_probable_prime(n)] == [
+        n for n in range(limit) if sieve[n]
+    ]
+
+
+def test_strong_lucas_test_passes_primes_and_only_the_known_pseudoprimes():
+    # Below 10^5 the composites passing the strong Lucas test with
+    # Selfridge's parameters are exactly these (OEIS A217255); none of them
+    # is a strong probable prime to base 2.
+    pseudoprimes = [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519,
+                    75077, 97439]
+    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    passing = []
+    for n in range(43, 10**5, 2):
+        if all(n % q for q in small):
+            prime = all(n % q for q in range(43, int(n**0.5) + 1, 2))
+            lucas = _is_strong_lucas_probable_prime(n)
+            assert lucas or not prime, n  # every prime passes
+            if lucas and not prime:
+                passing.append(n)
+    assert passing == pseudoprimes
+    assert not any(is_probable_prime(n) for n in pseudoprimes)
+
+
+def test_strong_lucas_test_refuses_squares_at_once():
+    # No D has (D / q^2) = -1, so the search for one must not start.
+    for q in (43, 1009, 2**61 - 1, 2**127 - 1):
+        assert not _is_strong_lucas_probable_prime(q * q)
+        assert not is_probable_prime(q * q)
 
 
 @pytest.fixture()

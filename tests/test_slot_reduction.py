@@ -14,9 +14,15 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from snarkpipe import FieldContext, Polynomial  # noqa: E402
+from snarkpipe import QAP, FieldContext, Polynomial  # noqa: E402
 from snarkpipe.field import DEFAULT_MODULUS, is_probable_prime  # noqa: E402
-from snarkpipe.polynomial import SubproductTree, _pack, _slot_width, _SlotReducer  # noqa: E402
+from snarkpipe.polynomial import (  # noqa: E402
+    SubproductTree,
+    TwoPointTree,
+    _pack,
+    _slot_width,
+    _SlotReducer,
+)
 
 from conftest import slot_reduce  # noqa: E402
 
@@ -104,11 +110,18 @@ def test_no_reducer_outlives_the_tree_or_operation_that_built_it():
 
     ctx = FieldContext()
     before = live()
-    tree = SubproductTree(ctx, range(1, 202))
     scales = list(range(201))
-    tree.quotient_of_product(scales, scales[::-1])
-    assert live() == before + 1  # the tree's own
-    f = Polynomial(ctx, range(1, 60))
-    divmod(f, Polynomial(ctx, range(2, 30)))
-    del tree
+    for tree_class in (SubproductTree, TwoPointTree):
+        tree = tree_class(ctx, range(1, 202))
+        tree.quotient_of_product(scales, scales[::-1])
+        assert live() == before + 1  # the tree's own
+        f = Polynomial(ctx, range(1, 60))
+        divmod(f, Polynomial(ctx, range(2, 30)))
+        del tree
+        assert live() == before
+    # a QAP's quotient at this size builds a two-point tree for the call alone
+    qap = QAP(ctx=ctx, n_gates=201, symbols=(), symbol_names=(), rows=[((), (), ())] * 201)
+    assert TwoPointTree.pays(ctx.p, 201)
+    qap.quotient(scales, scales[::-1])
     assert live() == before
+    assert "tree" not in qap.__dict__
