@@ -10,9 +10,11 @@ division through Newton inversion of the reversed divisor, and products of
 many linear factors through a subproduct tree. Each gives exactly the
 residues of the schoolbook loops, which the tests keep as their oracle, at
 the cost of a few big-integer products instead of a double loop over
-coefficients. On a large tree the prover's path holds every packed
-polynomial at two points instead (`TwoPointTree`), so that each of those
-products is two of half the size.
+coefficients. The one tree holds every packed polynomial at one Kronecker
+point or, once the tree is large enough to gain from it, at two, so that
+each of its products is two of half the size; its level loop, its
+combinations, its quotient and the one Newton inverse, which division
+shares, are written once over the primitives of the two forms.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ __all__ = [
     "Polynomial",
     "SubproductTree",
     "TWO_POINT_CUTOFF",
-    "TwoPointTree",
     "lagrange_basis",
+    "pays",
 ]
 
 
@@ -257,28 +259,181 @@ def _product(a, b, p: int) -> list[int]:
     return _unpack(_pack(a, width) * _pack(b, width), width, len(a) + len(b) - 1, p)
 
 
-def _inverse_series(h: int, size: int, slots: _SlotReducer) -> int:
-    """The first `size` coefficients of 1/h as a power series, packed like
-    h in the reducer's slots (wide enough for sums of `size` products); h is
-    a packed list of residues whose first one must be nonzero.
+# Two-point Kronecker substitution (Harvey, "Faster polynomial multiplication
+# via multipoint Kronecker substitution", J. Symbolic Comput. 44, 2009). A
+# packed slot holds a sum of products of residues, so about half of every
+# operand is headroom. With b half a slot, P = E(y^2) + y * O(y^2) takes the
+# values P(2^b) = E + (O << b) and P(-2^b) = E - (O << b) at y = +-2^b, E and
+# O its even- and odd-indexed coefficients packed in whole slots. Products
+# and sums act on each value alone, (P * Q)(+-2^b) = P(+-2^b) * Q(+-2^b), so
+# one product of n slots becomes two of about n / 2 slots. The halves come
+# back exactly as E = (P+ + P-) >> 1 and O = (P+ - P-) >> (b + 1); a bound
+# that keeps the slots of a packed product apart keeps the slots of its
+# halves apart, since they are the same coefficients.
+#
+# The halved products pay for the conversions between values and halves
+# only once they are large against the per-node work of a level. A sweep of
+# tree-plus-quotient time over the nodes 1..N at five moduli (README, "Where
+# prove spends its time") crossed over below N * width^2 = 40,000 at each,
+# width the slot in bytes, and not far below it: the two-point form is used
+# from N = 127 at the default modulus, 37 at 2^127 - 1 and 1112 at 2^16 + 1.
+TWO_POINT_CUTOFF = 40_000
+
+
+def pays(p: int, n: int) -> bool:
+    """Whether a tree over n roots mod p is faster in two-point form:
+    n * width^2 reaches TWO_POINT_CUTOFF."""
+    return n * _slot_width(p, 2 * n + 2) ** 2 >= TWO_POINT_CUTOFF
+
+
+class _OnePoint:
+    """Polynomials Kronecker-packed at the one point y = 2^(8 * width).
+
+    A polynomial has two forms here: its values, one big integer per point,
+    which products and sums act on; and its packed coefficients, which cuts
+    mod y^k, shifts by y^k, reductions and unpacking act on. At one point
+    both are the one packed integer. `slots` reduces up to `length` slots
+    of `width` bytes.
+    """
+
+    __slots__ = ("p", "width", "slots", "points")
+
+    def __init__(self, p: int, width: int, length: int):
+        self.p, self.width = p, width
+        self.slots = _SlotReducer(p, width, length)
+        self.points = (1 << 8 * width,)
+
+    def packed(self, values):
+        return values[0]
+
+    def values(self, packed) -> tuple:
+        return (packed,)
+
+    def constant(self, c: int):
+        return self.packed([c] * len(self.points))
+
+    def cut(self, a, length: int):
+        """a mod y^length."""
+        return _low(a, self.width, length)
+
+    def shift(self, a, k: int):
+        """a times y^k, or divided by y^-k (rounding down) for k < 0."""
+        bits = 8 * self.width * k
+        return a << bits if k >= 0 else a >> -bits
+
+    def add(self, a, b):
+        return a + b
+
+    def times(self, a, b):
+        return a * b
+
+    def reduced(self, a, length: int, negate: bool = False):
+        """a cut to `length` coefficients, each replaced by its residue (of
+        its negation, if asked): one `reduce`."""
+        return self.slots.reduce(_low(a, self.width, length), negate)
+
+    def reduced_values(self, columns, lengths) -> list:
+        """The values of polynomials of lengths[i] coefficients, one column
+        per point, with every coefficient reduced: one `reduce_each`."""
+        return [self.slots.reduce_each(columns[0], lengths)]
+
+    def unpack(self, a, length: int) -> list[int]:
+        """The first `length` coefficients of a as residues."""
+        return _unpack(a, self.width, length, self.p)
+
+
+class _TwoPoint(_OnePoint):
+    """Polynomials at the two points y = +-2^b, b half a slot (see above):
+    the values are (P(2^b), P(-2^b)) and the packed coefficients the halves
+    (E, O), which a reduction lays side by side in one run, E first."""
+
+    __slots__ = ("half",)
+
+    def __init__(self, p: int, width: int, length: int):
+        super().__init__(p, width, length)
+        self.half = 4 * width
+        self.points = (1 << self.half, -1 << self.half)
+
+    def packed(self, values):
+        plus, minus = values
+        return (plus + minus) >> 1, (plus - minus) >> self.half + 1
+
+    def values(self, packed) -> tuple:
+        even, odd = packed
+        odd <<= self.half
+        return even + odd, even - odd
+
+    def cut(self, a, length: int):
+        width = self.width
+        return _low(a[0], width, (length + 1) // 2), _low(a[1], width, length // 2)
+
+    def shift(self, a, k: int):
+        # an odd k swaps the halves' roles
+        even, odd = a
+        if k % 2:
+            even, odd = odd, even
+            k_even, k_odd = (k + 1) // 2, (k - 1) // 2
+        else:
+            k_even = k_odd = k // 2
+        bits = 8 * self.width
+        if k >= 0:
+            return even << bits * k_even, odd << bits * k_odd
+        return even >> -bits * k_even, odd >> -bits * k_odd
+
+    def add(self, a, b):
+        return a[0] + b[0], a[1] + b[1]
+
+    def times(self, a, b):
+        a_plus, a_minus = self.values(a)
+        b_plus, b_minus = self.values(b)
+        return self.packed((a_plus * b_plus, a_minus * b_minus))
+
+    def reduced(self, a, length: int, negate: bool = False):
+        even, odd = self.cut(a, length)
+        low = 8 * self.width * ((length + 1) // 2)
+        run = self.slots.reduce(even | odd << low, negate)
+        return run & (1 << low) - 1, run >> low
+
+    def reduced_values(self, columns, lengths) -> list:
+        half, bits = self.half, 8 * self.width
+        runs = [
+            (plus + minus) >> 1 | ((plus - minus) >> half + 1) << bits * ((m + 1) // 2)
+            for plus, minus, m in zip(*columns, lengths)
+        ]
+        plus, minus = [], []
+        for run, m in zip(self.slots.reduce_each(runs, lengths), lengths):
+            low = bits * ((m + 1) // 2)
+            even, odd = run & (1 << low) - 1, run >> low << half
+            plus.append(even + odd)
+            minus.append(even - odd)
+        return [plus, minus]
+
+    def unpack(self, a, length: int) -> list[int]:
+        coeffs = [0] * length
+        coeffs[::2] = _unpack(a[0], self.width, (length + 1) // 2, self.p)
+        coeffs[1::2] = _unpack(a[1], self.width, length // 2, self.p)
+        return coeffs
+
+
+def _inverse_series(form: _OnePoint, h, size: int):
+    """The first `size` coefficients of 1/h as a power series, packed in the
+    form's slots (wide enough for sums of `size` products); h is packed
+    residues whose first one must be nonzero.
 
     Newton iteration doubles the precision each step: if h*g = 1 mod x^l,
     then h*g = 1 + x^l*e mod x^2l and g - x^l*(g*e) is the inverse mod x^2l.
     """
-    p, width = slots.p, slots.width
-    bits = 8 * width
     steps = []  # the precisions to reach, largest first
     while size > 1:
         steps.append(size)
         size = (size + 1) // 2
-    g, known = inverse(h & (1 << bits) - 1, p), 1
+    g, known = form.constant(inverse(form.unpack(form.cut(h, 1), 1)[0], form.p)), 1
     for target in reversed(steps):
         gained = target - known
-        error = _low(_low(h, width, target) * g >> bits * known, width, gained)
-        error = slots.reduce(error, negate=True)
-        fix = _low(_low(g, width, gained) * error, width, gained)
-        g += slots.reduce(fix) << bits * known
-        known = target
+        error = form.shift(form.times(form.cut(h, target), g), -known)
+        error = form.reduced(error, gained, negate=True)
+        fix = form.reduced(form.times(form.cut(g, gained), error), gained)
+        g, known = form.add(g, form.shift(fix, known)), target
     return g
 
 
@@ -297,33 +452,35 @@ def _quotient(num, den, p: int) -> list[int]:
     if size <= 0:
         return []
     width = _slot_width(p, size)
-    inv = _inverse_series(_pack(den[: -size - 1 : -1], width), size, _SlotReducer(p, width, size))
+    inv = _inverse_series(_OnePoint(p, width, size), _pack(den[: -size - 1 : -1], width), size)
     rev_quot = _low(_pack(num[: -size - 1 : -1], width) * inv, width, size)
     return _unpack(rev_quot, width, size, p)[::-1]
 
 
 class SubproductTree:
-    """The product tree of the linear factors (x - r), Kronecker-packed.
+    """The product tree of the linear factors (x - r), Kronecker-packed at
+    one point or, once that pays (`pays`), at two (see above).
 
     A node holds U(y) = prod(y + r) over its roots r mod p, whose
     coefficients are all non-negative; T(x) = prod(x - r) is (-1)^m U(-x)
     for m roots, so `root` and `combine` negate alternate coefficients once
     at the end. Every node is packed in reverse, highest coefficient first
-    (a leaf y + r is 1 | r << 8 * width): the reversal of a product is the
-    product of the reversals, so the root holds rev(U), whose power-series
-    inverse gives quotients by T (see `quotient_of_product`), and `combine`
-    comes out reversed as well. levels[0] holds the factors; each further
-    level multiplies neighbours pairwise, an odd one out moving up
-    unchanged, so the last level holds the one root. A node is (packed
-    coefficients, number of roots under it); every node uses the tree's one
-    slot width, which holds the sum of two products of residues of the
-    tree's largest size.
+    (a leaf y + r as 1, r): the reversal of a product is the product of the
+    reversals, so the root holds rev(U), whose power-series inverse gives
+    quotients by T (see `quotient_of_product`), and `combine` comes out
+    reversed as well. levels[k] holds a level's
+    nodes as (one column of values per point, the number of roots under
+    each node); levels[0] holds the factors, each further level multiplies
+    neighbours pairwise, an odd one out moving up unchanged, and the last
+    level holds the one root. Every node uses the tree's one slot width,
+    which holds the sum of two products of residues of the tree's largest
+    size.
 
     Nothing cancels in a product of non-negative coefficients: a node's
     coefficients sum to U(1), and U(1) of a product is the product of its
     factors' U(1). bounds[k] bounds U(1) on level k, and a level's products
     are reduced only once that bound reaches p, all in one call of the
-    tree's reducer. Over the nodes 1..N the lower levels are products of
+    form's reducer. Over the nodes 1..N the lower levels are products of
     small integers and need no reduction at all.
     """
 
@@ -332,58 +489,67 @@ class SubproductTree:
         roots = [r % p for r in roots]
         n = len(roots)
         self.p, self.size = p, n
-        self.width = width = _slot_width(p, 2 * n + 2)
         # a level's products hold at most 3 slots per 2 roots
-        self.slots = _SlotReducer(p, width, n + n // 2 + 1)
-        bits = 8 * width
-        nodes = [(1 | r << bits, 1) for r in roots]
+        form = _TwoPoint if pays(p, n) else _OnePoint
+        self.form = form = form(p, _slot_width(p, 2 * n + 2), n + n // 2 + 1)
+        # a leaf y + r packed in reverse takes the value 1 + r * y at each point
+        nodes, sizes = [[1 + r * y for r in roots] for y in form.points], [1] * n
         bound = 1 + max(roots, default=0)  # U(1) = 1 + r of a leaf, at most
-        self.levels, self.bounds = [nodes], [bound]
-        while len(nodes) > 1:
+        self.levels, self.bounds = [(nodes, sizes)], [bound]
+        while len(sizes) > 1:
             bound *= bound
-            products = [
-                (t_l * t_r, m_l + m_r) for (t_l, m_l), (t_r, m_r) in zip(nodes[::2], nodes[1::2])
-            ]
+            rest = len(sizes) & ~1
+            products = [[a * b for a, b in zip(c[::2], c[1::2])] for c in nodes]
+            merged = [a + b for a, b in zip(sizes[::2], sizes[1::2])]
             if bound >= p:
-                sizes = [m for _, m in products]
-                reduced = self.slots.reduce_each([t for t, _ in products], [m + 1 for m in sizes])
-                products = list(zip(reduced, sizes))
+                products = form.reduced_values(products, [m + 1 for m in merged])
                 # U(1) on this level k: at most 2^k + 1 coefficients, each below p
                 bound = ((1 << len(self.levels)) + 1) * (p - 1)
-            nodes = products + nodes[len(nodes) & ~1 :]
-            self.levels.append(nodes)
+            nodes = [c_next + c[rest:] for c_next, c in zip(products, nodes)]
+            sizes = merged + sizes[rest:]
+            self.levels.append((nodes, sizes))
             self.bounds.append(bound)
+
+    def _top(self):
+        """The root's packed coefficients, residues (the last level is
+        reduced, or its bound is below p)."""
+        return self.form.packed([c[0] for c in self.levels[-1][0]])
 
     def root(self) -> list[int]:
         """Coefficients of prod(x - r); no roots give the constant 1."""
         n = self.size
-        coeffs = _unpack(self.levels[-1][0][0], self.width, n + 1, self.p)[::-1] if n else [1]
+        coeffs = self.form.unpack(self._top(), n + 1)[::-1] if n else [1]
         # T(x) = (-1)^n U(-x): the coefficient of x^i changes sign when n - i is odd
         coeffs[(n + 1) % 2 :: 2] = [-c % self.p for c in coeffs[(n + 1) % 2 :: 2]]
         return coeffs
 
-    def _combined(self, scales) -> int:
-        """sum(scales[i] * U_i) packed in reverse (n slots, residues), U_i
-        the product of all the factors but y + r_i.
+    def _combined(self, scales):
+        """sum(scales[i] * U_i) packed in reverse (n reduced coefficients),
+        U_i the product of all the factors but y + r_i.
 
         A node's numerator is num_left * U_right + num_right * U_left with U
         the products its children hold. A coefficient of num * U is at most
         max(num) * U(1), and a level's numerators are reduced, in one call,
         only when the next level's could overflow a slot.
         """
-        p, width = self.p, self.width
-        limit = 1 << 8 * width  # every slot value stays below this
-        nums, bound = [c % p for c in scales], p - 1  # bound: on every coefficient
-        for nodes, node_bound in zip(self.levels[:-1], self.bounds):
+        p, form = self.p, self.form
+        if not self.size:
+            return form.constant(0)
+        limit = 1 << 8 * form.width  # every slot value stays below this
+        nums = [c % p for c in scales]  # constants: every value is c
+        columns, bound = [nums] * len(form.points), p - 1  # bound: on every coefficient
+        for (nodes, sizes), node_bound in zip(self.levels[:-1], self.bounds):
             if 2 * bound * node_bound >= limit:
-                nums = self.slots.reduce_each(nums, [m for _, m in nodes])
+                columns = form.reduced_values(columns, sizes)
                 bound = p - 1
             bound *= 2 * node_bound
-            paired = zip(nums[::2], nums[1::2], nodes[::2], nodes[1::2])
-            nums = [
-                n_l * t_r + n_r * t_l for n_l, n_r, (t_l, _), (t_r, _) in paired
-            ] + nums[len(nums) & ~1 :]
-        return self.slots.reduce(nums[0]) if nums else 0
+            rest = len(sizes) & ~1
+            columns = [
+                [a * d + b * c for a, b, c, d in zip(num[::2], num[1::2], t[::2], t[1::2])]
+                + num[rest:]
+                for num, t in zip(columns, nodes)
+            ]
+        return form.reduced(form.packed([c[0] for c in columns]), self.size)
 
     def combine(self, scales) -> list[int]:
         """Coefficients of sum(scales[i] * root / (x - r_i)).
@@ -393,7 +559,7 @@ class SubproductTree:
         is the polynomial of degree < len(roots) through every (r_i, y_i).
         """
         n = self.size
-        coeffs = _unpack(self._combined(scales), self.width, n, self.p)[::-1]
+        coeffs = self.form.unpack(self._combined(scales), n)[::-1]
         # the coefficient of x^j changes sign when n - 1 - j is odd
         coeffs[n % 2 :: 2] = [-c % self.p for c in coeffs[n % 2 :: 2]]
         return coeffs
@@ -405,232 +571,35 @@ class SubproductTree:
 
         With A(x) = (-1)^(n-1) a(-x), B likewise and root = (-1)^n U(-x),
         A * B = g(-x) for g = a * b, and the quotient is (-1)^n q(-x) for
-        q = g // U. Reversed, rev(q) = rev(g) * rev(U)^-1 mod x^(n-1): the
-        low n - 1 slots of the product of the two reversed combinations,
-        times the inverse series of the packed root.
-        """
-        n, p, width, slots = self.size, self.p, self.width, self.slots
-        size = n - 1  # deg (A * B) <= 2n - 2 and deg root = n
-        if size <= 0:
-            return []
-        rev_g = slots.reduce(_low(self._combined(a_scales) * self._combined(b_scales), width, size))
-        inv = _inverse_series(self.levels[-1][0][0], size, slots)
-        coeffs = _unpack(_low(rev_g * inv, width, size), width, size, p)[::-1]
-        # the coefficient of x^j changes sign when n + j is odd
-        coeffs[(n + 1) % 2 :: 2] = [-c % p for c in coeffs[(n + 1) % 2 :: 2]]
-        return coeffs
-
-
-# Two-point Kronecker substitution (Harvey, "Faster polynomial multiplication
-# via multipoint Kronecker substitution", J. Symbolic Comput. 44, 2009). With
-# b half a slot, P = E(y^2) + y * O(y^2) takes the values P(2^b) = E + (O << b)
-# and P(-2^b) = E - (O << b) at y = +-2^b, E and O its even- and odd-indexed
-# coefficients packed in whole slots. Products and sums act on each value
-# alone, (P * Q)(+-2^b) = P(+-2^b) * Q(+-2^b), so one product of n slots
-# becomes two of about n / 2 slots. The halves come back exactly as
-# E = (P+ + P-) >> 1 and O = (P+ - P-) >> (b + 1); a bound that keeps the
-# slots of a packed product apart keeps the slots of its halves apart, since
-# they are the same coefficients.
-#
-# The halved products pay for the conversions between values and halves
-# only once they are large against the per-node work of a level. A sweep of
-# tree-plus-quotient time over the nodes 1..N at five moduli (README, "Where
-# prove spends its time") crossed over below N * width^2 = 40,000 at each,
-# width the slot in bytes, and not far below it: the two-point form is used
-# from N = 127 at the default modulus, 37 at 2^127 - 1 and 1112 at 2^16 + 1.
-TWO_POINT_CUTOFF = 40_000
-
-
-def _halves(plus: int, minus: int, half: int) -> tuple[int, int]:
-    """The packed even and odd halves of a polynomial from its two values."""
-    return (plus + minus) >> 1, (plus - minus) >> half + 1
-
-
-def _points(even: int, odd: int, half: int) -> tuple[int, int]:
-    """The two values of the polynomial with these packed halves."""
-    odd <<= half
-    return even + odd, even - odd
-
-
-def _cut(even: int, odd: int, width: int, length: int) -> tuple[int, int]:
-    """The halves of a polynomial taken mod y^length."""
-    return _low(even, width, (length + 1) // 2), _low(odd, width, length // 2)
-
-
-def _shift(even: int, odd: int, width: int, k: int) -> tuple[int, int]:
-    """The halves of a polynomial times y^k, or divided by y^-k (rounding
-    down) for k < 0: an odd k swaps the halves' roles."""
-    bits = 8 * width
-    if k % 2:
-        even, odd = odd, even
-        k_even, k_odd = (k + 1) // 2, (k - 1) // 2
-    else:
-        k_even = k_odd = k // 2
-    if k >= 0:
-        return even << bits * k_even, odd << bits * k_odd
-    return even >> -bits * k_even, odd >> -bits * k_odd
-
-
-class TwoPointTree:
-    """`SubproductTree`'s prover path with each packed polynomial held as its
-    two values at y = +-2^b, b half a slot (see above): the tree's nodes,
-    the numerators of both combinations, their product, the Newton inverse
-    of the root and the final product, each multiplied as two products of
-    half the size.
-
-    Nodes and bounds are those of `SubproductTree` over the same roots, and
-    a level is reduced where that tree reduces it: its halves are recovered,
-    reduced in the same one call of the tree's reducer and evaluated again.
-    Only the quotient is ever unpacked, by interleaving its halves. The
-    extra conversions cost more than the halved products save on small
-    trees (see `pays`).
-    """
-
-    @staticmethod
-    def pays(p: int, n: int) -> bool:
-        """Whether a tree over n roots mod p is faster in two-point form:
-        n * width^2 reaches TWO_POINT_CUTOFF."""
-        return n * _slot_width(p, 2 * n + 2) ** 2 >= TWO_POINT_CUTOFF
-
-    def __init__(self, ctx: FieldContext, roots):
-        p = ctx.p
-        roots = [r % p for r in roots]
-        n = len(roots)
-        self.p, self.size = p, n
-        self.width = width = _slot_width(p, 2 * n + 2)
-        self.half = half = 4 * width
-        # a level's halves hold at most 3 slots per 2 roots
-        self.slots = _SlotReducer(p, width, n + n // 2 + 1)
-        # leaf y + r packed in reverse (see SubproductTree): E = 1 and O = r
-        plus = [1 + (r << half) for r in roots]
-        minus = [1 - (r << half) for r in roots]
-        sizes = [1] * n
-        bound = 1 + max(roots, default=0)  # U(1) = 1 + r of a leaf, at most
-        self.levels, self.bounds = [(plus, minus, sizes)], [bound]
-        while len(sizes) > 1:
-            bound *= bound
-            rest = len(sizes) & ~1
-            plus_next = [a * b for a, b in zip(plus[::2], plus[1::2])]
-            minus_next = [a * b for a, b in zip(minus[::2], minus[1::2])]
-            sizes_next = [a + b for a, b in zip(sizes[::2], sizes[1::2])]
-            if bound >= p:
-                plus_next, minus_next = self._reduced(
-                    plus_next, minus_next, [m + 1 for m in sizes_next]
-                )
-                # U(1) on this level k: at most 2^k + 1 coefficients, each below p
-                bound = ((1 << len(self.levels)) + 1) * (p - 1)
-            plus, minus = plus_next + plus[rest:], minus_next + minus[rest:]
-            sizes = sizes_next + sizes[rest:]
-            self.levels.append((plus, minus, sizes))
-            self.bounds.append(bound)
-
-    def _reduced(self, plus, minus, lengths):
-        """The two values of each polynomial, of lengths[i] coefficients,
-        with every coefficient reduced: all their halves in one call."""
-        half = self.half
-        values, sizes = [], []
-        for a, b, m in zip(plus, minus, lengths):
-            values += _halves(a, b, half)
-            sizes += ((m + 1) // 2, m // 2)
-        reduced = self.slots.reduce_each(values, sizes)
-        evens, odds = reduced[::2], [o << half for o in reduced[1::2]]
-        return [e + o for e, o in zip(evens, odds)], [e - o for e, o in zip(evens, odds)]
-
-    def _reduced_halves(self, even, odd, length, negate=False):
-        """The halves cut to `length` coefficients and reduced (negated
-        first, if asked) by one `reduce` of the two side by side."""
-        width = self.width
-        even, odd = _cut(even, odd, width, length)
-        low = 8 * width * ((length + 1) // 2)
-        value = self.slots.reduce(even | odd << low, negate)
-        return value & (1 << low) - 1, value >> low
-
-    def _combined(self, scales) -> tuple[int, int]:
-        """The reduced halves of `SubproductTree._combined`'s sum, formed
-        up the tree in two-point form under the same bounds."""
-        p, half = self.p, self.half
-        limit = 1 << 8 * self.width  # every slot value stays below this
-        plus = [c % p for c in scales]  # constants: both values are c
-        minus, bound = plus, p - 1  # bound: on every coefficient
-        for (t_plus, t_minus, sizes), node_bound in zip(self.levels[:-1], self.bounds):
-            if 2 * bound * node_bound >= limit:
-                plus, minus = self._reduced(plus, minus, sizes)
-                bound = p - 1
-            bound *= 2 * node_bound
-            rest = len(plus) & ~1
-            plus = [
-                a * d + b * c
-                for a, b, c, d in zip(plus[::2], plus[1::2], t_plus[::2], t_plus[1::2])
-            ] + plus[rest:]
-            minus = [
-                a * d + b * c
-                for a, b, c, d in zip(minus[::2], minus[1::2], t_minus[::2], t_minus[1::2])
-            ] + minus[rest:]
-        if not plus:
-            return 0, 0
-        return self._reduced_halves(*_halves(plus[0], minus[0], half), self.size)
-
-    def _times(self, a, b) -> tuple[int, int]:
-        """The halves of the product of two polynomials given by theirs."""
-        half = self.half
-        a_plus, a_minus = _points(*a, half)
-        b_plus, b_minus = _points(*b, half)
-        return _halves(a_plus * b_plus, a_minus * b_minus, half)
-
-    def _inverse_series(self, h, size: int) -> tuple[int, int]:
-        """The halves of the first `size` coefficients of 1/h, h the reduced
-        halves of a polynomial whose constant term is nonzero (the module's
-        `_inverse_series` gives the Newton step)."""
-        width = self.width
-        steps = []  # the precisions to reach, largest first
-        while size > 1:
-            steps.append(size)
-            size = (size + 1) // 2
-        g, known = (inverse(h[0] & (1 << 8 * width) - 1, self.p), 0), 1
-        for target in reversed(steps):
-            gained = target - known
-            error = _shift(*self._times(_cut(*h, width, target), g), width, -known)
-            error = self._reduced_halves(*error, gained, negate=True)
-            fix = self._reduced_halves(*self._times(_cut(*g, width, gained), error), gained)
-            fix = _shift(*fix, width, known)
-            g, known = (g[0] | fix[0], g[1] | fix[1]), target
-        return g
-
-    def quotient_of_product(self, a_scales, b_scales) -> list[int]:
-        """`SubproductTree.quotient_of_product` over the same roots, each
-        product in two-point form.
+        q = g // U. Reversed, rev(q) = rev(g) * rev(U)^-1 mod x^(n-1): f,
+        the low n - 1 coefficients of the product of the two reversed
+        combinations, times the inverse series of the root.
 
         The last Newton step and the product by the inverse are folded
-        into one (Karp and Markstein, ACM TOMS 23, 1997). With f the low
-        n - 1 coefficients of the reversed product and g the inverse of
-        rev(U) to half that precision, q = f * g to that precision, and
-        the rest of the quotient is g times the part of f - rev(U) * q
-        above it, so no product has two operands of the quotient's length.
+        into one (Karp and Markstein, ACM TOMS 23, 1997). With g the
+        inverse of rev(U) to half the quotient's precision, q = f * g to
+        that precision, and the rest of the quotient is g times the part of
+        f - rev(U) * q above it, so no product has two operands of the
+        quotient's length.
         """
-        n, p, width, half = self.size, self.p, self.width, self.half
+        n, p, form = self.size, self.p, self.form
         size = n - 1  # deg (A * B) <= 2n - 2 and deg root = n
         if size <= 0:
             return []
-        f = self._times(self._combined(a_scales), self._combined(b_scales))
-        f = self._reduced_halves(*f, size)
-        plus, minus, _ = self.levels[-1]
-        h = _halves(plus[0], minus[0], half)  # every node holds residues
+        f = form.reduced(form.times(self._combined(a_scales), self._combined(b_scales)), size)
+        h = self._top()
         known = (size + 1) // 2
-        g = self._inverse_series(h, known)
-        q = self._reduced_halves(*self._times(_cut(*f, width, known), g), known)
+        g = _inverse_series(form, h, known)
+        q = form.reduced(form.times(form.cut(f, known), g), known)
         rest = size - known
         if rest:
-            error = _shift(*self._times(_cut(*h, width, size), q), width, -known)
-            error = self._reduced_halves(*error, rest, negate=True)
-            top = _cut(*_shift(*f, width, -known), width, rest)
-            error = (error[0] + top[0], error[1] + top[1])  # slots below 2p
-            fix = _cut(*self._times(_cut(*g, width, rest), error), width, rest)
-            fix = _shift(*fix, width, known)
-            q = (q[0] | fix[0], q[1] | fix[1])
-        coeffs = [0] * size
-        coeffs[::2] = _unpack(q[0], width, (size + 1) // 2, p)
-        coeffs[1::2] = _unpack(q[1], width, size // 2, p)
-        coeffs.reverse()
+            error = form.shift(form.times(form.cut(h, size), q), -known)
+            error = form.reduced(error, rest, negate=True)
+            top = form.cut(form.shift(f, -known), rest)
+            error = form.add(error, top)  # slots below 2p
+            fix = form.cut(form.times(form.cut(g, rest), error), rest)
+            q = form.add(q, form.shift(fix, known))
+        coeffs = form.unpack(q, size)[::-1]
         # the coefficient of x^j changes sign when n + j is odd
         coeffs[(n + 1) % 2 :: 2] = [-c % p for c in coeffs[(n + 1) % 2 :: 2]]
         return coeffs

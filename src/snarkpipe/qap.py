@@ -34,7 +34,7 @@ from functools import cached_property
 
 from .circuit import TIMES, WIRE_ONE, Circuit, IncompleteAssignment
 from .field import FieldContext, inverse, write_header
-from .polynomial import Polynomial, SubproductTree, TwoPointTree, lagrange_basis
+from .polynomial import Polynomial, SubproductTree, lagrange_basis
 
 __all__ = [
     "QAP",
@@ -121,14 +121,9 @@ class QAP:
     def quotient(self, at_v: list, at_w: list) -> Polynomial:
         """V*W // T for V and W given by their node values: both are
         interpolated, multiplied and divided in packed form, with no
-        coefficient list in between. A tree large enough to gain from it
-        (`TwoPointTree.pays`) is built in two-point form for this call
-        alone; a smaller one is `tree`."""
-        n = self.n_gates
-        if TwoPointTree.pays(self.ctx.p, n):
-            tree = TwoPointTree(self.ctx, range(1, n + 1))
-        else:
-            tree = self.tree
+        coefficient list in between, up a tree built for this call alone
+        (a prove divides once), in whichever form pays at this size."""
+        tree = SubproductTree(self.ctx, range(1, self.n_gates + 1))
         return Polynomial(
             self.ctx, tree.quotient_of_product(self._scales(at_v), self._scales(at_w))
         )

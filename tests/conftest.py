@@ -112,6 +112,44 @@ def slot_reduce(value, width, length, p, sign=1):
     )
 
 
+# The quadratic bodies that Polynomial's product and division and the
+# product of linear factors had before Kronecker substitution, Newton
+# division and the product tree took their place: the tests' oracle for
+# every fast kernel.
+
+
+def schoolbook_mul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return [c % p for c in out]
+
+
+def schoolbook_divmod(num, den, p):
+    num = list(num)
+    if len(num) < len(den):
+        return [], num
+    lead_inv = pow(den[-1], p - 2, p)
+    quot = [0] * (len(num) - len(den) + 1)
+    for shift in range(len(quot) - 1, -1, -1):
+        q = num[shift + len(den) - 1] * lead_inv % p
+        quot[shift] = q
+        for i, d in enumerate(den):
+            num[shift + i] = (num[shift + i] - q * d) % p
+    return quot, num[: len(den) - 1]
+
+
+def schoolbook_from_roots(roots, p):
+    coeffs = [1]
+    for r in roots:
+        coeffs.append(0)
+        for i in range(len(coeffs) - 1, 0, -1):
+            coeffs[i] = (coeffs[i - 1] - r * coeffs[i]) % p
+        coeffs[0] = (-r * coeffs[0]) % p
+    return coeffs
+
+
 def enters_a_gate(qap, name: str) -> bool:
     """Whether some row of the QAP has an entry for the named symbol; setup
     refuses to make public a symbol that has none."""

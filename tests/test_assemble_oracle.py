@@ -29,7 +29,7 @@ from snarkpipe import (  # noqa: E402
     solve,
 )
 from snarkpipe.circuit import Circuit, Wire  # noqa: E402
-from snarkpipe.polynomial import SubproductTree, TwoPointTree  # noqa: E402
+from snarkpipe.polynomial import SubproductTree, pays  # noqa: E402
 
 from conftest import BAD_COLORING, GOOD_COLORING, chain_program, derived  # noqa: E402
 
@@ -156,6 +156,7 @@ def test_refused_prove_builds_no_tree_and_interpolates_nothing(
         raise AssertionError("a refused prove must not interpolate")
 
     monkeypatch.setattr(QAP, "tree", property(refuse))
+    monkeypatch.setattr(SubproductTree, "__init__", refuse)
     monkeypatch.setattr(QAP, "interpolate", refuse)
     monkeypatch.setattr(Polynomial, "__mul__", refuse)
     with pytest.raises(InvalidWitness, match=r"^gate \d+ does not hold"):
@@ -167,32 +168,33 @@ def test_honest_prove_interpolates_two_families_and_divides_once(
 ):
     # V and W go from their node values to H packed: one quotient, two
     # combinations up the tree, and no coefficient list, product, remainder
-    # or F in between. coloring5 (N = 69) takes the one-point tree, a
-    # 201-gate squaring chain the two-point one.
+    # or F in between. coloring5 (N = 69) takes the one-point form, a
+    # 201-gate squaring chain the two-point form.
     qap, ek = fresh_coloring
     assignment = solve(coloring_circuit, GOOD_COLORING)
-    assert_one_quotient(qap, ek, assignment, SubproductTree, monkeypatch)
+    assert_one_quotient(qap, ek, assignment, 1, monkeypatch)
     program = chain_program(99)
     circuit = flatten(program, ctx)
     y = eval_program(program, {"a": 5, "y": 0}, ctx).values["out"]
     ek, _ = setup(build_qap(circuit), TransparentGroup(ctx), bytes([3]))
     assignment = solve(circuit, {"a": 5, "y": y})
-    assert_one_quotient(build_qap(circuit), ek, assignment, TwoPointTree, monkeypatch)
+    assert_one_quotient(build_qap(circuit), ek, assignment, 2, monkeypatch)
 
 
-def assert_one_quotient(qap, ek, assignment, tree_class, monkeypatch):
+def assert_one_quotient(qap, ek, assignment, points, monkeypatch):
     """An honest prove on a QAP with no cached tree makes one quotient from
-    the node values of V and W and two combinations up a tree_class tree."""
-    assert TwoPointTree.pays(qap.ctx.p, qap.n_gates) == (tree_class is TwoPointTree)
+    the node values of V and W and two combinations up a tree at that many
+    Kronecker points."""
+    assert pays(qap.ctx.p, qap.n_gates) == (points == 2)
     quotients, combined = [], []
-    quotient, combine = QAP.quotient, tree_class._combined
+    quotient, combine = QAP.quotient, SubproductTree._combined
 
     def counting_quotient(self, at_v, at_w):
         quotients.append((at_v, at_w))
         return quotient(self, at_v, at_w)
 
     def counting_combine(self, scales):
-        combined.append(scales)
+        combined.append((len(self.form.points), scales))
         return combine(self, scales)
 
     def refuse(*args):
@@ -201,11 +203,10 @@ def assert_one_quotient(qap, ek, assignment, tree_class, monkeypatch):
     at_v, at_w, _ = assemble(qap, assignment).nodes
     with monkeypatch.context() as patch:
         patch.setattr(QAP, "quotient", counting_quotient)
-        for cls in (SubproductTree, TwoPointTree):
-            patch.setattr(cls, "_combined", counting_combine if cls is tree_class else refuse)
+        patch.setattr(SubproductTree, "_combined", counting_combine)
         for name in ("__divmod__", "__floordiv__", "__mul__", "__sub__"):
             patch.setattr(Polynomial, name, refuse)
         patch.setattr(QAP, "interpolate", refuse)
         prove(ek, qap, assignment)
     assert quotients == [(at_v, at_w)]
-    assert combined == [qap._scales(at_v), qap._scales(at_w)]
+    assert combined == [(points, qap._scales(at_v)), (points, qap._scales(at_w))]

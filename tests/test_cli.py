@@ -720,10 +720,21 @@ PINNED_ARTIFACTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(PINNED_ARTIFACTS))
-def test_pipeline_artifact_bytes_pinned(workdir, name):
-    inputs, digests = PINNED_ARTIFACTS[name]
-    assert main(["compile", name, "-o", "circuit.json", "--emit-qap", "qap.json"]) == 0
+# The same digests for a 201-gate squaring chain, recorded before the two
+# forms of the product tree were merged into one class. At the default
+# modulus the tree over 201 nodes takes the two-point form, so these pin the
+# prover's quotient and --emit-qap's target and Lagrange basis in that form.
+PINNED_CHAIN_ARTIFACTS = {
+    "circuit": "c51c2dc6711f6439aeed1a388b3fe50f21ff3886c7543135dcd3f856d829c039",
+    "qap": "575a20bccf011b2b024400c309086e0ee222a0349875d55ab56c732223099136",
+    "ek": "d53ed364bb2663e2786bbfcd7ed50d864c2f97b5d9f91fe7e56d284f8415abd4",
+    "vk": "08f79fa79f099480c99fc7337e9fba3533388c3e3ed2e28396a7765e621f6244",
+    "wk": "e4a4f686467189b251fb49cf665103fa1af8195c5bff26edecb5e427ea1cb3c4",
+}
+
+
+def assert_artifacts_pinned(workdir, program, inputs, digests):
+    assert main(["compile", program, "-o", "circuit.json", "--emit-qap", "qap.json"]) == 0
     assert main([
         "--seed", "5eed", "setup", "--circuit", "circuit.json",
         "--evaluation-key", "ek.json", "--verification-key", "vk.json",
@@ -736,6 +747,26 @@ def test_pipeline_artifact_bytes_pinned(workdir, name):
         artifact: hashlib.sha256((workdir / f"{artifact}.json").read_bytes()).hexdigest()
         for artifact in digests
     } == digests
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_ARTIFACTS))
+def test_pipeline_artifact_bytes_pinned(workdir, name):
+    inputs, digests = PINNED_ARTIFACTS[name]
+    assert_artifacts_pinned(workdir, name, inputs, digests)
+
+
+def test_pipeline_artifact_bytes_pinned_above_the_two_point_cutoff(workdir):
+    links, a, p = 99, 5, field.DEFAULT_MODULUS  # N = 2 * links + 3 = 201 gates
+    lines = ["inputs a, y;", "f1 := a*a + 7;"]
+    lines += [f"f{i} := f{i - 1}*f{i - 1} + a;" for i in range(2, links + 1)]
+    lines += [f"out := f{links} - y;", "assert out == 0;"]
+    (workdir / "chain.zkp").write_text("\n".join(lines) + "\n")
+    y = a * a + 7
+    for _ in range(2, links + 1):
+        y = (y * y + a) % p
+    assert_artifacts_pinned(
+        workdir, "chain.zkp", {"a": str(a), "y": str(y)}, PINNED_CHAIN_ARTIFACTS
+    )
 
 
 def test_interactive_honest_accepts(workdir, capsys):

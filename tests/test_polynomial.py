@@ -12,7 +12,13 @@ from snarkpipe import (
 from snarkpipe import polynomial
 from snarkpipe.polynomial import SubproductTree, _pack, _slot_width, _unpack
 
-from conftest import StreamRandom, slot_reduce
+from conftest import (
+    StreamRandom,
+    schoolbook_divmod,
+    schoolbook_from_roots,
+    schoolbook_mul,
+    slot_reduce,
+)
 
 
 def rand_poly(ctx, rng, max_degree):
@@ -181,45 +187,13 @@ def test_mixed_moduli_rejected(ctx17, ctx101):
 
 # --- the fast kernels against the schoolbook oracle -----------------------------
 #
-# These are the quadratic bodies that __mul__, __divmod__ and the product of
-# linear factors had
-# before Kronecker substitution, Newton division and the product tree took
-# their place; every fast kernel must give exactly their residues. The whole
-# section runs in about 3 s.
+# The schoolbook helpers (conftest) are the quadratic bodies that __mul__,
+# __divmod__ and the product of linear factors had before Kronecker
+# substitution, Newton division and the product tree took their place; every
+# fast kernel must give exactly their residues. The whole section runs in
+# about 3 s.
 
 MODULI = (17, 97, None)  # None: the default 64-bit modulus
-
-
-def schoolbook_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return [c % p for c in out]
-
-
-def schoolbook_divmod(num, den, p):
-    num = list(num)
-    if len(num) < len(den):
-        return [], num
-    lead_inv = pow(den[-1], p - 2, p)
-    quot = [0] * (len(num) - len(den) + 1)
-    for shift in range(len(quot) - 1, -1, -1):
-        q = num[shift + len(den) - 1] * lead_inv % p
-        quot[shift] = q
-        for i, d in enumerate(den):
-            num[shift + i] = (num[shift + i] - q * d) % p
-    return quot, num[: len(den) - 1]
-
-
-def schoolbook_from_roots(roots, p):
-    coeffs = [1]
-    for r in roots:
-        coeffs.append(0)
-        for i in range(len(coeffs) - 1, 0, -1):
-            coeffs[i] = (coeffs[i - 1] - r * coeffs[i]) % p
-        coeffs[0] = (-r * coeffs[0]) % p
-    return coeffs
 
 
 def field_for(p):

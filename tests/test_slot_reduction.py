@@ -16,9 +16,9 @@ from hypothesis import strategies as st  # noqa: E402
 
 from snarkpipe import QAP, FieldContext, Polynomial  # noqa: E402
 from snarkpipe.field import DEFAULT_MODULUS, is_probable_prime  # noqa: E402
+from snarkpipe import polynomial  # noqa: E402
 from snarkpipe.polynomial import (  # noqa: E402
     SubproductTree,
-    TwoPointTree,
     _pack,
     _slot_width,
     _SlotReducer,
@@ -103,7 +103,7 @@ def test_reduction_matches_the_per_slot_loop(p, terms, data):
     assert got == [slot_reduce(_pack(run, width), width, len(run), p) for run in runs]
 
 
-def test_no_reducer_outlives_the_tree_or_operation_that_built_it():
+def test_no_reducer_outlives_the_tree_or_operation_that_built_it(monkeypatch):
     def live() -> int:
         gc.collect()
         return sum(isinstance(o, _SlotReducer) for o in gc.get_objects())
@@ -111,17 +111,17 @@ def test_no_reducer_outlives_the_tree_or_operation_that_built_it():
     ctx = FieldContext()
     before = live()
     scales = list(range(201))
-    for tree_class in (SubproductTree, TwoPointTree):
-        tree = tree_class(ctx, range(1, 202))
+    for cutoff in (1 << 64, 0):  # the one-point form, then the two-point one
+        monkeypatch.setattr(polynomial, "TWO_POINT_CUTOFF", cutoff)
+        tree = SubproductTree(ctx, range(1, 202))
         tree.quotient_of_product(scales, scales[::-1])
         assert live() == before + 1  # the tree's own
         f = Polynomial(ctx, range(1, 60))
         divmod(f, Polynomial(ctx, range(2, 30)))
         del tree
         assert live() == before
-    # a QAP's quotient at this size builds a two-point tree for the call alone
-    qap = QAP(ctx=ctx, n_gates=201, symbols=(), symbol_names=(), rows=[((), (), ())] * 201)
-    assert TwoPointTree.pays(ctx.p, 201)
-    qap.quotient(scales, scales[::-1])
-    assert live() == before
-    assert "tree" not in qap.__dict__
+        # a QAP's quotient builds a tree for the call alone, in either form
+        qap = QAP(ctx=ctx, n_gates=201, symbols=(), symbol_names=(), rows=[((), (), ())] * 201)
+        qap.quotient(scales, scales[::-1])
+        assert live() == before
+        assert "tree" not in qap.__dict__
