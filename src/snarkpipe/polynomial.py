@@ -12,9 +12,11 @@ residues of the schoolbook loops, which the tests keep as their oracle, at
 the cost of a few big-integer products instead of a double loop over
 coefficients. The one tree holds every packed polynomial at one Kronecker
 point or, once the tree is large enough to gain from it, at two, so that
-each of its products is two of half the size; its level loop, its
-combinations, its quotient and the one Newton inverse, which division
-shares, are written once over the primitives of the two forms.
+each of its products is two of half the size. It stores no level: one
+loop goes up it, forming each level's products and carrying the
+numerators of any number of combinations beside them, and keeps only the
+current level. That loop, the quotient and the one Newton inverse, which
+division shares, are written once over the primitives of the two forms.
 """
 
 from __future__ import annotations
@@ -306,12 +308,6 @@ class _OnePoint:
     def packed(self, values):
         return values[0]
 
-    def values(self, packed) -> tuple:
-        return (packed,)
-
-    def constant(self, c: int):
-        return self.packed([c] * len(self.points))
-
     def cut(self, a, length: int):
         """a mod y^length."""
         return _low(a, self.width, length)
@@ -427,7 +423,8 @@ def _inverse_series(form: _OnePoint, h, size: int):
     while size > 1:
         steps.append(size)
         size = (size + 1) // 2
-    g, known = form.constant(inverse(form.unpack(form.cut(h, 1), 1)[0], form.p)), 1
+    g = form.packed([inverse(form.unpack(form.cut(h, 1), 1)[0], form.p)] * len(form.points))
+    known = 1
     for target in reversed(steps):
         gained = target - known
         error = form.shift(form.times(form.cut(h, target), g), -known)
@@ -468,100 +465,94 @@ class SubproductTree:
     (a leaf y + r as 1, r): the reversal of a product is the product of the
     reversals, so the root holds rev(U), whose power-series inverse gives
     quotients by T (see `quotient_of_product`), and `combine` comes out
-    reversed as well. levels[k] holds a level's
-    nodes as (one column of values per point, the number of roots under
-    each node); levels[0] holds the factors, each further level multiplies
-    neighbours pairwise, an odd one out moving up unchanged, and the last
-    level holds the one root. Every node uses the tree's one slot width,
+    reversed as well. The first level holds the factors, each further level
+    multiplies neighbours pairwise, an odd one out moving up unchanged, and
+    the last holds the root. Every node uses the tree's one slot width,
     which holds the sum of two products of residues of the tree's largest
-    size.
-
-    Nothing cancels in a product of non-negative coefficients: a node's
-    coefficients sum to U(1), and U(1) of a product is the product of its
-    factors' U(1). bounds[k] bounds U(1) on level k, and a level's products
-    are reduced only once that bound reaches p, all in one call of the
-    form's reducer. Over the nodes 1..N the lower levels are products of
-    small integers and need no reduction at all.
+    size. No level is stored: `root`, `combine` and `quotient_of_product`
+    each make one pass up the tree (`_pass`).
     """
 
     def __init__(self, ctx: FieldContext, roots):
         p = ctx.p
-        roots = [r % p for r in roots]
-        n = len(roots)
-        self.p, self.size = p, n
+        self.roots = [r % p for r in roots]
+        self.size = n = len(self.roots)
         # a level's products hold at most 3 slots per 2 roots
         form = _TwoPoint if pays(p, n) else _OnePoint
-        self.form = form = form(p, _slot_width(p, 2 * n + 2), n + n // 2 + 1)
+        self.form = form(p, _slot_width(p, 2 * n + 2), n + n // 2 + 1)
+
+    def _pass(self, *families):
+        """The root's packed coefficients, residues, and per list of scales
+        sum(scales[i] * U_i) packed in reverse (n reduced coefficients), U_i
+        the product of all the factors but y + r_i, from one pass up a tree
+        of at least one root that keeps only the current level.
+
+        A node's numerator is num_left * U_right + num_right * U_left with U
+        the products its children hold. Nothing cancels in a product of
+        non-negative coefficients: a node's coefficients sum to U(1), and
+        U(1) of a product is the product of its factors' U(1). `bound` bounds
+        U(1) on the current level, whose products are reduced only once it
+        reaches p; a coefficient of num * U is at most max(num) * U(1), and
+        the numerators are reduced only when the next level's could overflow
+        a slot. Each reduction is one call of the form's reducer, and over
+        the nodes 1..N the lower levels need none.
+        """
+        p, form = self.form.p, self.form
+        limit = 1 << 8 * form.width  # every slot value stays below this
         # a leaf y + r packed in reverse takes the value 1 + r * y at each point
-        nodes, sizes = [[1 + r * y for r in roots] for y in form.points], [1] * n
-        bound = 1 + max(roots, default=0)  # U(1) = 1 + r of a leaf, at most
-        self.levels, self.bounds = [(nodes, sizes)], [bound]
+        nodes, sizes = [[1 + r * y for r in self.roots] for y in form.points], [1] * self.size
+        bound = 1 + max(self.roots)  # U(1) = 1 + r of a leaf, at most
+        # numerators start as the constants c: every value is c
+        families = [[[c % p for c in scales]] * len(form.points) for scales in families]
+        num_bound = p - 1  # on every numerator coefficient
         while len(sizes) > 1:
-            bound *= bound
             rest = len(sizes) & ~1
+            if 2 * num_bound * bound >= limit:
+                families = [form.reduced_values(columns, sizes) for columns in families]
+                num_bound = p - 1
+            num_bound *= 2 * bound
+            families = [
+                [
+                    [a * d + b * c for a, b, c, d in zip(num[::2], num[1::2], t[::2], t[1::2])]
+                    + num[rest:]
+                    for num, t in zip(columns, nodes)
+                ]
+                for columns in families
+            ]
+            bound *= bound
             products = [[a * b for a, b in zip(c[::2], c[1::2])] for c in nodes]
             merged = [a + b for a, b in zip(sizes[::2], sizes[1::2])]
             if bound >= p:
                 products = form.reduced_values(products, [m + 1 for m in merged])
-                # U(1) on this level k: at most 2^k + 1 coefficients, each below p
-                bound = ((1 << len(self.levels)) + 1) * (p - 1)
+                # U(1) on this level: its first node has the most coefficients, each below p
+                bound = (merged[0] + 1) * (p - 1)
             nodes = [c_next + c[rest:] for c_next, c in zip(products, nodes)]
             sizes = merged + sizes[rest:]
-            self.levels.append((nodes, sizes))
-            self.bounds.append(bound)
-
-    def _top(self):
-        """The root's packed coefficients, residues (the last level is
-        reduced, or its bound is below p)."""
-        return self.form.packed([c[0] for c in self.levels[-1][0]])
+        return form.packed([c[0] for c in nodes]), [
+            form.reduced(form.packed([c[0] for c in columns]), self.size) for columns in families
+        ]
 
     def root(self) -> list[int]:
         """Coefficients of prod(x - r); no roots give the constant 1."""
-        n = self.size
-        coeffs = self.form.unpack(self._top(), n + 1)[::-1] if n else [1]
+        n, p = self.size, self.form.p
+        coeffs = self.form.unpack(self._pass()[0], n + 1)[::-1] if n else [1]
         # T(x) = (-1)^n U(-x): the coefficient of x^i changes sign when n - i is odd
-        coeffs[(n + 1) % 2 :: 2] = [-c % self.p for c in coeffs[(n + 1) % 2 :: 2]]
+        coeffs[(n + 1) % 2 :: 2] = [-c % p for c in coeffs[(n + 1) % 2 :: 2]]
         return coeffs
-
-    def _combined(self, scales):
-        """sum(scales[i] * U_i) packed in reverse (n reduced coefficients),
-        U_i the product of all the factors but y + r_i.
-
-        A node's numerator is num_left * U_right + num_right * U_left with U
-        the products its children hold. A coefficient of num * U is at most
-        max(num) * U(1), and a level's numerators are reduced, in one call,
-        only when the next level's could overflow a slot.
-        """
-        p, form = self.p, self.form
-        if not self.size:
-            return form.constant(0)
-        limit = 1 << 8 * form.width  # every slot value stays below this
-        nums = [c % p for c in scales]  # constants: every value is c
-        columns, bound = [nums] * len(form.points), p - 1  # bound: on every coefficient
-        for (nodes, sizes), node_bound in zip(self.levels[:-1], self.bounds):
-            if 2 * bound * node_bound >= limit:
-                columns = form.reduced_values(columns, sizes)
-                bound = p - 1
-            bound *= 2 * node_bound
-            rest = len(sizes) & ~1
-            columns = [
-                [a * d + b * c for a, b, c, d in zip(num[::2], num[1::2], t[::2], t[1::2])]
-                + num[rest:]
-                for num, t in zip(columns, nodes)
-            ]
-        return form.reduced(form.packed([c[0] for c in columns]), self.size)
 
     def combine(self, scales) -> list[int]:
         """Coefficients of sum(scales[i] * root / (x - r_i)).
 
-        The sum is (-1)^(n-1) times sum(scales[i] * U_i(-x)) (see
-        `_combined`). With scales[i] = y_i / prod_{j != i} (r_i - r_j) this
-        is the polynomial of degree < len(roots) through every (r_i, y_i).
+        The sum is (-1)^(n-1) times sum(scales[i] * U_i(-x)) (see `_pass`).
+        With scales[i] = y_i / prod_{j != i} (r_i - r_j) this is the
+        polynomial of degree < len(roots) through every (r_i, y_i).
         """
-        n = self.size
-        coeffs = self.form.unpack(self._combined(scales), n)[::-1]
+        n, p = self.size, self.form.p
+        if not n:
+            return []
+        coeffs = self.form.unpack(self._pass(scales)[1][0], n)[::-1]
         # the coefficient of x^j changes sign when n - 1 - j is odd
-        coeffs[n % 2 :: 2] = [-c % self.p for c in coeffs[n % 2 :: 2]]
+        coeffs[n % 2 :: 2] = [-c % p for c in coeffs[n % 2 :: 2]]
         return coeffs
 
     def quotient_of_product(self, a_scales, b_scales) -> list[int]:
@@ -582,12 +573,12 @@ class SubproductTree:
         f - rev(U) * q above it, so no product has two operands of the
         quotient's length.
         """
-        n, p, form = self.size, self.p, self.form
+        n, p, form = self.size, self.form.p, self.form
         size = n - 1  # deg (A * B) <= 2n - 2 and deg root = n
         if size <= 0:
             return []
-        f = form.reduced(form.times(self._combined(a_scales), self._combined(b_scales)), size)
-        h = self._top()
+        h, (a, b) = self._pass(a_scales, b_scales)
+        f = form.reduced(form.times(a, b), size)
         known = (size + 1) // 2
         g = _inverse_series(form, h, known)
         q = form.reduced(form.times(form.cut(f, known), g), known)

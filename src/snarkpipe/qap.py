@@ -48,9 +48,10 @@ __all__ = [
     "check_field",
 ]
 
-# The most coefficients an emitted QAP file holds: v, w and k for each of S
-# symbols over N gates, 3 * S * N of them. Forming the file takes time and
-# memory quadratic in N; a 589-gate squaring chain fits.
+# The most coefficients an emitted QAP file holds, v, w and k for each of S
+# symbols over N gates, 3 * S * N of them; and the most the Lagrange basis
+# that forms it holds, N polynomials of N coefficients whatever S is. A
+# 589-gate squaring chain fits both.
 MAX_EMITTED_COEFFICIENTS = 1 << 20
 
 
@@ -59,7 +60,8 @@ class FieldTooSmall(ValueError):
 
 
 class QAPTooLarge(ValueError):
-    """The coefficient form of the QAP exceeds MAX_EMITTED_COEFFICIENTS."""
+    """The coefficient form of the QAP, or the basis that forms it,
+    exceeds MAX_EMITTED_COEFFICIENTS."""
 
 
 class QAP:
@@ -79,15 +81,14 @@ class QAP:
         # coefficient); a symbol absent from an entry tuple holds 0 there
         self.rows = rows
 
-    @cached_property
-    def tree(self) -> SubproductTree:
-        """Subproduct tree of the factors (x - d) over the nodes 1..N."""
+    def _tree(self) -> SubproductTree:
+        """The product tree over the nodes 1..N, for one pass up it."""
         return SubproductTree(self.ctx, range(1, self.n_gates + 1))
 
     @cached_property
     def target(self) -> Polynomial:
-        """T(x) = prod(x - d) over the nodes, the root of the tree."""
-        return Polynomial(self.ctx, self.tree.root())
+        """T(x) = prod(x - d) over the nodes, the root of their tree."""
+        return Polynomial(self.ctx, self._tree().root())
 
     @cached_property
     def weights(self) -> list:
@@ -116,17 +117,15 @@ class QAP:
         """Coefficient form of the polynomial taking values[d - 1] at each
         node d, combined up the tree from the leaves values[d - 1] *
         weights[d - 1]."""
-        return Polynomial(self.ctx, self.tree.combine(self._scales(values)))
+        return Polynomial(self.ctx, self._tree().combine(self._scales(values)))
 
     def quotient(self, at_v: list, at_w: list) -> Polynomial:
         """V*W // T for V and W given by their node values: both are
         interpolated, multiplied and divided in packed form, with no
-        coefficient list in between, up a tree built for this call alone
-        (a prove divides once), in whichever form pays at this size."""
-        tree = SubproductTree(self.ctx, range(1, self.n_gates + 1))
-        return Polynomial(
-            self.ctx, tree.quotient_of_product(self._scales(at_v), self._scales(at_w))
-        )
+        coefficient list in between, in one pass up the tree, in whichever
+        form pays at this size."""
+        a, b = self._scales(at_v), self._scales(at_w)
+        return Polynomial(self.ctx, self._tree().quotient_of_product(a, b))
 
     def lagrange_at(self, s: int) -> tuple:
         """(T(s), [L_1(s), ..., L_N(s)]) without any coefficient list.
@@ -148,8 +147,12 @@ class QAP:
     def to_json_dict(self) -> dict:
         """The QAP in coefficient form: a symbol's polynomial in each family
         is sum_d value * L_d(x) over its entries in the rows, with one
-        Lagrange basis of the nodes built for every symbol."""
+        Lagrange basis of the nodes built for every symbol. T is formed once:
+        L_N is T / (x - N) times its leading coefficient."""
         basis = lagrange_basis(self.ctx, range(1, self.n_gates + 1))
+        last = basis[-1].coeffs
+        scale = inverse(last[-1], self.ctx.p)
+        target = [scale * (a - self.n_gates * b) for a, b in zip((0,) + last, last + (0,))]
         # terms[family][i]: symbol i's (value, L_d) pairs in that family
         terms: dict = {family: [[] for _ in self.symbols] for family in "vwk"}
         for l_d, row in zip(basis, self.rows):
@@ -165,7 +168,7 @@ class QAP:
             "n_gates": self.n_gates,
             "symbols": list(self.symbol_names),
             **{family: [coeffs(pairs) for pairs in terms[family]] for family in "vwk"},
-            "target": [str(c) for c in self.target.coeffs],
+            "target": [str(c) for c in Polynomial(self.ctx, target).coeffs],
         }
 
 
@@ -190,13 +193,18 @@ def check_field(circuit: Circuit) -> None:
 
 
 def check_emit_size(circuit: Circuit) -> None:
-    """Refuse, before anything is built, a QAP whose coefficient form would
-    exceed MAX_EMITTED_COEFFICIENTS."""
+    """Refuse, before anything is built, a QAP whose coefficient form, or
+    the Lagrange basis that forms it, would exceed MAX_EMITTED_COEFFICIENTS."""
     n, s = circuit.n_gates, len(circuit.symbol_wires())
     if 3 * s * n > MAX_EMITTED_COEFFICIENTS:
         raise QAPTooLarge(
             f"an emitted QAP holds 3 * S * N = {3 * s * n} coefficients for S={s} symbols"
             f" over N={n} gates; at most {MAX_EMITTED_COEFFICIENTS} are written"
+        )
+    if n * n > MAX_EMITTED_COEFFICIENTS:
+        raise QAPTooLarge(
+            f"emitting a QAP over N={n} gates builds a Lagrange basis of N * N = {n * n}"
+            f" coefficients; at most {MAX_EMITTED_COEFFICIENTS} are held"
         )
 
 

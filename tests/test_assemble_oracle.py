@@ -141,7 +141,7 @@ def test_drawn_assignments_match_oracle_at_p97(small_field_instances, data):
 
 @pytest.fixture()
 def fresh_coloring(coloring_circuit, ctx):
-    """A QAP with no cached tree, and keys for it."""
+    """A QAP with nothing cached, and keys for it."""
     qap = build_qap(coloring_circuit)
     ek, _ = setup(build_qap(coloring_circuit), TransparentGroup(ctx), bytes([3]))
     return qap, ek
@@ -155,7 +155,6 @@ def test_refused_prove_builds_no_tree_and_interpolates_nothing(
     def refuse(*args):
         raise AssertionError("a refused prove must not interpolate")
 
-    monkeypatch.setattr(QAP, "tree", property(refuse))
     monkeypatch.setattr(SubproductTree, "__init__", refuse)
     monkeypatch.setattr(QAP, "interpolate", refuse)
     monkeypatch.setattr(Polynomial, "__mul__", refuse)
@@ -166,9 +165,9 @@ def test_refused_prove_builds_no_tree_and_interpolates_nothing(
 def test_honest_prove_interpolates_two_families_and_divides_once(
     fresh_coloring, coloring_circuit, ctx, monkeypatch
 ):
-    # V and W go from their node values to H packed: one quotient, two
-    # combinations up the tree, and no coefficient list, product, remainder
-    # or F in between. coloring5 (N = 69) takes the one-point form, a
+    # V and W go from their node values to H packed: one quotient, one pass
+    # up the tree that carries both combinations, and no coefficient list,
+    # product, remainder or F in between. coloring5 (N = 69) takes the one-point form, a
     # 201-gate squaring chain the two-point form.
     qap, ek = fresh_coloring
     assignment = solve(coloring_circuit, GOOD_COLORING)
@@ -182,20 +181,20 @@ def test_honest_prove_interpolates_two_families_and_divides_once(
 
 
 def assert_one_quotient(qap, ek, assignment, points, monkeypatch):
-    """An honest prove on a QAP with no cached tree makes one quotient from
-    the node values of V and W and two combinations up a tree at that many
-    Kronecker points."""
+    """An honest prove makes one quotient from the node values of V and W
+    and one pass up a tree at that many Kronecker points, which carries the
+    scales of both."""
     assert pays(qap.ctx.p, qap.n_gates) == (points == 2)
-    quotients, combined = [], []
-    quotient, combine = QAP.quotient, SubproductTree._combined
+    quotients, passes = [], []
+    quotient, one_pass = QAP.quotient, SubproductTree._pass
 
     def counting_quotient(self, at_v, at_w):
         quotients.append((at_v, at_w))
         return quotient(self, at_v, at_w)
 
-    def counting_combine(self, scales):
-        combined.append((len(self.form.points), scales))
-        return combine(self, scales)
+    def counting_pass(self, *families):
+        passes.append((len(self.form.points), families))
+        return one_pass(self, *families)
 
     def refuse(*args):
         raise AssertionError("prove needs no remainder, no F and no coefficient list")
@@ -203,10 +202,10 @@ def assert_one_quotient(qap, ek, assignment, points, monkeypatch):
     at_v, at_w, _ = assemble(qap, assignment).nodes
     with monkeypatch.context() as patch:
         patch.setattr(QAP, "quotient", counting_quotient)
-        patch.setattr(SubproductTree, "_combined", counting_combine)
+        patch.setattr(SubproductTree, "_pass", counting_pass)
         for name in ("__divmod__", "__floordiv__", "__mul__", "__sub__"):
             patch.setattr(Polynomial, name, refuse)
         patch.setattr(QAP, "interpolate", refuse)
         prove(ek, qap, assignment)
     assert quotients == [(at_v, at_w)]
-    assert combined == [(points, qap._scales(at_v)), (points, qap._scales(at_w))]
+    assert passes == [(points, (qap._scales(at_v), qap._scales(at_w)))]

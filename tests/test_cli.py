@@ -8,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from collections import defaultdict
 from pathlib import Path
 from types import SimpleNamespace
@@ -21,6 +22,7 @@ from snarkpipe.cli import _parse_input_map, main, parse_args
 from snarkpipe.field import MAX_GATES
 from snarkpipe.interactive import MAX_ROUND_ENTRIES, MAX_VERTICES
 from snarkpipe.pinocchio import EvaluationKey
+from snarkpipe.polynomial import SubproductTree
 from snarkpipe.rng import parse_seed
 
 GOOD_INPUTS = {"c1": "3", "c2": "1", "c3": "2", "c4": "1", "c5": "2"}
@@ -953,6 +955,44 @@ def test_emit_qap_past_the_budget_is_refused_before_the_qap_is_built(workdir, ca
     # without --emit-qap the same chain compiles
     assert main(["compile", str(source), "-o", "c.json"]) == 0
     assert "N=591 symbols=593" in capsys.readouterr().out
+
+
+def test_emit_qap_past_the_basis_budget_is_refused_at_once(workdir, capsys):
+    # One product and 3000 assertions on it: N = 3001 gates and S = 3
+    # symbols. The file's 3 * S * N = 27009 coefficients fit, but the
+    # Lagrange basis that forms it holds N * N = 9006001.
+    source = workdir / "asserts.zkp"
+    source.write_text("inputs x;\ny := x*x;\n" + "assert y == 0;\n" * 3000)
+    for name in ("c.json", "q.json"):
+        (workdir / name).write_bytes(b"kept")
+    start = time.perf_counter()
+    code = main(["compile", str(source), "-o", "c.json", "--emit-qap", "q.json"])
+    assert time.perf_counter() - start < 1
+    assert_usage_error(
+        code,
+        capsys,
+        "error: emitting a QAP over N=3001 gates builds a Lagrange basis of N * N = 9006001"
+        " coefficients; at most 1048576 are held",
+    )
+    assert sorted(os.listdir(workdir)) == ["asserts.zkp", "c.json", "q.json"]
+    assert [(workdir / name).read_bytes() for name in ("c.json", "q.json")] == [b"kept"] * 2
+    assert main(["compile", str(source), "-o", "c.json"]) == 0
+    assert "N=3001 symbols=3" in capsys.readouterr().out
+
+
+def test_emit_qap_forms_the_target_in_one_pass(workdir, monkeypatch):
+    # The emitted target comes from the Lagrange basis, so compile goes up
+    # the product tree once, for the basis's master product.
+    passes = []
+    one_pass = SubproductTree._pass
+
+    def counting(self, *families):
+        passes.append((self.size, families))
+        return one_pass(self, *families)
+
+    monkeypatch.setattr(SubproductTree, "_pass", counting)
+    assert main(["compile", "coloring5", "--emit-qap", "q.json"]) == 0
+    assert passes == [(69, ())]
 
 
 SELFTEST_CHECKS = (

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from snarkpipe import (
@@ -309,6 +311,8 @@ def test_sparse_columns_match_lagrange_basis(ctx):
         ]
         qap = QAP(ctx=ctx, n_gates=n, symbols=names, symbol_names=names, rows=rows)
         emitted = qap.to_json_dict()
+        # the target, which the emitted file takes from its basis
+        assert emitted["target"] == [str(c) for c in schoolbook_from_roots(range(1, n + 1), ctx.p)]
         for family, cols in families.items():
             for col, coeffs in zip(cols, emitted[family], strict=True):
                 poly = Polynomial(ctx, [int(c) for c in coeffs])
@@ -435,8 +439,29 @@ def test_tree_over_the_nodes_reduces_only_levels_whose_bound_reaches_p(monkeypat
 
     monkeypatch.setattr(polynomial._SlotReducer, "reduce_each", counting_each)
     monkeypatch.setattr(polynomial._SlotReducer, "reduce", counting)
-    tree = SubproductTree(ctx, range(1, 202))
-    assert tree.bounds[3] == 202**8 < ctx.p <= tree.bounds[4]
+    assert 202**8 < ctx.p <= 202**16  # the bounds of levels 3 and 4
+    root = SubproductTree(ctx, range(1, 202)).root()
     assert reduced == [13, 6, 3, 2, 1]
     assert len(calls) == 5
-    assert tree.root() == ReducingSubproductTree(ctx, range(1, 202)).root()
+    assert root == ReducingSubproductTree(ctx, range(1, 202)).root()
+
+
+def test_quotient_keeps_only_the_current_level_of_the_tree(ctx):
+    # One pass up the tree holds one level of products and of V's and W's
+    # numerators at a time. Over the nodes 1..2001 the traced peak of a
+    # quotient is about 1.3 MB on Python 3.11; storing every level of the
+    # products above the leaves takes it to about 1.7 MB, and every level
+    # with the leaves to about 1.8 MB.
+    n = 2001
+    qap = QAP(ctx=ctx, n_gates=n, symbols=(), symbol_names=(), rows=[((), (), ())] * n)
+    rng = StreamRandom(Sha256Rng(b"tree-peak"))
+    at_v, at_w = ([rng.randrange(ctx.p) for _ in range(n)] for _ in "vw")
+    qap.weights  # cached before the trace, which then holds only what the quotient makes
+    tracemalloc.start()
+    try:
+        h = qap.quotient(at_v, at_w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h.degree == n - 2
+    assert peak < 1_600_000, peak
