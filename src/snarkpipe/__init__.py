@@ -22,7 +22,6 @@ _EXPORTS = {
     "Circuit": "circuit",
     "DEFAULT_MODULUS": "field",
     "DivisionByZero": "field",
-    "DuplicateNode": "polynomial",
     "EvaluationKey": "pinocchio",
     "FieldContext": "field",
     "FieldTooSmall": "qap",
@@ -33,7 +32,6 @@ _EXPORTS = {
     "InvalidWitness": "pinocchio",
     "MalformedKey": "pinocchio",
     "ParseError": "frontend",
-    "Polynomial": "polynomial",
     "Program": "frontend",
     "QAP": "qap",
     "Relation": "frontend",
@@ -55,7 +53,6 @@ _EXPORTS = {
     "flatten": "circuit",
     "forge_round": "interactive",
     "format_program": "frontend",
-    "lagrange_basis": "polynomial",
     "parse_program": "frontend",
     "prove": "pinocchio",
     "run_session": "interactive",

@@ -307,6 +307,8 @@ def _parse_json(text: str, path: str):
         return json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise BadJSON(f"{path}: {exc}") from None
+    except RecursionError:  # arrays or objects nested past the parser's depth
+        raise BadJSON(f"{path}: nested too deeply") from None
 
 
 def _read_json(path: str) -> dict:
@@ -516,7 +518,8 @@ def cmd_selftest(args) -> int:
     import tempfile
     import time
 
-    from .polynomial import Polynomial
+    from .polynomial import pays
+    from .qap import QAP
     from .rng import Sha256Rng
 
     seed = _given_seed(args) or b"selftest"
@@ -537,13 +540,30 @@ def cmd_selftest(args) -> int:
         ok = ok and inverse(a, ctx.p) * a % ctx.p == 1
     report("field inverse identity (500 samples)", ok)
 
+    # The prover's quotient H = V*W // T leaves as remainder K, which takes
+    # V(d) * W(d) at each node d, so H(r) * T(r) + K(r) = V(r) * W(r) at any
+    # r: each side from node values through the Lagrange values at r, H(r)
+    # by Horner, and r off the nodes so that T(r) != 0. One N in each form
+    # of the tree the field reaches, with p > 2N as compile requires.
+    p, limit = ctx.p, (ctx.p - 1) // 2
+    first_two = next((n for n in range(1, limit + 1) if pays(p, n)), limit + 1)
+    sizes = {min(69, first_two - 1), first_two}  # one-point, two-point
     ok = True
-    for _ in range(100):
-        num = Polynomial(ctx, [rng.randbelow(ctx.p) for _ in range(12)])
-        den = Polynomial(ctx, [rng.randbelow(ctx.p) for _ in range(4)] + [1])
-        quotient, remainder = divmod(num, den)
-        ok = ok and quotient * den + remainder == num
-    report("polynomial division reconstructs (100 samples)", ok)
+    for n in sorted(n for n in sizes if 1 <= n <= limit):
+        qap = QAP(ctx=ctx, n_gates=n, symbols=(), symbol_names=(), rows=[])
+        for _ in range(10):
+            at_v, at_w = ([rng.randbelow(p) for _ in range(n)] for _ in "vw")
+            h = qap.quotient(at_v, at_w).coeffs
+            r = n + 1 + rng.randbelow(p - n - 1)
+            t_r, lagrange = qap.lagrange_at(r)
+            h_r = 0
+            for c in reversed(h):
+                h_r = (h_r * r + c) % p
+            v_r = sum(v * l for v, l in zip(at_v, lagrange))
+            w_r = sum(w * l for w, l in zip(at_w, lagrange))
+            k_r = sum(v * w % p * l for v, w, l in zip(at_v, at_w, lagrange))
+            ok = ok and (h_r * t_r + k_r - v_r * w_r) % p == 0
+    report("prover quotient: H*T + K = V*W (10 samples per tree form)", ok)
 
     group = TransparentGroup(ctx)
     g = group.generator()

@@ -1,22 +1,25 @@
 """Dense univariate polynomials over a prime field, lowest degree first.
 
-Coefficients are stored as plain residues with the field context alongside;
-the canonical form carries no trailing zeros and the zero polynomial is the
-empty tuple, so equality is plain coefficient-list equality. The constructor
-reduces mod p and strips, so `weighted_sum` hands it raw integer sums.
+The pipeline needs few polynomial operations, and all of them run on one
+product tree of the linear factors (x - r), `SubproductTree`: its root T,
+the prover's quotient V*W // T, and the combinations that interpolate. The
+tree packs coefficient lists of residues into big integers (Kronecker
+substitution), so each product is one big-integer product, and it gives
+exactly the residues of the schoolbook loops that the tests keep as their
+oracle. It holds every packed polynomial at one Kronecker point or, once
+the tree is large enough to gain from it, at two, so that each of its
+products is two of half the size. It stores no level: one loop goes up it,
+forming each level's products and carrying the numerators of any number of
+combinations beside them, and keeps only the current level. That loop, the
+quotient and the one Newton inverse are written once over the primitives of
+the two forms.
 
-Products go through Kronecker substitution (one big-integer product each),
-division through Newton inversion of the reversed divisor, and products of
-many linear factors through a subproduct tree. Each gives exactly the
-residues of the schoolbook loops, which the tests keep as their oracle, at
-the cost of a few big-integer products instead of a double loop over
-coefficients. The one tree holds every packed polynomial at one Kronecker
-point or, once the tree is large enough to gain from it, at two, so that
-each of its products is two of half the size. It stores no level: one
-loop goes up it, forming each level's products and carrying the
-numerators of any number of combinations beside them, and keeps only the
-current level. That loop, the quotient and the one Newton inverse, which
-division shares, are written once over the primitives of the two forms.
+`Polynomial` holds residues as a tuple with no trailing zeros, the zero
+polynomial empty; the constructor reduces mod p and strips, so
+`weighted_sum` hands it raw integer sums. `--emit-qap` sums `lagrange_basis`
+polynomials with it, and `QAP.quotient` hands the prover H as one. No
+command calls its product, division or evaluation: perfbench's tracer wraps
+them by name, and the tests use them.
 """
 
 from __future__ import annotations
@@ -49,10 +52,6 @@ class Polynomial:
         self.coeffs = tuple(reduced)
 
     @classmethod
-    def zero(cls, ctx: FieldContext) -> "Polynomial":
-        return cls(ctx, ())
-
-    @classmethod
     def weighted_sum(cls, ctx: FieldContext, terms) -> "Polynomial":
         """sum(weight * poly) over the (weight, poly) pairs; no pairs give 0."""
         acc = []
@@ -74,9 +73,6 @@ class Polynomial:
         """Degree of the polynomial; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def _operand(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):
             raise TypeError(f"polynomial operand must be a Polynomial, not {type(other).__name__}")
@@ -84,28 +80,30 @@ class Polynomial:
             raise ValueError("polynomials over different fields")
         return other
 
-    def __add__(self, other):
-        return Polynomial.weighted_sum(self.ctx, ((1, self), (1, self._operand(other))))
-
-    def __sub__(self, other):
-        return Polynomial.weighted_sum(self.ctx, ((1, self), (-1, self._operand(other))))
-
     def __mul__(self, other):
         return Polynomial(self.ctx, _product(self.coeffs, self._operand(other).coeffs, self.ctx.p))
 
-    def __floordiv__(self, divisor: "Polynomial"):
-        """The quotient alone: divmod without the remainder's product."""
-        den = self._operand(divisor).coeffs
-        return Polynomial(self.ctx, _quotient(self.coeffs, den, self.ctx.p))
-
     def __divmod__(self, divisor: "Polynomial"):
-        """Quotient and remainder; the remainder only needs the low deg d
-        coefficients of f - q*d."""
+        """Quotient and remainder, the quotient by Newton inversion of the
+        reversed divisor.
+
+        With f = q*d + r and deg r < deg d, reversing the coefficient order
+        turns the quotient into a power-series product: rev(q) = rev(f) *
+        rev(d)^-1 mod x^(deg q + 1). Only the top deg q + 1 coefficients of
+        f enter it, and the remainder needs only the low deg d coefficients
+        of f - q*d.
+        """
         den = self._operand(divisor).coeffs
         num, p = self.coeffs, self.ctx.p
-        quot = _quotient(num, den, p)
-        if not quot:  # deg f < deg d
-            return Polynomial.zero(self.ctx), self
+        if not den:
+            raise DivisionByZero("polynomial division by zero")
+        size = len(num) - len(den) + 1  # coefficients of the quotient
+        if size <= 0:  # deg f < deg d
+            return Polynomial(self.ctx), self
+        width = _slot_width(p, size)
+        inv = _inverse_series(_OnePoint(p, width, size), _pack(den[: -size - 1 : -1], width), size)
+        rev_quot = _low(_pack(num[: -size - 1 : -1], width) * inv, width, size)
+        quot = _unpack(rev_quot, width, size, p)[::-1]
         low = len(den) - 1
         fitted = _product(quot[:low], den[:low], p)
         rem = [a - b for a, b in zip(num[:low], fitted)]
@@ -117,29 +115,6 @@ class Polynomial:
         for c in reversed(self.coeffs):
             acc = (acc * x + c) % p
         return acc
-
-    def __eq__(self, other):
-        if isinstance(other, Polynomial):
-            return self.ctx.p == other.ctx.p and self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.ctx.p, self.coeffs))
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "Polynomial(0)"
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            elif i == 1:
-                terms.append(f"{c}x" if c != 1 else "x")
-            else:
-                terms.append(f"{c}x^{i}" if c != 1 else f"x^{i}")
-        return f"Polynomial({' + '.join(terms)} mod {self.ctx.p})"
 
 
 # Kronecker substitution. A coefficient list becomes one integer whose digits
@@ -432,26 +407,6 @@ def _inverse_series(form: _OnePoint, h, size: int):
         fix = form.reduced(form.times(form.cut(g, gained), error), gained)
         g, known = form.add(g, form.shift(fix, known)), target
     return g
-
-
-def _quotient(num, den, p: int) -> list[int]:
-    """Residues of the quotient of num by den, by Newton inversion of the
-    reversed divisor; den's last coefficient must be nonzero.
-
-    With f = q*d + r and deg r < deg d, reversing the coefficient order
-    turns the quotient into a power-series product: rev(q) = rev(f) *
-    rev(d)^-1 mod x^(deg q + 1). Only the top deg q + 1 coefficients of f
-    enter it.
-    """
-    if not den:
-        raise DivisionByZero("polynomial division by zero")
-    size = len(num) - len(den) + 1  # coefficients of the quotient
-    if size <= 0:
-        return []
-    width = _slot_width(p, size)
-    inv = _inverse_series(_OnePoint(p, width, size), _pack(den[: -size - 1 : -1], width), size)
-    rev_quot = _low(_pack(num[: -size - 1 : -1], width) * inv, width, size)
-    return _unpack(rev_quot, width, size, p)[::-1]
 
 
 class SubproductTree:

@@ -24,7 +24,9 @@ weighted row sums: V(d) * W(d) = K(d). Node data, rows and values alike, are
 lists indexed d - 1. Coefficient form is derived only where it is needed: for
 the emitted QAP file, each symbol's sum of value * L_d gathered from the rows,
 and for the prover's V and W, whose product's quotient by T is the quotient H
-of F.
+of F. The QAP keeps no polynomial of its own: setup takes T(s) and every
+L_d(s) in closed form (`lagrange_at`), the prover takes H from one pass up
+the product tree (`quotient`), and the emitted file takes T from its basis.
 """
 
 from __future__ import annotations
@@ -81,15 +83,6 @@ class QAP:
         # coefficient); a symbol absent from an entry tuple holds 0 there
         self.rows = rows
 
-    def _tree(self) -> SubproductTree:
-        """The product tree over the nodes 1..N, for one pass up it."""
-        return SubproductTree(self.ctx, range(1, self.n_gates + 1))
-
-    @cached_property
-    def target(self) -> Polynomial:
-        """T(x) = prod(x - d) over the nodes, the root of their tree."""
-        return Polynomial(self.ctx, self._tree().root())
-
     @cached_property
     def weights(self) -> list:
         """Barycentric weights: weights[d - 1] = 1 / prod_{j != d}(d - j).
@@ -110,22 +103,16 @@ class QAP:
             (-1) ** (n - d) * inv_fact[d - 1] * inv_fact[n - d] % p for d in range(1, n + 1)
         ]
 
-    def _scales(self, values: list) -> list:
-        return [value * weight for value, weight in zip(values, self.weights)]
-
-    def interpolate(self, values: list) -> Polynomial:
-        """Coefficient form of the polynomial taking values[d - 1] at each
-        node d, combined up the tree from the leaves values[d - 1] *
-        weights[d - 1]."""
-        return Polynomial(self.ctx, self._tree().combine(self._scales(values)))
-
     def quotient(self, at_v: list, at_w: list) -> Polynomial:
-        """V*W // T for V and W given by their node values: both are
-        interpolated, multiplied and divided in packed form, with no
-        coefficient list in between, in one pass up the tree, in whichever
-        form pays at this size."""
-        a, b = self._scales(at_v), self._scales(at_w)
-        return Polynomial(self.ctx, self._tree().quotient_of_product(a, b))
+        """V*W // T for V and W given by their node values. Each value times
+        its node's weight is a scale of the tree's combination (see
+        `SubproductTree.combine`), so V and W are interpolated, multiplied
+        and divided in packed form, with no coefficient list in between, in
+        one pass up the tree over the nodes, in whichever form pays at this
+        size."""
+        tree = SubproductTree(self.ctx, range(1, self.n_gates + 1))
+        a, b = ([v * weight for v, weight in zip(at, self.weights)] for at in (at_v, at_w))
+        return Polynomial(self.ctx, tree.quotient_of_product(a, b))
 
     def lagrange_at(self, s: int) -> tuple:
         """(T(s), [L_1(s), ..., L_N(s)]) without any coefficient list.

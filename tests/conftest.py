@@ -8,6 +8,7 @@ from snarkpipe import FieldContext, Sha256Rng, assemble, build_qap, flatten, par
 from snarkpipe.bundled import load_bundled_text
 from snarkpipe.field import DEFAULT_MODULUS
 from snarkpipe.pinocchio import EvaluationKey, Trapdoor, VerificationKey, verification_key_to_dict
+from snarkpipe.polynomial import Polynomial, SubproductTree
 
 CORPUS = ("coloring5.zkp", "cubic.zkp", "product.zkp")
 
@@ -48,12 +49,23 @@ def forward_assignment(circuit, inputs) -> dict:
     return values
 
 
+def target(qap) -> Polynomial:
+    """T(x) = prod(x - d) over the nodes 1..N, the root of their tree."""
+    return Polynomial(qap.ctx, SubproductTree(qap.ctx, range(1, qap.n_gates + 1)).root())
+
+
+def interpolate(qap, values) -> Polynomial:
+    """The polynomial of degree < N taking values[d - 1] at each node d."""
+    scales = [value * weight for value, weight in zip(values, qap.weights)]
+    return Polynomial(qap.ctx, SubproductTree(qap.ctx, range(1, qap.n_gates + 1)).combine(scales))
+
+
 def derived(qap, instance=None) -> SimpleNamespace:
     """The forms that QAP and AssembledInstance do not keep, rebuilt from
     what they do. `columns` is (v, w, k), the rows transposed to per-symbol
     columns {node d: value}, a node absent from a column holding 0. Given an
     instance, `v`, `w` and `k` are V, W and K in coefficient form, each
-    qap.interpolate of the instance's node values, and `f` is V*W - K."""
+    the interpolation of the instance's node values, and `f` is V*W - K."""
     columns = tuple([{} for _ in qap.symbols] for _ in range(3))
     for d, row in enumerate(qap.rows, 1):
         for family, entries in zip(columns, row):
@@ -61,8 +73,8 @@ def derived(qap, instance=None) -> SimpleNamespace:
                 family[i][d] = value
     forms = SimpleNamespace(columns=columns)
     if instance is not None:
-        forms.v, forms.w, forms.k = (qap.interpolate(values) for values in instance.nodes)
-        forms.f = forms.v * forms.w - forms.k
+        forms.v, forms.w, forms.k = (interpolate(qap, values) for values in instance.nodes)
+        forms.f = Polynomial.weighted_sum(qap.ctx, ((1, forms.v * forms.w), (-1, forms.k)))
     return forms
 
 
@@ -78,7 +90,8 @@ def soundness_scan(qap, assignment, trials=None, seed=b"soundness-scan") -> Frac
     """
     p = qap.ctx.p
     f = derived(qap, assemble(qap, assignment)).f
-    forged_quotient = f // qap.target
+    t = target(qap)
+    forged_quotient = divmod(f, t)[0]
 
     if trials is None:
         points = range(p)
@@ -89,7 +102,7 @@ def soundness_scan(qap, assignment, trials=None, seed=b"soundness-scan") -> Frac
         total = trials
 
     hits = sum(
-        f.eval_int(x) == forged_quotient.eval_int(x) * qap.target.eval_int(x) % p
+        f.eval_int(x) == forged_quotient.eval_int(x) * t.eval_int(x) % p
         for x in points
     )
     return Fraction(hits, total)

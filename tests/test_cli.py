@@ -997,7 +997,7 @@ def test_emit_qap_forms_the_target_in_one_pass(workdir, monkeypatch):
 
 SELFTEST_CHECKS = (
     "field inverse identity (500 samples)",
-    "polynomial division reconstructs (100 samples)",
+    "prover quotient: H*T + K = V*W (10 samples per tree form)",
     "pairing bilinearity (200 samples)",
     "bundled pipeline accepts a valid coloring",
     "prover refuses an invalid coloring",
@@ -1042,6 +1042,26 @@ def test_selftest_reports_a_failed_check(workdir, capsys, monkeypatch):
         f"[{'FAIL' if 'tampered' in name else 'PASS'}] {name}" for name in SELFTEST_CHECKS
     ]
     assert err == "1 check(s) failed\n"
+
+
+def test_selftest_checks_the_provers_quotient(workdir, capsys, monkeypatch):
+    # One wrong coefficient of H fails the quotient check, and the bundled
+    # pipeline too, whose witness key then fails the divisibility check.
+    quotient = SubproductTree.quotient_of_product
+
+    def off_by_one(self, a_scales, b_scales):
+        h = quotient(self, a_scales, b_scales)
+        h[len(h) // 2] = (h[len(h) // 2] + 1) % self.form.p
+        return h
+
+    monkeypatch.setattr(SubproductTree, "quotient_of_product", off_by_one)
+    assert main(["selftest"]) == 1
+    out, err = capsys.readouterr()
+    failing = (SELFTEST_CHECKS[1], "bundled pipeline accepts a valid coloring")
+    assert [line for line in out.splitlines() if line.startswith("[")] == [
+        f"[{'FAIL' if name in failing else 'PASS'}] {name}" for name in SELFTEST_CHECKS
+    ]
+    assert err == "2 check(s) failed\n"
 
 
 def test_selftest_stops_at_a_command_that_fails(workdir, capsys):
@@ -1453,6 +1473,22 @@ def test_unusable_input_path_is_named(artifacts, tmp_path, capsys, flag, kind):
     UNUSABLE[kind](target, valid_bytes(artifacts, content))
     code = main(fill(argv, artifacts, tmp_path, target))
     assert_usage_error(code, capsys, str(target))
+
+
+# Arrays nested past the depth of any interpreter's JSON parser, which then
+# raises RecursionError rather than a ValueError.
+NESTING = 100_000
+
+
+@pytest.mark.parametrize("flag", sorted(set(INPUT_FLAGS) - {"compile_source"}))
+def test_deeply_nested_input_is_bad_json(artifacts, tmp_path, capsys, flag):
+    target = tmp_path / "nested.json"
+    target.write_text("[" * NESTING + "]" * NESTING)
+    argv = fill(INPUT_FLAGS[flag][0], artifacts, tmp_path, target)
+    started = time.perf_counter()
+    code = main(argv)
+    assert time.perf_counter() - started < 1
+    assert_usage_error(code, capsys, f"bad JSON input: {target}: nested too deeply")
 
 
 @pytest.mark.parametrize("flag", sorted(OUTPUT_FLAGS))

@@ -194,3 +194,13 @@ def test_star_import_binds_every_public_name():
     exec("from snarkpipe import *", namespace)
     assert set(snarkpipe.__all__) <= set(namespace)
     assert namespace["verify"] is snarkpipe.pinocchio.verify
+
+
+def test_polynomial_names_left_the_package_api():
+    # Only --emit-qap and the prover's H still use these, through their
+    # module, where they stay importable.
+    from snarkpipe import polynomial
+
+    for name in ("DuplicateNode", "Polynomial", "lagrange_basis"):
+        assert name not in snarkpipe.__all__ and not hasattr(snarkpipe, name)
+        assert name in polynomial.__all__ and hasattr(polynomial, name)

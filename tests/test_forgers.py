@@ -43,7 +43,7 @@ from snarkpipe import (
 )
 from snarkpipe.bundled import load_bundled_text
 
-from conftest import BAD_COLORING, GOOD_COLORING, derived, forward_assignment
+from conftest import BAD_COLORING, GOOD_COLORING, derived, forward_assignment, target
 
 SEED = b"forgers"
 MERSENNE_61 = 2**61 - 1
@@ -89,7 +89,7 @@ def quotient(qap, v_assignment, w_assignment) -> list:
     and the w family, computed from the public program."""
     v = derived(qap, assemble(qap, v_assignment)).v
     w = derived(qap, assemble(qap, w_assignment)).w
-    return ((v * w) // qap.target).coeffs
+    return divmod(v * w, target(qap))[0].coeffs
 
 
 def same_weights(qap, assignment) -> dict:

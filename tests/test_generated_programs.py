@@ -36,7 +36,6 @@ from hypothesis import strategies as st  # noqa: E402
 from snarkpipe import (  # noqa: E402
     FieldContext,
     InvalidWitness,
-    Polynomial,
     TransparentGroup,
     assemble,
     build_qap,
@@ -51,6 +50,7 @@ from snarkpipe import (  # noqa: E402
 )
 from snarkpipe.circuit import WIRE_ONE  # noqa: E402
 from snarkpipe.frontend import _Parser, format_program  # noqa: E402
+from snarkpipe.polynomial import Polynomial  # noqa: E402
 
 from conftest import CONSTANTS, derived, enters_a_gate, forward_assignment, programs  # noqa: E402
 

@@ -7,6 +7,8 @@ value, deletes it, or re-encodes it under another JSON type, and runs the
 command that reads the file. The run must end in exit 0, 1 or 2 and print
 no traceback. An example that inserts a key into one JSON object must end
 in exit 1, refused by name: each loader takes exactly its writer's keys.
+One that wraps a node in arrays nested past the JSON parser's depth must
+end in exit 1 as bad JSON, naming the file.
 """
 
 import contextlib
@@ -203,6 +205,35 @@ def test_mutated_artifact_ends_in_an_exit_code(artifacts, name, data):
     code, err = run_quietly(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+
+
+# Arrays nested past the depth of any interpreter's JSON parser, which then
+# raises RecursionError rather than a ValueError.
+NESTING = 100_000
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+@settings(derandomize=True, deadline=None, max_examples=10, database=None)
+@given(data=st.data())
+def test_deeply_nested_node_is_refused_by_name(artifacts, name, data):
+    valid_dir, out_dir, docs = artifacts
+    doc, paths = docs[name]
+    path = data.draw(st.sampled_from(paths), label="path")
+    # the node wrapped in NESTING arrays, spliced in as text: json.dumps
+    # recurses as deep as json.loads does
+    marker = json.dumps("<nested>")
+    text = json.dumps(mutate(doc, path, "replace", "<nested>", 0))
+    assert text.count(marker) == 1
+    nested = "[" * NESTING + json.dumps(node_at(doc, path)) + "]" * NESTING
+    out = out_dir / f"nested_{name}.json"
+    out.write_text(text.replace(marker, nested))
+    argv = ["--seed", "5eed"] + [
+        arg.format(m=out, d=valid_dir, o=out_dir) for arg in COMMANDS[name]
+    ]
+    code, err = run_quietly(argv)
+    assert "Traceback" not in err
+    assert code == 1, err
+    assert err == f"bad JSON input: {out}: nested too deeply\n"
 
 
 # Objects whose keys are data, not a writer's: the circuit's map of source

@@ -27,7 +27,7 @@ from snarkpipe.pinocchio import (
     witness_key_to_dict,
 )
 
-from conftest import BAD_COLORING, GOOD_COLORING, StreamRandom, derived
+from conftest import BAD_COLORING, GOOD_COLORING, StreamRandom, derived, target
 
 SEED = bytes([1])
 
@@ -120,7 +120,7 @@ def test_target_term_consistent(coloring_qap, coloring_keys, group):
     _, vk = coloring_keys
     rng = Sha256Rng(SEED, label=b"trusted-setup")
     td = Trapdoor.sample(rng, group.ctx.p, coloring_qap.n_gates)
-    t_at_s = coloring_qap.target.eval_int(td.s)
+    t_at_s = target(coloring_qap).eval_int(td.s)
     g = group.generator()
     assert group.pairing(vk.target_at_s, g) == group.pairing(g**td.r_k, g) ** t_at_s
 

@@ -2,24 +2,26 @@ import tracemalloc
 
 import pytest
 
-from snarkpipe import (
-    QAP,
-    DivisionByZero,
+from snarkpipe import QAP, DivisionByZero, FieldContext, Sha256Rng
+from snarkpipe import polynomial
+from snarkpipe.polynomial import (
     DuplicateNode,
-    FieldContext,
     Polynomial,
-    Sha256Rng,
+    SubproductTree,
+    _pack,
+    _slot_width,
+    _unpack,
     lagrange_basis,
 )
-from snarkpipe import polynomial
-from snarkpipe.polynomial import SubproductTree, _pack, _slot_width, _unpack
 
 from conftest import (
     StreamRandom,
+    interpolate,
     schoolbook_divmod,
     schoolbook_from_roots,
     schoolbook_mul,
     slot_reduce,
+    target,
 )
 
 
@@ -30,11 +32,11 @@ def rand_poly(ctx, rng, max_degree):
 def test_canonical_form_strips_trailing_zeros(ctx17):
     assert Polynomial(ctx17, [1, 2, 0, 0]).coeffs == (1, 2)
     assert Polynomial(ctx17, [0, 0]).coeffs == ()
-    assert Polynomial(ctx17, [17, 34]).is_zero()
+    assert Polynomial(ctx17, [17, 34]).coeffs == ()
 
 
 def test_degree_convention(ctx17):
-    assert Polynomial.zero(ctx17).degree == -1
+    assert Polynomial(ctx17).degree == -1
     assert Polynomial(ctx17, [5]).degree == 0
     assert Polynomial(ctx17, [0, 0, 3]).degree == 2
 
@@ -44,8 +46,8 @@ def test_degree_of_product_adds(ctx17):
     for _ in range(50):
         a = rand_poly(ctx17, rng, 6)
         b = rand_poly(ctx17, rng, 6)
-        if a.is_zero() or b.is_zero():
-            assert (a * b).is_zero()
+        if not a.coeffs or not b.coeffs:
+            assert (a * b).coeffs == ()
         else:
             assert (a * b).degree == a.degree + b.degree
 
@@ -53,7 +55,7 @@ def test_degree_of_product_adds(ctx17):
 def test_divmod_known_factorization(ctx17):
     q, r = divmod(Polynomial(ctx17, [-1, 0, 1]), Polynomial(ctx17, [-1, 1]))
     assert q.coeffs == (1, 1)  # x + 1
-    assert r.is_zero()
+    assert r.coeffs == ()
 
 
 def test_divmod_with_remainder(ctx17):
@@ -62,17 +64,17 @@ def test_divmod_with_remainder(ctx17):
     q, r = divmod(numerator, denominator)
     assert q.coeffs == (1, 1)
     assert r.coeffs == (2,)
-    assert q * denominator + r == numerator
+    assert Polynomial.weighted_sum(ctx17, ((1, q * denominator), (1, r))).coeffs == numerator.coeffs
 
 
 def test_divmod_zero_numerator(ctx17):
-    q, r = divmod(Polynomial.zero(ctx17), Polynomial(ctx17, [-3, 1]))
-    assert q.is_zero() and r.is_zero()
+    q, r = divmod(Polynomial(ctx17), Polynomial(ctx17, [-3, 1]))
+    assert q.coeffs == r.coeffs == ()
 
 
 def test_divmod_zero_denominator(ctx17):
     with pytest.raises(DivisionByZero):
-        divmod(Polynomial(ctx17, [1, 1]), Polynomial.zero(ctx17))
+        divmod(Polynomial(ctx17, [1, 1]), Polynomial(ctx17))
 
 
 def test_divmod_reconstruction_property(ctx):
@@ -85,7 +87,8 @@ def test_divmod_reconstruction_property(ctx):
             + [rng.randrange(1, ctx.p)],
         )
         q, r = divmod(numerator, denominator)
-        assert q * denominator + r == numerator
+        rebuilt = Polynomial.weighted_sum(ctx, ((1, q * denominator), (1, r)))
+        assert rebuilt.coeffs == numerator.coeffs
         assert r.degree < denominator.degree
 
 
@@ -136,12 +139,12 @@ def test_interpolation_round_trip_up_to_128_nodes(ctx):
 def test_weighted_sum(ctx17):
     a = Polynomial(ctx17, [1, 2, 3])
     b = Polynomial(ctx17, [5, 16])
-    assert Polynomial.weighted_sum(ctx17, []) == Polynomial.zero(ctx17)
-    assert Polynomial.weighted_sum(ctx17, [(0, a)]) == Polynomial.zero(ctx17)
+    assert Polynomial.weighted_sum(ctx17, []).coeffs == ()
+    assert Polynomial.weighted_sum(ctx17, [(0, a)]).coeffs == ()
     total = Polynomial.weighted_sum(ctx17, [(3, a), (-2, b), (20, a)])
     assert total.coeffs == ((23 - 10) % 17, (46 - 32) % 17, 69 % 17)
     # cancelling leading terms leave no trailing zero
-    assert Polynomial.weighted_sum(ctx17, [(1, a), (16, a), (1, b)]) == b
+    assert Polynomial.weighted_sum(ctx17, [(1, a), (16, a), (1, b)]).coeffs == b.coeffs
 
 
 def test_lagrange_basis_is_indicator(ctx17):
@@ -164,11 +167,7 @@ def test_from_roots_vanishes_exactly_there(ctx17):
 def test_operator_algebra(ctx17):
     a = Polynomial(ctx17, [1, 2])
     b = Polynomial(ctx17, [3, 0, 4])
-    assert a + b == Polynomial(ctx17, [4, 2, 4])
-    assert b - a == Polynomial(ctx17, [2, 15, 4])
-    assert a - b == Polynomial(ctx17, [15, 2, 13])
-    assert a + Polynomial.zero(ctx17) == a
-    assert a * b == Polynomial(ctx17, [3, 6, 4, 8])
+    assert (a * b).coeffs == (3, 6, 4, 8)
 
 
 def test_eval_matches_naive_sum(ctx17):
@@ -182,7 +181,7 @@ def test_eval_matches_naive_sum(ctx17):
 
 def test_mixed_moduli_rejected(ctx17, ctx101):
     with pytest.raises(ValueError):
-        Polynomial(ctx17, [1]) + Polynomial(ctx101, [1])
+        Polynomial(ctx17, [1]) * Polynomial(ctx101, [1])
     with pytest.raises(ValueError):
         divmod(Polynomial(ctx17, [1, 1]), Polynomial(ctx101, [1]))
 
@@ -226,7 +225,7 @@ def test_product_matches_schoolbook(modulus):
     ]
     for a, b in cases:
         product = Polynomial(ctx, a) * Polynomial(ctx, b)
-        assert product == Polynomial(ctx, schoolbook_mul(a, b, p)), (a, b)
+        assert product.coeffs == Polynomial(ctx, schoolbook_mul(a, b, p)).coeffs, (a, b)
 
 
 @pytest.mark.parametrize("modulus", MODULI, ids=["p17", "p97", "default"])
@@ -243,8 +242,8 @@ def test_divmod_matches_schoolbook(modulus):
     for num, den in cases:
         quot, rem = divmod(Polynomial(ctx, num), Polynomial(ctx, den))
         want_quot, want_rem = schoolbook_divmod(Polynomial(ctx, num).coeffs, den, p)
-        assert quot == Polynomial(ctx, want_quot), (num, den)
-        assert rem == Polynomial(ctx, want_rem), (num, den)
+        assert quot.coeffs == Polynomial(ctx, want_quot).coeffs, (num, den)
+        assert rem.coeffs == Polynomial(ctx, want_rem).coeffs, (num, den)
 
 
 @pytest.mark.parametrize("modulus", MODULI, ids=["p17", "p97", "default"])
@@ -287,12 +286,12 @@ def test_tree_interpolation_matches_lagrange_basis(modulus, sizes):
         qap = node_qap(ctx, n)
         values = random_coeffs(rng, p, n)
         values[rng.randrange(n)] = 0  # absent nodes hold 0
-        assert qap.interpolate(values) == basis_interpolation(ctx, values), n
-        assert qap.target.coeffs == tuple(schoolbook_from_roots(range(1, n + 1), p))
+        assert interpolate(qap, values).coeffs == basis_interpolation(ctx, values).coeffs, n
+        assert target(qap).coeffs == tuple(schoolbook_from_roots(range(1, n + 1), p))
 
 
 def test_sparse_columns_match_lagrange_basis(ctx):
-    # The emitted file's columns against the tree (QAP.interpolate) and a
+    # The emitted file's columns against the tree (conftest's interpolate) and a
     # basis interpolation of the dense node values.
     rng = StreamRandom(Sha256Rng(b"sparse-columns"))
     for n in (1, 2, 7, 69, 150):
@@ -318,7 +317,8 @@ def test_sparse_columns_match_lagrange_basis(ctx):
                 poly = Polynomial(ctx, [int(c) for c in coeffs])
                 assert [str(c) for c in poly.coeffs] == coeffs  # canonical, no trailing zero
                 values = [col.get(d, 0) for d in range(1, n + 1)]
-                assert poly == basis_interpolation(ctx, values) == qap.interpolate(values)
+                want = basis_interpolation(ctx, values).coeffs
+                assert poly.coeffs == want == interpolate(qap, values).coeffs
 
 
 @pytest.mark.parametrize("modulus", (97, None), ids=["p97", "default"])
@@ -331,7 +331,7 @@ def test_closed_form_lagrange_values_match_horner(modulus):
         qap = node_qap(ctx, n)
         target_at_s, values = qap.lagrange_at(s)
         assert values == [poly.eval_int(s) for poly in lagrange_basis(ctx, range(1, n + 1))]
-        assert target_at_s == qap.target.eval_int(s)
+        assert target_at_s == target(qap).eval_int(s)
 
 
 def test_subproduct_tree_combines_over_arbitrary_roots(ctx97):
@@ -348,7 +348,8 @@ def test_subproduct_tree_combines_over_arbitrary_roots(ctx97):
                 if other != r:
                     den = den * (r - other) % 97
             scales.append(y * pow(den, 95, 97))
-        assert Polynomial(ctx97, tree.combine(scales)) == basis_interpolation(ctx97, ys, roots)
+        combined = Polynomial(ctx97, tree.combine(scales))
+        assert combined.coeffs == basis_interpolation(ctx97, ys, roots).coeffs
 
 
 # --- the product tree against the body it replaced ---------------------------------

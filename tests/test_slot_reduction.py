@@ -14,10 +14,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from snarkpipe import QAP, FieldContext, Polynomial  # noqa: E402
+from snarkpipe import QAP, FieldContext  # noqa: E402
 from snarkpipe.field import DEFAULT_MODULUS, is_probable_prime  # noqa: E402
 from snarkpipe import polynomial  # noqa: E402
 from snarkpipe.polynomial import (  # noqa: E402
+    Polynomial,
     SubproductTree,
     _pack,
     _slot_width,
